@@ -237,7 +237,7 @@ class LHTIndex:
         merges: tuple[MergeEvent, ...] = ()
         if self.config.merge_enabled:
             merges = tuple(self._maybe_merge(result.bucket))
-        sanitizer = getattr(self, "_sanitizer", None)
+        sanitizer = self._sanitizer
         if sanitizer is not None:
             for merge in merges:
                 sanitizer.check_merge(merge)
@@ -303,7 +303,7 @@ class LHTIndex:
             # Cached labels self-validate, so stale entries would only
             # cost detours — but a bulk rebuild invalidates en masse.
             self.cache.clear()
-        sanitizer = getattr(self, "_sanitizer", None)
+        sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.after_mutation("bulk_load")
         return plan.inserted
@@ -380,7 +380,7 @@ class LHTIndex:
             target.add(record)
             self.dht.local_write(str(naming(bucket.label)), bucket)
         self.record_count += 1
-        sanitizer = getattr(self, "_sanitizer", None)
+        sanitizer = self._sanitizer
         if sanitizer is not None:
             if event is not None:
                 sanitizer.check_split(event)

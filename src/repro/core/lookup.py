@@ -107,9 +107,9 @@ def lht_lookup_linear(dht: DHT, config: IndexConfig, key: float) -> LookupResult
     binary search's ``O(log(D/2))``.  Every probe hits an existing
     internal node, so no get can fail on a consistent index.
 
-    The ablation bench (``benchmarks/bench_ablation_lookup.py``) compares
-    the two, quantifying how much of LHT's lookup saving comes from the
-    binary search versus the name-class collapse itself.
+    The ablation experiment (E16, ``repro.experiments.ablation_lookup``)
+    compares the two, quantifying how much of LHT's lookup saving comes
+    from the binary search versus the name-class collapse itself.
     """
     mu = mu_path(key, config.max_depth)
     x = mu.prefix(2)  # the regular root #0

@@ -4,18 +4,14 @@ This package is the reproduction's answer to a sanitizer/race-detector
 layer in a training stack: mechanical enforcement of the properties every
 figure in EXPERIMENTS.md silently relies on.
 
-* :mod:`repro.devtools.lint` — an AST-based per-file linter with
-  repo-specific rules (``python -m repro.devtools.lint src/``): no
-  wall-clock reads or global randomness inside the deterministic
-  packages (``sim``, ``dht``, ``core``, ``cache``, ``baselines``,
-  ``resilience``), no bare ``assert`` in library code, no mutable
-  default arguments, and every concrete DHT substrate must implement
-  the full :class:`repro.dht.base.DHT` interface.
-* :mod:`repro.devtools.flow` — the whole-program contract analyzer
-  (``python -m repro.devtools analyze src/``): parses the tree once,
-  builds the import and call graphs, and checks cross-module contracts
-  (rules LHT007+) — transitive hermeticity, kernel encapsulation, route
-  purity, DHT exception flow, and process-pool worker safety.
+* :mod:`repro.devtools.lint` — the repo-specific static analysis
+  (``python -m repro.devtools lint src/``): one pass that parses the
+  tree once into a module/class/call-graph model and runs every rule
+  over it — hermeticity of the deterministic packages (direct and
+  through helper chains), no bare ``assert`` or mutable defaults in
+  library code, kernel-owned storage and registry enrollment for
+  substrates, kernel encapsulation, route and placement purity, DHT
+  exception flow, and process-pool worker safety.
 * :mod:`repro.devtools.sanitizer` — an opt-in runtime sanitizer
   (``LHT_SANITIZE=1``) that re-validates the LHT structural invariants
   (Theorem 1 bijectivity, leaf-interval partition, bucket-size bounds,
@@ -30,8 +26,8 @@ See ``docs/static_analysis.md`` for the full rule catalogue and usage.
 from typing import Any
 
 # Submodules are exported lazily (PEP 562): ``python -m
-# repro.devtools.lint`` must not re-import the module it is about to run,
-# and the sanitizer is imported from repro.core.index, which the
+# repro.devtools.determinism`` must not re-import the module it is about
+# to run, and the sanitizer is imported from repro.core.index, which the
 # determinism harness imports in turn.
 _EXPORTS = {
     "DeterminismReport": "repro.devtools.determinism",
@@ -42,9 +38,7 @@ _EXPORTS = {
     "Violation": "repro.devtools.lint",
     "lint_paths": "repro.devtools.lint",
     "lint_source": "repro.devtools.lint",
-    "ANALYZER_RULES": "repro.devtools.flow",
-    "analyze_paths": "repro.devtools.flow",
-    "build_program": "repro.devtools.flow",
+    "build_program": "repro.devtools.lint",
     "IndexSanitizer": "repro.devtools.sanitizer",
     "sanitizer_enabled": "repro.devtools.sanitizer",
 }
@@ -72,8 +66,6 @@ __all__ = [
     "Violation",
     "lint_paths",
     "lint_source",
-    "ANALYZER_RULES",
-    "analyze_paths",
     "build_program",
     "IndexSanitizer",
     "sanitizer_enabled",

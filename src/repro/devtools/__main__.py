@@ -2,10 +2,8 @@
 
 Subcommands:
 
-* ``lint`` — the repo-specific per-file AST linter (also available
-  directly as ``python -m repro.devtools.lint``);
-* ``analyze`` — the whole-program contract analyzer: import graph +
-  call graph rules LHT007+ (also ``python -m repro.devtools.flow``);
+* ``lint`` — the repo-specific static analysis: per-file, class-shape
+  and call-graph rules LHT001-LHT013 in one pass over the tree;
 * ``determinism`` — the same-seed trace-diff harness (also
   ``python -m repro.devtools.determinism``);
 * ``sanitize`` — run a seeded workload with the runtime sanitizer active
@@ -24,7 +22,6 @@ import sys
 from typing import Sequence
 
 from repro.devtools import determinism as _determinism
-from repro.devtools import flow as _flow
 from repro.devtools import lint as _lint
 
 
@@ -81,14 +78,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(__doc__)
         print(
             "usage: python -m repro.devtools "
-            "{lint,analyze,determinism,sanitize,profile,benchgate} ..."
+            "{lint,determinism,sanitize,profile,benchgate} ..."
         )
         return 0
     command, rest = argv[0], argv[1:]
     if command == "lint":
         return _lint.main(rest)
-    if command == "analyze":
-        return _flow.main(rest)
     if command == "determinism":
         return _determinism.main(rest)
     if command == "sanitize":
@@ -101,8 +96,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.devtools import benchgate as _benchgate
 
         return _benchgate.main(rest)
-    print(f"unknown subcommand: {command!r} (expected lint, analyze, "
-          f"determinism, sanitize, profile, or benchgate)")
+    print(f"unknown subcommand: {command!r} (expected lint, determinism, "
+          f"sanitize, profile, or benchgate)")
     return 2
 
 

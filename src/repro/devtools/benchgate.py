@@ -1,6 +1,6 @@
 """Count-based benchmark regression gate.
 
-Wall-clock benchmarks (``benchmarks/``) measure speed but drift with the
+Wall-clock benchmarks (``bench/``) measure speed but drift with the
 host; the *counts* the paper cares about — routed DHT-gets per
 operation, parallel lookup steps, records moved by maintenance — are
 exactly reproducible from a seed.  This module measures those counts on

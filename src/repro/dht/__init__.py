@@ -25,7 +25,6 @@ from repro.dht.onehop import OneHopDHT, OneHopNode
 from repro.dht.pastry import PastryDHT, PastryNode
 from repro.dht.placement import (
     ClosestIdsPolicy,
-    HashSaltPolicy,
     LeafSetPolicy,
     SuccessorListPolicy,
     TableSlicePolicy,
@@ -61,7 +60,6 @@ __all__ = [
     "LeafSetPolicy",
     "ZoneNeighborsPolicy",
     "ClosestIdsPolicy",
-    "HashSaltPolicy",
     "replica_layer",
     "KoordeDHT",
     "KoordeNode",

@@ -23,7 +23,7 @@ A composable wrapper stack rides on top — every wrapper is itself a
 stacks like ``Serializing(Replicated(Faulty(Chord)))`` compose freely:
 
 * :class:`~repro.dht.faulty.FaultyDHT` — seeded probabilistic failures.
-* :class:`~repro.dht.replicated.ReplicatedDHT` — k-way salted replicas.
+* :class:`~repro.dht.replicated.ReplicatedDHT` — k-way placed replicas.
 * :class:`~repro.dht.serializing.SerializingDHT` — values cross as bytes.
 * :class:`~repro.dht.accesslog.AccessLoggingDHT` — per-key traffic log.
 * :class:`~repro.resilience.wrapper.ResilientDHT` — retries + breaker.
@@ -35,7 +35,7 @@ import abc
 from typing import Any, Iterable, Sequence
 
 from repro.dht.metrics import MetricsRecorder
-from repro.errors import ConfigurationError, DHTError
+from repro.errors import DHTError
 
 __all__ = ["DHT"]
 
@@ -138,55 +138,36 @@ class DHT(abc.ABC):
         return stored
 
     # ------------------------------------------------------------------
-    # Direct peer access (replica placement; kernel substrates only)
+    # Direct peer access (replica placement)
     # ------------------------------------------------------------------
     #
     # Topology-aware replication (:mod:`repro.dht.placement`) stores a
     # value at *specific* peers — the owner's successors, leaf-set
-    # members, zone neighbors — under the unmodified key.  These
-    # operations address one peer directly (the replica holder is one
-    # overlay hop from the owner, as in D1HT-style neighbor
-    # replication), so only substrates built on the peer-store kernel
-    # can implement them; the defaults below raise a
-    # :class:`~repro.errors.ConfigurationError` (deliberately *not* a
-    # ``DHTError``: an unsupported operation is a wiring mistake, never
-    # a degradable network condition).  Replication over a non-kernel
-    # DHT falls back to :class:`~repro.dht.placement.HashSaltPolicy`,
-    # which never calls these.
+    # members, zone neighbors — under the unmodified key.  There are
+    # two kinds of DHT: peer-store kernel substrates implement these
+    # against their stores, wrappers forward them to ``inner``.
 
+    @abc.abstractmethod
     def probe_get(self, key: str, peer_id: int) -> Any | None:
         """Fetch ``key`` directly from ``peer_id``'s store (one charged
         routed get at one hop), or ``None`` if absent or the peer died."""
-        raise ConfigurationError(
-            f"{type(self).__name__} does not support direct replica "
-            "probes; use a peer-store kernel substrate or HashSaltPolicy"
-        )
 
+    @abc.abstractmethod
     def put_at(self, key: str, value: Any, peer_id: int) -> None:
         """Store ``key`` directly at ``peer_id`` (one charged routed put
         at one hop)."""
-        raise ConfigurationError(
-            f"{type(self).__name__} does not support direct replica "
-            "writes; use a peer-store kernel substrate or HashSaltPolicy"
-        )
 
+    @abc.abstractmethod
     def remove_at(self, key: str, peer_id: int) -> Any | None:
         """Delete ``key`` directly at ``peer_id`` (one charged routed
         remove at one hop); returns the removed value or ``None``."""
-        raise ConfigurationError(
-            f"{type(self).__name__} does not support direct replica "
-            "removes; use a peer-store kernel substrate or HashSaltPolicy"
-        )
 
+    @abc.abstractmethod
     def local_write_at(self, key: str, value: Any, peer_id: int) -> None:
         """Persist a value at a known replica holder without routing
         (the replica's disk rewrite for Alg. 1 mutations; uncharged,
         like :meth:`local_write`).  A dead peer is skipped silently —
         the next replicated put repairs it."""
-        raise ConfigurationError(
-            f"{type(self).__name__} does not support direct replica "
-            "writes; use a peer-store kernel substrate or HashSaltPolicy"
-        )
 
     # ------------------------------------------------------------------
     # Local persistence (free of lookup cost)

@@ -45,7 +45,13 @@ from repro.dht.base import DHT
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import DHTError, NoSuchPeerError
 
-__all__ = ["PeerStore", "PlacementPolicy", "SubstrateBase", "DelegatingDHT"]
+__all__ = [
+    "PeerStore",
+    "PlacementPolicy",
+    "SubstrateBase",
+    "DelegatingDHT",
+    "stack_layers",
+]
 
 
 class PeerStore:
@@ -513,3 +519,15 @@ class DelegatingDHT(DHT):
     @property
     def n_peers(self) -> int:
         return self.inner.n_peers
+
+
+def stack_layers(dht: DHT) -> Iterator[DHT]:
+    """Every layer of a wrapper stack, outermost first.
+
+    The last layer yielded is the base substrate — the one object in
+    the stack without an ``inner``.
+    """
+    layer: DHT | None = dht
+    while layer is not None:
+        yield layer
+        layer = getattr(layer, "inner", None)

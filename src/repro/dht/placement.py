@@ -1,13 +1,10 @@
 """Topology-aware replica placement policies, one per substrate family.
 
-Replication used to be a hash accident: :class:`ReplicatedDHT` salted
-the key (``k##r1``, ``k##r2``) and let the substrate route each salt to
-whatever peer the hash landed on.  Real single-hop systems do the
-opposite — D1HT replicates onto the owner's *successors*, Pastry onto
-the *leaf set*, CAN onto *zone neighbors* — because a replica holder
-that is a topology neighbor of the owner is exactly where routing
+Real single-hop systems replicate onto topology neighbors of the owner
+— D1HT onto the owner's *successors*, Pastry onto the *leaf set*, CAN
+onto *zone neighbors* — because such a holder is exactly where routing
 converges after the owner fails, so a failed lookup can be rescued by
-probing a known peer one hop away instead of re-routing a salted alias.
+probing a known peer one hop away.
 
 Each policy here implements the :class:`~repro.dht.kernel.PlacementPolicy`
 contract (pure, owner-first, distinct live peers, graceful degradation;
@@ -22,7 +19,6 @@ policy                    substrate family (registry enrollment)
 :class:`LeafSetPolicy`        Pastry — numerically closest (leaf set)
 :class:`ZoneNeighborsPolicy`  CAN — zone adjacency, widened breadth-first
 :class:`ClosestIdsPolicy`     Kademlia, Tapestry — XOR-closest ids
-:class:`HashSaltPolicy`       fallback: any DHT, salted aliases
 ========================  =============================================
 
 Policies are enrolled through
@@ -41,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 
-from repro.dht.base import DHT
 from repro.dht.hashing import hash_key
 from repro.dht.kernel import PlacementPolicy
 
@@ -51,7 +46,6 @@ __all__ = [
     "LeafSetPolicy",
     "ZoneNeighborsPolicy",
     "ClosestIdsPolicy",
-    "HashSaltPolicy",
 ]
 
 
@@ -161,39 +155,4 @@ class ClosestIdsPolicy(PlacementPolicy):
         ordered = sorted(ids, key=lambda nid: (nid ^ target, nid))
         return [owner, *(nid for nid in ordered if nid != owner)][
             : min(k, len(ids))
-        ]
-
-
-class HashSaltPolicy(PlacementPolicy):
-    """Fallback: replica ``i`` lives wherever ``key##r{i}`` hashes.
-
-    The pre-refactor behavior, kept as the explicit fallback for
-    overlays that cannot expose kernel peer access (a remote transport,
-    a third-party :class:`~repro.dht.base.DHT`).  Placement is a hash
-    accident: replica holders are whatever peers the salted aliases
-    route to, so they carry no topology guarantee and may *collide*
-    with the owner — the one policy exempt from the distinct-peers
-    clause of the contract.  :class:`~repro.dht.replicated.ReplicatedDHT`
-    detects this policy and moves bytes by routed puts/gets on the
-    salted keys instead of direct peer access.
-    """
-
-    #: Salted aliases route through the public interface, so this
-    #: policy binds any DHT, not just kernel substrates.
-    substrate: DHT  # type: ignore[assignment]
-
-    def bind(self, substrate: DHT) -> "HashSaltPolicy":  # type: ignore[override]
-        self.substrate = substrate
-        return self
-
-    @staticmethod
-    def salted(key: str, index: int) -> str:
-        """The alias key whose hash places replica ``index`` (>= 1)."""
-        return f"{key}##r{index}"
-
-    def replicas_for(self, key: str, owner: int, k: int) -> list[int]:
-        dht = self.substrate
-        return [
-            owner,
-            *(dht.peer_of(self.salted(key, i)) for i in range(1, k)),
         ]

@@ -24,14 +24,13 @@ from repro.dht.can import CANDHT
 from repro.dht.chord import ChordDHT
 from repro.dht.base import DHT
 from repro.dht.kademlia import KademliaDHT
-from repro.dht.kernel import PlacementPolicy, SubstrateBase
+from repro.dht.kernel import PlacementPolicy, SubstrateBase, stack_layers
 from repro.dht.koorde import KoordeDHT
 from repro.dht.local import LocalDHT
 from repro.dht.onehop import OneHopDHT
 from repro.dht.pastry import PastryDHT
 from repro.dht.placement import (
     ClosestIdsPolicy,
-    HashSaltPolicy,
     LeafSetPolicy,
     SuccessorListPolicy,
     TableSlicePolicy,
@@ -64,9 +63,9 @@ class SubstrateSpec:
             (``join``/``leave``/``fail``) after construction.
         placement: Factory for the substrate's topology-aware
             :class:`PlacementPolicy` (successor list, leaf set, zone
-            neighbors, ...), or ``None`` to fall back to salted
-            hashing.  A factory — not an instance — because policies
-            bind to one overlay and specs are process-global.
+            neighbors, ...); ``None`` enrolls the substrate without
+            replication support.  A factory — not an instance — because
+            policies bind to one overlay and specs are process-global.
     """
 
     name: str
@@ -130,20 +129,23 @@ def make(name: str, n_peers: int, seed: int) -> DHT:
 def placement_for(dht: DHT) -> PlacementPolicy:
     """Resolve the placement policy for a (possibly wrapped) overlay.
 
-    Walks the wrapper stack to its base substrate and returns that
-    substrate's registered topology-aware policy, bound to the base.
-    Overlays without kernel peer access — or substrates enrolled
-    without a policy — fall back to :class:`HashSaltPolicy` bound to
-    the *outermost* layer, so salted aliases route through the full
-    wrapper stack exactly as the pre-placement ``ReplicatedDHT`` did.
+    Walks the wrapper stack to its base substrate and returns the
+    topology-aware policy enrolled for that substrate's class, bound to
+    the base.  A subclass of an enrolled substrate resolves to its
+    nearest enrolled ancestor (the most-derived enrolled class wins),
+    so it replicates exactly as its parent does; a base with no
+    enrolled ancestor is a wiring mistake and raises
+    :class:`ConfigurationError`.
     """
-    base = dht
-    while (inner := getattr(base, "inner", None)) is not None:
-        base = inner
-    for registered in _REGISTRY.values():
-        if type(base) is registered.cls and registered.placement is not None:
-            return registered.placement().bind(base)
-    return HashSaltPolicy().bind(dht)
+    *_, base = stack_layers(dht)
+    for cls in type(base).__mro__:
+        for registered in _REGISTRY.values():
+            if registered.cls is cls and registered.placement is not None:
+                return registered.placement().bind(base)
+    raise ConfigurationError(
+        f"no placement policy enrolled for {type(base).__name__}; "
+        "register(...) the substrate with a placement= policy"
+    )
 
 
 register("can", CANDHT, dynamic=True, placement=ZoneNeighborsPolicy)

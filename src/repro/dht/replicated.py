@@ -13,11 +13,7 @@ slice on OneHop.  Topology-aware placement is what makes failover
 converges on, and a degraded read can probe them directly
 (:meth:`ReplicatedDHT.failover_get`) instead of reporting UNREACHABLE.
 
-Overlays without kernel peer access fall back to the original salted
-aliasing (:class:`~repro.dht.placement.HashSaltPolicy`): replica ``i``
-is a routed put/get of ``key##r{i}``, hashing to an arbitrary peer.
-
-Cost accounting is honest either way: a put writes every replica
+Cost accounting is honest: a put writes every replica
 (``k`` routed operations, so put amplification is visible), a get
 probes copies in order until one answers, and every failover probe is
 charged as a normal routed get plus a ``replica_probe_gets`` tick.
@@ -31,8 +27,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.dht.base import DHT
-from repro.dht.kernel import DelegatingDHT, PlacementPolicy
-from repro.dht.placement import HashSaltPolicy
+from repro.dht.kernel import DelegatingDHT, PlacementPolicy, stack_layers
 from repro.errors import ConfigurationError
 
 __all__ = ["ReplicatedDHT", "replica_layer"]
@@ -48,11 +43,9 @@ def replica_layer(dht: DHT) -> "ReplicatedDHT | None":
     (including ``n_replicas=1``, where failover could only repeat the
     primary read).
     """
-    layer: DHT | None = dht
-    while layer is not None:
+    for layer in stack_layers(dht):
         if isinstance(layer, ReplicatedDHT) and layer.n_replicas > 1:
             return layer
-        layer = getattr(layer, "inner", None)
     return None
 
 
@@ -62,10 +55,9 @@ class ReplicatedDHT(DelegatingDHT):
 
     The primary copy always lives where the unwrapped substrate routes
     the key (replica 0 *is* the normal put), so with ``n_replicas=1``
-    the wrapper changes nothing.  Backup copies go to the policy's
-    peers via the kernel's direct peer access — or, under
-    :class:`~repro.dht.placement.HashSaltPolicy`, to wherever the
-    salted aliases ``key##r{i}`` hash.
+    the wrapper changes nothing and no policy is resolved.  Backup
+    copies go to the policy's peers via the kernel's direct peer
+    access.
     """
 
     def __init__(
@@ -78,31 +70,26 @@ class ReplicatedDHT(DelegatingDHT):
             raise ConfigurationError(f"n_replicas must be >= 1: {n_replicas}")
         super().__init__(inner)
         self.n_replicas = n_replicas
-        if policy is None:
+        if policy is None and n_replicas > 1:
             # Function-level import: the registry imports placement
             # policies for its default enrollments, so importing it at
             # module top would cycle.
             from repro.dht.registry import placement_for
 
             policy = placement_for(inner)
-        elif not hasattr(policy, "substrate"):
-            policy.bind(self._base_substrate(inner))
+        elif policy is not None and not hasattr(policy, "substrate"):
+            *_, base = stack_layers(inner)
+            policy.bind(base)
         self.policy = policy
-        self._salted = isinstance(policy, HashSaltPolicy)
         #: Removes that observed disagreeing replica values (satellite
         #: counter mirrored into ``metrics.replica_divergences``).
         self.divergent_removes = 0
 
-    @staticmethod
-    def _base_substrate(dht: DHT) -> DHT:
-        base = dht
-        while (inner := getattr(base, "inner", None)) is not None:
-            base = inner
-        return base
-
     def _targets(self, key: str) -> list[int]:
         """Ordered replica holders for ``key`` (owner first, live)."""
         owner = self.inner.peer_of(key)
+        if self.n_replicas == 1:
+            return [owner]
         return self.policy.replicas_for(key, owner, self.n_replicas)
 
     # ------------------------------------------------------------------
@@ -113,12 +100,8 @@ class ReplicatedDHT(DelegatingDHT):
         self.inner.put(key, value)
         if self.n_replicas == 1:
             return
-        if self._salted:
-            for i in range(1, self.n_replicas):
-                self.inner.put(HashSaltPolicy.salted(key, i), value)
-        else:
-            for peer in self._targets(key)[1:]:
-                self.inner.put_at(key, value, peer)
+        for peer in self._targets(key)[1:]:
+            self.inner.put_at(key, value, peer)
 
     def get(self, key: str) -> Any | None:
         value = self.inner.get(key)
@@ -126,33 +109,19 @@ class ReplicatedDHT(DelegatingDHT):
             return value
         # The primary read came back empty — a dropped reply or a key
         # that simply is not stored; only the replicas can tell.
-        if self._salted:
-            for i in range(1, self.n_replicas):
-                self.metrics.record_replica_probe_get()
-                value = self.inner.get(HashSaltPolicy.salted(key, i))
-                if value is not None:
-                    self.metrics.record_replica_failover()
-                    return value
-        else:
-            for peer in self._targets(key)[1:]:
-                self.metrics.record_replica_probe_get()
-                value = self.inner.probe_get(key, peer)
-                if value is not None:
-                    self.metrics.record_replica_failover()
-                    return value
+        for peer in self._targets(key)[1:]:
+            self.metrics.record_replica_probe_get()
+            value = self.inner.probe_get(key, peer)
+            if value is not None:
+                self.metrics.record_replica_failover()
+                return value
         return None
 
     def remove(self, key: str) -> Any | None:
-        if self._salted:
-            removed = [self.inner.remove(key)] + [
-                self.inner.remove(HashSaltPolicy.salted(key, i))
-                for i in range(1, self.n_replicas)
-            ]
-        else:
-            removed = [self.inner.remove(key)] + [
-                self.inner.remove_at(key, peer)
-                for peer in self._targets(key)[1:]
-            ]
+        removed = [self.inner.remove(key)] + [
+            self.inner.remove_at(key, peer)
+            for peer in self._targets(key)[1:]
+        ]
         present = [value for value in removed if value is not None]
         if present and any(value != present[0] for value in present[1:]):
             # Divergent replicas: surface the drift instead of silently
@@ -164,11 +133,7 @@ class ReplicatedDHT(DelegatingDHT):
         return present[0] if present else None
 
     def local_write(self, key: str, value: Any) -> None:
-        if self._salted:
-            self.inner.local_write(key, value)
-            for i in range(1, self.n_replicas):
-                self.inner.local_write(HashSaltPolicy.salted(key, i), value)
-        elif self.n_replicas == 1:
+        if self.n_replicas == 1:
             self.inner.local_write(key, value)
         else:
             # Every holder — owner included — rewrites its own copy;
@@ -195,44 +160,20 @@ class ReplicatedDHT(DelegatingDHT):
         """
         if self.n_replicas == 1:
             return None
-        if self._salted:
-            for i in range(self.n_replicas):
-                self.metrics.record_replica_probe_get()
-                probe = key if i == 0 else HashSaltPolicy.salted(key, i)
-                value = self.inner.get(probe)
-                if value is not None:
-                    return value
-        else:
-            for peer in self._targets(key):
-                self.metrics.record_replica_probe_get()
-                value = self.inner.probe_get(key, peer)
-                if value is not None:
-                    return value
+        for peer in self._targets(key):
+            self.metrics.record_replica_probe_get()
+            value = self.inner.probe_get(key, peer)
+            if value is not None:
+                return value
         return None
 
     # ------------------------------------------------------------------
     # Introspection (delegates; replica copies are deduplicated)
     # ------------------------------------------------------------------
 
-    def peek(self, key: str) -> Any | None:
-        value = self.inner.peek(key)
-        if value is not None or not self._salted:
-            return value
-        for i in range(1, self.n_replicas):
-            value = self.inner.peek(HashSaltPolicy.salted(key, i))
-            if value is not None:
-                return value
-        return None
-
     def keys(self) -> Iterable[str]:
-        # Placement-mode replicas repeat the key at several peers;
-        # salted-mode replicas append ``##r{i}``.  Both collapse here.
-        seen: set[str] = set()
-        for key in self.inner.keys():
-            base = key.split("##r")[0]
-            if base not in seen:
-                seen.add(base)
-                yield base
+        # Replicas repeat the key at several peers; report each once.
+        return iter(dict.fromkeys(self.inner.keys()))
 
     def replica_peers(self, key: str) -> list[int]:
         """Peers holding each replica of ``key``, owner first."""

@@ -1,13 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
-Provides the virtual clock, event queue, seeded random streams, and a
-latency-modelled message network used by the DHT substrates (notably the
-churn driver).  Everything is deterministic under a fixed seed.
+Provides the virtual clock, event queue, seeded random streams, and the
+message-latency model used by the DHT substrates and experiments.  Everything is deterministic under a fixed seed.
 """
 
 from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue, Simulator
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import LatencyModel
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceLog, TraceRecord
 
@@ -17,7 +16,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "LatencyModel",
-    "Network",
     "RngStreams",
     "TraceLog",
     "TraceRecord",

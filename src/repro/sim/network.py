@@ -1,23 +1,17 @@
-"""Message-level network model for the simulated overlays.
+"""Message latency model for the simulated overlays.
 
 The paper's metrics (DHT-lookup counts, parallel steps) are intentionally
-independent of physical latency, but the churn and substrate experiments
-need a notion of message delay to order stabilization against failures.
-:class:`Network` delivers messages between named endpoints through the
-event queue with sampled latency.
+independent of physical latency; :class:`LatencyModel` is what converts
+them to simulated seconds (``repro.experiments.latency_study``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from repro.errors import SimulationError
-from repro.sim.events import Simulator
-
-__all__ = ["LatencyModel", "Network"]
+__all__ = ["LatencyModel"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,53 +29,3 @@ class LatencyModel:
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one latency value."""
         return max(self.floor, float(rng.lognormal(np.log(self.median), self.sigma)))
-
-
-class Network:
-    """Delivers messages to registered endpoints with simulated latency.
-
-    Endpoints register a handler; :meth:`send` schedules delivery through
-    the simulator.  Messages to unregistered endpoints are counted as drops
-    (a crashed peer), not errors — exactly how a UDP overlay behaves.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        rng: np.random.Generator,
-        latency: LatencyModel | None = None,
-    ) -> None:
-        self.simulator = simulator
-        self.rng = rng
-        self.latency = latency or LatencyModel()
-        self._handlers: dict[Hashable, Callable[[Any], None]] = {}
-        self.messages_sent = 0
-        self.messages_dropped = 0
-
-    def register(self, endpoint: Hashable, handler: Callable[[Any], None]) -> None:
-        """Attach a live endpoint."""
-        if endpoint in self._handlers:
-            raise SimulationError(f"endpoint already registered: {endpoint!r}")
-        self._handlers[endpoint] = handler
-
-    def unregister(self, endpoint: Hashable) -> None:
-        """Detach an endpoint (e.g. peer failure); future messages drop."""
-        self._handlers.pop(endpoint, None)
-
-    def is_live(self, endpoint: Hashable) -> bool:
-        """Whether the endpoint currently receives messages."""
-        return endpoint in self._handlers
-
-    def send(self, endpoint: Hashable, message: Any) -> None:
-        """Send a message; it arrives after sampled latency, or drops."""
-        self.messages_sent += 1
-        delay = self.latency.sample(self.rng)
-
-        def deliver() -> None:
-            handler = self._handlers.get(endpoint)
-            if handler is None:
-                self.messages_dropped += 1
-            else:
-                handler(message)
-
-        self.simulator.schedule_in(delay, deliver)

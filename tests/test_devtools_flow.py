@@ -1,10 +1,12 @@
-"""Whole-program analyzer tests: call-graph builder + rules LHT007-LHT011.
+"""Call-graph rule tests: the program builder + rules LHT007-LHT011, LHT013.
 
-Every fixture is a *multi-module* tree written into tmp_path, because the
-analyzer's whole reason to exist is seeing across file boundaries.  Each
-rule gets at least one positive (seeded violation detected) and one
+Every fixture is a *multi-module* tree written into tmp_path, because
+these rules' whole reason to exist is seeing across file boundaries.
+Each rule gets at least one positive (seeded violation detected) and one
 negative (legitimate pattern stays clean), and the transitive-hermeticity
-positives additionally prove that the per-file linter misses them.
+positives additionally prove that a single-file scan misses them.  The
+per-file and class-shape rules of the same pass live in
+``tests/test_devtools_lint.py``.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.flow import (
-    ANALYZER_RULES,
-    analyze_paths,
-    build_program,
-    main,
-)
-from repro.devtools.lint import lint_paths
+from repro.devtools.lint import LINT_RULES, build_program, lint_paths, main
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The rules that need the call graph (the rest of the catalogue is
+#: exercised in tests/test_devtools_lint.py).
+CALL_GRAPH_RULES = ("LHT007", "LHT008", "LHT009", "LHT010", "LHT011", "LHT013")
 
 
 def write_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -121,7 +121,7 @@ class TestCallGraphBuilder:
 
     def test_syntax_error_becomes_e999_not_a_crash(self, tmp_path):
         write_tree(tmp_path, {"pkg/broken.py": "def broken(:\n"})
-        assert codes(analyze_paths([tmp_path])) == ["E999"]
+        assert codes(lint_paths([tmp_path])) == ["E999"]
 
 
 class TestTransitiveHermeticity:
@@ -129,13 +129,13 @@ class TestTransitiveHermeticity:
 
     def test_two_hop_sink_detected_and_lint_misses_it(self, tmp_path):
         write_tree(tmp_path, TRANSITIVE_SINK)
-        violations = analyze_paths([tmp_path])
+        violations = lint_paths([tmp_path])
         assert codes(violations) == ["LHT007"]
         violation = violations[0]
         assert violation.path.endswith("core/engine.py")
         assert "time.perf_counter" in violation.message
         assert "util.timing.helper" in violation.message
-        # The acceptance case: the per-file linter provably misses this.
+        # The acceptance case: scanning the file alone provably misses this.
         assert codes(lint_paths([tmp_path / "core" / "engine.py"])) == []
 
     def test_global_randomness_sink_detected(self, tmp_path):
@@ -154,7 +154,7 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT007"])
+        violations = lint_paths([tmp_path], select=["LHT007"])
         assert codes(violations) == ["LHT007"]
         assert "global-randomness" in violations[0].message
 
@@ -166,7 +166,7 @@ class TestTransitiveHermeticity:
             "    return helper()  # noqa: LHT007\n"
         )
         write_tree(tmp_path, files)
-        assert codes(analyze_paths([tmp_path])) == []
+        assert codes(lint_paths([tmp_path])) == []
 
     def test_dynamic_dispatch_is_not_a_false_positive(self, tmp_path):
         write_tree(
@@ -185,7 +185,7 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT007"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT007"])) == []
 
     def test_seeded_generator_helper_is_clean(self, tmp_path):
         write_tree(
@@ -203,13 +203,13 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path])) == []
+        assert codes(lint_paths([tmp_path])) == []
 
     def test_direct_sink_in_det_package_is_lint_not_flow_territory(
         self, tmp_path
     ):
-        # A sink spelled directly inside core/ is LHT001's finding; the
-        # analyzer only owns the cross-module frontier, so it must not
+        # A sink spelled directly inside core/ is LHT001's finding;
+        # LHT007 only owns the cross-module frontier, so it must not
         # double-report.
         write_tree(
             tmp_path,
@@ -221,10 +221,7 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path])) == []
-        assert codes(lint_paths([tmp_path / "core" / "direct.py"])) == [
-            "LHT001"
-        ]
+        assert codes(lint_paths([tmp_path])) == ["LHT001"]
 
 
 class TestKernelEncapsulation:
@@ -240,7 +237,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT008"])
+        violations = lint_paths([tmp_path], select=["LHT008"])
         assert codes(violations) == ["LHT008"]
         assert "store_of" in violations[0].message
 
@@ -254,7 +251,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT008"])
+        violations = lint_paths([tmp_path], select=["LHT008"])
         assert codes(violations) == ["LHT008"]
         assert "add_peer" in violations[0].message
 
@@ -270,7 +267,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT008"])
+        violations = lint_paths([tmp_path], select=["LHT008"])
         assert codes(violations) == ["LHT008"]
         assert "constructed outside" in violations[0].message
 
@@ -286,7 +283,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT008"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT008"])) == []
 
     def test_kernel_module_itself_is_exempt(self, tmp_path):
         write_tree(
@@ -299,7 +296,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT008"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT008"])) == []
 
 
 SUBSTRATE_HEADER = "from dht.kernel import SubstrateBase\n\n"
@@ -322,7 +319,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT009"])
+        violations = lint_paths([tmp_path], select=["LHT009"])
         assert codes(violations) == ["LHT009"]
         assert "charges metrics" in violations[0].message
 
@@ -343,7 +340,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT009"])
+        violations = lint_paths([tmp_path], select=["LHT009"])
         assert codes(violations) == ["LHT009"]
         assert "_peek_store" in violations[0].message
 
@@ -362,7 +359,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT009"])
+        violations = lint_paths([tmp_path], select=["LHT009"])
         assert codes(violations) == ["LHT009"]
         assert "self.get" in violations[0].message
 
@@ -380,7 +377,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT009"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT009"])) == []
 
     def test_maintenance_methods_may_move_keys(self, tmp_path):
         # join/leave legitimately mutate stores — only *route* paths are
@@ -400,7 +397,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT009"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT009"])) == []
 
 
 POLICY_HEADER = "from dht.kernel import PlacementPolicy\n\n"
@@ -422,7 +419,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT013"])
+        violations = lint_paths([tmp_path], select=["LHT013"])
         assert codes(violations) == ["LHT013"]
         assert "charges metrics" in violations[0].message
 
@@ -440,7 +437,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT013"])
+        violations = lint_paths([tmp_path], select=["LHT013"])
         # Two offenses: the store_of() read and the subscript mutation.
         assert set(codes(violations)) == {"LHT013"}
         assert len(violations) == 2
@@ -462,7 +459,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT013"])
+        violations = lint_paths([tmp_path], select=["LHT013"])
         assert codes(violations) == ["LHT013"]
         assert "sink" in violations[0].message
 
@@ -482,7 +479,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT013"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT013"])) == []
 
     def test_abstract_base_is_exempt(self, tmp_path):
         # The ABC itself (simple name PlacementPolicy) is skipped; only
@@ -497,7 +494,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT013"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT013"])) == []
 
 
 class TestExceptionFlow:
@@ -516,7 +513,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT010"])
+        violations = lint_paths([tmp_path], select=["LHT010"])
         assert codes(violations) == ["LHT010"]
         assert "except Exception" in violations[0].message
 
@@ -534,7 +531,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT010"])
+        violations = lint_paths([tmp_path], select=["LHT010"])
         assert codes(violations) == ["LHT010"]
         assert "silently discards" in violations[0].message
 
@@ -552,7 +549,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
 
     def test_broad_except_reraising_is_clean(self, tmp_path):
         write_tree(
@@ -567,7 +564,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
 
     def test_broad_except_around_benign_code_is_clean(self, tmp_path):
         write_tree(
@@ -582,7 +579,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
 
     def test_internally_handled_callee_does_not_propagate_risk(
         self, tmp_path
@@ -607,7 +604,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
 
     def test_risk_propagates_transitively_through_helpers(self, tmp_path):
         write_tree(
@@ -624,7 +621,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT010"])
+        violations = lint_paths([tmp_path], select=["LHT010"])
         assert codes(violations) == ["LHT010"]
 
 
@@ -650,7 +647,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT011"])
+        violations = lint_paths([tmp_path], select=["LHT011"])
         assert codes(violations) == ["LHT011"]
         assert "lambda" in violations[0].message
 
@@ -667,7 +664,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT011"])
+        violations = lint_paths([tmp_path], select=["LHT011"])
         assert codes(violations) == ["LHT011"]
         assert "bound method" in violations[0].message
 
@@ -683,7 +680,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT011"])
+        violations = lint_paths([tmp_path], select=["LHT011"])
         assert codes(violations) == ["LHT011"]
         assert "locally defined" in violations[0].message
 
@@ -705,7 +702,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT011"])
+        violations = lint_paths([tmp_path], select=["LHT011"])
         assert codes(violations) == ["LHT011"]
         assert "global" in violations[0].message
 
@@ -731,7 +728,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = analyze_paths([tmp_path], select=["LHT011"])
+        violations = lint_paths([tmp_path], select=["LHT011"])
         assert codes(violations) == ["LHT011"]
         assert "jobs.acc.TOTALS" in violations[0].message
 
@@ -754,7 +751,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path], select=["LHT011"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT011"])) == []
 
 
 class TestDriver:
@@ -762,7 +759,7 @@ class TestDriver:
         write_tree(tmp_path, TRANSITIVE_SINK)
         assert main([str(tmp_path), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["tool"] == "repro.devtools.flow"
+        assert payload["tool"] == "repro.devtools.lint"
         assert payload["counts"] == {"LHT007": 1}
         assert payload["violations"][0]["code"] == "LHT007"
         assert isinstance(payload["analysis_wall_s"], float)
@@ -780,12 +777,12 @@ class TestDriver:
             "def probe(index):\n    return index.dht.peers.store_of(0)\n"
         )
         write_tree(tmp_path, files)
-        everything = set(codes(analyze_paths([tmp_path])))
+        everything = set(codes(lint_paths([tmp_path])))
         assert everything == {"LHT007", "LHT008"}
-        assert codes(analyze_paths([tmp_path], select=["LHT008"])) == [
+        assert codes(lint_paths([tmp_path], select=["LHT008"])) == [
             "LHT008"
         ]
-        assert codes(analyze_paths([tmp_path], ignore=["LHT008"])) == [
+        assert codes(lint_paths([tmp_path], ignore=["LHT008"])) == [
             "LHT007"
         ]
 
@@ -795,7 +792,7 @@ class TestDriver:
         target = tmp_path / "mod.py"
         target.write_text("X = 1\n")
         with pytest.raises(ConfigurationError, match="unknown rule code"):
-            analyze_paths([target], select=["LHT099"])
+            lint_paths([target], select=["LHT099"])
         assert main([str(target), "--select", "LHT099"]) == 2
         assert "unknown rule code" in capsys.readouterr().err
 
@@ -803,14 +800,14 @@ class TestDriver:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="no such file"):
-            analyze_paths([tmp_path / "nope"])
+            lint_paths([tmp_path / "nope"])
         assert main([str(tmp_path / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
 
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ANALYZER_RULES:
+        for code in CALL_GRAPH_RULES:
             assert code in out
 
     def test_test_files_are_exempt(self, tmp_path):
@@ -823,13 +820,13 @@ class TestDriver:
                 ),
             },
         )
-        assert codes(analyze_paths([tmp_path])) == []
+        assert codes(lint_paths([tmp_path])) == []
 
 
 class TestRepoGate:
     def test_repo_source_tree_is_clean(self):
         """The acceptance gate: the repo's own src/ has zero violations."""
-        violations = analyze_paths([REPO_SRC])
+        violations = lint_paths([REPO_SRC])
         assert violations == [], "\n".join(v.format() for v in violations)
 
     def test_seeded_violation_exits_one(self, tmp_path, capsys):
@@ -837,13 +834,15 @@ class TestRepoGate:
         assert main([str(tmp_path)]) == 1
         assert "LHT007" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("code", sorted(ANALYZER_RULES))
+    @pytest.mark.parametrize("code", CALL_GRAPH_RULES)
     def test_rule_catalogue_documented(self, code):
-        assert ANALYZER_RULES[code]
+        assert LINT_RULES[code]
 
     def test_devtools_package_exports(self):
         import repro.devtools as devtools
 
-        assert devtools.ANALYZER_RULES is ANALYZER_RULES
-        assert devtools.analyze_paths is analyze_paths
+        assert devtools.LINT_RULES is LINT_RULES
+        assert devtools.lint_paths is lint_paths
         assert devtools.build_program is build_program
+        for gone in ("ANALYZER_RULES", "analyze_paths"):
+            assert not hasattr(devtools, gone)

@@ -2,11 +2,15 @@
 
 The fixtures are written into tmp_path so path-scoped rules (LHT001/2
 apply only inside ``sim``/``dht``/``core`` directories) can be exercised
-both in and out of scope.
+both in and out of scope.  This module covers the per-file and
+class-shape rules, the driver, and the one-pass guarantees; the
+call-graph rules of the same pass live in ``tests/test_devtools_flow.py``.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -154,13 +158,6 @@ class GoodDHT(DHT):
     def n_peers(self): return 1
 """
 
-BAD_SUBSTRATE = """\
-from base import DHT
-
-class BadDHT(DHT):
-    def put(self, key, value): ...
-"""
-
 INDIRECT_SUBSTRATE = """\
 from good import GoodDHT
 
@@ -170,6 +167,11 @@ class WrapperDHT(GoodDHT):
 
 
 class TestSubstrateInterfaceRule:
+    """LHT005 is gone — ``abc`` refuses to instantiate a ``DHT`` that
+    misses an abstract method — so a plain ``DHT`` subclass is no
+    rule's business: not a kernel substrate (LHT006), not enrollable
+    (LHT012)."""
+
     def _write_pkg(self, tmp_path, **files: str) -> Path:
         pkg = tmp_path / "dht"
         pkg.mkdir()
@@ -181,14 +183,6 @@ class TestSubstrateInterfaceRule:
     def test_complete_substrate_is_clean(self, tmp_path):
         pkg = self._write_pkg(tmp_path, good=GOOD_SUBSTRATE)
         assert codes(lint_paths([pkg])) == []
-
-    def test_incomplete_substrate_flagged(self, tmp_path):
-        pkg = self._write_pkg(tmp_path, bad=BAD_SUBSTRATE)
-        violations = lint_paths([pkg])
-        assert codes(violations) == ["LHT005"]
-        assert "BadDHT" in violations[0].message
-        assert "get" in violations[0].message
-        assert "n_peers" in violations[0].message
 
     def test_inherited_methods_count(self, tmp_path):
         pkg = self._write_pkg(
@@ -404,12 +398,11 @@ class TestNoqaSuppression:
 
 
 class TestLintAnalyzerInterplay:
-    """Lint and the whole-program analyzer flagging the *same line*.
+    """A per-file rule and a call-graph rule flagging the *same line*.
 
-    One line carries an LHT004 (mutable default — lint's finding) and a
-    call into a tainted helper (LHT007 — the analyzer's finding).  Each
-    tool honours only its own codes in a ``# noqa`` list, so the codes
-    suppress independently and a combined list silences both.
+    One line carries an LHT004 (mutable default) and a call into a
+    tainted helper (LHT007).  The one pass reports both, and each code
+    in a ``# noqa`` list suppresses only its own finding.
     """
 
     SINK_HELPER = (
@@ -418,7 +411,7 @@ class TestLintAnalyzerInterplay:
         "    return time.perf_counter()\n"
     )
 
-    def _write(self, tmp_path: Path, noqa: str) -> Path:
+    def _lint(self, tmp_path: Path, noqa: str) -> list[str]:
         (tmp_path / "util").mkdir(parents=True, exist_ok=True)
         (tmp_path / "util" / "timing.py").write_text(self.SINK_HELPER)
         core = tmp_path / "core"
@@ -427,38 +420,21 @@ class TestLintAnalyzerInterplay:
             "from util.timing import helper\n\n"
             f"def tick(log=[]): return helper(){noqa}\n"
         )
-        return tmp_path
-
-    def _both(self, tmp_path: Path) -> tuple[list[str], list[str]]:
-        from repro.devtools.flow import analyze_paths
-
-        lint = codes(lint_paths([tmp_path / "core" / "tick.py"]))
-        flow = codes(analyze_paths([tmp_path]))
-        return lint, flow
+        return codes(lint_paths([tmp_path]))
 
     def test_both_tools_flag_the_same_line(self, tmp_path):
-        self._write(tmp_path, "")
-        lint, flow = self._both(tmp_path)
-        assert lint == ["LHT004"]
-        assert flow == ["LHT007"]
+        assert self._lint(tmp_path, "") == ["LHT004", "LHT007"]
 
     def test_noqa_codes_suppress_independently(self, tmp_path):
-        self._write(tmp_path, "  # noqa: LHT004")
-        lint, flow = self._both(tmp_path)
-        assert lint == []
-        assert flow == ["LHT007"]  # the other tool's finding survives
+        assert self._lint(tmp_path, "  # noqa: LHT004") == ["LHT007"]
+        assert self._lint(tmp_path, "  # noqa: LHT007") == ["LHT004"]
 
     def test_combined_noqa_list_silences_both(self, tmp_path):
-        self._write(tmp_path, "  # noqa: LHT004, LHT007")
-        lint, flow = self._both(tmp_path)
-        assert lint == []
-        assert flow == []
+        assert self._lint(tmp_path, "  # noqa: LHT004, LHT007") == []
 
 
 class TestJsonFormat:
     def test_json_report_shape(self, tmp_path, capsys):
-        import json
-
         bad = tmp_path / "core" / "mod.py"
         bad.parent.mkdir()
         bad.write_text("import random\nrandom.seed(0)\n")
@@ -470,10 +446,9 @@ class TestJsonFormat:
         assert violation["code"] == "LHT002"
         assert violation["line"] == 2
         assert violation["path"].endswith("mod.py")
+        assert isinstance(payload["analysis_wall_s"], float)
 
     def test_json_clean_tree_exits_zero(self, tmp_path, capsys):
-        import json
-
         good = tmp_path / "core" / "ok.py"
         good.parent.mkdir()
         good.write_text("X = 1\n")
@@ -509,6 +484,14 @@ class TestDriver:
         good = tmp_path / "core" / "ok.py"
         good.write_text("X = 1\n")
         assert main([str(good)]) == 0
+        # One command: the second tool's entry points are gone.
+        from importlib.util import find_spec
+
+        from repro.devtools.__main__ import main as devtools_cli
+
+        assert devtools_cli(["lint", str(good)]) == 0
+        assert devtools_cli(["analyze", str(good)]) == 2
+        assert find_spec("repro.devtools.flow") is None
 
     def test_missing_path_is_an_error_not_a_green_gate(self, tmp_path, capsys):
         from repro.errors import ConfigurationError
@@ -533,6 +516,57 @@ class TestDriver:
         out = capsys.readouterr().out
         for code in LINT_RULES:
             assert code in out
+
+
+class TestOnePass:
+    """The merge's two guarantees: every file is read and parsed exactly
+    once, and nothing the two former tools reported was lost."""
+
+    def test_each_file_is_read_and_parsed_exactly_once(self, monkeypatch):
+        files = sorted(
+            f for f in REPO_SRC.rglob("*.py") if "__pycache__" not in f.parts
+        )
+        parsed: list[str] = []
+        read: list[Path] = []
+        real_parse, real_read = ast.parse, Path.read_text
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_read(self, *args, **kwargs):
+            read.append(self)
+            return real_read(self, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        assert lint_paths([REPO_SRC]) == []
+        assert sorted(parsed) == [str(f) for f in files]
+        assert sorted(read) == files
+
+    def test_findings_match_the_parent_commit_on_every_fixture_tree(
+        self, tmp_path
+    ):
+        """``tests/data/lint_parity_parent.json`` holds every fixture tree
+        of this module and ``test_devtools_flow.py`` as the parent commit
+        ran them, with what its ``lint_paths`` and ``analyze_paths``
+        reported together on each (minus LHT005, deleted with its rule).
+        """
+        golden = Path(__file__).parent / "data" / "lint_parity_parent.json"
+        cases = json.loads(golden.read_text())
+        assert len(cases) > 80
+        for number, case in enumerate(cases):
+            root = tmp_path / str(number)
+            for relpath, source in case["files"].items():
+                file = root / relpath
+                file.parent.mkdir(parents=True, exist_ok=True)
+                file.write_text(source)
+            reported = [
+                [Path(v.path).relative_to(root).as_posix(), v.line, v.col,
+                 v.code, v.message]
+                for v in lint_paths([root / p for p in case["paths"]])
+            ]
+            assert reported == case["findings"], case["fixture"]
 
 
 class TestRepoGate:

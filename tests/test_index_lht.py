@@ -97,6 +97,18 @@ class TestInsert:
         expected = 0.5 + 1.0 / (2 * theta)
         assert abs(index.ledger.average_alpha - expected) < 0.05
 
+    def test_alpha_accounting_tracks_formula_on_gaussian(self):
+        # Fig. 6's other arm: skewed keys deviate more, hence the
+        # looser band.
+        theta = 40
+        index, _ = _fresh(theta=theta)
+        rng = np.random.default_rng(3)
+        keys = [k for k in rng.normal(0.5, 1 / 6, 6000) if 0.0 <= k < 1.0]
+        for key in keys[:4000]:
+            index.insert(float(key))
+        expected = 0.5 + 1.0 / (2 * theta)
+        assert abs(index.ledger.average_alpha - expected) < 0.06
+
 
 class TestDelete:
     def test_delete_present_and_absent(self):

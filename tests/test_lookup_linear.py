@@ -79,6 +79,10 @@ class TestPHTLinear:
         )
         for key in rng.random(800):
             index.insert(float(key))
+        linear_cost = binary_cost = 0
         for probe in rng.random(50):
             result = index.lookup_linear(float(probe))
             assert result.dht_lookups == result.node.label.length - 1
+            linear_cost += result.dht_lookups
+            binary_cost += index.lookup(float(probe)).dht_lookups
+        assert binary_cost < linear_cost  # E16: the search half of the saving

@@ -184,7 +184,9 @@ class TestRangeQueries:
         seq = index.range_query_sequential(0.2, 0.7)
         par = index.range_query_parallel(0.2, 0.7)
         assert par.dht_lookups > seq.dht_lookups
-        assert par.parallel_steps < seq.parallel_steps
+        # Fig. 10: the sequential walk is several-fold slower, not
+        # marginally so.
+        assert 3 * par.parallel_steps < seq.parallel_steps
 
     def test_sequential_latency_linear_in_buckets(self):
         rng = np.random.default_rng(8)

@@ -22,17 +22,17 @@ from repro.core.results import MatchStatus
 from repro.dht import registry
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
-from repro.dht.placement import HashSaltPolicy
+from repro.dht.kernel import PlacementPolicy, SubstrateBase, stack_layers
+from repro.dht.placement import SuccessorListPolicy
 from repro.dht.replicated import ReplicatedDHT, replica_layer
+from repro.errors import ConfigurationError
 
 N_PEERS = 16
 SAMPLE_KEYS = [f"key-{i}" for i in range(8)] + ["0b0", "0b0101", "#r/meta"]
 
 
 def _base(dht):
-    base = dht
-    while getattr(base, "inner", None) is not None:
-        base = base.inner
+    *_, base = stack_layers(dht)
     return base
 
 
@@ -114,21 +114,41 @@ def test_placement_for_unwraps_wrapper_stacks():
     base = LocalDHT(N_PEERS, 0)
     wrapped = FaultyDHT(base, get_drop_rate=0.0)
     policy = registry.placement_for(wrapped)
-    assert not isinstance(policy, HashSaltPolicy)
     assert policy.substrate is base
 
 
-def test_placement_for_falls_back_to_salted_hashing():
-    class ForeignDHT:
-        """No kernel peer access, not registered."""
+def test_placement_for_resolves_subclasses_to_the_parent_policy():
+    """A subclass of an enrolled substrate replicates as its parent."""
+
+    class TunedLocalDHT(LocalDHT):
+        pass
+
+    base = TunedLocalDHT(N_PEERS, 0)
+    policy = registry.placement_for(FaultyDHT(base, get_drop_rate=0.0))
+    assert type(policy) is SuccessorListPolicy
+    assert policy.substrate is base
+
+
+def test_unenrolled_base_is_rejected_unless_k_is_one():
+    class ForeignDHT(SubstrateBase):
+        """A kernel substrate nobody registered."""
+
+        def route(self, key):
+            return 0, 1
 
         def peer_of(self, key):
             return 0
 
     foreign = ForeignDHT()
-    policy = registry.placement_for(foreign)
-    assert isinstance(policy, HashSaltPolicy)
-    assert policy.substrate is foreign  # outermost layer, not a base
+    foreign.peers.add_peer(0)
+    with pytest.raises(ConfigurationError, match="no placement policy"):
+        registry.placement_for(foreign)
+    with pytest.raises(ConfigurationError, match="no placement policy"):
+        ReplicatedDHT(foreign, n_replicas=2)
+    passthrough = ReplicatedDHT(foreign, n_replicas=1)  # never resolves
+    passthrough.put("k", "v")
+    assert passthrough.get("k") == "v"
+    assert passthrough.replica_peers("k") == [0]
 
 
 class TestDivergenceAccounting:
@@ -214,7 +234,7 @@ class TestKOneIdentity:
         assert bare == wrapped
 
     def test_policy_never_consulted_at_k1(self):
-        class ExplodingPolicy(HashSaltPolicy):
+        class ExplodingPolicy(PlacementPolicy):
             def replicas_for(self, key, owner, k):
                 raise AssertionError("policy consulted at k=1")
 

@@ -9,7 +9,6 @@ from repro.core import IndexConfig, LHTIndex
 from repro.dht import (
     ChordDHT,
     FaultyDHT,
-    HashSaltPolicy,
     LocalDHT,
     ReplicatedDHT,
 )
@@ -26,15 +25,6 @@ class TestReplicatedDHT:
         # Every placement target holds its own copy under the plain key.
         for peer in dht.replica_peers("k"):
             assert inner.probe_get("k", peer) == "v"
-
-    def test_salted_fallback_writes_aliases(self):
-        inner = LocalDHT(16, 0)
-        dht = ReplicatedDHT(inner, n_replicas=3, policy=HashSaltPolicy())
-        dht.put("k", "v")
-        assert inner.metrics.puts == 3
-        assert inner.peek("k") == "v"
-        assert inner.peek("k##r1") == "v"
-        assert inner.peek("k##r2") == "v"
 
     def test_get_prefers_primary(self):
         inner = LocalDHT(16, 0)

@@ -10,7 +10,6 @@ from repro.sim import (
     Clock,
     EventQueue,
     LatencyModel,
-    Network,
     RngStreams,
     Simulator,
     TraceLog,
@@ -116,44 +115,7 @@ class TestSimulator:
             sim.run(max_events=100)
 
 
-class TestNetwork:
-    def _make(self) -> tuple[Simulator, Network]:
-        sim = Simulator()
-        net = Network(sim, np.random.default_rng(0), LatencyModel(median=0.01))
-        return sim, net
-
-    def test_delivery(self):
-        sim, net = self._make()
-        inbox: list[str] = []
-        net.register("node", inbox.append)
-        net.send("node", "hello")
-        sim.run()
-        assert inbox == ["hello"]
-        assert net.messages_sent == 1
-        assert net.messages_dropped == 0
-
-    def test_drop_to_unregistered(self):
-        sim, net = self._make()
-        net.send("ghost", "hello")
-        sim.run()
-        assert net.messages_dropped == 1
-
-    def test_unregister(self):
-        sim, net = self._make()
-        inbox: list[str] = []
-        net.register("node", inbox.append)
-        net.unregister("node")
-        assert not net.is_live("node")
-        net.send("node", "hello")
-        sim.run()
-        assert inbox == []
-
-    def test_duplicate_registration_rejected(self):
-        _, net = self._make()
-        net.register("node", lambda m: None)
-        with pytest.raises(SimulationError):
-            net.register("node", lambda m: None)
-
+class TestLatencyModel:
     def test_latency_positive(self):
         rng = np.random.default_rng(1)
         model = LatencyModel(median=0.05, sigma=0.5, floor=0.001)
