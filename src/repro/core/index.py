@@ -36,7 +36,7 @@ from repro.core.config import IndexConfig
 from repro.core.interval import Range
 from repro.core.keys import key_bits
 from repro.core.label import Label, ROOT
-from repro.core.lookup import lht_lookup, lookup_plan
+from repro.core.lookup import drive_plan, lht_lookup
 from repro.core.minmax import max_query, min_query
 from repro.core.naming import naming
 from repro.core.range_query import RangeQueryExecutor
@@ -182,13 +182,8 @@ class LHTIndex:
         replicas = replica_layer(self.dht)
         if replicas is None:
             return None
-        plan = lookup_plan(self.config, key)
         try:
-            name = next(plan)
-            while True:
-                name = plan.send(replicas.failover_get(str(name)))
-        except StopIteration as stop:
-            result: LookupResult = stop.value
+            result = drive_plan(replicas.failover_get, self.config, key)
         except DHTError:
             return None
         if result.bucket is None:

@@ -20,7 +20,7 @@ Probe outcomes steer the search:
 
 from __future__ import annotations
 
-from typing import Any, Generator, cast
+from typing import Any, Callable, Generator, cast
 
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
@@ -31,7 +31,7 @@ from repro.core.results import LookupResult
 from repro.dht.base import DHT
 from repro.errors import LabelError
 
-__all__ = ["lht_lookup", "lht_lookup_linear", "lookup_plan"]
+__all__ = ["drive_plan", "lht_lookup", "lht_lookup_linear", "lookup_plan"]
 
 
 def lookup_plan(
@@ -42,8 +42,8 @@ def lookup_plan(
     A generator that yields the next name to probe (``f_n`` of a
     candidate prefix) and receives the fetched value via ``send``; it
     returns the final :class:`LookupResult` through ``StopIteration``.
-    :func:`lht_lookup` drives one plan with sequential ``dht.get`` calls;
-    the serving layer's coalescer (:mod:`repro.serve`) drives *many*
+    :func:`drive_plan` drives one plan with sequential fetches; the
+    serving layer's coalescer (:mod:`repro.serve`) drives *many*
     plans in lock-step, merging each round's probes into one
     :meth:`~repro.dht.base.DHT.multi_get` — both paths execute this
     exact search, so their answers cannot diverge.
@@ -80,6 +80,24 @@ def lookup_plan(
     return LookupResult(None, None, lookups, tuple(probed))
 
 
+def drive_plan(
+    fetch: Callable[[str], Any], config: IndexConfig, key: float
+) -> LookupResult:
+    """Run one :func:`lookup_plan` to completion, one ``fetch`` per probe.
+
+    The single-plan driver: ``fetch`` is ``dht.get`` for the routed
+    lookup and ``failover_get`` for the replica re-drive, so the
+    generator protocol is spelled out here and nowhere else.
+    """
+    plan = lookup_plan(config, key)
+    try:
+        name = next(plan)
+        while True:
+            name = plan.send(fetch(str(name)))
+    except StopIteration as stop:
+        return cast(LookupResult, stop.value)
+
+
 def lht_lookup(dht: DHT, config: IndexConfig, key: float) -> LookupResult:
     """Locate the leaf bucket whose interval covers ``key`` (Alg. 2).
 
@@ -89,13 +107,7 @@ def lht_lookup(dht: DHT, config: IndexConfig, key: float) -> LookupResult:
     index (unreachable in a quiescent system; possible transiently under
     churn).
     """
-    plan = lookup_plan(config, key)
-    try:
-        name = next(plan)
-        while True:
-            name = plan.send(dht.get(str(name)))
-    except StopIteration as stop:
-        return cast(LookupResult, stop.value)
+    return drive_plan(dht.get, config, key)
 
 
 def lht_lookup_linear(dht: DHT, config: IndexConfig, key: float) -> LookupResult:

@@ -50,7 +50,14 @@ from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ReproError
 from repro.experiments.common import SUBSTRATES, make_dht
 from repro.devtools.profile import SCALE_PROFILES, run_scale_phases
-from repro.serve import ServeConfig, ServeEngine, WorkloadConfig, generate_workload
+from repro.serve import (
+    Request,
+    RequestKind,
+    ServeConfig,
+    ServeEngine,
+    WorkloadConfig,
+    generate_workload,
+)
 from repro.sim.rng import derive_seed
 from repro.workloads.queries import zipf_rank_choice
 
@@ -370,24 +377,35 @@ def _serve_index(seed: int) -> tuple[LHTIndex, list[float]]:
     return index, keys
 
 
+def _replay_serially(index: LHTIndex, request: Request) -> object:
+    """One served request through the plain index API (the reference)."""
+    if request.kind is RequestKind.LOOKUP:
+        return index.exact_match(request.key)[0]
+    if request.kind is RequestKind.INSERT:
+        return index.insert(request.key, request.value).leaf.bits
+    if request.kind is RequestKind.REMOVE:
+        return index.delete(request.key).deleted
+    return tuple(index.range_query(request.key, request.hi).records)
+
+
 def measure_serve(seed: int = 1) -> dict:
     """Serving-layer counts: latency percentiles, cost, and coalescing.
 
     One seeded open-loop workload (Poisson arrivals, Zipf key skew) is
-    served twice by the deterministic engine over identical indexes —
-    once with lookup coalescing on, once off.  Both arms see identical
-    batch shapes and rounds (coalescing changes *how many gets* a round
-    issues, never how many rounds there are), so their timing, admission
-    decisions, and answers match and the routed-get counts are directly
-    comparable.
+    served by the deterministic engine; the uncoalesced count is the
+    serial reference — the executed order replayed request by request
+    through the plain index API on a twin index, which must also
+    reproduce every served answer.  Coalescing changes *how many gets* a
+    round issues, never which probes a lookup makes, so the two
+    routed-get counts differ by exactly the batched dedup count.
 
     Gated (all lower-is-better): latency p50/p90/p99 and simulated
     seconds per completed request (the inverse of throughput — gating it
-    gates throughput), routed gets of both arms, and routed ops per
-    request.  ``info`` carries the higher-is-better or derived views
-    (throughput, gets saved, batches, rejections).  The coalesced arm
-    must issue *strictly fewer* routed gets than the uncoalesced arm at
-    this concurrency (``max_in_flight`` ≥ 8) — a hard invariant, not a
+    gates throughput), routed gets served and replayed, and routed ops
+    per request.  ``info`` carries the higher-is-better or derived views
+    (throughput, gets saved, batches, rejections).  The served run must
+    issue *strictly fewer* routed gets than the serial replay at this
+    concurrency (``max_in_flight`` ≥ 8) — a hard invariant, not a
     tolerance-gated count.
     """
     workload_config = WorkloadConfig(
@@ -397,35 +415,35 @@ def measure_serve(seed: int = 1) -> dict:
         mix=dict(_SERVE_PARAMS["mix"]),
         n_sessions=_SERVE_PARAMS["n_sessions"],
     )
-    arms: dict[str, tuple] = {}
-    for arm, coalesce in (("coalesced", True), ("uncoalesced", False)):
-        index, keys = _serve_index(seed)
-        workload = generate_workload(
-            keys, workload_config, seed=derive_seed(seed, "bench:serve:wl")
-        )
-        engine = ServeEngine(
-            index,
-            ServeConfig(
-                max_in_flight=_SERVE_PARAMS["max_in_flight"],
-                max_queue=_SERVE_PARAMS["max_queue"],
-                coalesce=coalesce,
-                step_seconds=_SERVE_PARAMS["step_seconds"],
-            ),
-        )
-        arms[arm] = (engine.run(workload), index.dht.metrics.snapshot())
+    index, keys = _serve_index(seed)
+    workload = generate_workload(
+        keys, workload_config, seed=derive_seed(seed, "bench:serve:wl")
+    )
+    engine = ServeEngine(
+        index,
+        ServeConfig(
+            max_in_flight=_SERVE_PARAMS["max_in_flight"],
+            max_queue=_SERVE_PARAMS["max_queue"],
+            step_seconds=_SERVE_PARAMS["step_seconds"],
+        ),
+    )
+    crun = engine.run(workload)
+    cspent = index.dht.metrics.snapshot()
 
-    crun, cspent = arms["coalesced"]
-    urun, uspent = arms["uncoalesced"]
-    if cspent.gets >= uspent.gets:
+    twin, _ = _serve_index(seed)
+    for i in crun.executed_order:
+        expected = _replay_serially(twin, workload[i].request)
+        if crun.responses[i].answer != expected:
+            raise ReproError(
+                f"served answer {i} differs from its serial replay: "
+                f"{crun.responses[i].answer!r} != {expected!r}"
+            )
+    replayed_gets = twin.dht.metrics.gets
+    if cspent.gets >= replayed_gets:
         raise ReproError(
             f"coalescing saved nothing: {cspent.gets} routed gets vs "
-            f"{uspent.gets} uncoalesced at concurrency "
+            f"{replayed_gets} replayed serially at concurrency "
             f"{_SERVE_PARAMS['max_in_flight']}"
-        )
-    if crun.rejected != urun.rejected:
-        raise ReproError(
-            "arms diverged on admission: coalescing must not change "
-            f"timing ({crun.rejected} vs {urun.rejected} rejections)"
         )
     completed = len(crun.responses) - crun.rejected
     if completed <= 0:
@@ -437,7 +455,7 @@ def measure_serve(seed: int = 1) -> dict:
         "sim_seconds_per_request": crun.sim_seconds / completed,
         "routed_ops_per_request": cspent.dht_lookups / completed,
         "coalesced_routed_gets": float(cspent.gets),
-        "uncoalesced_routed_gets": float(uspent.gets),
+        "uncoalesced_routed_gets": float(replayed_gets),
     }
     info = {
         "throughput_rps": completed / crun.sim_seconds,

@@ -10,7 +10,7 @@ difference, so the same harness works unchanged over any substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 __all__ = ["MetricsSnapshot", "MetricsRecorder"]
 
@@ -53,15 +53,12 @@ class MetricsSnapshot:
 
     def __sub__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         return MetricsSnapshot(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name, 0)
-                for f in fields(self)
-            }
+            *[getattr(self, name) - getattr(other, name, 0) for name in _COUNTERS]
         )
 
     def to_dict(self) -> dict[str, int]:
         """All counters as a plain dict (JSON-friendly)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
@@ -71,8 +68,12 @@ class MetricsSnapshot:
         version no longer has) are ignored rather than raised, so old
         and new baselines stay mutually readable.
         """
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: int(v) for k, v in data.items() if k in known})
+        return cls(**{k: int(v) for k, v in data.items() if k in _COUNTERS})
+
+
+#: Every counter, declared once as a :class:`MetricsSnapshot` field; the
+#: recorder's slots, ``reset`` and all snapshot arithmetic derive from it.
+_COUNTERS: tuple[str, ...] = tuple(f.name for f in fields(MetricsSnapshot))
 
 
 class MetricsRecorder:
@@ -84,62 +85,21 @@ class MetricsRecorder:
     feeds the cost-model parameter ``j``.
     """
 
-    __slots__ = (
-        "dht_lookups",
-        "failed_gets",
-        "failed_puts",
-        "failed_removes",
-        "puts",
-        "gets",
-        "removes",
-        "hops",
-        "records_moved",
-        "retries",
-        "breaker_trips",
-        "breaker_rejections",
-        "degraded_responses",
-        "cache_hits",
-        "cache_misses",
-        "cache_stale",
-        "serve_requests",
-        "serve_rejections",
-        "serve_batches",
-        "serve_coalesced_gets",
-        "replica_probe_gets",
-        "replica_failovers",
-        "replica_divergences",
-        "request_latencies",
-        "queue_depth_peak",
-    )
+    __slots__ = _COUNTERS + ("request_latencies", "queue_depth_peak")
+
+    if TYPE_CHECKING:  # the counter slots are ints; mypy cannot see built slots
+
+        def __getattr__(self, name: str) -> int: ...
+
+        def __setattr__(self, name: str, value: Any) -> None: ...
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.dht_lookups = 0
-        self.failed_gets = 0
-        self.failed_puts = 0
-        self.failed_removes = 0
-        self.puts = 0
-        self.gets = 0
-        self.removes = 0
-        self.hops = 0
-        self.records_moved = 0
-        self.retries = 0
-        self.breaker_trips = 0
-        self.breaker_rejections = 0
-        self.degraded_responses = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_stale = 0
-        self.serve_requests = 0
-        self.serve_rejections = 0
-        self.serve_batches = 0
-        self.serve_coalesced_gets = 0
-        self.replica_probe_gets = 0
-        self.replica_failovers = 0
-        self.replica_divergences = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         #: Per-request completion latencies in simulated seconds — the
         #: raw sample behind :meth:`latency_percentiles`.  A list, not a
         #: counter: percentiles are not additive, so the serving layer
@@ -322,12 +282,7 @@ class MetricsRecorder:
         into a fixture, say) read as 0, mirroring
         :meth:`MetricsSnapshot.from_dict`.
         """
-        return MetricsSnapshot(
-            **{
-                f.name: getattr(self, f.name, 0)
-                for f in fields(MetricsSnapshot)
-            }
-        )
+        return MetricsSnapshot(*[getattr(self, name, 0) for name in _COUNTERS])
 
     def since(self, snap: MetricsSnapshot) -> MetricsSnapshot:
         """Delta between now and an earlier snapshot.

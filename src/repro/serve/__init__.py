@@ -9,8 +9,9 @@ request-level metrics (latency percentiles, queue depth, rejection
 counts) wired into the shared
 :class:`~repro.dht.metrics.MetricsRecorder`.
 
-Three entry points share one batching core
-(:func:`~repro.serve.service.execute_batch`):
+Three front-ends are thin adapters over one
+:class:`~repro.serve.service.Dispatcher` (queue, admission, batching,
+:func:`~repro.serve.service.execute_batch`, clock, latency stamping):
 
 * :class:`~repro.serve.engine.ServeEngine` — deterministic open-loop
   discrete-event run; the one the serving benchgate measures;

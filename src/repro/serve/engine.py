@@ -2,15 +2,15 @@
 
 The asyncio and threaded front-ends (:mod:`repro.serve.frontend`) give
 real concurrency but schedule at the mercy of the host; their numbers
-are not gateable.  :class:`ServeEngine` runs the *same* batching core
-(:func:`repro.serve.service.execute_batch`) under a discrete-event model
-where everything — arrival instants, batch service times, queueing delay
-— is priced in simulated seconds:
+are not gateable.  :class:`ServeEngine` is the third, deterministic
+front-end over the same :class:`~repro.serve.service.Dispatcher`, under
+a discrete-event model where everything — arrival instants, batch
+service times, queueing delay — is priced in simulated seconds:
 
 * requests arrive at the instants the seeded workload generator drew;
-* one batch occupies the service for ``rounds * step_seconds`` — the
-  cost model already used everywhere else: a parallel routed round is
-  the latency unit;
+* one batch occupies the service for its routed rounds times
+  ``step_seconds`` — the cost model already used everywhere else: a
+  parallel routed round is the latency unit;
 * a request's latency is completion minus arrival, so p99 picks up the
   queueing delay behind slow batches, exactly what an open-loop system
   exposes.
@@ -20,12 +20,9 @@ the serving benchgate (``BENCH_serve.json``) banks its throughput, p99,
 and routed-op counts, and the coalescing saving is a gated number
 instead of a plot.
 
-Admission control models a bounded system: at most
-``max_in_flight + max_queue`` requests may be waiting when a new one
-arrives; past that the arrival is rejected (``Status.REJECTED``,
-:meth:`~repro.dht.metrics.MetricsRecorder.record_rejection`) without
-routing anything — the deterministic mirror of the front-ends' typed
-:class:`~repro.errors.OverloadError`.
+Admission is the dispatcher's: the engine turns its typed
+:class:`~repro.errors.OverloadError` into a ``Status.REJECTED``
+response, with nothing routed.
 """
 
 from __future__ import annotations
@@ -34,16 +31,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.index import LHTIndex
-from repro.errors import ConfigurationError
-from repro.serve.service import (
-    Response,
-    ServeConfig,
-    Status,
-    execute_batch,
-)
+from repro.errors import ConfigurationError, OverloadError
+from repro.serve.service import Dispatcher, Pending, Response, Status
 from repro.serve.workload import Arrival
-from repro.sim.clock import Clock
 
 __all__ = ["ServeEngine", "ServeResult"]
 
@@ -80,64 +70,24 @@ class ServeResult:
     percentiles: dict[str, float] = field(default_factory=dict)
 
 
-class ServeEngine:
-    """Discrete-event service: admit → batch → execute → advance.
+class ServeEngine(Dispatcher):
+    """The deterministic front-end: admit → batch → execute → advance.
 
     The engine alternates two phases.  While the service is idle it
     advances the clock to the next arrival and admits everything that
-    has arrived.  It then forms one batch from the head of the waiting
-    queue — a maximal run of point lookups up to ``max_in_flight``, or a
-    single mutation (writes are barriers; see
-    :func:`~repro.serve.service.execute_batch`) — executes it, advances
-    the clock by the batch's service time, and admits the arrivals that
-    landed meanwhile.  Head-of-line order is never reordered, which is
-    what makes the executed order a serialization.
+    has arrived.  It then has the dispatcher form and execute one
+    head-of-line batch (which advances the clock by the batch's service
+    time) and admits the arrivals that landed meanwhile.  Arrival
+    instants and indices are the generated ones, nothing runs
+    concurrently, and a request's waiter is its slot in the response
+    list.  Head-of-line order is never reordered, which is what makes
+    the executed order a serialization.
     """
 
-    def __init__(
-        self,
-        index: LHTIndex,
-        config: ServeConfig | None = None,
-        clock: Clock | None = None,
-    ) -> None:
-        self.index = index
-        self.config = config if config is not None else ServeConfig()
-        self.clock = clock if clock is not None else Clock()
-
-    # ------------------------------------------------------------------
-
-    def _admit(
-        self,
-        arrival: Arrival,
-        pending: deque[Arrival],
-        responses: list[Response | None],
-        result: ServeResult,
-    ) -> None:
-        capacity = self.config.max_in_flight + self.config.max_queue
-        if len(pending) >= capacity:
-            responses[arrival.index] = Response(
-                Status.REJECTED,
-                error="admission control: in-flight window and queue full",
-            )
-            result.rejected += 1
-            self.index.dht.metrics.record_rejection()
-            return
-        pending.append(arrival)
-        self.index.dht.metrics.record_queue_depth(len(pending))
-
-    @staticmethod
-    def _next_batch(pending: deque[Arrival], max_in_flight: int) -> list[Arrival]:
-        batch = [pending.popleft()]
-        if batch[0].request.is_read:
-            while (
-                pending
-                and pending[0].request.is_read
-                and len(batch) < max_in_flight
-            ):
-                batch.append(pending.popleft())
-        return batch
-
-    # ------------------------------------------------------------------
+    def _resolve(self, pending: Pending) -> None:
+        if pending.failure is not None:
+            raise pending.failure
+        pending.waiter[pending.index] = pending.response
 
     def run(self, arrivals: Sequence[Arrival]) -> ServeResult:
         """Serve an arrival sequence to completion."""
@@ -147,34 +97,31 @@ class ServeEngine:
                     "arrivals must be sorted by time "
                     f"({later.time} < {earlier.time})"
                 )
-        metrics = self.index.dht.metrics
         responses: list[Response | None] = [None] * len(arrivals)
         result = ServeResult(responses=[])
-        pending: deque[Arrival] = deque()
+        self.executed_order = result.executed_order
         upcoming = deque(arrivals)
         started = self.clock.now
 
-        while upcoming or pending:
-            if not pending:
+        while upcoming or self._queue:
+            if not self._queue:
                 # Idle: jump to the next arrival instant.
                 self.clock.advance_to(max(self.clock.now, upcoming[0].time))
             while upcoming and upcoming[0].time <= self.clock.now:
-                self._admit(upcoming.popleft(), pending, responses, result)
-            if not pending:
-                continue
+                arrival = upcoming.popleft()
+                try:
+                    self.admit(
+                        arrival.request, responses, arrival.time, arrival.index
+                    )
+                except OverloadError as exc:
+                    responses[arrival.index] = Response(
+                        Status.REJECTED, error=str(exc)
+                    )
+                    result.rejected += 1
 
-            batch = self._next_batch(pending, self.config.max_in_flight)
-            executed = execute_batch(
-                self.index, [a.request for a in batch], self.config
-            )
-            self.clock.advance_to(
-                self.clock.now + executed.rounds * self.config.step_seconds
-            )
-            for arrival, response in zip(batch, executed.responses):
-                response.latency = self.clock.now - arrival.time
-                metrics.record_request(response.latency)
-                responses[arrival.index] = response
-                result.executed_order.append(arrival.index)
+            executed = self.execute(self.next_batch())
+            if executed is None:  # pragma: no cover - _resolve raised the bug
+                break
             result.batches += 1
             result.rounds += executed.rounds
             result.routed_ops += executed.routed_ops
@@ -187,5 +134,5 @@ class ServeEngine:
             )
         result.responses = [r for r in responses if r is not None]
         result.sim_seconds = self.clock.now - started
-        result.percentiles = metrics.latency_percentiles()
+        result.percentiles = self.index.dht.metrics.latency_percentiles()
         return result

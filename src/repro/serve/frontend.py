@@ -1,139 +1,48 @@
-"""Concurrent front-ends: many client sessions, one execution core.
+"""Concurrent front-ends: many client sessions, one dispatcher.
 
-Two adapters expose the serving layer to real concurrency primitives —
-an asyncio event loop and a thread pool — while funnelling every request
-through the same single-dispatcher discipline:
+Two thin adapters put real concurrency primitives — an asyncio event
+loop, a pool of threads — in front of the one
+:class:`~repro.serve.service.Dispatcher`, which owns admission,
+batching, execution, the clock and the executed order.  An adapter
+decides only what differs:
 
-* clients *submit* concurrently; admission control either enqueues the
-  request or raises :class:`~repro.errors.OverloadError` immediately
-  (bounded in-flight window + waiting queue, nothing routed on
-  rejection);
-* exactly one dispatcher (an asyncio task / a daemon thread) drains the
-  queue in batches — a maximal run of point lookups coalesced onto
-  ``multi_get``, or one mutation as a barrier — so the
-  :class:`~repro.core.index.LHTIndex` is only ever driven from one
-  logical thread of control.  That single-dispatcher rule *is* the
-  thread-safety story: the index and substrates need no locks because
-  concurrency stops at the queue.
+* how a waiter is resolved — an ``asyncio.Future`` / a
+  ``threading.Event``;
+* what provides mutual exclusion around admission and batch formation —
+  the event loop / one lock;
+* which single thread of control drains the queue — a drainer task / a
+  daemon thread.  That single-dispatcher rule *is* the thread-safety
+  story: the index and substrates need no locks because concurrency
+  stops at the queue.
 
-Time stays simulated (lint rule LHT001 applies to this package): each
-batch advances the shared :class:`~repro.sim.clock.Clock` by
-``rounds * step_seconds`` and latencies are clock deltas, so both
-front-ends agree with :class:`~repro.serve.engine.ServeEngine` on the
-cost model even though their interleavings are scheduler-dependent.
-The executed order is recorded per front-end; whatever order the
-scheduler produced, serial replay in that order must reproduce the
-same answers (``tests/test_serve.py``).
+Time stays simulated (lint rule LHT001 applies to this package), so
+both agree with :class:`~repro.serve.engine.ServeEngine` on the cost
+model even though their interleavings are scheduler-dependent; whatever
+order the scheduler produced, serial replay in the executed order must
+reproduce the same answers (``tests/test_serve.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.index import LHTIndex
-from repro.errors import ConfigurationError, OverloadError
+from repro.errors import ConfigurationError
 from repro.serve.service import (
+    Dispatcher,
+    Pending,
     Request,
     Response,
     ServeConfig,
-    execute_batch,
 )
 from repro.sim.clock import Clock
 
 __all__ = ["AsyncFrontend", "ThreadedFrontend"]
 
 
-@dataclass(slots=True)
-class _Pending:
-    """One enqueued request and the rendezvous its submitter waits on."""
-
-    request: Request
-    arrival: float
-    index: int
-    waiter: Any  # asyncio.Future | threading.Event
-    response: Response | None = None
-
-
-class _FrontendCore:
-    """State the two front-ends share: queue, admission, batch dispatch.
-
-    Subclasses provide the synchronization (event loop vs locks); the
-    core provides the policy, so admission and batching cannot drift
-    between the async and threaded implementations.
-    """
-
-    def __init__(
-        self,
-        index: LHTIndex,
-        config: ServeConfig | None = None,
-        clock: Clock | None = None,
-    ) -> None:
-        self.index = index
-        self.config = config if config is not None else ServeConfig()
-        self.clock = clock if clock is not None else Clock()
-        self.executed_order: list[int] = []
-        self._queue: deque[_Pending] = deque()
-        self._in_flight = 0
-        self._submitted = 0
-        self._closed = False
-
-    def _admit(self, request: Request, waiter: Any) -> _Pending:
-        """Enqueue or reject; callers hold the front-end's mutual
-        exclusion (the event loop / the lock)."""
-        if self._closed:
-            raise ConfigurationError("front-end is closed")
-        capacity = self.config.max_in_flight + self.config.max_queue
-        if self._in_flight + len(self._queue) >= capacity:
-            self.index.dht.metrics.record_rejection()
-            raise OverloadError(
-                f"serving window full ({capacity} in flight or queued); "
-                "back off and retry"
-            )
-        pending = _Pending(
-            request=request,
-            arrival=self.clock.now,
-            index=self._submitted,
-            waiter=waiter,
-        )
-        self._submitted += 1
-        self._queue.append(pending)
-        self.index.dht.metrics.record_queue_depth(len(self._queue))
-        return pending
-
-    def _take_batch(self) -> list[_Pending]:
-        """Pop the next batch (callers hold the mutual exclusion)."""
-        batch = [self._queue.popleft()]
-        if batch[0].request.is_read:
-            while (
-                self._queue
-                and self._queue[0].request.is_read
-                and len(batch) < self.config.max_in_flight
-            ):
-                batch.append(self._queue.popleft())
-        self._in_flight = len(batch)
-        return batch
-
-    def _execute(self, batch: list[_Pending]) -> None:
-        """Run one batch and stamp responses (dispatcher only)."""
-        result = execute_batch(
-            self.index, [p.request for p in batch], self.config
-        )
-        self.clock.advance_to(
-            self.clock.now + result.rounds * self.config.step_seconds
-        )
-        for pending, response in zip(batch, result.responses):
-            response.latency = self.clock.now - pending.arrival
-            self.index.dht.metrics.record_request(response.latency)
-            pending.response = response
-            self.executed_order.append(pending.index)
-        self._in_flight = 0
-
-
-class AsyncFrontend(_FrontendCore):
+class AsyncFrontend(Dispatcher):
     """Asyncio front-end: sessions are coroutines, one drainer task.
 
     Usage::
@@ -147,15 +56,8 @@ class AsyncFrontend(_FrontendCore):
     yields to the loop between batches so submitters interleave.
     """
 
-    def __init__(
-        self,
-        index: LHTIndex,
-        config: ServeConfig | None = None,
-        clock: Clock | None = None,
-    ) -> None:
-        super().__init__(index, config, clock)
-        self._wakeup: asyncio.Event | None = None
-        self._drainer: asyncio.Task[None] | None = None
+    _wakeup: asyncio.Event | None = None
+    _drainer: asyncio.Task[None] | None = None
 
     async def __aenter__(self) -> "AsyncFrontend":
         self._wakeup = asyncio.Event()
@@ -183,9 +85,18 @@ class AsyncFrontend(_FrontendCore):
         future: asyncio.Future[Response] = (
             asyncio.get_running_loop().create_future()
         )
-        self._admit(request, future)  # may raise OverloadError
+        self.admit(request, future)  # may raise OverloadError
         self._wakeup.set()
         return await future
+
+    def _resolve(self, pending: Pending) -> None:
+        future = pending.waiter
+        if future.cancelled():
+            return
+        if pending.failure is not None:
+            future.set_exception(pending.failure)
+        else:
+            future.set_result(pending.response)
 
     async def _drain(self) -> None:
         if self._wakeup is None:  # pragma: no cover - guarded by __aenter__
@@ -197,18 +108,14 @@ class AsyncFrontend(_FrontendCore):
                 self._wakeup.clear()
                 await self._wakeup.wait()
                 continue
-            batch = self._take_batch()
-            self._execute(batch)
-            for pending in batch:
-                if not pending.waiter.cancelled():
-                    pending.waiter.set_result(pending.response)
+            self.execute(self.next_batch())
             # Yield so submitters waiting on the loop get to run between
             # batches — this is where concurrent lookups pile into the
             # queue and the next batch coalesces them.
             await asyncio.sleep(0)
 
 
-class ThreadedFrontend(_FrontendCore):
+class ThreadedFrontend(Dispatcher):
     """Thread-pool front-end: sessions are threads, one dispatcher.
 
     Usage::
@@ -261,12 +168,17 @@ class ThreadedFrontend(_FrontendCore):
             )
         done = threading.Event()
         with self._work:
-            pending = self._admit(request, done)  # may raise OverloadError
+            pending = self.admit(request, done)  # may raise OverloadError
             self._work.notify_all()
         done.wait()
+        if pending.failure is not None:
+            raise pending.failure
         if pending.response is None:  # pragma: no cover - defensive
             raise ConfigurationError("request completed without a response")
         return pending.response
+
+    def _resolve(self, pending: Pending) -> None:
+        pending.waiter.set()
 
     def _drain(self) -> None:
         while True:
@@ -275,8 +187,6 @@ class ThreadedFrontend(_FrontendCore):
                     self._work.wait()
                 if not self._queue and self._closed:
                     return
-                batch = self._take_batch()
+                batch = self.next_batch()
             # Lock released: execution proceeds while submitters enqueue.
-            self._execute(batch)
-            for pending in batch:
-                pending.waiter.set()
+            self.execute(batch)

@@ -1,4 +1,4 @@
-"""Request model, admission policy, and the coalescing batch executor.
+"""Request model, the coalescing batch executor, and the one dispatcher.
 
 The serving layer turns :class:`~repro.core.index.LHTIndex` from a
 library driven by one synchronous client into a *service*: many client
@@ -10,8 +10,7 @@ module holds everything the three front-ends share:
   request/reply pair (answers carry enough to compare byte-for-byte
   against direct index calls);
 * :class:`ServeConfig` — admission-control bounds (in-flight window +
-  waiting queue), the coalescing switch, and the simulated-latency
-  model;
+  waiting queue) and the simulated-latency model;
 * :func:`execute_batch` — the heart of the layer: a maximal run of
   concurrent point lookups is executed as *lock-stepped* Alg. 2 probe
   plans (:func:`repro.core.lookup.lookup_plan`), each round's probe
@@ -20,7 +19,16 @@ module holds everything the three front-ends share:
   shallow name classes), the batched rounds issue strictly fewer routed
   gets than per-request sequential search — the saving the
   ``BENCH_serve.json`` gate banks — while answers stay byte-identical:
-  both paths run the exact same search logic.
+  both paths run the exact same search logic;
+* :class:`Dispatcher` — the queue, the admission rule, batch formation,
+  the simulated-clock advance, latency stamping and the executed order,
+  once, behind all three front-ends.
+
+Served lookups run ``lookup_plan`` directly: they do not consult the
+:class:`~repro.cache.LeafCache` that ``IndexConfig.cache_enabled`` gives
+the index.  A request the index refuses (a typed
+:class:`~repro.errors.ReproError`, e.g. a key outside ``[0, 1)``) is
+answered ``Status.ERROR``; it never takes the dispatcher down.
 
 Mutations are never coalesced: a write acts as a barrier between read
 runs, so the service's execution order is a *serialization* — replaying
@@ -29,12 +37,13 @@ index state and answers (``tests/test_serve.py`` pins this).
 
 Deterministic-core rules apply (the ``serve`` package is hermetic by
 lint rule LHT001/LHT007): no wall clock, no global randomness — time is
-the simulated :class:`~repro.sim.clock.Clock` the front-ends advance.
+the simulated :class:`~repro.sim.clock.Clock` the dispatcher advances.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,10 +51,13 @@ from repro.core.bucket import Record
 from repro.core.index import LHTIndex
 from repro.core.lookup import lookup_plan
 from repro.core.results import LookupResult
-from repro.errors import ConfigurationError, DHTError, LookupError_
+from repro.errors import ConfigurationError, OverloadError, ReproError
+from repro.sim.clock import Clock
 
 __all__ = [
     "BatchResult",
+    "Dispatcher",
+    "Pending",
     "Request",
     "RequestKind",
     "Response",
@@ -68,7 +80,7 @@ class Status(enum.Enum):
     """Terminal states of a submitted request."""
 
     OK = "ok"
-    ERROR = "error"  # typed DHT/lookup error surfaced as data
+    ERROR = "error"  # typed ReproError surfaced as data
     REJECTED = "rejected"  # admission control; nothing was routed
 
 
@@ -118,7 +130,7 @@ class Response:
 
 @dataclass(frozen=True, slots=True)
 class ServeConfig:
-    """Admission, coalescing, and latency-model parameters.
+    """Admission and latency-model parameters.
 
     Attributes:
         max_in_flight: Upper bound on requests executed concurrently
@@ -126,16 +138,12 @@ class ServeConfig:
         max_queue: Upper bound on requests waiting for a slot; an
             arrival past it is rejected with
             :class:`~repro.errors.OverloadError`.
-        coalesce: Batch concurrent point lookups onto ``multi_get``
-            (off = every request runs its own sequential search; counts
-            then match the direct arm exactly).
         step_seconds: Simulated duration of one parallel routed round —
             the latency unit everything else is priced in.
     """
 
     max_in_flight: int = 8
     max_queue: int = 64
-    coalesce: bool = True
     step_seconds: float = 0.01
 
     def __post_init__(self) -> None:
@@ -172,6 +180,12 @@ class BatchResult:
     coalesced_saved: int
 
 
+def _failed(exc: ReproError) -> Response:
+    """A typed failure is that request's answer, never an escaped
+    exception that would take the dispatcher down (LHT010)."""
+    return Response(Status.ERROR, error=f"{type(exc).__name__}: {exc}")
+
+
 def _finish_lookup(request: Request, result: LookupResult) -> Response:
     if result.bucket is None:
         # Alg. 2 failed to converge: inconsistent or unreachable index.
@@ -184,30 +198,28 @@ def _finish_lookup(request: Request, result: LookupResult) -> Response:
     return Response(Status.OK, answer=record, dht_lookups=result.dht_lookups)
 
 
-def _execute_reads(
-    index: LHTIndex, requests: list[Request], coalesce: bool
-) -> BatchResult:
+def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
     """Drive one probe plan per lookup, lock-stepped round by round.
 
     Each round collects every active plan's next probe name, issues the
     *unique* names as one ``multi_get``, and feeds the shared replies
     back — so two sessions probing the same name class pay one routed
-    get between them.  With ``coalesce=False`` the same plans run but
-    every probe is issued individually (the uncoalesced arm of the
-    serving benchmark).
+    get between them.
     """
     dht = index.dht
-    before = dht.metrics.snapshot()
+    before = dht.metrics.dht_lookups
     plans = []
     responses: list[Response | None] = [None] * len(requests)
     for slot, request in enumerate(requests):
-        plan = lookup_plan(index.config, request.key)
         try:
+            plan = lookup_plan(index.config, request.key)
             name = next(plan)
         except StopIteration as stop:  # zero-probe degenerate plan
             responses[slot] = _finish_lookup(request, stop.value)
-            continue
-        plans.append((slot, plan, str(name)))
+        except ReproError as exc:  # malformed request: nothing routed for it
+            responses[slot] = _failed(exc)
+        else:
+            plans.append((slot, plan, str(name)))
 
     rounds = 0
     saved = 0
@@ -216,49 +228,38 @@ def _execute_reads(
         wanted = [name for _, _, name in plans]
         unique = list(dict.fromkeys(wanted))
         saved += len(wanted) - len(unique)
-        if coalesce:
-            try:
-                values = dht.multi_get(unique)
-            except DHTError as exc:
-                # The round failed as a unit; every in-flight lookup in
-                # this batch reports the typed error as data (LHT010).
-                for slot, _plan, _name in plans:
-                    responses[slot] = Response(Status.ERROR, error=str(exc))
-                break
-            by_name = dict(zip(unique, values))
-        else:
-            by_name = {}
+        try:
+            values = dht.multi_get(unique)
+        except ReproError as exc:
+            # The round failed as a unit; every in-flight lookup in this
+            # batch reports the typed error as data.
+            for slot, _plan, _name in plans:
+                responses[slot] = _failed(exc)
+            break
+        by_name = dict(zip(unique, values))
         survivors = []
         for slot, plan, name in plans:
             try:
-                if coalesce:
-                    value = by_name[name]
-                else:
-                    value = dht.get(name)
-                next_name = plan.send(value)
+                next_name = plan.send(by_name[name])
             except StopIteration as stop:
                 responses[slot] = _finish_lookup(requests[slot], stop.value)
-            except DHTError as exc:
-                # Surfaced as data, never silently absorbed (LHT010).
-                responses[slot] = Response(Status.ERROR, error=str(exc))
             else:
                 survivors.append((slot, plan, str(next_name)))
         plans = survivors
 
-    spent = dht.metrics.snapshot() - before
-    dht.metrics.record_batch(saved if coalesce else 0)
+    dht.metrics.record_batch(saved)
     return BatchResult(
         responses=[r for r in responses if r is not None],
         rounds=max(rounds, 1),
-        routed_ops=spent.dht_lookups,
-        coalesced_saved=saved if coalesce else 0,
+        routed_ops=dht.metrics.dht_lookups - before,
+        coalesced_saved=saved,
     )
 
 
 def _execute_write(index: LHTIndex, request: Request) -> BatchResult:
     """Execute one mutation (or range query) serially via the index."""
     dht = index.dht
-    before = dht.metrics.snapshot()
+    before = dht.metrics.dht_lookups
     try:
         if request.kind is RequestKind.INSERT:
             result = index.insert(request.key, request.value)
@@ -272,30 +273,29 @@ def _execute_write(index: LHTIndex, request: Request) -> BatchResult:
             response = Response(Status.OK, answer=tuple(result.records))
         else:  # pragma: no cover - dispatch guarded by execute_batch
             raise ConfigurationError(f"unexpected kind {request.kind}")
-    except (DHTError, LookupError_) as exc:
-        response = Response(Status.ERROR, error=str(exc))
-    spent = dht.metrics.snapshot() - before
-    response.dht_lookups = spent.dht_lookups
+    except ReproError as exc:
+        response = _failed(exc)
+    spent = dht.metrics.dht_lookups - before
+    response.dht_lookups = spent
     dht.metrics.record_batch(0)
     # A mutation's service time: its routed traffic is sequential from
     # the client's perspective (lookup probes then the put), so bill one
     # round per routed operation, floor one.
     return BatchResult(
         responses=[response],
-        rounds=max(spent.dht_lookups, 1),
-        routed_ops=spent.dht_lookups,
+        rounds=max(spent, 1),
+        routed_ops=spent,
         coalesced_saved=0,
     )
 
 
-def execute_batch(
-    index: LHTIndex, requests: list[Request], config: ServeConfig
-) -> BatchResult:
+def execute_batch(index: LHTIndex, requests: list[Request]) -> BatchResult:
     """Execute one admitted batch: either a run of reads or one write.
 
-    The front-ends guarantee the shape (all reads, or exactly one
+    The dispatcher guarantees the shape (all reads, or exactly one
     non-read); this function enforces it, because violating it would
-    let a mutation race a coalesced round.
+    let a mutation race a coalesced round.  A :class:`ReproError` one
+    request raises is answered ``Status.ERROR`` for that request alone.
     """
     if not requests:
         raise ConfigurationError("cannot execute an empty batch")
@@ -304,5 +304,134 @@ def execute_batch(
             "a batch is either all reads or a single write"
         )
     if requests[0].is_read:
-        return _execute_reads(index, requests, config.coalesce)
+        return _execute_reads(index, requests)
     return _execute_write(index, requests[0])
+
+
+@dataclass(slots=True)
+class Pending:
+    """One admitted request and the waiter its submitter handed in.
+
+    Exactly one of ``response`` / ``failure`` is set before the waiter
+    is resolved: the answer, or the bug that took the batch down.
+    """
+
+    request: Request
+    arrival: float
+    index: int
+    waiter: Any  # asyncio.Future | threading.Event | the engine's list
+    response: Response | None = None
+    failure: Exception | None = None
+
+
+class Dispatcher:
+    """The one serving core behind every front-end.
+
+    Owns the waiting queue, the admission rule, batch formation,
+    execution, the simulated-clock advance, latency stamping and the
+    executed order, so none of that can drift between front-ends.  A
+    front-end subclasses it and decides only what differs: how a waiter
+    is resolved (:meth:`_resolve`), what provides mutual exclusion
+    around :meth:`admit` and :meth:`next_batch`, and where arrival
+    instants come from (the clock, or the ones passed to :meth:`admit`).
+    :meth:`execute` is for the single dispatching thread of control.
+    """
+
+    def __init__(
+        self,
+        index: LHTIndex,
+        config: ServeConfig | None = None,
+        clock: Clock | None = None,
+    ) -> None:
+        self.index = index
+        self.config = config if config is not None else ServeConfig()
+        self.clock = clock if clock is not None else Clock()
+        self.executed_order: list[int] = []
+        self._queue: deque[Pending] = deque()
+        self._in_flight = 0
+        self._submitted = 0
+        self._closed = False
+
+    def admit(
+        self,
+        request: Request,
+        waiter: Any,
+        arrival: float | None = None,
+        index: int | None = None,
+    ) -> Pending:
+        """Enqueue ``request`` or raise :class:`OverloadError`.
+
+        ``arrival`` and ``index`` default to the clock's now and the
+        admission count; the deterministic engine passes the generated
+        ones instead.  Nothing is routed on rejection.
+        """
+        if self._closed:
+            raise ConfigurationError("front-end is closed")
+        capacity = self.config.max_in_flight + self.config.max_queue
+        if self._in_flight + len(self._queue) >= capacity:
+            self.index.dht.metrics.record_rejection()
+            raise OverloadError(
+                f"serving window full ({capacity} in flight or queued); "
+                "back off and retry"
+            )
+        pending = Pending(
+            request=request,
+            arrival=self.clock.now if arrival is None else arrival,
+            index=self._submitted if index is None else index,
+            waiter=waiter,
+        )
+        self._submitted += 1
+        self._queue.append(pending)
+        self.index.dht.metrics.record_queue_depth(len(self._queue))
+        return pending
+
+    def next_batch(self) -> list[Pending]:
+        """Pop the head-of-line batch: a maximal run of point lookups up
+        to ``max_in_flight``, or one mutation as a barrier."""
+        batch = [self._queue.popleft()]
+        if batch[0].request.is_read:
+            while (
+                self._queue
+                and self._queue[0].request.is_read
+                and len(batch) < self.config.max_in_flight
+            ):
+                batch.append(self._queue.popleft())
+        self._in_flight = len(batch)
+        return batch
+
+    def execute(self, batch: list[Pending]) -> BatchResult | None:
+        """Run one batch, advance the clock, stamp and resolve.
+
+        An exception out of :func:`execute_batch` is a bug (typed
+        errors are already ``Status.ERROR`` answers): it is handed to
+        the batch's waiters, the dispatcher stops admitting, and
+        ``None`` is returned; what was already queued is still served.
+        """
+        metrics = self.index.dht.metrics
+        try:
+            result = execute_batch(self.index, [p.request for p in batch])
+        except Exception as bug:
+            self._closed = True
+            self._in_flight = 0
+            for pending in batch:
+                pending.failure = bug
+                self._resolve(pending)
+            return None
+        # The window reopens before any waiter wakes: a resolved
+        # submitter may re-admit at once and must not count this batch.
+        self._in_flight = 0
+        self.clock.advance_to(
+            self.clock.now + result.rounds * self.config.step_seconds
+        )
+        now = self.clock.now
+        for pending, response in zip(batch, result.responses):
+            response.latency = now - pending.arrival
+            metrics.record_request(response.latency)
+            pending.response = response
+            self.executed_order.append(pending.index)
+            self._resolve(pending)
+        return result
+
+    def _resolve(self, pending: Pending) -> None:
+        """Wake ``pending``'s submitter (front-end specific)."""
+        raise NotImplementedError

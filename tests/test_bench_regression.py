@@ -100,9 +100,11 @@ class TestBenchGate:
 
     def test_serve_coalescing_strictly_saves(self):
         """The serving tentpole's headline, pinned: at concurrency ≥ 8
-        the coalesced arm issues strictly fewer routed gets than the
-        uncoalesced arm (measure_serve raises if not), and the saving is
-        exactly the batched dedup count."""
+        the served run issues strictly fewer routed gets than the serial
+        replay of its executed order on a twin index (measure_serve
+        raises if not, or if any replayed answer differs), and the
+        saving the engine's batches counted is exactly the difference
+        between those two independently measured totals."""
         current = benchgate.measure_serve()
         metrics, info = current["metrics"], current["info"]
         assert (

@@ -56,6 +56,9 @@ class TestWorkedExample:
         assert probed[1] == "#0"
         assert probed[-1] == "#0111"
         assert result.dht_lookups == 3
+        # The single-plan driver charges exactly the probes it reports.
+        assert len(probed) == 3
+        assert dht.metrics.gets == 3
 
     def test_fig2_lookup_of_0_4(self):
         # §5: λ(0.4) = #001-subtree in Fig. 2; here the leaf is #0011?

@@ -187,11 +187,16 @@ class TestDeterministicFailover:
 
     def test_exact_match_rescued_with_replicas(self):
         dht, index, keys = self._build(n_replicas=3)
-        for key in keys[:8]:
-            result = index.exact_match_checked(key)
-            assert result.status is MatchStatus.PRESENT
+        before = dht.metrics.snapshot()
+        results = [index.exact_match_checked(key) for key in keys[:8]]
+        assert all(r.status is MatchStatus.PRESENT for r in results)
         assert dht.metrics.replica_failovers >= 8
         assert dht.metrics.replica_probe_gets >= 8
+        # The replica re-drive runs the same Alg. 2 plan: per-key probe
+        # counts and routed totals are pinned for this fixed build.
+        assert [r.dht_lookups for r in results] == [1, 2, 2, 2, 1, 3, 3, 3]
+        spent = dht.metrics.since(before)
+        assert (spent.dht_lookups, spent.replica_probe_gets) == (40, 23)
 
     def test_exact_match_unreachable_without_replicas(self):
         dht, index, keys = self._build(n_replicas=1)

@@ -22,6 +22,7 @@ from repro.core.index import LHTIndex
 from repro.dht.local import LocalDHT
 from repro.errors import ConfigurationError, OverloadError, ReproError
 from repro.serve import (
+    Arrival,
     AsyncFrontend,
     Request,
     RequestKind,
@@ -84,13 +85,11 @@ def index_fingerprint(index: LHTIndex):
 
 
 class TestServeVsDirectEquivalence:
-    @pytest.mark.parametrize("coalesce", [True, False], ids=["coalesced", "uncoalesced"])
-    def test_engine_matches_serial_replay(self, coalesce):
+    def test_engine_matches_serial_replay(self):
         served_index, keys = build_index()
         workload = make_workload(keys, n=240, rate=250.0)
         engine = ServeEngine(
-            served_index,
-            ServeConfig(max_in_flight=8, max_queue=64, coalesce=coalesce),
+            served_index, ServeConfig(max_in_flight=8, max_queue=64)
         )
         result = engine.run(workload)
         assert len(result.responses) == len(workload)
@@ -109,28 +108,30 @@ class TestServeVsDirectEquivalence:
         assert index_fingerprint(served_index) == index_fingerprint(
             direct_index
         )
-        # Coalescing must only save routed gets, never spend more.
+        # Coalescing must only save routed gets, never spend more, and
+        # the saving is exactly the batched dedup count.
         served_gets = served_index.dht.metrics.snapshot().gets
         assert served_gets <= direct_spent.gets
-        if coalesce:
-            assert result.coalesced_saved == direct_spent.gets - served_gets
+        assert result.coalesced_saved == direct_spent.gets - served_gets
 
     def test_coalescing_saves_at_concurrency_8(self):
         """At a full window of skewed concurrent lookups the dedup must
-        fire: strictly fewer routed gets than the uncoalesced arm."""
-        runs = {}
-        for coalesce in (True, False):
-            index, keys = build_index()
-            workload = make_workload(
-                keys, n=240, rate=400.0, skew=1.2,
-                mix={"lookup": 1.0},
-            )
-            ServeEngine(
-                index,
-                ServeConfig(max_in_flight=8, max_queue=64, coalesce=coalesce),
-            ).run(workload)
-            runs[coalesce] = index.dht.metrics.snapshot().gets
-        assert runs[True] < runs[False]
+        fire: strictly fewer routed gets than the serial replay."""
+        index, keys = build_index()
+        workload = make_workload(
+            keys, n=240, rate=400.0, skew=1.2, mix={"lookup": 1.0}
+        )
+        result = ServeEngine(
+            index, ServeConfig(max_in_flight=8, max_queue=64)
+        ).run(workload)
+        direct, _ = build_index()
+        replay_direct(
+            direct, [workload[i].request for i in result.executed_order]
+        )
+        assert index.dht.metrics.gets < direct.dht.metrics.gets
+        assert result.coalesced_saved == (
+            direct.dht.metrics.gets - index.dht.metrics.gets
+        )
 
     def test_rejected_requests_route_nothing(self):
         index, keys = build_index()
@@ -191,7 +192,7 @@ class TestBatchShape:
     def test_empty_batch_rejected(self):
         index, _ = build_index()
         with pytest.raises(ConfigurationError):
-            execute_batch(index, [], ServeConfig())
+            execute_batch(index, [])
 
     def test_mixed_batch_rejected(self):
         index, _ = build_index()
@@ -200,12 +201,12 @@ class TestBatchShape:
             Request(RequestKind.INSERT, 0.25, value=1),
         ]
         with pytest.raises(ConfigurationError):
-            execute_batch(index, batch, ServeConfig())
+            execute_batch(index, batch)
 
     def test_single_write_batch_allowed(self):
         index, _ = build_index()
         result = execute_batch(
-            index, [Request(RequestKind.INSERT, 0.25, value=1)], ServeConfig()
+            index, [Request(RequestKind.INSERT, 0.25, value=1)]
         )
         assert result.responses[0].status is Status.OK
 
@@ -406,6 +407,279 @@ class TestThreadedFrontend:
         frontend = ThreadedFrontend(index)
         with pytest.raises(ConfigurationError):
             frontend.submit(Request(RequestKind.LOOKUP, keys[0]))
+
+
+# ----------------------------------------------------------------------
+# One session's script through each front-end.  A script item is one
+# request (submitted, then awaited) or a list (a burst admitted before
+# any batch forms).  Every wait is bounded: a dead or stuck dispatcher
+# fails the test instead of hanging it.
+# ----------------------------------------------------------------------
+
+TIMEOUT = 5.0
+REJECTED = "rejected"
+FRONTENDS = ["engine", "async", "threaded"]
+
+
+def _bursts(script):
+    return [item if isinstance(item, list) else [item] for item in script]
+
+
+def bounded(fn, *args):
+    """Call ``fn`` on a daemon thread; fail rather than hang."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn(*args)
+        except Exception as exc:  # handed back to the caller below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(TIMEOUT)
+    assert not thread.is_alive(), "submit never returned"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _drive_engine(index, config, script):
+    arrivals = []
+    for step, burst in enumerate(_bursts(script)):
+        for request in burst:
+            # Steps are spaced far beyond any service time, so each one
+            # completes before the next arrives (a closed-loop session).
+            arrivals.append(
+                Arrival(100.0 * (step + 1), 0, len(arrivals), request)
+            )
+    result = ServeEngine(index, config).run(arrivals)
+    outcomes = [
+        REJECTED if r.status is Status.REJECTED else r
+        for r in result.responses
+    ]
+    return outcomes, result.executed_order
+
+
+def _drive_async(index, config, script):
+    async def one(frontend, request):
+        try:
+            return await frontend.submit(request)
+        except OverloadError:
+            return REJECTED
+
+    async def session():
+        outcomes = []
+        async with AsyncFrontend(index, config) as frontend:
+            for burst in _bursts(script):
+                outcomes += await asyncio.wait_for(
+                    asyncio.gather(*(one(frontend, r) for r in burst)),
+                    TIMEOUT,
+                )
+        return outcomes, frontend.executed_order
+
+    return asyncio.run(session())
+
+
+def _drive_threaded(index, config, script):
+    outcomes = []
+    with ThreadedFrontend(index, config) as frontend:
+        for burst in _bursts(script):
+            if len(burst) == 1:
+                outcomes.append(bounded(frontend.submit, burst[0]))
+                continue
+            # A burst is admitted under the front-end's own lock, so the
+            # dispatcher cannot split it — the threaded spelling of "all
+            # arrive before the next batch forms".
+            waiting = []
+            with frontend._work:
+                for request in burst:
+                    try:
+                        waiting.append(
+                            frontend.admit(request, threading.Event())
+                        )
+                    except OverloadError:
+                        waiting.append(None)
+                frontend._work.notify_all()
+            for pending in waiting:
+                if pending is None:
+                    outcomes.append(REJECTED)
+                    continue
+                assert pending.waiter.wait(TIMEOUT), "dispatcher stuck"
+                outcomes.append(pending.response)
+    return outcomes, frontend.executed_order
+
+
+def serve_script(kind, index, config, script):
+    """Returns (outcome per script position, executed script positions)."""
+    drive = {
+        "engine": _drive_engine,
+        "async": _drive_async,
+        "threaded": _drive_threaded,
+    }[kind]
+    outcomes, order = drive(index, config, script)
+    if kind != "engine":
+        # Front-ends number admissions; map back to script positions.
+        admitted = [i for i, o in enumerate(outcomes) if o is not REJECTED]
+        order = [admitted[j] for j in order]
+    return outcomes, list(order)
+
+
+class TestMalformedRequests:
+    """A request the index refuses is answered, never a dead dispatcher."""
+
+    @pytest.mark.parametrize("kind", FRONTENDS)
+    def test_out_of_range_key_is_an_error_response(self, kind):
+        index, keys = build_index()
+        script = [
+            Request(RequestKind.LOOKUP, keys[0]),
+            Request(RequestKind.LOOKUP, 1.5),
+            Request(RequestKind.LOOKUP, keys[1]),
+            Request(RequestKind.INSERT, 1.5, value="x"),
+            Request(RequestKind.LOOKUP, keys[2]),
+        ]
+        outcomes, order = serve_script(kind, index, ServeConfig(), script)
+        assert [o.status for o in outcomes] == [
+            Status.OK, Status.ERROR, Status.OK, Status.ERROR, Status.OK,
+        ]
+        assert all("KeyOutOfRangeError" in outcomes[i].error for i in (1, 3))
+        assert outcomes[1].dht_lookups == outcomes[3].dht_lookups == 0
+        assert [outcomes[i].answer.key for i in (0, 2, 4)] == keys[:3]
+        assert order == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("kind", FRONTENDS)
+    def test_bad_key_does_not_disturb_its_read_batch(self, kind):
+        index, keys = build_index()
+        burst = [
+            Request(RequestKind.LOOKUP, keys[0]),
+            Request(RequestKind.LOOKUP, 1.5),
+            Request(RequestKind.LOOKUP, keys[1]),
+        ]
+        outcomes, _ = serve_script(kind, index, ServeConfig(), [burst])
+        assert [o.status for o in outcomes] == [
+            Status.OK, Status.ERROR, Status.OK,
+        ]
+        assert index.dht.metrics.serve_batches == 1
+        # Nothing was routed for the refused request.
+        clean, _ = build_index()
+        serve_script(kind, clean, ServeConfig(), [[burst[0], burst[2]]])
+        assert index.dht.metrics.gets == clean.dht.metrics.gets
+
+
+class BuggyDHT(LocalDHT):
+    """A substrate with an arming switch for a non-ReproError bug."""
+
+    armed = False
+
+    def multi_get(self, keys):
+        if self.armed:
+            raise RuntimeError("injected bug")
+        return super().multi_get(keys)
+
+
+def build_buggy_index():
+    dht = BuggyDHT(n_peers=16, seed=SEED)
+    index = LHTIndex(dht, IndexConfig(theta_split=THETA, max_depth=20))
+    index.bulk_load([i / 64 for i in range(64)])
+    return index, Request(RequestKind.LOOKUP, 0.5)
+
+
+class TestBugsReachTheirSubmitters:
+    """Anything that is not a ReproError is a bug: the batch's
+    submitters get the exception and the front-end stops admitting."""
+
+    def test_engine(self):
+        index, lookup = build_buggy_index()
+        engine = ServeEngine(index)
+        index.dht.armed = True
+        with pytest.raises(RuntimeError, match="injected bug"):
+            engine.run([Arrival(1.0, 0, 0, lookup)])
+        with pytest.raises(ConfigurationError):
+            engine.run([Arrival(2.0, 0, 0, lookup)])
+
+    def test_async(self):
+        async def drive():
+            index, lookup = build_buggy_index()
+            async with AsyncFrontend(index) as frontend:
+                ok = await asyncio.wait_for(frontend.submit(lookup), TIMEOUT)
+                assert ok.status is Status.OK
+                index.dht.armed = True
+                with pytest.raises(RuntimeError, match="injected bug"):
+                    await asyncio.wait_for(frontend.submit(lookup), TIMEOUT)
+                with pytest.raises(ConfigurationError):
+                    await asyncio.wait_for(frontend.submit(lookup), TIMEOUT)
+
+        asyncio.run(drive())
+
+    def test_threaded(self):
+        index, lookup = build_buggy_index()
+        with ThreadedFrontend(index) as frontend:
+            assert bounded(frontend.submit, lookup).status is Status.OK
+            index.dht.armed = True
+            with pytest.raises(RuntimeError, match="injected bug"):
+                bounded(frontend.submit, lookup)
+            with pytest.raises(ConfigurationError):
+                bounded(frontend.submit, lookup)
+
+
+class TestOneCoreThreeFrontends:
+    """The policy-cannot-drift property: one session's script yields the
+    same answers, order, rejections and counters through every
+    front-end, because all three run the one dispatcher."""
+
+    @staticmethod
+    def _script(keys):
+        def lookup(key):
+            return Request(RequestKind.LOOKUP, key)
+
+        return [
+            lookup(keys[0]),
+            Request(RequestKind.INSERT, 0.123456, value="x"),
+            # Overload burst: window 4 + queue 4 admit eight, refuse four.
+            [lookup(keys[i % 3]) for i in range(12)],
+            Request(RequestKind.REMOVE, keys[1]),
+            [
+                lookup(keys[1]),
+                lookup(0.123456),
+                Request(RequestKind.INSERT, 0.654321, value="y"),
+                lookup(keys[2]),
+                Request(RequestKind.RANGE, 0.2, hi=0.25),
+                lookup(keys[3]),
+            ],
+            lookup(0.654321),
+        ]
+
+    def test_same_script_same_everything(self):
+        config = ServeConfig(max_in_flight=4, max_queue=4)
+        runs, latencies = {}, {}
+        for kind in FRONTENDS:
+            index, keys = build_index()
+            outcomes, order = serve_script(
+                kind, index, config, self._script(keys)
+            )
+            runs[kind] = (
+                [
+                    o if o is REJECTED else (o.status, o.answer, o.dht_lookups)
+                    for o in outcomes
+                ],
+                order,
+                index.dht.metrics.snapshot(),
+                index.dht.metrics.queue_depth_peak,
+                index_fingerprint(index),
+            )
+            latencies[kind] = index.dht.metrics.request_latencies
+        answers, order, snapshot, *_ = runs["engine"]
+        assert answers.count(REJECTED) == 4
+        assert snapshot.serve_rejections == 4
+        assert snapshot.serve_coalesced_gets > 0
+        assert len(order) == len(answers) - 4
+        assert all(a[0] is Status.OK for a in answers if a is not REJECTED)
+        assert runs["async"] == runs["engine"]
+        assert runs["threaded"] == runs["engine"]
+        # Same simulated latencies too; the engine's clock idles forward
+        # between steps, so the float deltas agree to rounding only.
+        assert latencies["async"] == pytest.approx(latencies["engine"])
+        assert latencies["threaded"] == pytest.approx(latencies["engine"])
 
 
 class TestWorkloadGenerator:
