@@ -11,14 +11,40 @@ split must repair (the maintenance cost LHT eliminates).
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.core.bucket import Record
+from repro.core.bucket import Record, record_columns, records_from_columns
 from repro.core.interval import Range
 from repro.core.label import Label
 from repro.errors import KeyOutOfRangeError
 
 __all__ = ["PHTNode"]
+
+
+def _bits(label: Label | None) -> str | None:
+    return None if label is None else label.bits
+
+
+def _label(bits: str | None) -> Label | None:
+    return None if bits is None else Label(bits)
+
+
+def _node_from_wire(
+    bits: str,
+    is_leaf: bool,
+    keys: list[float],
+    values: list[Any],
+    prev_bits: str | None,
+    next_bits: str | None,
+) -> PHTNode:
+    """Decode :meth:`PHTNode.__reduce__`'s tuple via the constructors."""
+    return PHTNode(
+        Label(bits),
+        is_leaf,
+        records_from_columns(keys, values),
+        _label(prev_bits),
+        _label(next_bits),
+    )
 
 
 class PHTNode:
@@ -89,6 +115,21 @@ class PHTNode:
         """Remove and return every record (used when a leaf splits)."""
         records, self._records = self._records, []
         return records
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        """``LeafBucket``'s columnar wire form plus leaf flag and link bits."""
+        return _node_from_wire, (
+            self.label.bits,
+            self.is_leaf,
+            *record_columns(self._records),
+            _bits(self.prev_label),
+            _bits(self.next_label),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PHTNode):
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "leaf" if self.is_leaf else "internal"

@@ -23,14 +23,6 @@ from repro.core.naming import (
 )
 from repro.core.range_query import RangeQueryExecutor, compute_lca
 from repro.core.scan import KnnResult, knn_query, scan_buckets, scan_records
-from repro.core.serialize import (
-    bucket_from_dict,
-    bucket_to_dict,
-    dumps,
-    loads,
-    record_from_dict,
-    record_to_dict,
-)
 from repro.core.results import (
     CostLedger,
     DeleteResult,
@@ -79,12 +71,6 @@ __all__ = [
     "knn_query",
     "scan_buckets",
     "scan_records",
-    "bucket_from_dict",
-    "bucket_to_dict",
-    "dumps",
-    "loads",
-    "record_from_dict",
-    "record_to_dict",
     "CostLedger",
     "DeleteResult",
     "ExactMatchResult",

@@ -22,9 +22,9 @@ from typing import Any, Iterator
 
 from repro.core.interval import Range
 from repro.core.label import Label
-from repro.errors import KeyOutOfRangeError
+from repro.errors import KeyOutOfRangeError, WireFormatError
 
-__all__ = ["Record", "LeafBucket"]
+__all__ = ["Record", "LeafBucket", "record_columns", "records_from_columns"]
 
 #: Sort/bisect key for record stores.  Ordering by the raw float key is
 #: identical to the dataclass ``order=True`` comparison (which compares
@@ -49,6 +49,26 @@ class Record:
             raise KeyOutOfRangeError(f"record key {self.key} outside [0, 1)")
 
 
+def record_columns(records: list[Record]) -> tuple[list[float], list[Any]]:
+    """The wire's key column and value column for a record store."""
+    return [r.key for r in records], [r.value for r in records]
+
+
+def records_from_columns(keys: list[float], values: list[Any]) -> list[Record]:
+    """Records from the wire's key and value columns, each through
+    ``Record.__init__``; unequal columns are rejected, not truncated."""
+    if len(keys) != len(values):
+        raise WireFormatError(
+            f"{len(keys)} keys but {len(values)} values in a record store"
+        )
+    return list(map(Record, keys, values))
+
+
+def _bucket_from_wire(bits: str, keys: list[float], values: list[Any]) -> LeafBucket:
+    """Decode :meth:`LeafBucket.__reduce__`'s triple via the constructors."""
+    return LeafBucket(Label(bits), records_from_columns(keys, values))
+
+
 class LeafBucket:
     """A leaf bucket: leaf label + sorted record store (paper Fig. 3a).
 
@@ -56,6 +76,9 @@ class LeafBucket:
     peer's entire local view of the partition tree ("local tree
     summarization", §3.3) — no other structural state is kept, which is
     what makes LHT maintenance-free beyond splits and merges.
+
+    Buckets are mutable values: equal when label, keys and payloads are,
+    and (``__eq__`` without ``__hash__``) unhashable.
     """
 
     __slots__ = ("_label", "_records")
@@ -176,6 +199,18 @@ class LeafBucket:
         """Bulk-add records already known to lie in the leaf's interval."""
         for record in records:
             self.add(record)
+
+    def __reduce__(self) -> tuple[Any, tuple[str, list[float], list[Any]]]:
+        """The wire form ``(label bits, keys, values)``: one str and two
+        columns, so the C pickler never calls back into Python per record
+        (docs/performance.md, "Wire format")."""
+        return _bucket_from_wire, (self._label.bits, *record_columns(self._records))
+
+    def __eq__(self, other: object) -> bool:
+        # Record.__eq__ ignores payloads, so compare the wire triples.
+        if not isinstance(other, LeafBucket):
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"LeafBucket({self._label}, n={len(self._records)})"

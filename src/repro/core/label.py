@@ -250,6 +250,10 @@ class Label:
     # Value-object protocol
     # ------------------------------------------------------------------
 
+    def __reduce__(self) -> tuple[type["Label"], tuple[str]]:
+        """Bits alone: the cached interval is rebuilt on demand, never shipped."""
+        return Label, (self._bits,)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Label) and self._bits == other._bits
 

@@ -67,6 +67,14 @@ def _make_resilient_local(n_peers: int, seed: int) -> DHT:
     return ResilientDHT(faulty, seed=derive_seed(seed, "retries"))
 
 
+def _make_serializing_local(n_peers: int, seed: int) -> DHT:
+    """SerializingDHT over LocalDHT: the trace must equal ``local``'s —
+    the index cannot tell a byte store from a reference store."""
+    from repro.dht.serializing import SerializingDHT
+
+    return SerializingDHT(_make_local(n_peers, seed))
+
+
 def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
     from repro.dht.registry import factories
 
@@ -74,10 +82,11 @@ def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
 
 
 #: Substrate name -> factory ``(n_peers, seed) -> DHT``: every substrate
-#: enrolled in ``repro.dht.registry``, plus two wrapper arms.
+#: enrolled in ``repro.dht.registry``, plus three wrapper arms.
 SUBSTRATES: dict[str, Callable[[int, int], DHT]] = {
     **_registry_factories(),
     "resilient-local": _make_resilient_local,
+    "serializing-local": _make_serializing_local,
     # The cache is index-level, not DHT-level: this arm runs the plain
     # local substrate with ``cache_enabled`` turned on in the IndexConfig
     # (see ``run_workload``), at a small capacity so eviction, split and

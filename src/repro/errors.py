@@ -19,6 +19,10 @@ class KeyOutOfRangeError(ReproError):
     """A data key fell outside the indexable domain ``[0, 1)``."""
 
 
+class WireFormatError(ReproError):
+    """A serialized bucket or node could not be decoded as written."""
+
+
 class DepthExceededError(ReproError):
     """A tree path grew deeper than the configured maximum depth ``D``."""
 

@@ -2,7 +2,7 @@
 
 Contract under test: ``bulk_load(items, fast=True)`` leaves the DHT in
 exactly the state the incremental algorithm produces for the *sorted*
-input — byte-identical leaf buckets under the same keys — while issuing
+input — wire-identical leaf buckets under the same keys — while issuing
 exactly one routed put per final leaf and moving zero records.  Query
 answers therefore match the incremental build for any insertion order.
 """
@@ -15,30 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.pht import PHTIndex
-from repro.core import serialize
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht.local import LocalDHT
 from repro.experiments.common import SUBSTRATES
 
 
-def _lht_state(dht) -> dict[str, bytes]:
-    """DHT key -> canonical bucket bytes (the byte-identity fingerprint)."""
-    return {key: serialize.dumps(dht.peek(key)) for key in dht.keys()}
+def _state(dht) -> dict[str, tuple]:
+    """DHT key -> the stored bucket's (or node's) wire tuple.
 
-
-def _pht_state(dht) -> dict[str, tuple]:
-    out = {}
-    for key in dht.keys():
-        node = dht.peek(key)
-        out[key] = (
-            node.label.bits,
-            node.is_leaf,
-            tuple((r.key, r.value) for r in node.records),
-            None if node.prev_label is None else node.prev_label.bits,
-            None if node.next_label is None else node.next_label.bits,
-        )
-    return out
+    Not its pickle bytes: pickle memoizes shared payload objects, so
+    bytes depend on object identity the two build paths need not share.
+    """
+    return {key: dht.peek(key).__reduce__()[1] for key in dht.keys()}
 
 
 def _pair(theta: int = 8, depth: int = 12, scheme: str = "lht"):
@@ -63,7 +52,7 @@ class TestLHTEquivalence:
         fast, slow = _pair()
         fast.bulk_load(list(keys), fast=True)
         slow.bulk_load(sorted(keys))
-        assert _lht_state(fast.dht) == _lht_state(slow.dht)
+        assert _state(fast.dht) == _state(slow.dht)
         assert fast.leaf_count == slow.leaf_count
         assert fast.record_count == slow.record_count
 
@@ -93,7 +82,7 @@ class TestLHTEquivalence:
         slow.bulk_load(first)
         fast.bulk_load(second, fast=True)
         slow.bulk_load(sorted(second))
-        assert _lht_state(fast.dht) == _lht_state(slow.dht)
+        assert _state(fast.dht) == _state(slow.dht)
 
     def test_empty_load_is_free(self):
         fast, _ = _pair()
@@ -119,7 +108,7 @@ class TestSubstrateIndependence:
         assert spent.records_moved == 0
 
         slow.bulk_load(sorted(keys))
-        assert _lht_state(fast.dht) == _lht_state(slow.dht)
+        assert _state(fast.dht) == _state(slow.dht)
 
 
 class TestPHTEquivalence:
@@ -129,7 +118,7 @@ class TestPHTEquivalence:
         fast, slow = _pair(scheme="pht")
         fast.bulk_load(list(keys), fast=True)
         slow.bulk_load(sorted(keys))
-        assert _pht_state(fast.dht) == _pht_state(slow.dht)
+        assert _state(fast.dht) == _state(slow.dht)
 
     def test_leaf_chain_links_survive_fast_build(self):
         rng = np.random.default_rng(13)
@@ -137,7 +126,7 @@ class TestPHTEquivalence:
         fast, slow = _pair(theta=16, depth=16, scheme="pht")
         fast.bulk_load(keys, fast=True)
         slow.bulk_load(sorted(keys))
-        assert _pht_state(fast.dht) == _pht_state(slow.dht)
+        assert _state(fast.dht) == _state(slow.dht)
         # The chain must answer range queries identically.
         fr = fast.range_query_sequential(0.1, 0.6)
         sr = slow.range_query_sequential(0.1, 0.6)

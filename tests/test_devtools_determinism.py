@@ -53,6 +53,15 @@ class TestSameSeedFixture:
         for a, b in zip(plain, cached):
             assert strip_cost(a) == strip_cost(b)
 
+    def test_serializing_local_trace_equals_local(self, assert_deterministic):
+        """A byte store replays identically, and the whole event trace —
+        costs, splits, merges, final digest — equals the reference
+        store's: nothing in the index leans on in-process aliasing."""
+        assert_deterministic(seed=3, substrate="serializing-local", n_ops=200)
+        assert run_workload(
+            seed=3, substrate="serializing-local", n_ops=200
+        ) == run_workload(seed=3, substrate="local", n_ops=200)
+
     def test_sanitized_run_is_deterministic(
         self, assert_deterministic, monkeypatch
     ):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import IndexConfig, LHTIndex
+from repro.baselines.pht.node import PHTNode
+from repro.core import IndexConfig, Label, LeafBucket, LHTIndex, Record
 from repro.core.interval import Range
 from repro.core.range_query import RangeQueryExecutor
 from repro.core.results import MatchStatus
@@ -25,6 +26,7 @@ from repro.dht.local import LocalDHT
 from repro.dht.kernel import PlacementPolicy, SubstrateBase, stack_layers
 from repro.dht.placement import SuccessorListPolicy
 from repro.dht.replicated import ReplicatedDHT, replica_layer
+from repro.dht.serializing import SerializingDHT
 from repro.errors import ConfigurationError
 
 N_PEERS = 16
@@ -168,6 +170,21 @@ class TestDivergenceAccounting:
         dht.put("k", "v")
         assert dht.remove("k") == "v"
         assert dht.divergent_removes == 0
+
+    @pytest.mark.parametrize("cls", [LeafBucket, PHTNode])
+    def test_byte_store_replicas_compare_by_value(self, cls):
+        """Every copy decoded from a byte store is a distinct object;
+        only a differing label, key or payload is a divergence."""
+
+        def value(payload):
+            return cls(Label("01"), records=[Record(0.5, "a"), Record(0.75, payload)])
+
+        for tampered, expected in ((value("b"), 0), (value("B"), 1)):
+            dht = ReplicatedDHT(SerializingDHT(LocalDHT(N_PEERS, 0)), n_replicas=3)
+            dht.put("k", value("b"))
+            dht.local_write_at("k", tampered, dht.replica_peers("k")[1])
+            assert dht.remove("k") == value("b")
+            assert dht.divergent_removes == expected
 
 
 class TestDeterministicFailover:

@@ -16,7 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.pht import PHTIndex
-from repro.core import IndexConfig, IndexInspector, LHTIndex, ReferenceTree
+from repro.core import (
+    IndexConfig,
+    IndexInspector,
+    Label,
+    LeafBucket,
+    LHTIndex,
+    Record,
+    ReferenceTree,
+)
 from repro.dht import ChordDHT, LocalDHT, SerializingDHT
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -55,6 +63,49 @@ class TestByteStoreBasics:
         dht = SerializingDHT(LocalDHT(8, 0))
         dht.put("k", "x" * 100)
         assert dht.bytes_written > 100
+
+
+def _put_bytes(bucket) -> int:
+    dht = SerializingDHT(LocalDHT(8, 0))
+    dht.put("k", bucket)
+    return dht.bytes_written
+
+
+def _int_bucket(n: int) -> LeafBucket:
+    """A root bucket of ``n`` records with small-int payloads."""
+    return LeafBucket(Label("0"), [Record((i + 0.5) / n, i) for i in range(n)])
+
+
+class TestWireSize:
+    """Count-based pins on what one bucket costs on the wire (the
+    constant in front of Theorem 2's "half a bucket moves")."""
+
+    def test_sixty_record_put_fits_800_bytes(self):
+        assert _put_bytes(_int_bucket(60)) <= 800  # 1 418 B before the wire form
+
+    def test_one_more_record_costs_at_most_16_bytes(self):
+        # An 8-byte float key, a small int payload, two opcodes.
+        assert _put_bytes(_int_bucket(61)) - _put_bytes(_int_bucket(60)) <= 16
+
+    def test_relabelled_bucket_ships_no_interval_cache(self):
+        """A split relabels the bucket that stays put (Theorem 2); the
+        first ``contains`` on the new label caches its interval (two
+        Fractions), which must not ride along on later writes."""
+        bucket = _int_bucket(60)
+        bucket.take_records_in(Label("01").interval.to_range())
+        bucket.label = Label("00")
+        cold = _put_bytes(bucket)
+        assert bucket.contains_key(0.25)  # populates the label's cache
+        assert _put_bytes(bucket) == cold
+
+    def test_fetched_buckets_are_fresh_copies(self):
+        dht = SerializingDHT(LocalDHT(8, 0))
+        dht.put("k", _int_bucket(3))
+        first, second = dht.get("k"), dht.get("k")
+        assert first == second and first is not second
+        first.add(Record(0.99, "unsaved"))
+        first.label = Label("00")
+        assert dht.get("k") == second == _int_bucket(3)
 
 
 class TestLHTOverByteStore:
