@@ -13,6 +13,6 @@ counters on the substrate's :class:`~repro.dht.metrics.MetricsRecorder`.
 """
 
 from repro.cache.leafcache import LeafCache
-from repro.cache.lookup import cached_lookup
+from repro.cache.lookup import cached_lookup, cached_plan
 
-__all__ = ["LeafCache", "cached_lookup"]
+__all__ = ["LeafCache", "cached_lookup", "cached_plan"]

@@ -23,36 +23,33 @@ the moment the substrate degrades.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cache.leafcache import LeafCache
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
-from repro.core.lookup import lht_lookup
+from repro.core.lookup import Plan, drive_plan, lookup_plan
 from repro.core.naming import naming
 from repro.core.results import LookupResult
 from repro.dht.base import DHT
+from repro.dht.metrics import MetricsRecorder
 
-__all__ = ["cached_lookup"]
+__all__ = ["cached_lookup", "cached_plan"]
 
 
-def cached_lookup(
-    dht: DHT, config: IndexConfig, cache: LeafCache, key: float
-) -> LookupResult:
-    """Locate the leaf covering ``key``, consulting the leaf cache first.
+def cached_plan(
+    config: IndexConfig, cache: LeafCache, metrics: MetricsRecorder, key: float
+) -> Plan:
+    """:func:`~repro.core.lookup.lookup_plan` with the cache probe in front.
 
-    Returns the same :class:`~repro.core.results.LookupResult` contract
-    as :func:`~repro.core.lookup.lht_lookup`; ``dht_lookups`` includes
-    the validation probe, so a stale entry honestly costs one get more
-    than an uncached lookup.
+    A driver whose fetch raises abandons the plan at its ``yield``, so
+    an errored probe leaves the cache untouched (see module docs — it is
+    not evidence of staleness).
     """
-    metrics = dht.metrics
     candidate = cache.lookup(key, config.max_depth)
-    probes = 0
     if candidate is not None:
         name = naming(candidate)
-        # May raise DHTError: propagate with the cache untouched (see
-        # module docs — an errored probe is not evidence of staleness).
-        bucket = dht.get(str(name))
-        probes = 1
+        bucket = yield name
         if isinstance(bucket, LeafBucket) and bucket.contains_key(key):
             metrics.record_cache_hit()
             if bucket.label != candidate:
@@ -66,14 +63,22 @@ def cached_lookup(
     else:
         metrics.record_cache_miss()
 
-    result = lht_lookup(dht, config, key)
+    result = yield from lookup_plan(config, key)
     if result.bucket is not None:
         cache.store(result.bucket.label)
-    if probes:
-        result = LookupResult(
-            result.bucket,
-            result.name,
-            result.dht_lookups + probes,
-            result.probed,
-        )
+    if candidate is not None:  # the stale validation probe is charged too
+        result = replace(result, dht_lookups=result.dht_lookups + 1)
     return result
+
+
+def cached_lookup(
+    dht: DHT, config: IndexConfig, cache: LeafCache, key: float
+) -> LookupResult:
+    """Locate the leaf covering ``key``, consulting the leaf cache first.
+
+    Returns the same :class:`~repro.core.results.LookupResult` contract
+    as :func:`~repro.core.lookup.lht_lookup`; ``dht_lookups`` includes
+    the validation probe, so a stale entry honestly costs one get more
+    than an uncached lookup.
+    """
+    return drive_plan(dht.get, cached_plan(config, cache, dht.metrics, key))

@@ -24,19 +24,16 @@ maintenance-only totals (the paper's Fig. 7 measure) live in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TypeVar
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (lazy at runtime)
-    from repro.core.scan import KnnResult
-
-from repro.cache import LeafCache, cached_lookup
+from repro.cache import LeafCache, cached_plan
 from repro.core.bucket import LeafBucket, Record
 from repro.core.bulkbuild import leaf_put_items, normalize_items, plan_bulk_load
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
 from repro.core.keys import key_bits
 from repro.core.label import Label, ROOT
-from repro.core.lookup import drive_plan, lht_lookup
+from repro.core.lookup import Plan, ReadPath, drive_plan, lookup_plan
 from repro.core.minmax import max_query, min_query
 from repro.core.naming import naming
 from repro.core.range_query import RangeQueryExecutor
@@ -52,11 +49,21 @@ from repro.core.results import (
     RangeQueryResult,
     SplitEvent,
 )
+from repro.core.scan import KnnResult, knn_query, scan_records
 from repro.dht.base import DHT
-from repro.dht.replicated import replica_layer
 from repro.errors import DHTError, LookupError_
 
 __all__ = ["LHTIndex"]
+
+_Typed = TypeVar("_Typed", RangeQueryResult, MinMaxResult)
+
+
+def _complete_or_raise(result: _Typed, incomplete_ok: bool) -> _Typed:
+    """The raising view of a typed answer (``degraded=False``)."""
+    if result.complete or incomplete_ok:
+        return result
+    gaps = ", ".join(str(gap) for gap in result.unreachable)
+    raise LookupError_(f"incomplete answer: unreachable {gaps}")
 
 
 class LHTIndex:
@@ -79,7 +86,8 @@ class LHTIndex:
         self.dht = dht
         self.config = config or IndexConfig()
         self.ledger = CostLedger()
-        self._range_executor = RangeQueryExecutor(dht, self.config)
+        self._reads = ReadPath(dht, self.config)
+        self._range_executor = RangeQueryExecutor(dht, self.config, self._reads)
         # Client-side mirror of the leaf-label set, keyed by bit string.
         # Kept exact because this index instance performs every split and
         # merge itself; used only by the bulk_load fast path.
@@ -112,17 +120,22 @@ class LHTIndex:
     # Lookup and exact match (§5)
     # ------------------------------------------------------------------
 
-    def lookup(self, key: float) -> LookupResult:
-        """Locate the leaf bucket covering ``key`` (Alg. 2).
+    def lookup_plan(self, key: float) -> Plan:
+        """The probe plan for ``key`` (Alg. 2): :meth:`lookup` drives
+        one, the serving layer many in lock-step.
 
         With ``cache_enabled``, a cached covering label short-circuits
         the binary search to one validated DHT-get (see
-        :func:`repro.cache.cached_lookup`); results are identical either
+        :func:`repro.cache.cached_plan`); results are identical either
         way, only the cost differs.
         """
         if self.cache is not None:
-            return cached_lookup(self.dht, self.config, self.cache, key)
-        return lht_lookup(self.dht, self.config, key)
+            return cached_plan(self.config, self.cache, self.dht.metrics, key)
+        return lookup_plan(self.config, key)
+
+    def lookup(self, key: float) -> LookupResult:
+        """Locate the leaf bucket covering ``key`` (Alg. 2)."""
+        return drive_plan(self.dht.get, self.lookup_plan(key))
 
     def exact_match(self, key: float) -> tuple[Record | None, int]:
         """Return (record with exactly this key or None, DHT-lookups used)."""
@@ -142,58 +155,35 @@ class LHTIndex:
         could legally live, by the partition invariant.
         """
         try:
-            result = self.lookup(key)
+            routed: LookupResult | None = self.lookup(key)
         except DHTError:
-            rescued = self._replica_fallback(key, prior_lookups=0)
-            if rescued is not None:
-                return rescued
-            self.dht.metrics.record_degraded()
-            return ExactMatchResult(MatchStatus.UNREACHABLE, None, 0)
-        if result.bucket is None:
-            rescued = self._replica_fallback(
-                key, prior_lookups=result.dht_lookups
-            )
-            if rescued is not None:
-                return rescued
-            self.dht.metrics.record_degraded()
-            return ExactMatchResult(
-                MatchStatus.UNREACHABLE, None, result.dht_lookups
-            )
-        record = result.bucket.find(key)
-        status = MatchStatus.PRESENT if record is not None else MatchStatus.ABSENT
-        return ExactMatchResult(status, record, result.dht_lookups)
+            routed = None
+        return self.finish_lookup(key, routed)
 
-    def _replica_fallback(
-        self, key: float, prior_lookups: int
-    ) -> ExactMatchResult | None:
-        """Re-drive Alg. 2 through replica probes before giving up.
-
-        When the routed lookup could not converge, a replication layer
-        in the DHT stack (if any) still holds backup copies of every
-        bucket on topology-derived peers.  This re-runs the same binary
-        search with each DHT-get replaced by
-        :meth:`~repro.dht.replicated.ReplicatedDHT.failover_get` —
-        direct probes of all replica holders.  A convergent re-run is a
-        rescued read (one ``replica_failovers`` tick, a definite
-        PRESENT/ABSENT answer); a non-convergent one returns ``None``
-        and the caller declares UNREACHABLE as before.  Stacks without
-        replicas skip all of this, so the k=1 path is untouched.
-        """
-        replicas = replica_layer(self.dht)
-        if replicas is None:
-            return None
-        try:
-            result = drive_plan(replicas.failover_get, self.config, key)
-        except DHTError:
-            return None
-        if result.bucket is None:
-            return None
-        self.dht.metrics.record_replica_failover()
-        record = result.bucket.find(key)
+    def finish_lookup(
+        self, key: float, routed: LookupResult | None
+    ) -> ExactMatchResult:
+        """The typed finish of one driven :meth:`lookup_plan`: its
+        result, or ``None`` when a typed substrate error cut the drive
+        short.  A non-convergent run is re-driven once over replica
+        probes before the key is declared UNREACHABLE."""
+        if routed is None or routed.bucket is None:
+            routed = self._reads.redrive(key, routed)
+            if routed.bucket is None:
+                self.dht.metrics.record_degraded()
+                return ExactMatchResult(
+                    MatchStatus.UNREACHABLE, None, routed.dht_lookups
+                )
+        record = routed.bucket.find(key)
         status = MatchStatus.PRESENT if record is not None else MatchStatus.ABSENT
-        return ExactMatchResult(
-            status, record, prior_lookups + result.dht_lookups
-        )
+        return ExactMatchResult(status, record, routed.dht_lookups)
+
+    def _locate(self, key: float) -> tuple[LeafBucket, Label, int]:
+        """Covering bucket, its DHT name, lookups spent — or raise."""
+        result = self.lookup(key)
+        if result.bucket is None or result.name is None:
+            raise LookupError_(f"lookup of {key} failed to converge")
+        return result.bucket, result.name, result.dht_lookups
 
     def __contains__(self, key: float) -> bool:
         record, _ = self.exact_match(key)
@@ -206,32 +196,25 @@ class LHTIndex:
     def insert(self, key: float, value: Any = None) -> InsertResult:
         """Insert a record: LHT-lookup of ``δ``, then a DHT-put towards
         the bucket name ``κ`` (§5); at most one split per insertion."""
-        result = self.lookup(key)
-        if result.bucket is None or result.name is None:
-            raise LookupError_(f"lookup of {key} failed to converge")
-        lookups = result.dht_lookups
+        bucket, name, lookups = self._locate(key)
         # The record travels to the bucket's peer: one routed DHT-put.
-        self.dht.put(str(result.name), result.bucket)
-        lookups += 1
-        leaf, split = self._place(result.bucket, Record(key, value))
-        return InsertResult(leaf=leaf, dht_lookups=lookups, split=split)
+        self.dht.put(str(name), bucket)
+        leaf, split = self._place(bucket, Record(key, value))
+        return InsertResult(leaf=leaf, dht_lookups=lookups + 1, split=split)
 
     def delete(self, key: float) -> DeleteResult:
         """Delete the record with exactly this key, if present."""
-        result = self.lookup(key)
-        if result.bucket is None or result.name is None:
-            raise LookupError_(f"lookup of {key} failed to converge")
-        lookups = result.dht_lookups
-        self.dht.put(str(result.name), result.bucket)  # routed delete message
+        bucket, name, lookups = self._locate(key)
+        self.dht.put(str(name), bucket)  # routed delete message
         lookups += 1
-        removed = result.bucket.remove(key)
+        removed = bucket.remove(key)
         if removed is None:
             return DeleteResult(deleted=False, dht_lookups=lookups)
-        self.dht.local_write(str(result.name), result.bucket)
+        self.dht.local_write(str(name), bucket)
         self.record_count -= 1
         merges: tuple[MergeEvent, ...] = ()
         if self.config.merge_enabled:
-            merges = tuple(self._maybe_merge(result.bucket))
+            merges = tuple(self._maybe_merge(bucket))
         sanitizer = self._sanitizer
         if sanitizer is not None:
             for merge in merges:
@@ -312,32 +295,31 @@ class LHTIndex:
     ) -> RangeQueryResult:
         """All records with keys in ``[lo, hi)`` (Algs. 3-4).
 
-        With ``degraded=True``, unreachable subtrees yield an incomplete
-        result (``complete=False`` + their intervals) instead of an
-        exception — never silently partial data.
+        Unreachable subtrees yield an incomplete result
+        (``complete=False`` + their intervals) — never silently partial
+        data.  ``degraded=True`` returns it; the default is a view that
+        raises :class:`~repro.errors.LookupError_` naming them instead.
         """
-        return self._range_executor.run(Range(lo, hi), degraded=degraded)
+        return _complete_or_raise(self._range_executor.run(Range(lo, hi)), degraded)
 
     def min_query(self, degraded: bool = False) -> MinMaxResult:
-        """The record with the smallest key (Theorem 3)."""
-        return min_query(self.dht, self.config, degraded=degraded)
+        """The record with the smallest key (Theorem 3); ``degraded``
+        as for :meth:`range_query`."""
+        return _complete_or_raise(min_query(self._reads), degraded)
 
     def max_query(self, degraded: bool = False) -> MinMaxResult:
-        """The record with the largest key (Theorem 3)."""
-        return max_query(self.dht, self.config, degraded=degraded)
+        """The record with the largest key (Theorem 3); ``degraded``
+        as for :meth:`range_query`."""
+        return _complete_or_raise(max_query(self._reads), degraded)
 
-    def scan(self) -> "Iterator[Record]":
+    def scan(self) -> Iterator[Record]:
         """Iterate every record in ascending key order (one DHT-lookup
         per leaf; see :mod:`repro.core.scan`)."""
-        from repro.core.scan import scan_records
-
         return scan_records(self.dht, self.config)
 
-    def knn_query(self, key: float, k: int) -> "KnnResult":
+    def knn_query(self, key: float, k: int) -> KnnResult:
         """The ``k`` records with keys nearest to ``key``
         (:func:`repro.core.scan.knn_query`)."""
-        from repro.core.scan import knn_query
-
         return knn_query(self.dht, self.config, key, k)
 
     # ------------------------------------------------------------------

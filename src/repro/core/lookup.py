@@ -16,10 +16,16 @@ Probe outcomes steer the search:
 * **bucket covers δ** — found.
 * **bucket does not cover δ** — the leaf lies strictly below; skip ahead
   to ``f_nn(x, μ)`` (Def. 2), the next prefix with a *new* name.
+
+Because a failed get is read *structurally*, a reply the substrate
+dropped must never be mistaken for one: :class:`ReadPath` is the one
+place the read side absorbs typed substrate errors and asks the stack's
+replica holders before a miss is believed.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Generator, cast
 
 from repro.core.bucket import LeafBucket
@@ -29,14 +35,23 @@ from repro.core.label import Label
 from repro.core.naming import naming, next_naming
 from repro.core.results import LookupResult
 from repro.dht.base import DHT
-from repro.errors import LabelError
+from repro.dht.replicated import replica_layer
+from repro.errors import DHTError, LabelError
 
-__all__ = ["drive_plan", "lht_lookup", "lht_lookup_linear", "lookup_plan"]
+__all__ = [
+    "Plan",
+    "ReadPath",
+    "drive_plan",
+    "lht_lookup",
+    "lht_lookup_linear",
+    "lookup_plan",
+]
+
+#: A probe plan: yields names to get, is sent the values, returns the result.
+Plan = Generator[Label, Any, LookupResult]
 
 
-def lookup_plan(
-    config: IndexConfig, key: float
-) -> Generator[Label, Any, LookupResult]:
+def lookup_plan(config: IndexConfig, key: float) -> Plan:
     """Alg. 2 as a *probe plan*: the search logic with the I/O peeled off.
 
     A generator that yields the next name to probe (``f_n`` of a
@@ -80,16 +95,14 @@ def lookup_plan(
     return LookupResult(None, None, lookups, tuple(probed))
 
 
-def drive_plan(
-    fetch: Callable[[str], Any], config: IndexConfig, key: float
-) -> LookupResult:
-    """Run one :func:`lookup_plan` to completion, one ``fetch`` per probe.
+def drive_plan(fetch: Callable[[str], Any], plan: Plan) -> LookupResult:
+    """Run one probe plan to completion, one ``fetch`` per probe.
 
     The single-plan driver: ``fetch`` is ``dht.get`` for the routed
-    lookup and ``failover_get`` for the replica re-drive, so the
-    generator protocol is spelled out here and nowhere else.
+    lookup (plain or cache-fronted plan alike) and ``failover_get`` for
+    the replica re-drive, so the generator protocol is spelled out here
+    and nowhere else.
     """
-    plan = lookup_plan(config, key)
     try:
         name = next(plan)
         while True:
@@ -107,7 +120,71 @@ def lht_lookup(dht: DHT, config: IndexConfig, key: float) -> LookupResult:
     index (unreachable in a quiescent system; possible transiently under
     churn).
     """
-    return drive_plan(dht.get, config, key)
+    return drive_plan(dht.get, lookup_plan(config, key))
+
+
+class ReadPath:
+    """The routed read whose failure is data, shared by every query:
+    a typed :class:`~repro.errors.DHTError` is a miss, and a miss is
+    re-asked of the replica holders (when the stack has a replication
+    layer) before it is believed or reported as unreachable."""
+
+    def __init__(self, dht: DHT, config: IndexConfig) -> None:
+        self.dht = dht
+        self.config = config
+        # Resolved once — the stack cannot change under a live index.
+        self.replicas = replica_layer(dht)
+
+    def get(self, name: str) -> Any | None:
+        """One routed get of ``name``, rescued from replicas on a miss."""
+        try:
+            value = self.dht.get(name)
+        except DHTError:
+            value = None
+        return value if value is not None else self.rescue(name)
+
+    def rescue(self, name: str) -> Any | None:
+        """Probe the replica holders for a name the routed path missed.
+        A structural miss — the name genuinely unstored — probes and
+        stays a miss; a dropped reply is rescued (one
+        ``replica_failovers`` tick) and the query continues undegraded."""
+        if self.replicas is None:
+            return None
+        try:
+            value = self.replicas.failover_get(name)
+        except DHTError:
+            return None
+        if value is not None:
+            self.dht.metrics.record_replica_failover()
+        return value
+
+    def redrive(self, key: float, routed: LookupResult | None) -> LookupResult:
+        """Re-drive Alg. 2 through replica probes before giving up.
+
+        When the routed lookup could not converge (``routed``; ``None``
+        if a typed error cut it short), a replication layer in the DHT
+        stack (if any) still holds backup copies of every bucket on
+        topology-derived peers.  This re-runs the same binary search
+        with each DHT-get replaced by
+        :meth:`~repro.dht.replicated.ReplicatedDHT.failover_get` —
+        direct probes of all replica holders.  A convergent re-run is a
+        rescued read (one ``replica_failovers`` tick); a non-convergent
+        one leaves the bucket ``None`` and the caller declares the key
+        unreachable.  Stacks without replicas skip all of this, so the
+        k=1 path is untouched.
+        """
+        prior = routed.dht_lookups if routed is not None else 0
+        if self.replicas is not None:
+            try:
+                rescued = drive_plan(
+                    self.replicas.failover_get, lookup_plan(self.config, key)
+                )
+            except DHTError:
+                return LookupResult(None, None, prior)
+            if rescued.bucket is not None:
+                self.dht.metrics.record_replica_failover()
+                return replace(rescued, dht_lookups=prior + rescued.dht_lookups)
+        return LookupResult(None, None, prior)
 
 
 def lht_lookup_linear(dht: DHT, config: IndexConfig, key: float) -> LookupResult:

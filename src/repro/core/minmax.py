@@ -12,85 +12,62 @@ Two practical extensions beyond the paper's statement:
 * when deletions leave the extreme bucket empty, the query walks inward
   across neighboring trees (one lookup each) until it finds a record.
 
-**Degraded mode** (``degraded=True``): a lossy substrate can drop the
-bootstrap get or cut off the inward walk.  Instead of raising, the query
-then returns ``complete=False`` with an ``unreachable`` interval bounding
-where the true extremum could hide — everything from the blocked point
-outward to the extreme edge the walk started from.
+**Typed answers.**  Gets go through :class:`~repro.core.lookup.ReadPath`
+(errors are misses, misses are re-asked of replicas), yet a lossy
+substrate can still drop the bootstrap get or cut off the inward walk.
+Instead of raising, the query then returns ``complete=False`` with an
+``unreachable`` interval bounding where the true extremum could hide —
+everything from the blocked point outward to the extreme edge the walk
+started from.
 """
 
 from __future__ import annotations
 
 from repro.core.bucket import LeafBucket
-from repro.core.config import IndexConfig
 from repro.core.interval import Range
-from repro.core.label import Label, ROOT, VIRTUAL_ROOT
-from repro.core.naming import left_neighbor, naming, right_neighbor
+from repro.core.label import ROOT, VIRTUAL_ROOT
+from repro.core.lookup import ReadPath
 from repro.core.results import MinMaxResult
-from repro.dht.base import DHT
-from repro.errors import DHTError, LookupError_
+from repro.core.scan import fetch_adjacent
+from repro.errors import LookupError_
 
 __all__ = ["min_query", "max_query"]
 
 
-def min_query(
-    dht: DHT, config: IndexConfig, degraded: bool = False
-) -> MinMaxResult:
+def min_query(reads: ReadPath) -> MinMaxResult:
     """Return the record with the smallest key (1 DHT-lookup, Theorem 3)."""
-    bucket = _get(dht, VIRTUAL_ROOT, degraded)
-    lookups = 1
-    if bucket is None:
-        if degraded:
-            return _blocked(dht, Range(0.0, 1.0), lookups)
-        raise LookupError_("no leaf stored under '#': index not bootstrapped")
-    return _scan(dht, config, bucket, lookups, want_min=True, degraded=degraded)
+    bucket = reads.get(str(VIRTUAL_ROOT))
+    if bucket is None:  # not bootstrapped, or '#' is unreachable
+        return _blocked(reads, Range(0.0, 1.0), 1)
+    return _scan(reads, bucket, 1, want_min=True)
 
 
-def max_query(
-    dht: DHT, config: IndexConfig, degraded: bool = False
-) -> MinMaxResult:
+def max_query(reads: ReadPath) -> MinMaxResult:
     """Return the record with the largest key (1 DHT-lookup, Theorem 3)."""
-    bucket = _get(dht, ROOT, degraded)
+    bucket = reads.get(str(ROOT))
     lookups = 1
     if bucket is None:
         # Single-leaf tree: the only leaf #0 lives under f_n(#0) = '#'.
-        bucket = _get(dht, VIRTUAL_ROOT, degraded)
+        bucket = reads.get(str(VIRTUAL_ROOT))
         lookups += 1
         if bucket is None:
-            if degraded:
-                return _blocked(dht, Range(0.0, 1.0), lookups)
-            raise LookupError_("no leaf stored under '#': index not bootstrapped")
-    return _scan(dht, config, bucket, lookups, want_min=False, degraded=degraded)
+            return _blocked(reads, Range(0.0, 1.0), lookups)
+    return _scan(reads, bucket, lookups, want_min=False)
 
 
-def _get(dht: DHT, label: Label, degraded: bool) -> LeafBucket | None:
-    """One DHT get, absorbing typed substrate errors in degraded mode."""
-    try:
-        return dht.get(str(label))
-    except DHTError:
-        if not degraded:
-            raise
-        return None
-
-
-def _blocked(dht: DHT, unreachable: Range, lookups: int) -> MinMaxResult:
-    """Build the degraded 'walk cut off' result and count it in metrics."""
-    dht.metrics.record_degraded()
+def _blocked(reads: ReadPath, unreachable: Range, lookups: int) -> MinMaxResult:
+    """Build the 'walk cut off' result and count it in metrics."""
+    reads.dht.metrics.record_degraded()
     return MinMaxResult(
         None, lookups, complete=False, unreachable=(unreachable,)
     )
 
 
 def _scan(
-    dht: DHT,
-    config: IndexConfig,
-    bucket: LeafBucket,
-    lookups: int,
-    want_min: bool,
-    degraded: bool = False,
+    reads: ReadPath, bucket: LeafBucket, lookups: int, want_min: bool
 ) -> MinMaxResult:
     """Walk inward from an extreme bucket until a record is found."""
-    for _ in range(2 ** config.max_depth):  # hard bound: one step per leaf
+    for _ in range(2 ** reads.config.max_depth):  # hard bound: one step per leaf
         record = bucket.min_record() if want_min else bucket.max_record()
         if record is not None:
             return MinMaxResult(record, lookups)
@@ -100,24 +77,14 @@ def _scan(
         )
         if at_edge:
             return MinMaxResult(None, lookups)  # the index is entirely empty
-        beta = right_neighbor(label) if want_min else left_neighbor(label)
-        # The near-edge leaf of the neighboring tree is stored under β
-        # itself; if β is a leaf, repair via f_n(β) (cf. Alg. 3).
-        nxt = _get(dht, beta, degraded)
-        lookups += 1
+        nxt, used = fetch_adjacent(reads.get, label, rightwards=want_min)
+        lookups += used
         if nxt is None:
-            nxt = _get(dht, naming(beta), degraded)
-            lookups += 1
-            if nxt is None:
-                if degraded:
-                    # The walk is cut off at β: the true extremum lies
-                    # somewhere from β's near edge out to the extreme
-                    # edge already scanned empty.
-                    inv = beta.interval
-                    unreachable = (
-                        Range(inv.low, 1.0) if want_min else Range(0.0, inv.high)
-                    )
-                    return _blocked(dht, unreachable, lookups)
-                raise LookupError_(f"cannot reach neighboring tree {beta}")
+            # The walk is cut off past this leaf: the true extremum lies
+            # somewhere from its inner edge out to the far edge of the
+            # key space (everything before it was scanned empty).
+            inv = label.interval
+            gap = Range(inv.high, 1.0) if want_min else Range(0.0, inv.low)
+            return _blocked(reads, gap, lookups)
         bucket = nxt
     raise LookupError_("min/max scan did not terminate")

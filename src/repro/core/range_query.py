@@ -41,16 +41,16 @@ lookups, with ``batch_rounds`` counting the multi-get rounds actually
 issued.  (The degenerate single-leaf case is the one inherently
 sequential stretch: Alg. 2's binary search.)
 
-**Degraded mode** (``run(rng, degraded=True)``): under a faulty
-substrate the required gets above can fail even after repair.  The
-default behaviour is to raise (never to return silently partial data);
-in degraded mode the executor instead *records* each unreachable
-subtree's interval and keeps sweeping, returning a result with
-``complete=False`` and the unreachable ranges listed — the caller knows
-exactly which slices of the answer are missing.  Substrate-raised
+**Typed answers.**  Under a faulty substrate the required gets above
+can fail even after repair.  The executor never returns silently partial
+data and never raises for it: substrate-raised
 :class:`~repro.errors.DHTError` (routing failures, open circuit
-breakers) is absorbed per frontier key in degraded mode only
-(``multi_get(..., absorb_errors=True)``).
+breakers) is absorbed per frontier key (``multi_get(...,
+absorb_errors=True)``), a missed key is re-asked of the replica holders,
+and a subtree still unreachable has its interval *recorded* while the
+sweep goes on — ``complete=False`` plus the unreachable ranges tell the
+caller exactly which slices of the answer are missing.  (Raising instead
+is a view :meth:`LHTIndex.range_query` offers on top.)
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ from repro.core.bucket import LeafBucket, Record
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
 from repro.core.label import Label, ROOT
-from repro.core.lookup import lht_lookup
+from repro.core.lookup import ReadPath, lht_lookup
 from repro.core.naming import left_neighbor, naming, right_neighbor
-from repro.core.results import RangeQueryResult
+from repro.core.results import LookupResult, RangeQueryResult
 from repro.dht.base import DHT
-from repro.dht.replicated import replica_layer
 from repro.errors import DHTError, LookupError_
 
 __all__ = ["compute_lca", "RangeQueryExecutor"]
@@ -91,14 +90,9 @@ def compute_lca(rng: Range, max_depth: int) -> Label:
     return label
 
 
-@dataclass(slots=True)
-class _PendingGet:
-    """One DHT-get due at a given sequential step, with continuations."""
-
-    key: Label
-    step: int
-    on_value: Callable[[LeafBucket], None]
-    on_miss: Callable[[], None]
+#: One DHT-get due at some sequential step, with its continuations:
+#: (key, on_value, on_miss).
+_PendingGet = tuple[Label, Callable[[LeafBucket], None], Callable[[], None]]
 
 
 @dataclass(slots=True)
@@ -113,7 +107,6 @@ class _QueryState:
     batch_rounds: int = 0
     collect_calls: int = 0  # diagnostics: equals len(visited) iff the
     # range decomposition is truly disjoint (asserted in tests)
-    degraded: bool = False
     unreachable: list[Range] = field(default_factory=list)
     #: Frontier: step -> gets due at that step, in enqueue order.
     pending: dict[int, list[_PendingGet]] = field(default_factory=dict)
@@ -127,28 +120,25 @@ class _QueryState:
 class RangeQueryExecutor:
     """Executes LHT range queries over a DHT (Algs. 3-4)."""
 
-    def __init__(self, dht: DHT, config: IndexConfig) -> None:
+    def __init__(
+        self, dht: DHT, config: IndexConfig, reads: ReadPath | None = None
+    ) -> None:
         self._dht = dht
         self._config = config
-        # The stack's replication layer, if one offers failover; probed
-        # on degraded-mode misses before a subtree is declared
-        # unreachable.  Resolved once — the stack cannot change under a
-        # live executor.
-        self._replicas = replica_layer(dht)
+        self._reads = reads if reads is not None else ReadPath(dht, config)
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
 
-    def run(self, rng: Range, degraded: bool = False) -> RangeQueryResult:
+    def run(self, rng: Range) -> RangeQueryResult:
         """Answer the range query ``[rng.lo, rng.hi)``.
 
-        With ``degraded=True``, unreachable subtrees produce an
-        incomplete result (``complete=False`` plus their intervals)
-        instead of an exception; the answer is always a *correct subset*
-        with its gaps declared.
+        Unreachable subtrees produce an incomplete result
+        (``complete=False`` plus their intervals), never an exception;
+        the answer is always a *correct subset* with its gaps declared.
         """
-        state = _QueryState(degraded=degraded)
+        state = _QueryState()
         if not rng.is_empty:
             self._general_forward(rng, state)
             self._drain(state)
@@ -180,9 +170,7 @@ class RangeQueryExecutor:
         on_value: Callable[[LeafBucket], None],
         on_miss: Callable[[], None],
     ) -> None:
-        state.pending.setdefault(step, []).append(
-            _PendingGet(key, step, on_value, on_miss)
-        )
+        state.pending.setdefault(step, []).append((key, on_value, on_miss))
 
     def _drain(self, state: _QueryState) -> None:
         """Issue pending gets round by round until the frontier is empty.
@@ -198,34 +186,19 @@ class RangeQueryExecutor:
             state.batch_rounds += 1
             state.dht_lookups += len(batch)
             state.max_step = max(state.max_step, step)
-            values: list[Any] = self._dht.multi_get(
-                [str(task.key) for task in batch],
-                absorb_errors=state.degraded,
-            )
-            for task, value in zip(batch, values):
-                if value is None and state.degraded and self._replicas:
-                    # Degraded mode: before treating the miss as "node
-                    # absent" (which prunes the subtree or marks it
-                    # unreachable), ask the replica holders directly.
-                    # A structural miss — the name genuinely unstored —
-                    # probes and stays a miss; a dropped reply is
-                    # rescued and the sweep continues undegraded.
-                    value = self._replicas.failover_get(str(task.key))
-                    if value is not None:
-                        self._dht.metrics.record_replica_failover()
+            names = [str(key) for key, _, _ in batch]
+            values: list[Any] = self._dht.multi_get(names, absorb_errors=True)
+            for (_, on_value, on_miss), name, value in zip(batch, names, values):
+                if value is None:
+                    # Before treating the miss as "node absent" (which
+                    # prunes the subtree or marks it unreachable), ask
+                    # the replica holders directly.
+                    value = self._reads.rescue(name)
                 if value is None:
                     state.failed_lookups += 1
-                    task.on_miss()
+                    on_miss()
                 else:
-                    task.on_value(value)
-
-    def _unreachable_or_raise(
-        self, sub: Range, state: _QueryState, message: str
-    ) -> None:
-        if state.degraded:
-            state.mark_unreachable(sub)
-        else:
-            raise LookupError_(message)
+                    on_value(value)
 
     # ------------------------------------------------------------------
     # General case (Alg. 4)
@@ -258,54 +231,31 @@ class RangeQueryExecutor:
             (lca.left_child, Range(rng.lo, min(mid, rng.hi))),
             (lca.right_child, Range(max(mid, rng.lo), rng.hi)),
         ):
-            if sub.is_empty:
-                continue
-            self._enqueue(
-                state,
-                child,
-                2,
-                on_value=lambda b, sub=sub: self._simple_case(b, sub, 2, state),
-                on_miss=lambda child=child, sub=sub: self._enqueue(
-                    # The child is itself a leaf; its bucket lives under
-                    # f_n(child) and covers the whole sub-range.
-                    state,
-                    naming(child),
-                    3,
-                    on_value=lambda b, sub=sub: self._recover(b, sub, 3, state),
-                    on_miss=lambda child=child, sub=sub: self._unreachable_or_raise(
-                        sub, state, f"range {rng}: cannot reach child {child}"
-                    ),
-                ),
-            )
+            if not sub.is_empty:
+                self._probe_subtree(child, sub, 2, state)
 
     def _degenerate_lookup(self, rng: Range, state: _QueryState) -> None:
         """Case 1: no internal node ``f_n(LCA)`` — the whole range lies in
         one leaf at or above it.  Degenerate to an exact-match-style
         lookup of the lower bound (inherently sequential: Alg. 2)."""
+        key = float(rng.lo)
         try:
-            result = lht_lookup(self._dht, self._config, float(rng.lo))
+            result: LookupResult | None = lht_lookup(self._dht, self._config, key)
         except DHTError:
-            if state.degraded:
-                state.mark_unreachable(rng)
-                return
-            raise
+            result = None
+        if result is None or result.bucket is None:
+            result = self._reads.redrive(key, result)
         state.dht_lookups += result.dht_lookups
         state.max_step = max(state.max_step, 1 + result.dht_lookups)
         if result.bucket is None:
-            self._unreachable_or_raise(
-                rng, state, f"range {rng}: degenerate lookup failed"
-            )
+            state.mark_unreachable(rng)
             return
-        interval = result.bucket.label.interval
-        if interval.low <= rng.lo and rng.hi <= interval.high:
-            self._collect(result.bucket, rng, state)
-        else:
-            # The single-leaf premise is falsified by the leaf itself:
-            # the probe of f_n(LCA) must have been *dropped*, not
-            # absent.  The leaf still contains the lower bound, so
-            # recover via the simple case instead of silently
-            # returning one bucket's slice of the answer.
-            self._simple_case(result.bucket, rng, 1 + result.dht_lookups, state)
+        # If the leaf does not cover the range, the single-leaf premise
+        # is falsified by the leaf itself: the probe of f_n(LCA) must
+        # have been *dropped*, not absent.  The leaf still contains the
+        # lower bound, so the sweep goes on from it instead of silently
+        # returning one bucket's slice of the answer.
+        self._recover(result.bucket, rng, 1 + result.dht_lookups, state)
 
     # ------------------------------------------------------------------
     # Simple case (Alg. 3)
@@ -380,8 +330,8 @@ class RangeQueryExecutor:
                     on_value=lambda b, inv=inv, s=step + 1: self._simple_case(
                         b, inv.to_range(), s, state
                     ),
-                    on_miss=lambda beta=beta, inv=inv: self._unreachable_or_raise(
-                        inv.to_range(), state, f"no leaf named f_n({beta})"
+                    on_miss=lambda inv=inv: state.mark_unreachable(
+                        inv.to_range()
                     ),
                 )
                 boundary_hit = (
@@ -391,66 +341,60 @@ class RangeQueryExecutor:
                     return
             else:
                 # β_k: the final subtree, containing the far bound strictly
-                # inside.  Its near-edge leaf is stored under β itself —
-                # the one lookup per sweep that can fail (β may be a leaf);
-                # the repair via f_n(β) is sequential after the failure.
+                # inside — the one lookup per sweep that can fail.
                 sub = (
                     Range(inv.low, rng.hi)
                     if rightwards
                     else Range(rng.lo, inv.high)
                 )
-                self._enqueue(
-                    state,
-                    beta,
-                    step + 1,
-                    on_value=lambda b, sub=sub, s=step + 1: self._simple_case(
-                        b, sub, s, state
-                    ),
-                    on_miss=lambda beta=beta, sub=sub, s=step + 2: self._enqueue(
-                        state,
-                        naming(beta),
-                        s,
-                        on_value=lambda b, sub=sub, s=s: self._recover(
-                            b, sub, s, state
-                        ),
-                        on_miss=lambda beta=beta, sub=sub: self._unreachable_or_raise(
-                            sub, state, f"cannot reach subtree {beta}"
-                        ),
-                    ),
-                )
+                self._probe_subtree(beta, sub, step + 1, state)
                 return
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
+    def _probe_subtree(
+        self, beta: Label, sub: Range, step: int, state: _QueryState
+    ) -> None:
+        """Hand ``sub`` to subtree ``β``'s near-edge leaf, stored under
+        ``β`` itself.  If ``β`` is a leaf that get fails: its bucket
+        lives under ``f_n(β)`` — a repair sequential after the failure."""
+        self._enqueue(
+            state,
+            beta,
+            step,
+            on_value=lambda b: self._simple_case(b, sub, step, state),
+            on_miss=lambda: self._enqueue(
+                state,
+                naming(beta),
+                step + 1,
+                on_value=lambda b: self._recover(b, sub, step + 1, state),
+                on_miss=lambda: state.mark_unreachable(sub),
+            ),
+        )
+
     def _recover(
         self, repaired: LeafBucket, sub: Range, step: int, state: _QueryState
     ) -> None:
-        """Dispatch a subrange to a bucket fetched by an ``f_n`` repair.
+        """Dispatch a subrange to a bucket fetched by a repair.
 
         On a clean substrate the failed get that triggered the repair
         proves its label a leaf, so ``repaired`` covers ``sub`` entirely
-        and one collect finishes it.  Under dropped replies that proof is
-        unsound: the repair may have fetched just the *extreme leaf* of
-        an internal subtree.  The bucket's own label exposes the lie —
-        fall back to a full simple-case sweep when it still contains a
-        bound of ``sub``, and otherwise refuse to return silently partial
-        data (mark unreachable in degraded mode, raise outside it).
+        and the simple case ends at its collect.  Under dropped replies
+        that proof is unsound: the repair may have fetched just the
+        *extreme leaf* of an internal subtree.  The bucket's own label
+        exposes the lie — the simple-case sweep goes on when it still
+        contains a bound of ``sub``, and otherwise ``sub`` is marked
+        unreachable rather than answered in part.
         """
         interval = repaired.label.interval
-        if interval.low <= sub.lo and sub.hi <= interval.high:
-            self._collect(repaired, sub, state)
-        elif interval.low <= sub.lo < interval.high or (
+        if interval.low <= sub.lo < interval.high or (
             interval.low < sub.hi <= interval.high
         ):
             self._simple_case(repaired, sub, step, state)
-        elif state.degraded:
-            state.mark_unreachable(sub)
         else:
-            raise LookupError_(
-                f"repair for {sub} landed outside it (dropped get?)"
-            )
+            state.mark_unreachable(sub)
 
     @staticmethod
     def _collect(bucket: LeafBucket, rng: Range, state: _QueryState) -> None:

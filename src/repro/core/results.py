@@ -91,7 +91,7 @@ class ExactMatchResult:
 
     Unlike :meth:`~repro.core.index.LHTIndex.exact_match`, which raises
     on non-convergence, this result reports unreachability as data so
-    degraded callers can distinguish "not stored" from "could not tell".
+    callers can distinguish "not stored" from "could not tell".
     """
 
     status: MatchStatus
@@ -166,10 +166,10 @@ class RangeQueryResult:
         parallel_steps: Length of the longest sequential DHT-lookup chain
             (the §9.4 latency measure).
         buckets_visited: Distinct leaf buckets that contributed records.
-        complete: Whether every overlapping leaf was reached.  ``False``
-            only in degraded mode, where unreachable subtrees are
-            reported instead of raised; a ``True`` flag promises
-            ``records`` is the full answer.
+        complete: Whether every overlapping leaf was reached.  When
+            ``False``, the unreachable subtrees are reported below
+            (``LHTIndex.range_query`` raises instead unless asked for
+            ``degraded=True``); ``True`` promises the full answer.
         unreachable: Leaf intervals (as ranges, clipped to the query)
             whose records could not be fetched.  Empty iff ``complete``.
     """
@@ -203,10 +203,10 @@ class RangeQueryResult:
 class MinMaxResult:
     """Outcome of a min or max query (Theorem 3).
 
-    ``complete=False`` (degraded mode only) means the inward walk from
-    the extreme leaf was cut off by unreachable buckets: ``record`` may
-    be ``None`` even though the index holds records, and ``unreachable``
-    bounds where the true extremum could hide.
+    ``complete=False`` (raised by ``LHTIndex`` unless ``degraded=True``)
+    means the inward walk from the extreme leaf was cut off by
+    unreachable buckets: ``record`` may be ``None`` even though the index
+    holds records, and ``unreachable`` bounds where the extremum could hide.
     """
 
     record: Record | None

@@ -14,7 +14,7 @@ usual one-lookup repair when the branch node happens to be a leaf), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.bucket import LeafBucket, Record
 from repro.core.config import IndexConfig
@@ -24,29 +24,32 @@ from repro.core.naming import left_neighbor, naming, right_neighbor
 from repro.dht.base import DHT
 from repro.errors import LookupError_
 
-__all__ = ["scan_buckets", "scan_records", "knn_query", "KnnResult"]
+__all__ = ["fetch_adjacent", "scan_buckets", "scan_records", "knn_query", "KnnResult"]
 
 
-def _fetch_adjacent(
-    dht: DHT, label: Label, rightwards: bool
+def fetch_adjacent(
+    get: Callable[[str], LeafBucket | None], label: Label, rightwards: bool
 ) -> tuple[LeafBucket | None, int]:
-    """The leaf adjacent to ``label``; returns (bucket, lookups used).
+    """The leaf adjacent to ``label``; returns (bucket, gets used).
 
-    ``None`` when ``label`` touches the data-space edge in that direction.
+    ``label`` must not touch the data-space edge in that direction;
+    ``None`` when ``get`` answered neither probe.
     """
-    at_edge = label.on_rightmost_spine if rightwards else label.on_leftmost_spine
-    if at_edge:
-        return None, 0
-    beta = right_neighbor(label) if rightwards else left_neighbor(label)
     # The near-edge leaf of the neighboring tree is stored under β; if β
     # is itself a leaf, repair via f_n(β) (same pattern as Alg. 3).
-    bucket = dht.get(str(beta))
-    lookups = 1
+    beta = right_neighbor(label) if rightwards else left_neighbor(label)
+    bucket = get(str(beta))
+    if bucket is not None:
+        return bucket, 1
+    return get(str(naming(beta))), 2
+
+
+def _adjacent_or_raise(
+    dht: DHT, label: Label, rightwards: bool
+) -> tuple[LeafBucket, int]:
+    bucket, lookups = fetch_adjacent(dht.get, label, rightwards)
     if bucket is None:
-        bucket = dht.get(str(naming(beta)))
-        lookups += 1
-        if bucket is None:
-            raise LookupError_(f"cannot reach neighboring tree {beta}")
+        raise LookupError_(f"cannot reach the tree neighboring {label}")
     return bucket, lookups
 
 
@@ -61,10 +64,9 @@ def scan_buckets(dht: DHT, config: IndexConfig) -> Iterator[LeafBucket]:
         raise LookupError_("no leaf stored under '#': index not bootstrapped")
     while True:
         yield bucket
-        nxt, _ = _fetch_adjacent(dht, bucket.label, rightwards=True)
-        if nxt is None:
+        if bucket.label.on_rightmost_spine:
             return
-        bucket = nxt
+        bucket, _ = _adjacent_or_raise(dht, bucket.label, rightwards=True)
 
 
 def scan_records(dht: DHT, config: IndexConfig) -> Iterator[Record]:
@@ -119,10 +121,8 @@ def knn_query(dht: DHT, config: IndexConfig, key: float, k: int) -> KnnResult:
             break  # no unexplored leaf can beat the current k-th best
         go_left = left_gap <= right_gap
         frontier = left_label if go_left else right_label
-        bucket, used = _fetch_adjacent(dht, frontier, rightwards=not go_left)
+        bucket, used = _adjacent_or_raise(dht, frontier, rightwards=not go_left)
         lookups += used
-        if bucket is None:  # defensive; _open flags should prevent this
-            break
         candidates.extend(bucket.records)
         if go_left:
             left_label = bucket.label

@@ -75,6 +75,24 @@ def _make_serializing_local(n_peers: int, seed: int) -> DHT:
     return SerializingDHT(_make_local(n_peers, seed))
 
 
+def _make_deploy_local(n_peers: int, seed: int) -> DHT:
+    """Resilient(Replicated3(Faulty 2 %(Serializing(LocalDHT)))), the
+    ``bench/stacks.py`` deployment stack — the only arm with a replica
+    layer, so the read path's failover branch replays under the gate."""
+    from repro.dht.faulty import FaultyDHT
+    from repro.dht.replicated import ReplicatedDHT
+    from repro.resilience.wrapper import ResilientDHT
+
+    faulty = FaultyDHT(
+        _make_serializing_local(n_peers, seed),
+        get_drop_rate=0.02,
+        seed=derive_seed(seed, "faults"),
+    )
+    return ResilientDHT(
+        ReplicatedDHT(faulty, n_replicas=3), seed=derive_seed(seed, "retries")
+    )
+
+
 def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
     from repro.dht.registry import factories
 
@@ -82,11 +100,12 @@ def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
 
 
 #: Substrate name -> factory ``(n_peers, seed) -> DHT``: every substrate
-#: enrolled in ``repro.dht.registry``, plus three wrapper arms.
+#: enrolled in ``repro.dht.registry``, plus four wrapper arms.
 SUBSTRATES: dict[str, Callable[[int, int], DHT]] = {
     **_registry_factories(),
     "resilient-local": _make_resilient_local,
     "serializing-local": _make_serializing_local,
+    "deploy-local": _make_deploy_local,
     # The cache is index-level, not DHT-level: this arm runs the plain
     # local substrate with ``cache_enabled`` turned on in the IndexConfig
     # (see ``run_workload``), at a small capacity so eviction, split and

@@ -12,9 +12,10 @@ module holds everything the three front-ends share:
 * :class:`ServeConfig` — admission-control bounds (in-flight window +
   waiting queue) and the simulated-latency model;
 * :func:`execute_batch` — the heart of the layer: a maximal run of
-  concurrent point lookups is executed as *lock-stepped* Alg. 2 probe
-  plans (:func:`repro.core.lookup.lookup_plan`), each round's probe
-  names deduplicated into one :meth:`~repro.dht.base.DHT.multi_get`.
+  concurrent point lookups is executed as *lock-stepped* probe plans
+  (``index.lookup_plan``: Alg. 2, behind the leaf cache if any), each
+  round's probe names deduplicated into one
+  :meth:`~repro.dht.base.DHT.multi_get`.
   Because concurrent sessions share hot keys (and different keys share
   shallow name classes), the batched rounds issue strictly fewer routed
   gets than per-request sequential search — the saving the
@@ -24,11 +25,11 @@ module holds everything the three front-ends share:
   the simulated-clock advance, latency stamping and the executed order,
   once, behind all three front-ends.
 
-Served lookups run ``lookup_plan`` directly: they do not consult the
-:class:`~repro.cache.LeafCache` that ``IndexConfig.cache_enabled`` gives
-the index.  A request the index refuses (a typed
-:class:`~repro.errors.ReproError`, e.g. a key outside ``[0, 1)``) is
-answered ``Status.ERROR``; it never takes the dispatcher down.
+Served lookups finish as ``exact_match_checked`` does
+(``index.finish_lookup``: replica re-drive once, then PRESENT / ABSENT /
+UNREACHABLE); UNREACHABLE is ``Status.ERROR``, and so is a request the
+index refuses (a typed :class:`~repro.errors.ReproError`, e.g. a key
+outside ``[0, 1)``) — neither takes the dispatcher down.
 
 Mutations are never coalesced: a write acts as a barrier between read
 runs, so the service's execution order is a *serialization* — replaying
@@ -45,13 +46,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, cast
 
-from repro.core.bucket import Record
 from repro.core.index import LHTIndex
-from repro.core.lookup import lookup_plan
-from repro.core.results import LookupResult
-from repro.errors import ConfigurationError, OverloadError, ReproError
+from repro.core.results import LookupResult, MatchStatus
+from repro.errors import ConfigurationError, DHTError, OverloadError, ReproError
 from repro.sim.clock import Clock
 
 __all__ = [
@@ -186,16 +185,25 @@ def _failed(exc: ReproError) -> Response:
     return Response(Status.ERROR, error=f"{type(exc).__name__}: {exc}")
 
 
-def _finish_lookup(request: Request, result: LookupResult) -> Response:
-    if result.bucket is None:
-        # Alg. 2 failed to converge: inconsistent or unreachable index.
-        return Response(
-            Status.ERROR,
-            error=f"lookup of {request.key} failed to converge",
-            dht_lookups=result.dht_lookups,
+def _looked_up(
+    index: LHTIndex,
+    request: Request,
+    routed: LookupResult | None,
+    cause: DHTError | None = None,
+) -> Response:
+    """Map the index's typed finish of one plan to a response;
+    ``cause`` is the round failure that cut the plan short, if one did."""
+    result = index.finish_lookup(request.key, routed)
+    if result.status is not MatchStatus.UNREACHABLE:
+        response = Response(Status.OK, answer=result.record)
+    elif cause is not None:
+        response = _failed(cause)
+    else:
+        response = Response(
+            Status.ERROR, error=f"lookup of {request.key}: unreachable"
         )
-    record: Record | None = result.bucket.find(request.key)
-    return Response(Status.OK, answer=record, dht_lookups=result.dht_lookups)
+    response.dht_lookups = result.dht_lookups
+    return response
 
 
 def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
@@ -208,44 +216,41 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
     """
     dht = index.dht
     before = dht.metrics.dht_lookups
-    plans = []
     responses: list[Response | None] = [None] * len(requests)
-    for slot, request in enumerate(requests):
-        try:
-            plan = lookup_plan(index.config, request.key)
-            name = next(plan)
-        except StopIteration as stop:  # zero-probe degenerate plan
-            responses[slot] = _finish_lookup(request, stop.value)
-        except ReproError as exc:  # malformed request: nothing routed for it
-            responses[slot] = _failed(exc)
-        else:
-            plans.append((slot, plan, str(name)))
-
+    # (slot, plan, the name whose reply the plan awaits); a fresh plan
+    # awaits "", whose "reply" of ``None`` primes it.
+    plans = [
+        (slot, index.lookup_plan(request.key), "")
+        for slot, request in enumerate(requests)
+    ]
+    replies: dict[str, Any] = {"": None}
     rounds = 0
     saved = 0
-    while plans:
+    while True:
+        waiting = []
+        for slot, plan, name in plans:
+            try:
+                waiting.append((slot, plan, str(plan.send(replies[name]))))
+            except StopIteration as stop:
+                responses[slot] = _looked_up(index, requests[slot], stop.value)
+            except ReproError as exc:  # malformed request: nothing routed for it
+                responses[slot] = _failed(exc)
+        plans = waiting
+        if not plans:
+            break
         rounds += 1
         wanted = [name for _, _, name in plans]
         unique = list(dict.fromkeys(wanted))
         saved += len(wanted) - len(unique)
         try:
-            values = dht.multi_get(unique)
-        except ReproError as exc:
-            # The round failed as a unit; every in-flight lookup in this
-            # batch reports the typed error as data.
+            replies = dict(zip(unique, dht.multi_get(unique)))
+        except DHTError as exc:
+            # The round failed as a unit: every in-flight lookup is
+            # finished as a drive the substrate cut short (replica
+            # re-drive, else the typed error reported as data).
             for slot, _plan, _name in plans:
-                responses[slot] = _failed(exc)
+                responses[slot] = _looked_up(index, requests[slot], None, exc)
             break
-        by_name = dict(zip(unique, values))
-        survivors = []
-        for slot, plan, name in plans:
-            try:
-                next_name = plan.send(by_name[name])
-            except StopIteration as stop:
-                responses[slot] = _finish_lookup(requests[slot], stop.value)
-            else:
-                survivors.append((slot, plan, str(next_name)))
-        plans = survivors
 
     dht.metrics.record_batch(saved)
     return BatchResult(
@@ -268,8 +273,8 @@ def _execute_write(index: LHTIndex, request: Request) -> BatchResult:
             deleted = index.delete(request.key).deleted
             response = Response(Status.OK, answer=deleted)
         elif request.kind is RequestKind.RANGE:
-            hi = request.hi if request.hi is not None else request.key
-            result = index.range_query(request.key, hi)
+            # Request.__post_init__ rejects a range without an upper bound.
+            result = index.range_query(request.key, cast(float, request.hi))
             response = Response(Status.OK, answer=tuple(result.records))
         else:  # pragma: no cover - dispatch guarded by execute_batch
             raise ConfigurationError(f"unexpected kind {request.kind}")

@@ -293,3 +293,42 @@ class TestCacheConfig:
         assert first.bucket is not None and second.bucket is not None
         assert first.bucket.label == second.bucket.label
         assert second.dht_lookups == 1
+
+    def test_cached_lookup_is_what_a_cached_index_runs(self):
+        """Twin indexes, one probed through ``index.lookup`` and one
+        through ``cached_lookup`` on its cache: same results, same
+        counters, same cache — cold, hit and (after splits) stale."""
+        twins = []
+        for _ in range(2):
+            dht = _ErringDHT()
+            index = LHTIndex(
+                dht,
+                IndexConfig(theta_split=4, cache_enabled=True, cache_capacity=8),
+            )
+            # A second client splits leaves behind the cache's back.
+            twins.append((dht, index, LHTIndex(dht, IndexConfig(theta_split=4))))
+        (dht_a, via_index, _), (dht_b, direct, _) = twins
+        keys = [i / 32 for i in range(32)]
+        for round_keys in (keys[:6], keys[6:], keys[::3]):
+            for _, _, writer in twins:
+                for key in round_keys:
+                    writer.insert(key + 1 / 128)
+            for key in keys:
+                a = via_index.lookup(key)
+                b = cached_lookup(dht_b, direct.config, direct.cache, key)
+                assert (a.name, a.dht_lookups, a.probed) == (
+                    b.name, b.dht_lookups, b.probed,
+                )
+                assert a.bucket.label == b.bucket.label
+        spent = dht_a.metrics.snapshot()
+        assert spent == dht_b.metrics.snapshot()
+        assert spent.cache_hits and spent.cache_stale and spent.cache_misses
+        assert _labels(via_index.cache) == _labels(direct.cache)
+        # An errored probe aborts either spelling with the cache untouched.
+        entries = _labels(direct.cache)
+        dht_a.erring = dht_b.erring = True
+        with pytest.raises(DHTError):
+            via_index.lookup(keys[0])
+        with pytest.raises(DHTError):
+            cached_lookup(dht_b, direct.config, direct.cache, keys[0])
+        assert _labels(via_index.cache) == _labels(direct.cache) == entries

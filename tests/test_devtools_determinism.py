@@ -62,6 +62,16 @@ class TestSameSeedFixture:
             seed=3, substrate="serializing-local", n_ops=200
         ) == run_workload(seed=3, substrate="local", n_ops=200)
 
+    def test_deploy_local_stack_is_deterministic(self, assert_deterministic):
+        """The one arm with a replica layer: drops, retries and replica
+        rescues replay from the root seed, and — every operation having
+        succeeded — the stack ends holding exactly ``local``'s keys."""
+        assert_deterministic(seed=3, substrate="deploy-local", n_ops=200)
+        deployed = run_workload(seed=3, substrate="deploy-local", n_ops=200)
+        assert not any("error=" in line for line in deployed)
+        plain = run_workload(seed=3, substrate="local", n_ops=200)
+        assert deployed[-1] == plain[-1]
+
     def test_sanitized_run_is_deterministic(
         self, assert_deterministic, monkeypatch
     ):

@@ -29,7 +29,7 @@ import pytest
 from repro.core import IndexConfig, LHTIndex, MatchStatus
 from repro.dht import FaultyDHT
 from repro.dht.registry import make as make_substrate, names as substrate_names
-from repro.errors import ReproError
+from repro.errors import LookupError_, ReproError
 from repro.resilience import ResilientDHT
 
 SUBSTRATES = {
@@ -166,6 +166,52 @@ class TestFaultMatrix:
                 # inside a declared unreachable interval.
                 assert result.unreachable
                 assert any(r.contains(truth) for r in result.unreachable)
+
+
+class TestRaisingViewIsOnlyAView:
+    """``degraded=False`` runs the typed code and only changes what an
+    incomplete answer looks like to the caller."""
+
+    @staticmethod
+    def _queries(index, degraded):
+        for lo, hi in RANGES + ((0.4, 0.4001),):
+            yield lambda lo=lo, hi=hi: index.range_query(
+                lo, hi, degraded=degraded
+            )
+        yield lambda: index.min_query(degraded=degraded)
+        yield lambda: index.max_query(degraded=degraded)
+
+    @pytest.mark.parametrize("resilient", (False, True), ids=("raw", "resilient"))
+    @pytest.mark.parametrize("rate", (0.0,) + DROP_RATES)
+    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    def test_raises_iff_typed_answer_is_incomplete(
+        self, substrate, rate, resilient
+    ):
+        # Same seeds, same fault stream: the twins see the same drops
+        # (none at rate 0.0, the clean stack), so equal counters mean
+        # the two spellings issued exactly the same gets.
+        viewed, _ = _build(substrate, rate, resilient, cached=False)
+        typed, _ = _build(substrate, rate, resilient, cached=False)
+        outcomes = set()
+        for _ in range(3):
+            for raising, answer in zip(
+                self._queries(viewed, False), self._queries(typed, True)
+            ):
+                result = answer()
+                outcomes.add(result.complete)
+                if result.complete:
+                    assert raising() == result
+                    continue
+                with pytest.raises(LookupError_) as raised:
+                    raising()
+                assert result.unreachable
+                for gap in result.unreachable:
+                    assert str(gap) in str(raised.value)
+            assert viewed.dht.metrics.snapshot() == typed.dht.metrics.snapshot()
+        if rate == 0.0:
+            assert outcomes == {True}
+        elif rate == 0.5 and not resilient:
+            assert outcomes == {True, False}  # both arms of the iff ran
 
 
 class TestMutationFaults:

@@ -224,7 +224,7 @@ class TestDeterministicFailover:
     def test_degraded_range_query_completes_with_replicas(self):
         dht, index, keys = self._build(n_replicas=3)
         executor = RangeQueryExecutor(dht, index.config)
-        result = executor.run(Range(0.25, 0.75), degraded=True)
+        result = executor.run(Range(0.25, 0.75))
         assert result.complete
         assert list(result.keys) == [k for k in keys if 0.25 <= k < 0.75]
         assert dht.metrics.replica_failovers > 0
@@ -233,9 +233,41 @@ class TestDeterministicFailover:
         dht, index, _ = self._build(n_replicas=1)
         assert replica_layer(dht) is None  # k=1 offers no failover
         executor = RangeQueryExecutor(dht, index.config)
-        result = executor.run(Range(0.25, 0.75), degraded=True)
+        result = executor.run(Range(0.25, 0.75))
         assert not result.complete
         assert result.unreachable  # the gaps are declared
+
+    @staticmethod
+    def _build_lossy_on_top():
+        """The lossy layer *above* the replicas: ``ReplicatedDHT.get``
+        never sees the drop, so only the index's own read path can
+        reach the backup copies."""
+        dht = FaultyDHT(ReplicatedDHT(LocalDHT(N_PEERS, 0), 3), seed=7)
+        index = LHTIndex(dht, IndexConfig(theta_split=4, max_depth=20))
+        keys = [i / 64 for i in range(64)]
+        for key in keys:
+            index.insert(key)
+        dht.get_drop_rate = 1.0
+        return dht, index, keys
+
+    def test_min_max_rescued_with_replicas(self):
+        dht, index, keys = self._build_lossy_on_top()
+        assert index.exact_match_checked(keys[3]).status is MatchStatus.PRESENT
+        assert index.range_query(0.25, 0.75, degraded=True).complete
+        before = dht.metrics.replica_failovers
+        for degraded in (True, False):  # the view raises nothing either
+            low = index.min_query(degraded=degraded)
+            high = index.max_query(degraded=degraded)
+            assert low.complete and low.record.key == keys[0]
+            assert high.complete and high.record.key == keys[-1]
+        assert dht.metrics.replica_failovers >= before + 4
+
+    def test_single_leaf_range_rescued_with_replicas(self):
+        dht, index, keys = self._build_lossy_on_top()
+        for key in keys[:8]:
+            result = index.range_query(key, key + 1e-6, degraded=True)
+            assert result.complete
+            assert result.keys == [key]
 
 
 class TestKOneIdentity:

@@ -19,7 +19,10 @@ import pytest
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
+from repro.core.results import MatchStatus
+from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
+from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ConfigurationError, OverloadError, ReproError
 from repro.serve import (
     Arrival,
@@ -564,6 +567,80 @@ class TestMalformedRequests:
         clean, _ = build_index()
         serve_script(kind, clean, ServeConfig(), [[burst[0], burst[2]]])
         assert index.dht.metrics.gets == clean.dht.metrics.gets
+
+
+class TestServedLookupsRunTheIndexPath:
+    """A served lookup is the index's own plan and typed finish: its
+    leaf cache is consulted and its replicas rescue a dropped read."""
+
+    @pytest.mark.parametrize("kind", FRONTENDS)
+    def test_cached_index_serves_hits_with_equal_answers(self, kind):
+        def lookup(key):
+            return Request(RequestKind.LOOKUP, key)
+
+        runs = {}
+        for cached in (True, False):
+            dht = LocalDHT(n_peers=16, seed=SEED)
+            config = IndexConfig(
+                theta_split=4, max_depth=20, cache_enabled=cached
+            )
+            index = LHTIndex(dht, config)
+            keys = [i / 64 for i in range(64)]
+            for key in keys:
+                index.insert(key)
+            hot = keys[:8]
+            script = [
+                *(lookup(key) for key in hot),  # primes the cache
+                [lookup(key) for key in hot],
+                Request(RequestKind.INSERT, 0.0101, value="x"),  # splits
+                [lookup(key) for key in hot] + [lookup(0.0101)],
+            ]
+            before = dht.metrics.snapshot()
+            outcomes, order = serve_script(kind, index, ServeConfig(), script)
+            assert all(o.status is Status.OK for o in outcomes)
+            runs[cached] = (
+                [o.answer for o in outcomes],
+                order,
+                dht.metrics.since(before),
+            )
+        assert runs[True][:2] == runs[False][:2]
+        spent, plain = runs[True][2], runs[False][2]
+        assert plain.cache_hits == 0
+        assert spent.cache_hits >= 16  # both hot bursts hit
+        assert spent.gets < plain.gets
+
+    @pytest.mark.parametrize("kind", FRONTENDS)
+    def test_replicas_rescue_served_lookups(self, kind):
+        dht = FaultyDHT(ReplicatedDHT(LocalDHT(16, 0), 3), seed=7)
+        index = LHTIndex(dht, IndexConfig(theta_split=4, max_depth=20))
+        keys = [i / 64 for i in range(64)]
+        for key in keys:
+            index.insert(key)
+        dht.get_drop_rate = 1.0  # every routed get drops; probes answer
+        probes = keys[:4] + [0.0101]
+        direct = [index.exact_match_checked(key) for key in probes]
+        script = [[Request(RequestKind.LOOKUP, key) for key in probes]]
+        outcomes, _ = serve_script(kind, index, ServeConfig(), script)
+        assert [o.status for o in outcomes] == [Status.OK] * len(probes)
+        assert [o.answer for o in outcomes] == [r.record for r in direct]
+        assert [o.dht_lookups for o in outcomes] == [
+            r.dht_lookups for r in direct
+        ]
+
+    def test_unreachable_is_an_error_response(self):
+        dht = FaultyDHT(LocalDHT(16, 0), seed=7)
+        index = LHTIndex(dht, IndexConfig(theta_split=4, max_depth=20))
+        for i in range(64):
+            index.insert(i / 64)
+        dht.get_drop_rate = 1.0  # and no replica layer to ask
+        outcomes, _ = serve_script(
+            "engine", index, ServeConfig(), [Request(RequestKind.LOOKUP, 0.5)]
+        )
+        assert outcomes[0].status is Status.ERROR
+        assert "unreachable" in outcomes[0].error
+        assert (
+            index.exact_match_checked(0.5).status is MatchStatus.UNREACHABLE
+        )
 
 
 class BuggyDHT(LocalDHT):
