@@ -10,7 +10,7 @@ The package provides:
 * DHT substrates (:class:`repro.LocalDHT`, :class:`repro.ChordDHT`,
   :class:`repro.KademliaDHT`, :class:`repro.PastryDHT`) behind one
   put/get interface;
-* the PHT / DST / raw-DHT baselines (:mod:`repro.baselines`);
+* the PHT / raw-DHT baselines (:mod:`repro.baselines`);
 * the paper's linear cost model (:mod:`repro.costmodel`);
 * workload generators (:mod:`repro.workloads`) and the experiment harness
   (:mod:`repro.experiments`) regenerating every figure in §9;
@@ -28,7 +28,7 @@ Quickstart::
     print(index.range_query(0.4, 0.5).records)
 """
 
-from repro.baselines import DSTIndex, NaiveIndex, PHTIndex
+from repro.baselines import NaiveIndex, PHTIndex
 from repro.cache import LeafCache
 from repro.core import (
     ExactMatchResult,
@@ -62,7 +62,6 @@ from repro.resilience import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "DSTIndex",
     "NaiveIndex",
     "PHTIndex",
     "LeafCache",

@@ -17,8 +17,6 @@ import bisect
 import math
 from typing import Any
 
-import numpy as np
-
 from repro.core.bucket import Record
 from repro.core.interval import Range
 from repro.errors import ConfigurationError
@@ -96,16 +94,3 @@ class OrderPreservingIndex:
     def __len__(self) -> int:
         return self.record_count
 
-
-def demo_skew(n: int = 10_000, seed: int = 0) -> tuple[float, float]:
-    """Gini under uniform vs pareto data (used in docs/tests)."""
-    from repro.analysis.stats import gini_coefficient
-    from repro.workloads.datasets import make_keys
-
-    out = []
-    for distribution in ("uniform", "pareto"):
-        index = OrderPreservingIndex(n_peers=128)
-        for key in make_keys(distribution, n, np.random.default_rng(seed)):
-            index.insert(float(key))
-        out.append(gini_coefficient(list(index.peer_loads().values())))
-    return out[0], out[1]

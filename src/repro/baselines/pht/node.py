@@ -10,13 +10,15 @@ split must repair (the maintenance cost LHT eliminates).
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterator
+from typing import Any
 
-from repro.core.bucket import Record, record_columns, records_from_columns
-from repro.core.interval import Range
+from repro.core.bucket import (
+    Record,
+    RecordStore,
+    record_columns,
+    records_from_columns,
+)
 from repro.core.label import Label
-from repro.errors import KeyOutOfRangeError
 
 __all__ = ["PHTNode"]
 
@@ -47,10 +49,14 @@ def _node_from_wire(
     )
 
 
-class PHTNode:
-    """One PHT trie node: label, leaf flag, records, and leaf links."""
+class PHTNode(RecordStore):
+    """One PHT trie node: label, leaf flag, records, and leaf links.
 
-    __slots__ = ("label", "is_leaf", "_records", "prev_label", "next_label")
+    The record store (leaves only) is the one LHT buckets use — same
+    sorted list, same bisections, same ``θ_split`` slot accounting.
+    """
+
+    __slots__ = ("is_leaf", "prev_label", "next_label")
 
     def __init__(
         self,
@@ -60,56 +66,10 @@ class PHTNode:
         prev_label: Label | None = None,
         next_label: Label | None = None,
     ) -> None:
-        self.label = label
+        super().__init__(label, records)
         self.is_leaf = is_leaf
-        self._records: list[Record] = sorted(records) if records else []
         self.prev_label = prev_label
         self.next_label = next_label
-
-    # ------------------------------------------------------------------
-    # Record store (leaves only)
-    # ------------------------------------------------------------------
-
-    @property
-    def records(self) -> tuple[Record, ...]:
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
-
-    @property
-    def slot_count(self) -> int:
-        """Records plus one label slot — the same capacity accounting as
-        LHT buckets, for a like-for-like θ_split."""
-        return len(self._records) + 1
-
-    def is_full(self, theta_split: int) -> bool:
-        return self.slot_count >= theta_split
-
-    def add(self, record: Record) -> None:
-        if not self.label.contains(record.key):
-            raise KeyOutOfRangeError(
-                f"key {record.key} outside node {self.label}"
-            )
-        bisect.insort(self._records, record)
-
-    def remove(self, key: float) -> Record | None:
-        idx = bisect.bisect_left(self._records, Record(key))
-        if idx < len(self._records) and self._records[idx].key == key:
-            return self._records.pop(idx)
-        return None
-
-    def find(self, key: float) -> Record | None:
-        idx = bisect.bisect_left(self._records, Record(key))
-        if idx < len(self._records) and self._records[idx].key == key:
-            return self._records[idx]
-        return None
-
-    def records_in(self, rng: Range) -> list[Record]:
-        return [r for r in self._records if rng.contains(r.key)]
 
     def take_all(self) -> list[Record]:
         """Remove and return every record (used when a leaf splits)."""
@@ -125,11 +85,6 @@ class PHTNode:
             _bits(self.prev_label),
             _bits(self.next_label),
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PHTNode):
-            return NotImplemented
-        return self.__reduce__()[1] == other.__reduce__()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "leaf" if self.is_leaf else "internal"

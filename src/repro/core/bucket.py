@@ -24,7 +24,13 @@ from repro.core.interval import Range
 from repro.core.label import Label
 from repro.errors import KeyOutOfRangeError, WireFormatError
 
-__all__ = ["Record", "LeafBucket", "record_columns", "records_from_columns"]
+__all__ = [
+    "Record",
+    "RecordStore",
+    "LeafBucket",
+    "record_columns",
+    "records_from_columns",
+]
 
 #: Sort/bisect key for record stores.  Ordering by the raw float key is
 #: identical to the dataclass ``order=True`` comparison (which compares
@@ -69,39 +75,23 @@ def _bucket_from_wire(bits: str, keys: list[float], values: list[Any]) -> LeafBu
     return LeafBucket(Label(bits), records_from_columns(keys, values))
 
 
-class LeafBucket:
-    """A leaf bucket: leaf label + sorted record store (paper Fig. 3a).
+class RecordStore:
+    """A tree-node label plus a record store sorted by key: what an LHT
+    :class:`LeafBucket` and a PHT trie node both are.
 
-    The bucket is the atomic unit mapped onto the DHT.  Its label is the
-    peer's entire local view of the partition tree ("local tree
-    summarization", §3.3) — no other structural state is kept, which is
-    what makes LHT maintenance-free beyond splits and merges.
-
-    Buckets are mutable values: equal when label, keys and payloads are,
+    ``label`` is a plain attribute — splits and merges relabel a bucket
+    in place (Alg. 1).  Stores are mutable values: equal when their wire
+    tuples (label, keys, payloads, and whatever a subclass ships) are,
     and (``__eq__`` without ``__hash__``) unhashable.
     """
 
-    __slots__ = ("_label", "_records")
+    __slots__ = ("label", "_records")
 
     def __init__(self, label: Label, records: list[Record] | None = None) -> None:
-        self._label = label
+        self.label = label
         self._records: list[Record] = (
             sorted(records, key=RECORD_KEY) if records else []
         )
-
-    # ------------------------------------------------------------------
-    # Structure
-    # ------------------------------------------------------------------
-
-    @property
-    def label(self) -> Label:
-        """The leaf label ``λ``."""
-        return self._label
-
-    @label.setter
-    def label(self, new_label: Label) -> None:
-        """Relabel the bucket (used during splits/merges, Alg. 1)."""
-        self._label = new_label
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -125,24 +115,20 @@ class LeafBucket:
         return len(self._records) + 1
 
     def is_full(self, theta_split: int) -> bool:
-        """Whether the bucket has no free slot under threshold ``θ_split``."""
+        """Whether the store has no free slot under threshold ``θ_split``."""
         return self.slot_count >= theta_split
-
-    # ------------------------------------------------------------------
-    # Record operations
-    # ------------------------------------------------------------------
 
     def add(self, record: Record) -> None:
         """Insert a record, keeping the store sorted by key.
 
-        The record's key must fall in the leaf's interval; the index layer
+        The record's key must fall in the label's interval; the index layer
         guarantees this by construction, and violating it indicates a
         routing bug, so it raises.
         """
-        if not self._label.contains(record.key):
+        if not self.label.contains(record.key):
             raise KeyOutOfRangeError(
-                f"key {record.key} outside leaf {self._label} interval "
-                f"{self._label.interval}"
+                f"key {record.key} outside {self.label} interval "
+                f"{self.label.interval}"
             )
         bisect.insort(self._records, record, key=RECORD_KEY)
 
@@ -160,12 +146,6 @@ class LeafBucket:
             return self._records[idx]
         return None
 
-    def contains_key(self, key: float) -> bool:
-        """Whether the leaf's *interval* covers the key (paper's
-        "bucket contains δ" test in Alg. 2 — a geometric test, not a
-        membership test)."""
-        return self._label.contains(key)
-
     def records_in(self, rng: Range) -> list[Record]:
         """All records whose keys fall in the half-open query range.
 
@@ -177,6 +157,30 @@ class LeafBucket:
         lo = bisect.bisect_left(self._records, rng.lo, key=RECORD_KEY)
         hi = bisect.bisect_left(self._records, rng.hi, lo=lo, key=RECORD_KEY)
         return self._records[lo:hi]
+
+    def __eq__(self, other: object) -> bool:
+        # Record.__eq__ ignores payloads, so compare the wire tuples.
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+
+class LeafBucket(RecordStore):
+    """A leaf bucket: leaf label + sorted record store (paper Fig. 3a).
+
+    The bucket is the atomic unit mapped onto the DHT.  Its label is the
+    peer's entire local view of the partition tree ("local tree
+    summarization", §3.3) — no other structural state is kept, which is
+    what makes LHT maintenance-free beyond splits and merges.
+    """
+
+    __slots__ = ()
+
+    def contains_key(self, key: float) -> bool:
+        """Whether the leaf's *interval* covers the key (paper's
+        "bucket contains δ" test in Alg. 2 — a geometric test, not a
+        membership test)."""
+        return self.label.contains(key)
 
     def min_record(self) -> Record | None:
         """The record with the smallest key, or ``None`` if empty."""
@@ -204,13 +208,7 @@ class LeafBucket:
         """The wire form ``(label bits, keys, values)``: one str and two
         columns, so the C pickler never calls back into Python per record
         (docs/performance.md, "Wire format")."""
-        return _bucket_from_wire, (self._label.bits, *record_columns(self._records))
-
-    def __eq__(self, other: object) -> bool:
-        # Record.__eq__ ignores payloads, so compare the wire triples.
-        if not isinstance(other, LeafBucket):
-            return NotImplemented
-        return self.__reduce__()[1] == other.__reduce__()[1]
+        return _bucket_from_wire, (self.label.bits, *record_columns(self._records))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"LeafBucket({self._label}, n={len(self._records)})"
+        return f"LeafBucket({self.label}, n={len(self._records)})"

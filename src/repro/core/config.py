@@ -30,7 +30,7 @@ class IndexConfig:
             at construction when left as 0) to provide hysteresis against
             split/merge thrashing.
         sanitize: Run the runtime sanitizer
-            (:class:`repro.devtools.sanitizer.IndexSanitizer`) after every
+            (:class:`repro.core.stats.IndexSanitizer`) after every
             mutating index operation.  Also switched on globally by the
             ``LHT_SANITIZE=1`` environment variable.
         cache_enabled: Front lookups with a client-side

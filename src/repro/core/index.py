@@ -50,6 +50,7 @@ from repro.core.results import (
     SplitEvent,
 )
 from repro.core.scan import KnnResult, knn_query, scan_records
+from repro.core.stats import IndexSanitizer, sanitizer_enabled
 from repro.dht.base import DHT
 from repro.errors import DHTError, LookupError_
 
@@ -108,13 +109,11 @@ class LHTIndex:
         # Opt-in runtime sanitizer (LHT_SANITIZE=1 or config.sanitize):
         # re-validates Theorems 1-2 and the §3.2 structural properties
         # after every mutating operation.
-        self._sanitizer = None
-        # Imported lazily: repro.devtools imports repro.core for its
-        # determinism harness, so a module-level import would cycle.
-        from repro.devtools.sanitizer import IndexSanitizer, sanitizer_enabled
-
-        if self.config.sanitize or sanitizer_enabled():
-            self._sanitizer = IndexSanitizer(dht, self.config)
+        self.sanitizer: IndexSanitizer | None = (
+            IndexSanitizer(dht, self.config)
+            if self.config.sanitize or sanitizer_enabled()
+            else None
+        )
 
     # ------------------------------------------------------------------
     # Lookup and exact match (§5)
@@ -215,11 +214,10 @@ class LHTIndex:
         merges: tuple[MergeEvent, ...] = ()
         if self.config.merge_enabled:
             merges = tuple(self._maybe_merge(bucket))
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
+        if self.sanitizer is not None:
             for merge in merges:
-                sanitizer.check_merge(merge)
-            sanitizer.after_mutation("delete")
+                self.sanitizer.check_merge(merge)
+            self.sanitizer.after_mutation("delete")
         return DeleteResult(deleted=True, dht_lookups=lookups, merges=merges)
 
     def bulk_load(
@@ -281,9 +279,10 @@ class LHTIndex:
             # Cached labels self-validate, so stale entries would only
             # cost detours — but a bulk rebuild invalidates en masse.
             self.cache.clear()
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.after_mutation("bulk_load")
+        if self.sanitizer is not None:
+            # One mutation, many arrivals: the whole batch may legally
+            # land in one bucket.
+            self.sanitizer.after_mutation("bulk_load", plan.inserted)
         return plan.inserted
 
     # ------------------------------------------------------------------
@@ -357,11 +356,10 @@ class LHTIndex:
             target.add(record)
             self.dht.local_write(str(naming(bucket.label)), bucket)
         self.record_count += 1
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
+        if self.sanitizer is not None:
             if event is not None:
-                sanitizer.check_split(event)
-            sanitizer.after_mutation("insert")
+                self.sanitizer.check_split(event)
+            self.sanitizer.after_mutation("insert")
         return target.label, event
 
     def _split(self, bucket: LeafBucket) -> tuple[SplitEvent, LeafBucket]:

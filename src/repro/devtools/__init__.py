@@ -12,10 +12,13 @@ figure in EXPERIMENTS.md silently relies on.
   library code, kernel-owned storage and registry enrollment for
   substrates, kernel encapsulation, route and placement purity, DHT
   exception flow, and process-pool worker safety.
-* :mod:`repro.devtools.sanitizer` — an opt-in runtime sanitizer
-  (``LHT_SANITIZE=1``) that re-validates the LHT structural invariants
-  (Theorem 1 bijectivity, leaf-interval partition, bucket-size bounds,
-  Theorem 2 split behaviour) after every mutating index operation.
+* the runtime sanitizer (``LHT_SANITIZE=1``) — re-exported here, but it
+  lives in :mod:`repro.core.stats` next to the one structural check it
+  shares with ``IndexInspector.verify()`` (Theorem 1 bijectivity,
+  leaf-interval partition, record placement; plus bucket-size bounds
+  and Theorem 2 split behaviour after every mutating index operation).
+  The dependency arrow is one-way: ``devtools`` imports ``core``,
+  never the reverse.
 * :mod:`repro.devtools.determinism` — a same-seed trace-diff harness
   proving a workload replays bit-for-bit identically, exposed as a CLI
   subcommand and (via ``tests/conftest.py``) a pytest fixture.
@@ -27,8 +30,7 @@ from typing import Any
 
 # Submodules are exported lazily (PEP 562): ``python -m
 # repro.devtools.determinism`` must not re-import the module it is about
-# to run, and the sanitizer is imported from repro.core.index, which the
-# determinism harness imports in turn.
+# to run.
 _EXPORTS = {
     "DeterminismReport": "repro.devtools.determinism",
     "check_determinism": "repro.devtools.determinism",
@@ -39,8 +41,8 @@ _EXPORTS = {
     "lint_paths": "repro.devtools.lint",
     "lint_source": "repro.devtools.lint",
     "build_program": "repro.devtools.lint",
-    "IndexSanitizer": "repro.devtools.sanitizer",
-    "sanitizer_enabled": "repro.devtools.sanitizer",
+    "IndexSanitizer": "repro.core.stats",
+    "sanitizer_enabled": "repro.core.stats",
 }
 
 

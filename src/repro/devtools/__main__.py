@@ -59,7 +59,7 @@ def _run_sanitize(argv: Sequence[str]) -> int:
     except SanitizerError as exc:
         print(f"sanitizer FAILED: {exc}")
         return 1
-    sanitizer = index._sanitizer
+    sanitizer = index.sanitizer
     if sanitizer is None:  # unreachable: sanitize=True was just set
         print("sanitizer FAILED to activate")
         return 1

@@ -36,14 +36,16 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.results import MatchStatus
+from repro.dht.base import DHT
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
 from repro.dht.replicated import ReplicatedDHT
@@ -76,9 +78,6 @@ __all__ = [
     "measure_serve",
     "measure_scale",
     "measure_avail",
-    "measure_substrate_hops",
-    "measure_range_hops",
-    "measure_build_hops",
     "compare",
     "main",
 ]
@@ -196,86 +195,83 @@ def measure_lookup(seed: int = 1) -> dict:
     metrics["records_moved_per_insert"] = (
         spent.records_moved / _PARAMS["n_inserts"]
     )
-    metrics.update(measure_substrate_hops(seed))
+    metrics.update(_hops_per_lookup(partial(_put_get_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
-def measure_substrate_hops(seed: int = 1) -> dict[str, float]:
-    """Routed hops per operation, per substrate (kernel-charged).
+#: A per-substrate hop workload: the overlay it runs on, and the step
+#: whose routed traffic is measured (setup has already happened).
+_Measured = tuple[DHT, Callable[[], object]]
+
+
+def _hops_per_lookup(prepare: Callable[[str], _Measured]) -> dict[str, float]:
+    """Routed hops per DHT-lookup of one workload, on every registered
+    substrate (kernel-charged).
 
     The index-level gates above run over :class:`LocalDHT`'s synthetic
-    hop model; this measures the *physical* routing cost of every real
-    substrate on one fixed put+get workload, so a topology change that
+    hop model; this is the *physical* routing cost the same seeded
+    workload pays on each real overlay, so a topology change that
     silently lengthens routes fails the gate like any other count.
     """
-    n_ops = _PARAMS["hops_n_ops"]
     metrics: dict[str, float] = {}
     for name in sorted(SUBSTRATES):
-        dht = make_dht(
-            name, _PARAMS["hops_n_peers"], derive_seed(seed, "bench:hops")
-        )
+        dht, measured = prepare(name)
         before = dht.metrics.snapshot()
+        measured()
+        spent = dht.metrics.snapshot() - before
+        metrics[f"hops_per_op_{name}"] = spent.hops / spent.dht_lookups
+    return metrics
+
+
+def _put_get_workload(seed: int, name: str) -> _Measured:
+    """One fixed put+get workload on the bare substrate."""
+    dht = make_dht(name, _PARAMS["hops_n_peers"], derive_seed(seed, "bench:hops"))
+    n_ops = _PARAMS["hops_n_ops"]
+
+    def measured() -> None:
         for i in range(n_ops):
             dht.put(f"hop-key-{i}", i)
         for i in range(n_ops):
             dht.get(f"hop-key-{i}")
-        spent = dht.metrics.snapshot() - before
-        metrics[f"hops_per_op_{name}"] = spent.hops / (2 * n_ops)
-    return metrics
+
+    return dht, measured
 
 
-def _substrate_index(name: str, seed: int) -> LHTIndex:
-    """A small LHT index over one registered substrate (shared shape for
-    the per-substrate range/build hop gates)."""
+def _hops_index(seed: int, name: str) -> tuple[LHTIndex, list[float]]:
+    """An empty small LHT index over one substrate and the seeded keys
+    to load it with — the same shape and keys on every overlay, so
+    index-level get counts are substrate-invariant and only topology
+    moves the hop numbers."""
     dht = make_dht(
         name, _PARAMS["hops_index_n_peers"], derive_seed(seed, "bench:hops:index")
     )
     config = IndexConfig(
         theta_split=_PARAMS["hops_index_theta"], max_depth=_PARAMS["max_depth"]
     )
-    return LHTIndex(dht, config)
-
-
-def _index_keys(seed: int) -> list[float]:
     rng = np.random.default_rng(derive_seed(seed, "bench:hops:index-keys"))
-    return [float(k) for k in rng.random(_PARAMS["hops_index_n_keys"])]
+    keys = [float(k) for k in rng.random(_PARAMS["hops_index_n_keys"])]
+    return LHTIndex(dht, config), keys
 
 
-def measure_range_hops(seed: int = 1) -> dict[str, float]:
-    """Routed hops per DHT-lookup during range queries, per substrate.
+def _build_workload(seed: int, name: str) -> _Measured:
+    """The bulk build of the small index."""
+    index, keys = _hops_index(seed, name)
+    return index.dht, lambda: index.bulk_load(keys)
 
-    Every registered overlay serves the same seeded range workload over
-    the same index shape; the metric isolates the routing cost a range
-    query actually pays on that overlay (index-level get counts are
-    substrate-invariant, so only topology moves these numbers).
-    """
-    keys = _index_keys(seed)
-    metrics: dict[str, float] = {}
-    for name in sorted(SUBSTRATES):
-        index = _substrate_index(name, seed)
-        index.bulk_load(keys)
-        rng = np.random.default_rng(derive_seed(seed, "bench:hops:ranges"))
-        before = index.dht.metrics.snapshot()
+
+def _range_workload(seed: int, name: str) -> _Measured:
+    """Seeded range queries over the built small index."""
+    index, keys = _hops_index(seed, name)
+    index.bulk_load(keys)
+    rng = np.random.default_rng(derive_seed(seed, "bench:hops:ranges"))
+
+    def measured() -> None:
         for _ in range(_PARAMS["hops_index_n_ranges"]):
             lo = float(rng.uniform(0.0, 0.9))
             hi = float(min(1.0, lo + rng.uniform(0.01, 0.4)))
             index.range_query(lo, hi)
-        spent = index.dht.metrics.snapshot() - before
-        metrics[f"hops_per_op_{name}"] = spent.hops / spent.dht_lookups
-    return metrics
 
-
-def measure_build_hops(seed: int = 1) -> dict[str, float]:
-    """Routed hops per DHT-lookup during a fast bulk build, per substrate."""
-    keys = _index_keys(seed)
-    metrics: dict[str, float] = {}
-    for name in sorted(SUBSTRATES):
-        index = _substrate_index(name, seed)
-        before = index.dht.metrics.snapshot()
-        index.bulk_load(keys)
-        spent = index.dht.metrics.snapshot() - before
-        metrics[f"hops_per_op_{name}"] = spent.hops / spent.dht_lookups
-    return metrics
+    return index.dht, measured
 
 
 def measure_range(seed: int = 1) -> dict:
@@ -301,7 +297,7 @@ def measure_range(seed: int = 1) -> dict:
         "batch_rounds_per_query": totals["rounds"] / n,
         "lookup_slack_per_query": totals["slack"] / n,
     }
-    metrics.update(measure_range_hops(seed))
+    metrics.update(_hops_per_lookup(partial(_range_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
@@ -341,7 +337,7 @@ def measure_build(seed: int = 1) -> dict:
             )
     if info["fast_build_s"] > 0:
         info["speedup"] = info["incremental_build_s"] / info["fast_build_s"]
-    counts.update(measure_build_hops(seed))
+    counts.update(_hops_per_lookup(partial(_build_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": counts, "info": info}
 
 

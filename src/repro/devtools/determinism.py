@@ -31,8 +31,14 @@ from typing import Callable, Sequence
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.stats import IndexInspector
+from repro.dht import registry
 from repro.dht.base import DHT
+from repro.dht.faulty import FaultyDHT
+from repro.dht.local import LocalDHT
+from repro.dht.replicated import ReplicatedDHT
+from repro.dht.serializing import SerializingDHT
 from repro.errors import ConfigurationError, DeterminismError, ReproError
+from repro.resilience.wrapper import ResilientDHT
 from repro.sim.rng import RngStreams, derive_seed
 from repro.workloads.trace import OpType, generate_trace
 
@@ -45,20 +51,10 @@ __all__ = [
 ]
 
 
-def _make_local(n_peers: int, seed: int) -> DHT:
-    from repro.dht.local import LocalDHT
-
-    return LocalDHT(n_peers=n_peers, seed=seed)
-
-
 def _make_resilient_local(n_peers: int, seed: int) -> DHT:
     """ResilientDHT over a lossy LocalDHT: exercises the retry/breaker
     layer end-to-end — drops, backoff jitter, and degraded outcomes must
     all replay identically from the root seed."""
-    from repro.dht.faulty import FaultyDHT
-    from repro.dht.local import LocalDHT
-    from repro.resilience.wrapper import ResilientDHT
-
     faulty = FaultyDHT(
         LocalDHT(n_peers=n_peers, seed=seed),
         get_drop_rate=0.1,
@@ -70,19 +66,13 @@ def _make_resilient_local(n_peers: int, seed: int) -> DHT:
 def _make_serializing_local(n_peers: int, seed: int) -> DHT:
     """SerializingDHT over LocalDHT: the trace must equal ``local``'s —
     the index cannot tell a byte store from a reference store."""
-    from repro.dht.serializing import SerializingDHT
-
-    return SerializingDHT(_make_local(n_peers, seed))
+    return SerializingDHT(LocalDHT(n_peers=n_peers, seed=seed))
 
 
 def _make_deploy_local(n_peers: int, seed: int) -> DHT:
     """Resilient(Replicated3(Faulty 2 %(Serializing(LocalDHT)))), the
     ``bench/stacks.py`` deployment stack — the only arm with a replica
     layer, so the read path's failover branch replays under the gate."""
-    from repro.dht.faulty import FaultyDHT
-    from repro.dht.replicated import ReplicatedDHT
-    from repro.resilience.wrapper import ResilientDHT
-
     faulty = FaultyDHT(
         _make_serializing_local(n_peers, seed),
         get_drop_rate=0.02,
@@ -93,24 +83,19 @@ def _make_deploy_local(n_peers: int, seed: int) -> DHT:
     )
 
 
-def _registry_factories() -> dict[str, Callable[[int, int], DHT]]:
-    from repro.dht.registry import factories
-
-    return factories()
-
-
 #: Substrate name -> factory ``(n_peers, seed) -> DHT``: every substrate
 #: enrolled in ``repro.dht.registry``, plus four wrapper arms.
 SUBSTRATES: dict[str, Callable[[int, int], DHT]] = {
-    **_registry_factories(),
+    **registry.factories(),
     "resilient-local": _make_resilient_local,
     "serializing-local": _make_serializing_local,
     "deploy-local": _make_deploy_local,
-    # The cache is index-level, not DHT-level: this arm runs the plain
-    # local substrate with ``cache_enabled`` turned on in the IndexConfig
-    # (see ``run_workload``), at a small capacity so eviction, split and
-    # merge invalidation, and stale-entry fallbacks all replay.
-    "cached-local": _make_local,
+    # The cache is index-level, not DHT-level: this arm runs the
+    # registry's local substrate with ``cache_enabled`` turned on in the
+    # IndexConfig (see ``run_workload``), at a small capacity so
+    # eviction, split and merge invalidation, and stale-entry fallbacks
+    # all replay.
+    "cached-local": registry.spec("local").factory,
 }
 
 #: Substrates that enable the leaf cache on the *index* they drive.
@@ -131,7 +116,9 @@ def run_workload(
     everything observable about the run: the operation, its subject key,
     its DHT-lookup cost, the index's record/leaf counts afterwards, and
     any split or merge events.  A final line digests the end-state leaf
-    structure and key multiset through the oracle inspector.
+    structure and key multiset through the oracle inspector, which first
+    verifies it: a digest is only ever taken of a state that satisfies
+    the paper's invariants (:func:`repro.core.stats.check_structure`).
     """
     if substrate not in SUBSTRATES:
         raise ConfigurationError(
@@ -184,6 +171,7 @@ def run_workload(
         )
 
     inspector = IndexInspector(dht)
+    inspector.verify()
     stats = inspector.stats()
     keys_digest = hashlib.sha256(
         ",".join(repr(k) for k in inspector.all_keys()).encode()

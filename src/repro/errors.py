@@ -71,11 +71,13 @@ class SimulationError(ReproError):
 
 
 class SanitizerError(ReproError):
-    """The runtime sanitizer observed a violated structural invariant.
+    """The distributed state violates one of the paper's invariants.
 
-    Raised by :class:`repro.devtools.sanitizer.IndexSanitizer` when a
-    mutating index operation leaves the distributed state inconsistent
-    with the paper's Theorems 1-2 or the §3.2 structural properties.
+    Raised by the one structural check in :mod:`repro.core.stats` —
+    from :meth:`~repro.core.stats.IndexInspector.verify`, and from
+    :class:`~repro.core.stats.IndexSanitizer` when a mutating index
+    operation leaves the state inconsistent with the paper's Theorems
+    1-2 or the §3.2 structural properties.
     """
 
 

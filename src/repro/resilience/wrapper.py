@@ -10,8 +10,9 @@ wrappers:
 * **Retries** (:class:`~repro.resilience.policy.RetryPolicy`): a get
   that returns ``None`` is retried up to the attempt budget — a genuine
   miss stays a miss (every attempt agrees), while a dropped reply is
-  recovered with probability ``1 - p^k``.  Puts and removes retry on
-  :class:`~repro.errors.DHTError`.
+  recovered with probability ``1 - p^k``.  Every operation retries on
+  :class:`~repro.errors.DHTError` — except a nested wrapper's fast
+  rejection, which no operation retries.
 * **Per-operation timeout budgets**: cumulative (simulated) backoff per
   operation is capped, so one key cannot burn unbounded time.
 * **Circuit breaker** (:class:`~repro.resilience.breaker.CircuitBreaker`):
@@ -141,17 +142,24 @@ class ResilientDHT(DelegatingDHT):
             return None
         return delay
 
-    def _with_retries(self, operation: Callable[[], T]) -> T:
-        """Run a mutating operation, retrying on typed DHT errors.
+    def _with_retries(
+        self, operation: Callable[..., T], *args: Any, is_get: bool = False
+    ) -> T:
+        """Run ``operation(*args)`` — the one retry loop of all three ops.
 
-        Every failed attempt feeds the breaker; the terminal failure
-        re-raises the substrate's typed error.
+        A typed :class:`DHTError` feeds the breaker and is retried while
+        budget remains; the terminal failure re-raises it.  A fast
+        rejection (an inner breaker's :class:`CircuitOpenError`) is
+        never retried and never fed to this breaker.  The only per-op
+        difference: for a get, ``None`` is ambiguous — absent key or
+        dropped reply — so it is retried too, without consulting the
+        breaker (an absent key is a valid answer, not a failure).
         """
         retry = 0
         spent = 0.0
         while True:
             try:
-                result = operation()
+                result = operation(*args)
             except CircuitOpenError:
                 raise  # never retry a fast rejection
             except DHTError:
@@ -159,14 +167,24 @@ class ResilientDHT(DelegatingDHT):
                 delay = self._next_backoff(retry, spent)
                 if delay is None:
                     raise
-                self.retries += 1
-                self.metrics.record_retry()
-                self._tick(delay)
-                spent += delay
-                retry += 1
             else:
-                self.breaker.record_success()
-                return result
+                if result is not None or not is_get:
+                    if is_get and retry:
+                        # The earlier None was a dropped reply, proven by
+                        # this success — worth counting, but the breaker
+                        # sees a completed operation.
+                        self.confirmed_drops += 1
+                    self.breaker.record_success()
+                    return result
+                delay = self._next_backoff(retry, spent)
+                if delay is None:
+                    self.exhausted_gets += 1
+                    return result
+            self.retries += 1
+            self.metrics.record_retry()
+            self._tick(delay)
+            spent += delay
+            retry += 1
 
     # ------------------------------------------------------------------
     # DHT interface
@@ -174,46 +192,15 @@ class ResilientDHT(DelegatingDHT):
 
     def put(self, key: str, value: Any) -> None:
         self._gate(key)
-        self._with_retries(lambda: self.inner.put(key, value))
+        self._with_retries(self.inner.put, key, value)
 
     def get(self, key: str) -> Any | None:
         self._gate(key)
-        retry = 0
-        spent = 0.0
-        while True:
-            try:
-                value = self.inner.get(key)
-            except DHTError:
-                # Routing-level failure: same treatment as put/remove.
-                self._record_failure()
-                delay = self._next_backoff(retry, spent)
-                if delay is None:
-                    raise
-            else:
-                if value is not None:
-                    if retry:
-                        # The earlier None was a dropped reply, proven by
-                        # this success — worth counting, but the breaker
-                        # sees a completed operation.
-                        self.confirmed_drops += 1
-                    self.breaker.record_success()
-                    return value
-                # Ambiguous: absent key or dropped reply.  Retry while
-                # budget remains; the breaker is not consulted (an absent
-                # key is a valid answer, not a failure).
-                delay = self._next_backoff(retry, spent)
-                if delay is None:
-                    self.exhausted_gets += 1
-                    return None
-            self.retries += 1
-            self.metrics.record_retry()
-            self._tick(delay)
-            spent += delay
-            retry += 1
+        return self._with_retries(self.inner.get, key, is_get=True)
 
     def remove(self, key: str) -> Any | None:
         self._gate(key)
-        return self._with_retries(lambda: self.inner.remove(key))
+        return self._with_retries(self.inner.remove, key)
 
     # ``local_write`` involves no network (no retries, no breaker) and
     # introspection is oracle access — both delegate via DelegatingDHT.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.baselines.pht import PHTIndex
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
+from repro.core.stats import IndexInspector
 from repro.dht.local import LocalDHT
 from repro.experiments.common import SUBSTRATES
 
@@ -109,6 +110,7 @@ class TestSubstrateIndependence:
 
         slow.bulk_load(sorted(keys))
         assert _state(fast.dht) == _state(slow.dht)
+        IndexInspector(fast.dht).verify()
 
 
 class TestPHTEquivalence:

@@ -1,9 +1,9 @@
-"""Runtime-sanitizer tests: activation, healthy runs, corrupted trees.
+"""Runtime-sanitizer tests: activation, healthy runs, the bulk-load
+allowance, Theorem 2 event checks.
 
-Complements ``tests/test_inspector_corruption.py``: the inspector is the
-suite's always-on oracle verifier; the sanitizer is the opt-in hook that
-runs equivalent (and stronger — Theorem 2 split/merge) checks after every
-mutating index operation.
+What the sanitizer shares with ``IndexInspector.verify()`` — the one
+structural check in ``repro.core.stats`` — is tested, per corruption and
+per entry point, by the table in ``tests/test_inspector_corruption.py``.
 """
 
 from __future__ import annotations
@@ -11,14 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import IndexConfig, Label, LeafBucket, LHTIndex, Record
+from repro.core import IndexConfig, IndexInspector, Label, LHTIndex, Record
 from repro.core.results import MergeEvent, SplitEvent
+from repro.core.stats import sanitizer_mode
+from repro.devtools import IndexSanitizer, sanitizer_enabled
 from repro.dht import ChordDHT, LocalDHT
-from repro.devtools.sanitizer import (
-    IndexSanitizer,
-    sanitizer_enabled,
-    sanitizer_mode,
-)
 from repro.errors import SanitizerError
 
 
@@ -37,14 +34,14 @@ class TestActivation:
         assert sanitizer_enabled()
         assert sanitizer_mode() == "on"
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4))
-        assert index._sanitizer is not None
+        assert index.sanitizer is not None
 
     def test_env_var_full_mode(self, monkeypatch):
         monkeypatch.setenv("LHT_SANITIZE", "full")
         assert sanitizer_mode() == "full"
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4))
-        assert index._sanitizer is not None
-        assert index._sanitizer._full_sweeps
+        assert index.sanitizer is not None
+        assert index.sanitizer._full_sweeps
 
     def test_env_var_falsy_values_disable(self, monkeypatch):
         for value in ("0", "false", "off", ""):
@@ -52,23 +49,23 @@ class TestActivation:
             assert not sanitizer_enabled()
             assert sanitizer_mode() == "off"
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4))
-        assert index._sanitizer is None
+        assert index.sanitizer is None
 
     def test_config_flag_enables_without_env(self, monkeypatch):
         monkeypatch.delenv("LHT_SANITIZE", raising=False)
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4, sanitize=True))
-        assert index._sanitizer is not None
+        assert index.sanitizer is not None
 
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv("LHT_SANITIZE", raising=False)
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4))
-        assert index._sanitizer is None
+        assert index.sanitizer is None
 
 
 class TestHealthyRuns:
     def test_sanitized_insert_delete_workload(self):
         index, _, _ = _build(n=80)
-        sanitizer = index._sanitizer
+        sanitizer = index.sanitizer
         assert sanitizer is not None
         assert sanitizer.checks_run > 0
         assert sanitizer.splits_checked > 0
@@ -86,14 +83,14 @@ class TestHealthyRuns:
             index.insert(key)
         for key in keys:
             index.delete(key)
-        assert index._sanitizer.merges_checked > 0
+        assert index.sanitizer.merges_checked > 0
 
     def test_sanitized_chord_substrate(self):
         dht = ChordDHT(n_peers=12, seed=0)
         index = LHTIndex(dht, IndexConfig(theta_split=4, sanitize=True))
         for key in np.random.default_rng(2).random(50):
             index.insert(float(key))
-        assert index._sanitizer.checks_run > 0
+        assert index.sanitizer.checks_run > 0
 
     def test_skewed_overflow_is_not_a_false_positive(self):
         """A median split may shed nothing under skew; transient
@@ -104,71 +101,52 @@ class TestHealthyRuns:
         # consecutive median splits move zero records.
         for i in range(12):
             index.insert(0.300001 + i * 1e-9)
-        assert index._sanitizer.checks_run > 0
+        assert index.sanitizer.checks_run > 0
+
+
+class TestBulkLoadAllowance:
+    """One ``bulk_load`` is one mutation that may legally add many
+    records to one bucket: its allowance is the records it inserted."""
+
+    def test_duplicate_keys_fast_bulk_load_passes(self):
+        # Nine equal keys, θ=8: median splits shed nothing, so the
+        # sorted build leaves one over-capacity bucket — legal.
+        index = LHTIndex(
+            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=12, sanitize=True)
+        )
+        assert index.bulk_load([0.0] * 9, fast=True) == 9
+        assert index.sanitizer.checks_run == 1
+        assert max(len(b) for b in IndexInspector(index.dht).buckets().values()) == 9
+
+    def test_skewed_fast_bulk_load_passes(self):
+        # A tight cluster far above the depth cap: the sorted build's
+        # one-split-per-insert replay leaves over-capacity buckets.
+        index = LHTIndex(
+            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=40, sanitize=True)
+        )
+        keys = [0.300001 + i * 1e-9 for i in range(200)]
+        index.bulk_load(keys[:50], fast=True)
+        index.bulk_load(keys[50:], fast=True)  # layered, on a swept tree
+        assert index.sanitizer.checks_run == 2
 
 
 class TestCorruptionDetection:
-    def test_bucket_under_wrong_key(self):
-        _, dht, config = _build(sanitize=False)
-        bucket = next(
-            b for k in dht.keys() if isinstance(b := dht.peek(k), LeafBucket)
-        )
-        dht.put(str(Label.parse("#01110011")), bucket)
-        with pytest.raises(SanitizerError, match="Theorem 1"):
-            IndexSanitizer(dht, config).check()
-
-    def test_missing_leaf_breaks_partition(self):
-        _, dht, config = _build(sanitize=False)
-        key = next(
-            k for k in dht.keys()
-            if isinstance(b := dht.peek(k), LeafBucket) and b.label.depth > 1
-        )
-        dht.remove(key)
-        with pytest.raises(SanitizerError):
-            IndexSanitizer(dht, config).check()
-
-    def test_overstuffed_bucket(self):
-        _, dht, config = _build(sanitize=False)
-        bucket = next(
-            b for k in dht.keys() if isinstance(b := dht.peek(k), LeafBucket)
-        )
-        low, width = bucket.label.interval.low, bucket.label.interval.width
-        bucket.extend(
-            [Record(float(low + width * (i + 1) / 40)) for i in range(30)]
-        )
-        with pytest.raises(SanitizerError, match="over"):
-            IndexSanitizer(dht, config).check()
-
-    def test_relabelled_bucket(self):
-        _, dht, config = _build(sanitize=False)
-        bucket = next(
-            b for k in dht.keys()
-            if isinstance(b := dht.peek(k), LeafBucket) and b.label.depth > 2
-        )
-        bucket.label = bucket.label.sibling
-        with pytest.raises(SanitizerError):
-            IndexSanitizer(dht, config).check()
-
-    def test_unparsable_storage_key(self):
-        _, dht, config = _build(sanitize=False)
-        dht.put("not-a-label", LeafBucket(Label("01")))
-        with pytest.raises(SanitizerError, match="unparsable"):
-            IndexSanitizer(dht, config).check()
-
     def test_corruption_caught_on_next_mutation(self):
         """The wired-in hook: corrupt between operations, the next insert
-        trips the sweep.  Overstuffing keeps the routing structure intact
-        so the corruption surfaces as a SanitizerError, not a lost lookup.
+        trips the sweep — also right after a bulk load, whose batch
+        allowance is spent by the sweep that used it.  (Every other
+        corruption × entry point: tests/test_inspector_corruption.py.)
         """
-        index, dht, _ = _build(sanitize=True, n=40)
-        bucket = next(
-            b for k in dht.keys() if isinstance(b := dht.peek(k), LeafBucket)
+        index, dht, _ = _build(sanitize=True, n=0)
+        index.bulk_load(
+            [float(k) for k in np.random.default_rng(4).random(40)], fast=True
         )
+        bucket = next(iter(IndexInspector(dht).buckets().values()))
         low, width = bucket.label.interval.low, bucket.label.interval.width
         bucket.extend(
             [Record(float(low + width * (i + 1) / 40)) for i in range(30)]
         )
-        with pytest.raises(SanitizerError):
+        with pytest.raises(SanitizerError, match="more than 1 above"):
             for probe in np.random.default_rng(9).random(10):
                 index.insert(float(probe))
 
@@ -176,7 +154,7 @@ class TestCorruptionDetection:
 class TestTheorem2Checks:
     def test_valid_split_event_passes(self):
         index, dht, config = _build(sanitize=True, n=40)
-        sanitizer = index._sanitizer
+        sanitizer = index.sanitizer
         assert sanitizer.splits_checked > 0  # exercised by the build
 
     def test_split_event_with_swapped_children_rejected(self):

@@ -1,65 +1,14 @@
-"""Tests for the DST and raw-DHT baselines."""
+"""Tests for the raw-DHT baseline (the DST half left with the module)."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines import DSTIndex, NaiveIndex
+from repro.baselines import NaiveIndex
 from repro.dht import LocalDHT
-from repro.errors import ConfigurationError
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
-
-
-class TestDST:
-    def test_insert_replicates_to_all_ancestors(self):
-        dht = LocalDHT(8, 0)
-        dst = DSTIndex(dht, depth=6)
-        cost = dst.insert(0.3)
-        assert cost == 7  # root + 6 levels
-        assert dst.records_replicated == 7
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DSTIndex(LocalDHT(4, 0), depth=0)
-
-    @given(st.lists(unit_floats, min_size=1, max_size=150), unit_floats, unit_floats)
-    def test_range_matches_bruteforce(self, keys, a, b):
-        lo, hi = min(a, b), max(a, b)
-        dst = DSTIndex(LocalDHT(8, 0), depth=8)
-        for key in keys:
-            dst.insert(key)
-        result = dst.range_query(lo, hi)
-        assert result.keys == sorted(k for k in keys if lo <= k < hi)
-
-    def test_range_is_one_parallel_step(self):
-        dst = DSTIndex(LocalDHT(8, 0), depth=8)
-        rng = np.random.default_rng(0)
-        for key in rng.random(300):
-            dst.insert(float(key))
-        result = dst.range_query(0.1, 0.8)
-        assert result.parallel_steps == 1
-        # canonical cover of any range at depth L has at most 2L segments
-        assert result.dht_lookups <= 2 * 8
-
-    def test_insert_cost_vs_lht(self):
-        """The paper's §2 claim: DST insertion is maintenance-heavy."""
-        from repro.core import IndexConfig, LHTIndex
-
-        rng = np.random.default_rng(1)
-        keys = [float(k) for k in rng.random(500)]
-        dst = DSTIndex(LocalDHT(8, 0), depth=10)
-        lht = LHTIndex(LocalDHT(8, 0), IndexConfig(theta_split=10))
-        dst_cost = sum(dst.insert(k) for k in keys)
-        lht_cost = sum(lht.insert(k).dht_lookups for k in keys)
-        assert dst_cost > lht_cost
-
-    def test_empty_range(self):
-        dst = DSTIndex(LocalDHT(8, 0), depth=6)
-        assert dst.range_query(0.4, 0.4).records == ()
 
 
 class TestNaive:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import IndexConfig, LHTIndex, MatchStatus
+from repro.core import IndexConfig, IndexInspector, LHTIndex, MatchStatus
 from repro.dht import FaultyDHT
 from repro.dht.registry import make as make_substrate, names as substrate_names
 from repro.errors import LookupError_, ReproError
@@ -83,7 +83,10 @@ def _build(substrate: str, drop_rate: float, resilient: bool, cached: bool):
 def cell(request):
     substrate, rate, resilient, cached = request.param
     index, keys = _build(substrate, rate, resilient, cached)
-    return index, keys
+    yield index, keys
+    # Reads never write: whatever the lossy probes saw or raised, the
+    # stored state still satisfies every invariant of the paper.
+    IndexInspector(index.dht).verify()
 
 
 class TestFaultMatrix:
@@ -208,6 +211,8 @@ class TestRaisingViewIsOnlyAView:
                 for gap in result.unreachable:
                     assert str(gap) in str(raised.value)
             assert viewed.dht.metrics.snapshot() == typed.dht.metrics.snapshot()
+        IndexInspector(viewed.dht).verify()
+        IndexInspector(typed.dht).verify()
         if rate == 0.0:
             assert outcomes == {True}
         elif rate == 0.5 and not resilient:

@@ -1,14 +1,18 @@
-"""Package hygiene guards: docstrings, ``__all__`` consistency, exports.
+"""Package hygiene guards: docstrings, ``__all__`` consistency, exports,
+layering.
 
 Cheap meta-tests that keep the public surface honest as the codebase
-grows: every module documents itself, every ``__all__`` name exists, and
-the top-level package re-exports what the README promises.
+grows: every module documents itself, every ``__all__`` name exists, the
+top-level package re-exports what the README promises, and the library
+layers never import the tooling built on top of them.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,37 @@ def test_dunder_all_names_exist(name: str):
         return
     for symbol in exported:
         assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
+
+
+#: The library proper.  ``repro.devtools`` and ``repro.experiments`` are
+#: built *on* it; the dependency arrow points one way.
+LIBRARY_LAYERS = ("core", "dht", "cache", "resilience", "serve", "sim", "workloads")
+TOOLING = ("repro.devtools", "repro.experiments")
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an AST imports, function-level imports included."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("layer", LIBRARY_LAYERS)
+def test_library_layers_never_import_tooling(layer: str):
+    root = Path(repro.__file__).parent / layer
+    files = sorted(root.rglob("*.py"))
+    assert files, f"repro.{layer} has no modules"
+    for path in files:
+        for module in _imported_modules(ast.parse(path.read_text())):
+            assert not module.startswith(TOOLING), (
+                f"{path.relative_to(root.parent)} imports {module}: "
+                f"repro.{layer} must not depend on devtools/experiments"
+            )
 
 
 def test_top_level_exports():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.pht import PHTIndex, PHTNode
-from repro.core import IndexConfig, Label, ReferenceTree, ROOT
+from repro.core import IndexConfig, Label, LeafBucket, Range, Record, ReferenceTree, ROOT
 from repro.dht import LocalDHT
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -19,6 +19,28 @@ def _build(keys, theta=8, depth=20, seed=0):
     for key in keys:
         index.insert(key)
     return index, dht
+
+
+class TestNodeStore:
+    """A PHT node keeps its records in ``LeafBucket``'s store."""
+
+    @given(st.lists(unit_floats, max_size=60), unit_floats, unit_floats)
+    def test_same_answers_as_a_leaf_bucket(self, keys, a, b):
+        records = [Record(k, i) for i, k in enumerate(keys)]
+        node, bucket = PHTNode(ROOT, True, records), LeafBucket(ROOT, records)
+        assert node.records == bucket.records
+        assert node.slot_count == bucket.slot_count
+        rng = Range(min(a, b), max(a, b))
+        assert node.records_in(rng) == bucket.records_in(rng)
+        assert node.records_in(rng) == [r for r in node if rng.contains(r.key)]
+        for key in keys + [a]:
+            assert node.find(key) == bucket.find(key)
+            assert node.remove(key) == bucket.remove(key)
+
+    def test_out_of_range_probe_is_a_miss_not_an_error(self):
+        node = PHTNode(ROOT, True, [Record(0.5)])
+        assert node.find(1.5) is None and node.remove(-0.25) is None
+        assert len(node) == 1
 
 
 class TestStructure:

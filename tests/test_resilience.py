@@ -292,6 +292,34 @@ class TestResilientDHT:
 
         assert run() == run()
 
+    def test_nested_fast_rejection_is_never_retried_by_any_op(self):
+        """One retry loop: an inner wrapper's open breaker rejects fast,
+        and the outer wrapper passes that on at once — same for get,
+        put and remove — without retrying it or feeding its breaker."""
+        inner_breaker = CircuitBreaker(failure_threshold=1, reset_timeout=1e9)
+        once = RetryPolicy(max_attempts=1, timeout_budget=None)
+        inner, faulty = _stack(put_fail=1.0, policy=once, breaker=inner_breaker)
+        with pytest.raises(DHTError):
+            inner.put("trip", 0)
+        assert not inner.breaker.allows()
+        outer = ResilientDHT(inner, seed=1)
+        routed = faulty.failed_puts
+        for rejected, operation in enumerate(
+            (
+                lambda: outer.get("k"),
+                lambda: outer.put("k", 1),
+                lambda: outer.remove("k"),
+            ),
+            start=1,
+        ):
+            with pytest.raises(CircuitOpenError):
+                operation()
+            assert inner.rejections == rejected  # one attempt, no retry
+        assert outer.retries == 0 and outer.metrics.retries == 0
+        assert outer.breaker.consecutive_failures == 0
+        assert outer.breaker.state is BreakerState.CLOSED
+        assert faulty.failed_puts == routed  # nothing reached the substrate
+
     def test_oracle_access_is_never_shielded(self):
         dht, faulty = _stack(drop=1.0)
         dht.put("k", 7)

@@ -1,8 +1,9 @@
 """The LHT correctness battery over every substrate and wrapper stack.
 
-One parametrized suite, many backends: the four routed overlays, the
-fast local store, and composed wrapper stacks (serialization over
-replication over Chord, fault-free wrapper chains, access logging).
+One parametrized suite, many backends: every overlay enrolled in
+``repro.dht.registry``, and composed wrapper stacks (serialization over
+replication over Chord, fault-free wrapper chains, access logging, the
+lossy ``deploy-local`` deployment stack of the determinism gate).
 This is the breadth test for the paper's "adaptable to any DHT
 substrate" claim — and for the wrappers' claim of transparency.
 """
@@ -13,26 +14,20 @@ import numpy as np
 import pytest
 
 from repro.core import IndexConfig, IndexInspector, LHTIndex
+from repro.devtools.determinism import SUBSTRATES as GATE_STACKS
 from repro.dht import (
     AccessLoggingDHT,
-    CANDHT,
     ChordDHT,
     FaultyDHT,
-    KademliaDHT,
     LocalDHT,
-    PastryDHT,
     ReplicatedDHT,
     SerializingDHT,
-    TapestryDHT,
 )
+from repro.dht.registry import factories
 
 BACKENDS = {
-    "local": lambda: LocalDHT(16, 0),
-    "chord": lambda: ChordDHT(n_peers=16, seed=0),
-    "can": lambda: CANDHT(n_peers=16, seed=0),
-    "kademlia": lambda: KademliaDHT(n_peers=16, seed=0),
-    "pastry": lambda: PastryDHT(n_peers=16, seed=0),
-    "tapestry": lambda: TapestryDHT(n_peers=16, seed=0),
+    **{name: (lambda make=make: make(16, 0)) for name, make in factories().items()},
+    "deploy-local": lambda: GATE_STACKS["deploy-local"](16, 0),
     "serializing(local)": lambda: SerializingDHT(LocalDHT(16, 0)),
     "replicated(chord)": lambda: ReplicatedDHT(ChordDHT(n_peers=16, seed=0), 2),
     "faulty-0(local)": lambda: FaultyDHT(LocalDHT(16, 0), get_drop_rate=0.0),
