@@ -343,7 +343,7 @@ class PHTIndex:
             if not isinstance(fetched, PHTNode):
                 raise LookupError_(f"broken leaf link at {node.label}")
             node = fetched
-        records.sort()
+        # The walk runs left to right: the slices arrive in key order.
         return RangeQueryResult(
             records=tuple(records),
             dht_lookups=lookups,
@@ -379,9 +379,9 @@ class PHTIndex:
             records.extend(result.node.records_in(rng))
             state["visited"] += 1
         else:
+            # Left child before right: the slices arrive in key order.
             self._descend(node, rng, 1, state, records)
 
-        records.sort()
         return RangeQueryResult(
             records=tuple(records),
             dht_lookups=state["lookups"],

@@ -146,17 +146,22 @@ class RecordStore:
             return self._records[idx]
         return None
 
-    def records_in(self, rng: Range) -> list[Record]:
-        """All records whose keys fall in the half-open query range.
+    def _run(self, rng: Range) -> slice:
+        """Where the records of the half-open query range sit.
 
-        The store is sorted by key, so the range is one contiguous run:
-        two bisections against the exact Fraction endpoints (float-vs-
-        Fraction comparisons are exact) bound it without any per-record
-        containment test.
+        The store is sorted by key, so they are one contiguous run: two
+        bisections bound it without any per-record containment test.
+        Key-vs-endpoint comparisons are exact whatever the endpoint's
+        type, and C-level float comparisons for float endpoints.
         """
         lo = bisect.bisect_left(self._records, rng.lo, key=RECORD_KEY)
-        hi = bisect.bisect_left(self._records, rng.hi, lo=lo, key=RECORD_KEY)
-        return self._records[lo:hi]
+        return slice(
+            lo, bisect.bisect_left(self._records, rng.hi, lo=lo, key=RECORD_KEY)
+        )
+
+    def records_in(self, rng: Range) -> list[Record]:
+        """All records whose keys fall in the half-open query range."""
+        return self._records[self._run(rng)]
 
     def __eq__(self, other: object) -> bool:
         # Record.__eq__ ignores payloads, so compare the wire tuples.
@@ -192,11 +197,9 @@ class LeafBucket(RecordStore):
 
     def take_records_in(self, rng: Range) -> list[Record]:
         """Remove and return all records in the range (used by splits)."""
-        kept: list[Record] = []
-        taken: list[Record] = []
-        for record in self._records:
-            (taken if rng.contains(record.key) else kept).append(record)
-        self._records = kept
+        run = self._run(rng)
+        taken = self._records[run]
+        del self._records[run]
         return taken
 
     def extend(self, records: list[Record]) -> None:

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from repro.core.bucket import RECORD_KEY, LeafBucket, Record
 from repro.core.config import IndexConfig
+from repro.core.interval import DyadicInterval
 from repro.core.keys import key_bits
 from repro.core.label import Label
 from repro.core.naming import naming
@@ -147,17 +147,11 @@ def plan_bulk_load(
         store = leaves[bits]
         if len(store) + 1 >= theta and len(bits) < max_depth:
             # Midpoint split (Alg. 1): the right child's lower endpoint
-            # is the cut; the store is sorted, so one bisection splits it.
-            # A dyadic boundary with level <= 52 has numerator < 2**52,
-            # so the float quotient is exact and the bisection compares
-            # float-to-float; deeper trees fall back to exact Fractions.
+            # is the cut; the store is sorted, so one bisection splits it
+            # (float-to-float wherever a float equals the exact midpoint).
             child_level = cur_level + 1
             child_num = 2 * cur_num + 1
-            boundary: float | Fraction = (
-                child_num / (1 << child_level)
-                if child_level <= 52
-                else Fraction(child_num, 1 << child_level)
-            )
+            boundary = DyadicInterval(cur_num, cur_level).midpoint
             cut = bisect.bisect_left(store, boundary, key=RECORD_KEY)
             del leaves[bits]
             left, right = bits + "0", bits + "1"

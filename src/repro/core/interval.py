@@ -3,8 +3,12 @@
 Every node of the LHT space-partition tree covers a *dyadic* interval: one of
 the form ``[v / 2**k, (v + 1) / 2**k)``.  Representing intervals with the
 integer pair ``(v, k)`` keeps all tree geometry exact — no floating-point
-rounding can ever make two sibling intervals overlap or leave a gap — while
-float views remain available for workload generation and reporting.
+rounding can ever make two sibling intervals overlap or leave a gap.  A
+bound is handed out as the number that *equals* it: a float whenever one
+does (every ``k <= 52``), a :class:`~fractions.Fraction` otherwise — so
+comparing bounds with float keys and float query endpoints is exact and,
+short of a tree split past level 52, plain float arithmetic
+(docs/performance.md, "Range geometry without Fractions").
 
 The module also provides :class:`Range`, the half-open query range ``[lo, hi)``
 used by range queries, which is *not* restricted to dyadic endpoints.
@@ -18,6 +22,15 @@ from fractions import Fraction
 from repro.errors import LabelError
 
 __all__ = ["DyadicInterval", "Range", "UNIT_INTERVAL"]
+
+
+def _dyadic(numerator: int, level: int) -> float | Fraction:
+    """``numerator / 2**level`` exactly.  The division rounds correctly
+    and scaling back by ``2**level`` only shifts the exponent, so the
+    round trip tells whether the float *is* the bound."""
+    unit = 1 << level
+    value = numerator / unit
+    return value if value * unit == numerator else Fraction(numerator, unit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,14 +56,14 @@ class DyadicInterval:
             )
 
     @property
-    def low(self) -> Fraction:
+    def low(self) -> float | Fraction:
         """Exact inclusive lower endpoint."""
-        return Fraction(self.numerator, 1 << self.level)
+        return _dyadic(self.numerator, self.level)
 
     @property
-    def high(self) -> Fraction:
+    def high(self) -> float | Fraction:
         """Exact exclusive upper endpoint."""
-        return Fraction(self.numerator + 1, 1 << self.level)
+        return _dyadic(self.numerator + 1, self.level)
 
     @property
     def low_float(self) -> float:
@@ -87,9 +100,9 @@ class DyadicInterval:
         return DyadicInterval(self.numerator * 2 + 1, self.level + 1)
 
     @property
-    def midpoint(self) -> Fraction:
+    def midpoint(self) -> float | Fraction:
         """Exact midpoint — the median split point of this interval."""
-        return Fraction(self.numerator * 2 + 1, 1 << (self.level + 1))
+        return _dyadic(self.numerator * 2 + 1, self.level + 1)
 
     def encloses(self, other: "DyadicInterval") -> bool:
         """Return whether ``other`` is fully contained in this interval."""
@@ -122,24 +135,26 @@ UNIT_INTERVAL = DyadicInterval(0, 0)
 class Range:
     """A half-open query range ``[lo, hi)`` over the data space.
 
-    Endpoints are stored as exact :class:`~fractions.Fraction` values so range
-    decomposition during query forwarding never suffers rounding drift; the
-    constructor accepts floats and converts them.
+    Endpoints are kept as given — floats stay floats, Fractions stay
+    Fractions.  Query forwarding only ever *compares* them with keys and
+    with dyadic bounds (exact across all three types) or scales them by
+    a power of two (exact), so range decomposition cannot suffer
+    rounding drift, and on float endpoints it costs float arithmetic.
     """
 
-    lo: Fraction
-    hi: Fraction
+    lo: float | Fraction
+    hi: float | Fraction
 
     def __init__(self, lo: float | Fraction, hi: float | Fraction) -> None:
-        object.__setattr__(self, "lo", Fraction(lo))
-        object.__setattr__(self, "hi", Fraction(hi))
-        if not 0 <= self.lo <= self.hi <= 1:
-            raise LabelError(f"invalid query range [{float(self.lo)}, {float(self.hi)})")
+        if not 0 <= lo <= hi <= 1:  # false for NaN and infinities too
+            raise LabelError(f"invalid query range [{lo}, {hi})")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def span(self) -> Fraction:
         """Exact range width ``hi - lo``."""
-        return self.hi - self.lo
+        return Fraction(self.hi) - Fraction(self.lo)
 
     @property
     def is_empty(self) -> bool:
@@ -148,7 +163,6 @@ class Range:
 
     def contains(self, key: float) -> bool:
         """Return whether a data key falls inside ``[lo, hi)``."""
-        key = Fraction(key)
         return self.lo <= key < self.hi
 
     def intersect(self, interval: DyadicInterval) -> "Range":

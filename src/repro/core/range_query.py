@@ -55,13 +55,16 @@ is a view :meth:`LHTIndex.range_query` offers on top.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.core.bucket import LeafBucket, Record
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
-from repro.core.label import Label, ROOT
+from repro.core.label import Label
 from repro.core.lookup import ReadPath, lht_lookup
 from repro.core.naming import left_neighbor, naming, right_neighbor
 from repro.core.results import LookupResult, RangeQueryResult
@@ -75,19 +78,15 @@ def compute_lca(rng: Range, max_depth: int) -> Label:
     """The deepest tree label whose interval contains the whole range.
 
     This is the ``computeLCA`` of Alg. 4 line 1 — computed locally from
-    the range bounds alone, by descending from the root while one half
-    still contains the range (exact dyadic arithmetic, no probing).
+    the range bounds alone (no probing): the deepest level's first and
+    last cells the range touches share exactly the LCA's bits.  Scaling
+    an endpoint by a power of two is exact.
     """
-    label = ROOT
-    while label.depth < max_depth:
-        mid = label.interval.midpoint
-        if rng.hi <= mid:
-            label = label.left_child
-        elif rng.lo >= mid:
-            label = label.right_child
-        else:
-            break
-    return label
+    levels = max_depth - 1  # the leading 0 is the virtual-root edge
+    first = int(rng.lo * (1 << levels))
+    last = max(first, math.ceil(rng.hi * (1 << levels)) - 1)
+    shared = levels - (first ^ last).bit_length()
+    return Label(format(first >> (levels - shared), f"0{shared + 1}b"))
 
 
 #: One DHT-get due at some sequential step, with its continuations:
@@ -99,8 +98,10 @@ _PendingGet = tuple[Label, Callable[[LeafBucket], None], Callable[[], None]]
 class _QueryState:
     """Mutable accounting shared by one query execution."""
 
-    records: list[Record] = field(default_factory=list)
-    visited: set[Label] = field(default_factory=set)
+    #: Visited leaf -> its slice of the answer.  Leaves are disjoint and
+    #: each slice is sorted, so the slices in leaf order *are* the
+    #: sorted answer — no record is ever compared with another.
+    slices: dict[Label, list[Record]] = field(default_factory=dict)
     dht_lookups: int = 0
     failed_lookups: int = 0
     max_step: int = 0
@@ -142,16 +143,18 @@ class RangeQueryExecutor:
         if not rng.is_empty:
             self._general_forward(rng, state)
             self._drain(state)
-        state.records.sort()
+        # Bit strings of disjoint leaves sort left to right.
+        leaves = sorted(state.slices, key=attrgetter("bits"))
+        records = chain.from_iterable(state.slices[leaf] for leaf in leaves)
         unreachable = tuple(sorted(state.unreachable, key=lambda r: r.lo))
         if unreachable:
             self._dht.metrics.record_degraded()
         return RangeQueryResult(
-            records=tuple(state.records),
+            records=tuple(records),
             dht_lookups=state.dht_lookups,
             failed_lookups=state.failed_lookups,
             parallel_steps=state.max_step,
-            buckets_visited=len(state.visited),
+            buckets_visited=len(state.slices),
             collect_calls=state.collect_calls,
             complete=not unreachable,
             unreachable=unreachable,
@@ -273,11 +276,12 @@ class RangeQueryExecutor:
             return
         self._collect(bucket, rng, state)
         interval = bucket.label.interval
-        if interval.low <= rng.lo and rng.hi <= interval.high:
+        low, high = interval.low, interval.high
+        if low <= rng.lo and rng.hi <= high:
             return  # the bucket covers the whole (sub)range
-        if interval.low <= rng.lo:
+        if low <= rng.lo:
             self._sweep(bucket, rng, step, state, rightwards=True)
-        elif interval.low < rng.hi <= interval.high:
+        elif low < rng.hi <= high:
             self._sweep(bucket, rng, step, state, rightwards=False)
         else:
             raise LookupError_(
@@ -399,7 +403,5 @@ class RangeQueryExecutor:
     @staticmethod
     def _collect(bucket: LeafBucket, rng: Range, state: _QueryState) -> None:
         state.collect_calls += 1
-        if bucket.label in state.visited:
-            return
-        state.visited.add(bucket.label)
-        state.records.extend(bucket.records_in(rng))
+        if bucket.label not in state.slices:
+            state.slices[bucket.label] = bucket.records_in(rng)

@@ -110,7 +110,7 @@ def check_structure(buckets: dict[Label, LeafBucket]) -> None:
                 f"store spans [{min(keys)}, {max(keys)}]"
             )
 
-    cursor = Fraction(0)
+    cursor: float | Fraction = 0
     for leaf in sorted(leaves, key=lambda lab: lab.interval.low):
         low = leaf.interval.low
         if low != cursor:

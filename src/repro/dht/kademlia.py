@@ -39,6 +39,9 @@ class KademliaNode:
     id: int
     buckets: list[list[int]] = field(default_factory=list)
     store: dict[str, Any] = field(default_factory=dict)
+    #: Every contact plus the node itself — what FIND_NODE ranks.  The
+    #: overlay is static, so this is flattened once, at construction.
+    known: list[int] = field(default_factory=list)
 
     def contacts(self) -> list[int]:
         """All known contacts across buckets."""
@@ -96,6 +99,7 @@ class KademliaDHT(SubstrateBase):
                 idx = self._bucket_index(node.id, other)
                 if len(node.buckets[idx]) < self.k:
                     node.buckets[idx].append(other)
+            node.known = node.contacts() + [node.id]
 
     # ------------------------------------------------------------------
     # Iterative lookup
@@ -103,11 +107,9 @@ class KademliaDHT(SubstrateBase):
 
     def _node_closest_contacts(self, node_id: int, target: int) -> list[int]:
         """A node's answer to FIND_NODE: its k known contacts closest to
-        ``target`` (itself included, as real implementations do)."""
-        node = self._nodes[node_id]
-        candidates = node.contacts() + [node_id]
-        candidates.sort(key=lambda c: c ^ target)
-        return candidates[: self.k]
+        ``target`` (itself included, as real implementations do),
+        closest first."""
+        return sorted(self._nodes[node_id].known, key=target.__xor__)[: self.k]
 
     def iterative_find(self, start: int, target: int) -> tuple[int, int]:
         """Locate the globally XOR-closest node to ``target``.
@@ -115,12 +117,10 @@ class KademliaDHT(SubstrateBase):
         Returns ``(closest_node_id, messages_sent)``.
         """
         queried: set[int] = set()
-        shortlist = sorted(
-            self._node_closest_contacts(start, target), key=lambda c: c ^ target
-        )
+        shortlist = self._node_closest_contacts(start, target)
         messages = 0
         for _ in range(self.MAX_ROUNDS):
-            pending = [c for c in shortlist[: self.k] if c not in queried]
+            pending = [c for c in shortlist if c not in queried]
             if not pending:
                 break
             best_before = shortlist[0] ^ target
@@ -128,11 +128,13 @@ class KademliaDHT(SubstrateBase):
                 queried.add(contact)
                 messages += 1
                 learned = self._node_closest_contacts(contact, target)
+                # Only the k closest ever matter: an id that more ids
+                # push out of the top k never re-enters it.
                 shortlist = sorted(
-                    set(shortlist) | set(learned), key=lambda c: c ^ target
-                )
-            if shortlist[0] ^ target == best_before and all(
-                c in queried for c in shortlist[: self.k]
+                    set(shortlist).union(learned), key=target.__xor__
+                )[: self.k]
+            if shortlist[0] ^ target == best_before and queried.issuperset(
+                shortlist
             ):
                 break
         else:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import IndexConfig, LHTIndex
 from repro.core.bucket import LeafBucket, Record
 from repro.core.interval import Range
 from repro.core.label import Label, ROOT
+from repro.dht import LocalDHT
 from repro.errors import KeyOutOfRangeError
 
 
@@ -113,3 +118,54 @@ class TestLeafBucket:
         got = sorted(r.key for r in bucket.records_in(rng))
         expect = sorted(k for k in keys if 0.25 <= k < 0.75)
         assert got == expect
+
+
+unit_keys = st.floats(min_value=0.0, max_value=0.999)
+
+
+def _endpoints(keys):
+    """Bounds that sit on, and one float either side of, stored keys;
+    rationals no float equals; and the edges of the key space."""
+    pool = [0, 1, 0.5, Fraction(1, 3), Fraction(2, 3), Fraction(1, 2**60)]
+    for key in keys[:6]:
+        pool += [key, max(0.0, math.nextafter(key, -1.0)), math.nextafter(key, 2.0)]
+    return st.sampled_from(pool)
+
+
+class TestBisectedSlices:
+    """``records_in`` / ``take_records_in`` are two bisections and a
+    slice; the per-record rational test they replace is the oracle."""
+
+    @given(st.lists(unit_keys, max_size=40), st.data())
+    def test_slices_match_the_per_record_oracle(self, keys, data):
+        a, b = data.draw(_endpoints(keys)), data.draw(_endpoints(keys))
+        lo, hi = min(a, b), max(a, b)
+        records = [Record(key, i) for i, key in enumerate(keys)]
+        ordered = LeafBucket(ROOT, records).records  # stable: ties by arrival
+        inside = [r for r in ordered if lo <= Fraction(r.key) < hi]
+        outside = [r for r in ordered if not lo <= Fraction(r.key) < hi]
+
+        def payloads(rs):
+            return [(r.key, r.value) for r in rs]
+
+        bucket = LeafBucket(ROOT, records)
+        assert payloads(bucket.records_in(Range(lo, hi))) == payloads(inside)
+        assert payloads(bucket.take_records_in(Range(lo, hi))) == payloads(inside)
+        assert payloads(bucket.records) == payloads(outside)
+
+    @given(st.lists(unit_keys, min_size=3, max_size=3), unit_keys)
+    def test_split_moves_what_the_per_record_partition_would(self, keys, pending):
+        index = LHTIndex(LocalDHT(n_peers=8, seed=0), IndexConfig(theta_split=4))
+        for key in keys:
+            index.insert(key)
+        event = index.insert(pending).split  # the leaf #0 was full
+        children = {
+            label: index.dht.peek(str(name))
+            for label, name in ((event.local, "#"), (event.remote, "#0"))
+        }
+        for label, child in children.items():
+            assert child.label == label
+            mine = sorted(k for k in [*keys, pending] if label.contains(k))
+            assert [r.key for r in child.records] == mine
+        moved = [k for k in keys if event.remote.contains(k)]
+        assert event.records_moved == len(moved)

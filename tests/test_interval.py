@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,23 @@ class TestDyadicInterval:
         assert interval.contains(0.4999)
         assert not interval.contains(0.5)
         assert not interval.contains(0.2)
+
+    def test_bounds_are_exact_at_any_level(self):
+        """A bound is the float that equals it when there is one (always,
+        up to level 52), a Fraction otherwise — never a rounded float."""
+        shallow = DyadicInterval(3, 3)
+        assert (type(shallow.low), type(shallow.midpoint)) == (float, float)
+        edge = DyadicInterval((1 << 52) - 1, 52)
+        assert type(edge.low) is float
+        assert Fraction(edge.low) == Fraction((1 << 52) - 1, 1 << 52)
+        deep = DyadicInterval((1 << 59) - 1, 60)  # [1/2 - 2**-60, 1/2)
+        assert type(deep.low) is Fraction
+        assert deep.low == Fraction((1 << 59) - 1, 1 << 60)
+        assert type(deep.high) is float and deep.high == 0.5
+        assert deep.low < deep.midpoint < deep.high
+        assert not deep.overlaps(Range(0.5, 1.0))
+        assert deep.covered_by(Range(0.25, 0.5))
+        assert deep.to_range().lo == deep.low
 
     def test_halves(self):
         left = UNIT_INTERVAL.left_half()
@@ -100,6 +118,20 @@ class TestRange:
             Range(-0.1, 0.5)
         with pytest.raises(LabelError):
             Range(0.5, 1.5)
+
+    def test_non_finite_endpoints_are_label_errors(self):
+        # Not the ValueError / OverflowError of a Fraction conversion.
+        nan, inf = float("nan"), float("inf")
+        for lo, hi in ((nan, 0.5), (0.2, nan), (nan, nan), (0.2, inf), (-inf, 0.5)):
+            with pytest.raises(LabelError):
+                Range(lo, hi)
+
+    def test_endpoints_keep_their_type_and_value(self):
+        rng = Range(0.1, Fraction(1, 3))
+        assert type(rng.lo) is float and rng.hi == Fraction(1, 3)
+        assert rng.span == Fraction(1, 3) - Fraction(0.1)  # exact, not float
+        below = 1 / 3  # the float just under the rational
+        assert rng.contains(below) and not rng.contains(math.nextafter(below, 1.0))
 
     def test_empty(self):
         assert Range(0.3, 0.3).is_empty

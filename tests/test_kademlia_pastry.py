@@ -28,6 +28,59 @@ class TestKademlia:
             assert found == min(dht._nodes, key=lambda n: n ^ target)
             assert messages >= 1
 
+    def test_find_is_message_for_message_the_unoptimised_routine(self, monkeypatch):
+        """The flat contact list, C-level XOR sort key and k-truncated
+        shortlist change no FIND_NODE: same recipients in the same order,
+        same answers, same owner, for 2 000 names."""
+        dht = KademliaDHT(n_peers=128, seed=4)
+
+        def reference_answer(node_id, target):
+            node = dht._nodes[node_id]
+            candidates = node.contacts() + [node_id]
+            candidates.sort(key=lambda c: c ^ target)
+            return candidates[: dht.k]
+
+        def reference_find(start, target):
+            sent = []
+            queried = set()
+            shortlist = sorted(
+                reference_answer(start, target), key=lambda c: c ^ target
+            )
+            sent.append((start, tuple(shortlist)))
+            for _ in range(dht.MAX_ROUNDS):
+                pending = [c for c in shortlist[: dht.k] if c not in queried]
+                if not pending:
+                    break
+                best_before = shortlist[0] ^ target
+                for contact in pending[: dht.alpha]:
+                    queried.add(contact)
+                    learned = reference_answer(contact, target)
+                    sent.append((contact, tuple(learned)))
+                    shortlist = sorted(
+                        set(shortlist) | set(learned), key=lambda c: c ^ target
+                    )
+                if shortlist[0] ^ target == best_before and all(
+                    c in queried for c in shortlist[: dht.k]
+                ):
+                    break
+            return shortlist[0], max(len(sent) - 1, 1), sent
+
+        sent: list = []
+        answer = dht._node_closest_contacts
+
+        def recording(node_id, target):
+            learned = answer(node_id, target)
+            sent.append((node_id, tuple(learned)))
+            return learned
+
+        monkeypatch.setattr(dht, "_node_closest_contacts", recording)
+        for i in range(2000):
+            target = hash_key(f"name{i}", dht.id_bits)
+            start = dht.peer_of(f"from{i}")
+            del sent[:]
+            found, messages = dht.iterative_find(start, target)
+            assert (found, messages, sent) == reference_find(start, target)
+
     def test_put_get_remove(self):
         dht = KademliaDHT(n_peers=30, seed=0)
         dht.put("a", "x")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.core import (
     IndexConfig,
+    IndexInspector,
     Label,
     LHTIndex,
     Range,
+    Record,
     ROOT,
     compute_lca,
 )
@@ -72,6 +77,14 @@ class TestCorrectness:
         with pytest.raises(LabelError):
             index.range_query(0.6, 0.5)
 
+    def test_non_finite_bounds_are_label_errors(self):
+        """Typed like every other invalid range — not the ValueError /
+        OverflowError a Fraction conversion used to leak."""
+        index = _build([0.1])
+        for lo, hi in ((float("nan"), 0.5), (0.2, float("nan")), (0.2, float("inf"))):
+            with pytest.raises(LabelError):
+                index.range_query(lo, hi)
+
     def test_full_range_returns_everything(self):
         keys = [0.05, 0.15, 0.35, 0.55, 0.75, 0.95, 0.65, 0.25]
         index = _build(keys, theta=4)
@@ -121,6 +134,102 @@ class TestCorrectness:
         index = _build(squeezed, theta=4)
         result = index.range_query(0.4, 0.405)
         assert result.keys == sorted(k for k in squeezed if 0.4 <= k < 0.405)
+
+
+def _neighbours(x):
+    """``x`` and the floats on either side of it (of its rounding, for a
+    rational that is no float), kept inside ``[0, 1]``."""
+    f = float(x)
+    around = (x, math.nextafter(f, -1.0), f, math.nextafter(f, 2.0))
+    return [v for v in around if 0 <= v <= 1]
+
+
+class TestExactness:
+    """The float geometry answers exactly what Fraction arithmetic would."""
+
+    @staticmethod
+    def _check(index, keys, lo, hi):
+        result = index.range_query(lo, hi)
+        assert result.keys == sorted(k for k in keys if lo <= Fraction(k) < hi)
+        assert result.collect_calls == result.buckets_visited
+        if result.buckets_visited >= 2:
+            assert result.dht_lookups <= result.buckets_visited + 3
+
+    @given(
+        st.lists(unit_floats, min_size=1, max_size=120),
+        st.sampled_from([12, 40, 60]),
+        st.data(),
+    )
+    def test_adversarial_endpoints_match_the_rational_oracle(self, keys, depth, data):
+        index = _build(keys, theta=4, depth=depth)
+        pool = [0, 1, Fraction(1, 2**55)]
+        pool += [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)]
+        for key in keys[:8]:
+            pool += _neighbours(key)
+        for bucket in list(IndexInspector(index.dht).buckets().values())[:8]:
+            pool += _neighbours(bucket.label.interval.low)
+            pool += _neighbours(bucket.label.interval.high)
+        endpoints = st.sampled_from(pool)
+        for _ in range(12):
+            a, b = data.draw(endpoints), data.draw(endpoints)
+            self._check(index, keys, min(a, b), max(a, b))
+        same = data.draw(endpoints)
+        self._check(index, keys, same, same)
+        self._check(index, keys, data.draw(endpoints), 1)
+
+    def test_bounds_no_float_equals(self):
+        """Equal keys split a leaf down to ``max_depth = 60``, where a
+        bucket bound needs more than 53 bits: the bound stays exact (a
+        Fraction) and the sweep neither skips nor revisits a leaf."""
+        near = [math.nextafter(0.7, 0.0), math.nextafter(0.7, 1.0)]
+        keys = [0.7] * 70 + near + [0.1, 0.3, 0.69, 0.71]
+        index = _build(keys, theta=4, depth=60)
+        bounds = set()
+        for bucket in IndexInspector(index.dht).buckets().values():
+            bounds |= {bucket.label.interval.low, bucket.label.interval.high}
+        assert any(type(bound) is Fraction for bound in bounds)
+        pool = sorted(bounds | {0.7, Fraction(7, 10), Fraction(1, 3), *near})
+        for i, lo in enumerate(pool):
+            for hi in pool[i:]:
+                self._check(index, keys, lo, hi)
+
+
+class TestNoPerRecordWork:
+    """Counts that keep the range path's speed from rotting: no wall
+    clock, just "this is never called" (docs/performance.md, "Range
+    geometry without Fractions")."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count Fraction constructions and record-vs-record comparisons."""
+        calls = {"Fraction": 0, "Record.__lt__": 0}
+        new, less = Fraction.__new__, Record.__lt__
+
+        def counting_new(cls, *args, **kwargs):
+            calls["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_less(self, other):
+            calls["Record.__lt__"] += 1
+            return less(self, other)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        monkeypatch.setattr(Record, "__lt__", counting_less)
+        return calls
+
+    def test_float_range_builds_no_fraction_and_compares_no_records(self, calls):
+        index = LHTIndex(LocalDHT(n_peers=16, seed=0), IndexConfig())
+        rng = np.random.default_rng(4)
+        index.bulk_load([float(k) for k in rng.random(1 << 12)])
+        assert calls == {"Fraction": 0, "Record.__lt__": 0}  # bulk load too
+        result = index.range_query(0.3, 0.55)
+        assert result.buckets_visited >= 8 and len(result.records) > 900
+        assert calls == {"Fraction": 0, "Record.__lt__": 0}
+
+    def test_split_builds_no_fraction(self, calls):
+        index = _build([0.1, 0.2, 0.6], theta=4)  # one full leaf
+        assert index.insert(0.7).split is not None
+        assert calls == {"Fraction": 0, "Record.__lt__": 0}
 
 
 class TestCostAccounting:

@@ -551,6 +551,20 @@ class TestMalformedRequests:
         assert order == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("kind", FRONTENDS)
+    def test_non_finite_range_bound_is_an_error_response(self, kind):
+        index, keys = build_index()
+        script = [
+            Request(RequestKind.RANGE, float("nan"), hi=0.5),
+            Request(RequestKind.RANGE, 0.2, hi=float("inf")),
+            Request(RequestKind.RANGE, 0.6, hi=0.5),
+            Request(RequestKind.LOOKUP, keys[0]),
+        ]
+        outcomes, order = serve_script(kind, index, ServeConfig(), script)
+        assert [o.status for o in outcomes] == [Status.ERROR] * 3 + [Status.OK]
+        assert all("LabelError" in o.error for o in outcomes[:3])
+        assert order == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("kind", FRONTENDS)
     def test_bad_key_does_not_disturb_its_read_batch(self, kind):
         index, keys = build_index()
         burst = [
