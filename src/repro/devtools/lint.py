@@ -38,9 +38,9 @@ LHT008    Kernel encapsulation — the :class:`repro.dht.kernel.PeerStore`
           storage surface (``store_of``, ``find_holder``, ``all_keys``,
           ``loads``, private attributes) is touched only from the kernel
           module itself; the membership surface (``add_peer``,
-          ``remove_peer``, ``is_live``, ``sorted_ids``,
-          ``successor_of``) only from substrate modules inside
-          ``repro.dht``.
+          ``remove_peer``, ``move_keys``, ``adopt``, ``is_live``,
+          ``sorted_ids``, ``successor_of``) only from substrate modules
+          inside ``repro.dht``.
 LHT009    Route purity — substrate ``route``/``route_point``/``route_id``
           implementations (and every helper they reach) must not mutate
           peer stores, charge metrics, or call kernel storage methods:
@@ -190,7 +190,8 @@ PEERSTORE_STORAGE_SURFACE = frozenset(
 
 #: PeerStore membership methods substrates (repro.dht.*) may use.
 PEERSTORE_MEMBERSHIP_SURFACE = frozenset(
-    {"add_peer", "remove_peer", "is_live", "sorted_ids", "successor_of"}
+    {"add_peer", "remove_peer", "move_keys", "adopt", "is_live",
+     "sorted_ids", "successor_of"}
 )
 
 #: Kernel-owned storage methods a route path may never call on self.

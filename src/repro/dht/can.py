@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -108,12 +108,12 @@ class Zone:
 
 @dataclass(slots=True)
 class CANNode:
-    """One CAN peer: identifier, owned zone, neighbor set, key store."""
+    """One CAN peer: identifier, owned zone and neighbor set (its keys
+    live in the kernel's peer store)."""
 
     id: int
     zone: Zone
     neighbors: set[int] = field(default_factory=set)
-    store: dict[str, Any] = field(default_factory=dict)
     next_split_dim: int = 0
 
 
@@ -134,13 +134,10 @@ class CANDHT(SubstrateBase):
         dims: int = 2,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
+        super().__init__(n_peers, seed, metrics)
         if dims < 1:
             raise ConfigurationError(f"dims must be >= 1: {dims}")
         self.dims = dims
-        self._rng = np.random.default_rng(seed)
         self._next_id = 0
         self._nodes: dict[int, CANNode] = {}
         first = CANNode(
@@ -148,14 +145,13 @@ class CANDHT(SubstrateBase):
             zone=Zone((0.0,) * dims, (1.0,) * dims),
         )
         self._register(first)
-        self.keys_transferred = 0
         for _ in range(n_peers - 1):
             self.join()
 
     def _register(self, node: CANNode) -> None:
-        """Add a node to the topology and its store to the kernel."""
+        """Add a node to the topology and to the kernel's membership."""
         self._nodes[node.id] = node
-        self.peers.add_peer(node.id, node.store)
+        self.peers.add_peer(node.id)
 
     def _take_id(self) -> int:
         self._next_id += 1
@@ -206,12 +202,6 @@ class CANDHT(SubstrateBase):
             hops += 1
         raise RoutingError(f"CAN routing exceeded {self.MAX_ROUTE_HOPS} hops")
 
-    def _gateway(self) -> int:
-        if not self._nodes:
-            raise EmptyOverlayError("no live peers")
-        ids = self.peers.sorted_ids()
-        return ids[int(self._rng.integers(0, len(ids)))]
-
     def route(self, key: str) -> tuple[int, int]:
         owner, hops = self.route_point(self._gateway(), self.key_point(key))
         return owner, max(hops, 1)
@@ -256,14 +246,9 @@ class CANDHT(SubstrateBase):
         owner.next_split_dim = dim + 1
         self._register(joiner)
 
-        moved = [
-            key
-            for key in owner.store
-            if give.contains(self.key_point(key))
-        ]
-        for key in moved:
-            joiner.store[key] = owner.store.pop(key)
-        self.keys_transferred += len(moved)
+        self.keys_transferred += self.peers.move_keys(
+            owner.id, joiner.id, lambda key: give.contains(self.key_point(key))
+        )
         self._refresh_neighbors([owner.id, joiner.id])
         return joiner.id
 
@@ -286,10 +271,10 @@ class CANDHT(SubstrateBase):
             if merged is None:
                 continue
             other.zone = merged
-            other.store.update(node.store)
-            self.keys_transferred += len(node.store)
             del self._nodes[node_id]
-            self.peers.remove_peer(node_id)
+            self.keys_transferred += self.peers.adopt(
+                other.id, self.peers.remove_peer(node_id)
+            )
             # Refresh around the leaver's former neighbors too: they must
             # drop the dead edge and may gain the merged zone as a new
             # neighbor, but need not be anywhere near the buddy.

@@ -22,13 +22,14 @@ a full ring re-sort.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Any
 
-import numpy as np
-
-from repro.dht.hashing import hash_key, in_half_open_interval, in_open_interval
+from repro.dht.hashing import (
+    hash_key,
+    in_half_open_interval,
+    in_open_interval,
+    successor_in,
+)
 from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, EmptyOverlayError, RoutingError
@@ -38,13 +39,13 @@ __all__ = ["ChordDHT", "ChordNode"]
 
 @dataclass(slots=True)
 class ChordNode:
-    """One Chord peer: identifier, pointers, finger table, and key store."""
+    """One Chord peer: identifier, pointers and finger table (its keys
+    live in the kernel's peer store)."""
 
     id: int
     successors: list[int] = field(default_factory=list)
     predecessor: int | None = None
     fingers: list[int | None] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
     _next_finger: int = 0
 
     @property
@@ -79,18 +80,14 @@ class ChordDHT(SubstrateBase):
         successor_list_len: int = 4,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
+        super().__init__(n_peers, seed, metrics)
         if not 8 <= id_bits <= 160:
             raise ConfigurationError(f"id_bits must be in [8, 160]: {id_bits}")
         self.id_bits = id_bits
         self.space = 1 << id_bits
         self.successor_list_len = successor_list_len
-        self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, ChordNode] = {}
-        self.keys_transferred = 0
-        for node_id in self._draw_ids(n_peers):
+        for node_id in self._draw_ids(n_peers, id_bits):
             self._register(ChordNode(id=node_id))
         self.build_ring()
 
@@ -99,23 +96,9 @@ class ChordDHT(SubstrateBase):
     # ------------------------------------------------------------------
 
     def _register(self, node: ChordNode) -> None:
-        """Add a node to the topology and its store to the kernel."""
+        """Add a node to the topology and to the kernel's membership."""
         self._nodes[node.id] = node
-        self.peers.add_peer(node.id, node.store)
-
-    def _unregister(self, node_id: int) -> None:
-        del self._nodes[node_id]
-        self.peers.remove_peer(node_id)
-
-    def _draw_ids(self, count: int) -> list[int]:
-        ids: set[int] = set(self._nodes)
-        fresh: list[int] = []
-        while len(fresh) < count:
-            candidate = int(self._rng.integers(0, self.space))
-            if candidate not in ids:
-                ids.add(candidate)
-                fresh.append(candidate)
-        return fresh
+        self.peers.add_peer(node.id)
 
     def build_ring(self) -> None:
         """(Re)compute exact successors, predecessors and fingers globally.
@@ -133,14 +116,9 @@ class ChordDHT(SubstrateBase):
             ]
             node.predecessor = ordered[(idx - 1) % n]
             node.fingers = [
-                self._exact_successor(ordered, (node_id + (1 << i)) % self.space)
+                successor_in(ordered, (node_id + (1 << i)) % self.space)
                 for i in range(self.id_bits)
             ]
-
-    @staticmethod
-    def _exact_successor(ordered: list[int], target: int) -> int:
-        idx = bisect.bisect_left(ordered, target)
-        return ordered[idx % len(ordered)]
 
     # ------------------------------------------------------------------
     # Routing
@@ -192,13 +170,6 @@ class ChordDHT(SubstrateBase):
             current = succ if nxt == current else nxt
         raise RoutingError(f"routing to {key_id} exceeded {self.MAX_ROUTE_HOPS} hops")
 
-    def _gateway(self) -> int:
-        """A random live node to originate a routed operation from."""
-        if not self._nodes:
-            raise EmptyOverlayError("no live peers")
-        ids = self.peers.sorted_ids()
-        return ids[int(self._rng.integers(0, len(ids)))]
-
     def route(self, key: str) -> tuple[int, int]:
         kid = hash_key(key, self.id_bits)
         return self.find_successor(self._gateway(), kid)
@@ -216,10 +187,7 @@ class ChordDHT(SubstrateBase):
         The joiner routes to its successor, splices in, and takes over the
         keys it is now responsible for.
         """
-        if node_id is None:
-            node_id = self._draw_ids(1)[0]
-        if node_id in self._nodes:
-            raise ConfigurationError(f"node id already present: {node_id}")
+        node_id = self._joiner_id(node_id, self.id_bits)
         succ_id, _ = self.find_successor(self._gateway(), node_id)
         succ = self._nodes[succ_id]
         node = ChordNode(id=node_id)
@@ -229,16 +197,13 @@ class ChordDHT(SubstrateBase):
 
         # Take over keys in (predecessor(succ), node_id].
         pred = succ.predecessor if self._alive(succ.predecessor) else succ_id
-        moved = [
-            k
-            for k in succ.store
-            if in_half_open_interval(
+        self.keys_transferred += self.peers.move_keys(
+            succ_id,
+            node_id,
+            lambda k: in_half_open_interval(
                 hash_key(k, self.id_bits), pred, node_id, self.space
-            )
-        ]
-        for k in moved:
-            node.store[k] = succ.store.pop(k)
-        self.keys_transferred += len(moved)
+            ),
+        )
 
         # Splice pointers immediately (stabilization would also converge).
         node.predecessor = pred if pred != succ_id else succ.predecessor
@@ -257,14 +222,16 @@ class ChordDHT(SubstrateBase):
             return
         if len(self._nodes) == 1:
             raise EmptyOverlayError("cannot remove the last peer")
+        # Unregister first: the successor search must skip the leaver.  A
+        # crash stops there: its keys are lost until re-published.
+        del self._nodes[node_id]
+        orphaned = self.peers.remove_peer(node_id)
         if graceful:
-            self._unregister(node_id)  # successor search must skip the leaver
             succ_id = next((s for s in node.successors if self._alive(s)), None)
             if succ_id is None:
                 succ_id = self.peers.successor_of(node_id)
             succ = self._nodes[succ_id]
-            succ.store.update(node.store)
-            self.keys_transferred += len(node.store)
+            self.keys_transferred += self.peers.adopt(succ_id, orphaned)
             if self._alive(node.predecessor):
                 pred = self._nodes[node.predecessor]  # type: ignore[index]
                 pred.successors = [s for s in pred.successors if s != node_id]
@@ -273,9 +240,6 @@ class ChordDHT(SubstrateBase):
                 ]
             if succ.predecessor == node_id:
                 succ.predecessor = node.predecessor
-        else:
-            # Crash: keys stored there are lost until re-published.
-            self._unregister(node_id)
 
     def fail(self, node_id: int) -> None:
         """Crash a node without key handoff (shorthand for ungraceful leave)."""

@@ -7,14 +7,17 @@ implement modular ring arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from functools import lru_cache
+from typing import Sequence
 
 __all__ = [
     "ID_BITS",
     "ID_SPACE",
     "hash_key",
     "ring_distance",
+    "successor_in",
     "in_open_interval",
     "in_half_open_interval",
 ]
@@ -48,6 +51,12 @@ def hash_key(key: str, bits: int = ID_BITS) -> int:
 def ring_distance(a: int, b: int, space: int = ID_SPACE) -> int:
     """Clockwise distance from ``a`` to ``b`` on the ring."""
     return (b - a) % space
+
+
+def successor_in(ordered: Sequence[int], point: int) -> int:
+    """The ring successor of ``point`` among the sorted, non-empty
+    ``ordered``: the first id ``>= point``, wrapping to the smallest."""
+    return ordered[bisect.bisect_left(ordered, point) % len(ordered)]
 
 
 def in_open_interval(x: int, lo: int, hi: int, space: int = ID_SPACE) -> bool:

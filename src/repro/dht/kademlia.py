@@ -20,9 +20,6 @@ iterative lookup, Kademlia's natural bandwidth unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from repro.dht.hashing import hash_key
 from repro.dht.kernel import SubstrateBase
@@ -34,11 +31,11 @@ __all__ = ["KademliaDHT", "KademliaNode"]
 
 @dataclass(slots=True)
 class KademliaNode:
-    """One Kademlia peer: identifier, k-buckets, and key store."""
+    """One Kademlia peer: identifier and k-buckets (its keys live in the
+    kernel's peer store)."""
 
     id: int
     buckets: list[list[int]] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
     #: Every contact plus the node itself — what FIND_NODE ranks.  The
     #: overlay is static, so this is flattened once, at construction.
     known: list[int] = field(default_factory=list)
@@ -62,23 +59,18 @@ class KademliaDHT(SubstrateBase):
         alpha: int = 3,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
+        super().__init__(n_peers, seed, metrics)
         if k < 1 or alpha < 1:
             raise ConfigurationError(f"k and alpha must be >= 1: k={k}, alpha={alpha}")
         self.id_bits = id_bits
         self.k = k
         self.alpha = alpha
-        self._rng = np.random.default_rng(seed)
-        ids: set[int] = set()
-        while len(ids) < n_peers:
-            ids.add(int(self._rng.integers(0, 1 << id_bits)))
         self._nodes: dict[int, KademliaNode] = {}
-        for nid in ids:
-            node = KademliaNode(id=nid)
-            self._nodes[nid] = node
-            self.peers.add_peer(nid, node.store)
+        # set(): this overlay registers in a set's iteration order, which
+        # pins its oracle-scan order (see SubstrateBase._draw_ids).
+        for nid in set(self._draw_ids(n_peers, id_bits)):
+            self._nodes[nid] = KademliaNode(id=nid)
+            self.peers.add_peer(nid)
         self._build_buckets()
 
     # ------------------------------------------------------------------
@@ -142,10 +134,7 @@ class KademliaDHT(SubstrateBase):
         return shortlist[0], max(messages, 1)
 
     def route(self, key: str) -> tuple[int, int]:
-        target = hash_key(key, self.id_bits)
-        ids = self.peers.sorted_ids()
-        start = ids[int(self._rng.integers(0, len(ids)))]
-        return self.iterative_find(start, target)
+        return self.iterative_find(self._gateway(), hash_key(key, self.id_bits))
 
     # ------------------------------------------------------------------
     # Placement oracle

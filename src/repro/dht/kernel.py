@@ -3,27 +3,39 @@
 The paper's whole point is that LHT runs unchanged over *any* generic
 put/get DHT — so the only thing that should vary between substrates is
 **topology**: how a key routes to its owning peer, and how the overlay
-repairs itself.  Everything else — per-peer key/value storage, liveness,
-the array-backed sorted-id index and its maintenance protocol, owner-first local
-writes, oracle reads, and all :class:`~repro.dht.metrics.MetricsRecorder`
-charging — is substrate-independent and lives here, exactly once.
+repairs itself.  Everything else — per-peer key/value storage and every
+move of a key between peers, liveness, the array-backed sorted-id index
+and its maintenance protocol, the seeded id population and gateway
+draw, owner-first local writes, oracle reads, and all
+:class:`~repro.dht.metrics.MetricsRecorder` charging — is
+substrate-independent and lives here, exactly once.
 
 Three classes:
 
-* :class:`PeerStore` — the storage/membership kernel.  Owns one
-  ``dict[str, Any]`` store per live peer (registration order is
-  preserved, which pins oracle-scan order), and an array-backed
-  sorted-id index maintained incrementally on every membership change
-  — the single maintenance protocol that PR 4 previously had to wire
-  into four substrates by hand.
+* :class:`PeerStore` — the storage/membership kernel.  Owns the one
+  ``dict[str, Any]`` store of every live peer (registration order is
+  preserved, which pins oracle-scan order) and shares it with nobody:
+  :meth:`PeerStore.add_peer` takes an id and returns nothing, node
+  records carry no store, and a key changes peers only through
+  :meth:`PeerStore.move_keys` (a join's range takeover) or
+  :meth:`PeerStore.adopt` (a graceful leave's hand-off).  Also owns the
+  array-backed sorted-id index maintained incrementally on every
+  membership change — the single maintenance protocol that PR 4
+  previously had to wire into four substrates by hand.
 * :class:`SubstrateBase` — a :class:`~repro.dht.base.DHT` whose routed
   operations (``put``/``get``/``remove``) are implemented once against
-  the peer store; a concrete substrate shrinks to its essence: a
-  :meth:`SubstrateBase.route` implementation (``key -> (owner_id,
-  hops)``), a :meth:`SubstrateBase.peer_of` placement rule, and its
-  topology-maintenance methods (finger repair, zone split, k-bucket
-  construction, surrogate resolution).  Lint rule LHT006 keeps concrete
-  substrates from re-growing overrides of the kernel-owned methods.
+  the peer store (batched rounds are the inherited
+  :class:`~repro.dht.base.DHT` defaults over them), and which validates
+  ``n_peers``, seeds the substrate's one RNG stream, draws peer ids
+  (``_draw_ids``, ``_joiner_id``) and the per-operation gateway
+  (``_gateway``) and counts ``keys_transferred``.  A concrete substrate
+  is what is left: a :meth:`SubstrateBase.route` implementation
+  (``key -> (owner_id, hops)``), a :meth:`SubstrateBase.peer_of`
+  placement rule, and its maintenance protocol (finger repair, zone
+  split, event dissemination, k-bucket construction, surrogate
+  resolution) — which says *which* keys move on a join or leave, never
+  how.  Lint rule LHT006 keeps concrete substrates from re-growing
+  overrides of the kernel-owned methods.
 * :class:`DelegatingDHT` — the base for the wrapper stack
   (:class:`~repro.dht.faulty.FaultyDHT`,
   :class:`~repro.dht.replicated.ReplicatedDHT`,
@@ -39,11 +51,13 @@ from __future__ import annotations
 
 import abc
 import bisect
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.dht.base import DHT
 from repro.dht.metrics import MetricsRecorder
-from repro.errors import DHTError, NoSuchPeerError
+from repro.errors import ConfigurationError, EmptyOverlayError, NoSuchPeerError
 
 __all__ = [
     "PeerStore",
@@ -83,30 +97,41 @@ class PeerStore:
     # Membership
     # ------------------------------------------------------------------
 
-    def add_peer(
-        self, peer_id: int, store: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Register a live peer; returns its (possibly shared) store.
-
-        Substrates whose node records expose a public ``store`` field
-        pass that dict in, so node objects and the kernel always view
-        the same storage.
-        """
+    def add_peer(self, peer_id: int) -> None:
+        """Register a live peer with an empty store of its own."""
         if peer_id in self._stores:
             raise NoSuchPeerError(f"peer {peer_id} already registered")
-        self._stores[peer_id] = store if store is not None else {}
+        self._stores[peer_id] = {}
         bisect.insort(self._sorted_ids, peer_id)
-        return self._stores[peer_id]
 
     def remove_peer(self, peer_id: int) -> dict[str, Any]:
-        """Deregister a peer (leave/crash); returns its orphaned store
-        so graceful departures can hand the keys to a successor."""
+        """Deregister a peer (leave/crash); returns its orphaned store,
+        which a graceful departure feeds to :meth:`adopt`."""
         try:
             store = self._stores.pop(peer_id)
         except KeyError:
             raise NoSuchPeerError(f"peer {peer_id} is not registered") from None
         del self._sorted_ids[bisect.bisect_left(self._sorted_ids, peer_id)]
         return store
+
+    def move_keys(
+        self, src: int, dst: int, belongs: Callable[[str], bool]
+    ) -> int:
+        """A join's range takeover: hand every key of ``src`` that
+        ``belongs`` to the joiner over to ``dst``; returns how many
+        moved."""
+        source, target = self.store_of(src), self.store_of(dst)
+        moved = [key for key in source if belongs(key)]
+        for key in moved:
+            target[key] = source.pop(key)
+        return len(moved)
+
+    def adopt(self, heir: int, orphaned: dict[str, Any]) -> int:
+        """A graceful leave's hand-off: merge the store
+        :meth:`remove_peer` returned into ``heir``'s; returns how many
+        keys it held."""
+        self.store_of(heir).update(orphaned)
+        return len(orphaned)
 
     def is_live(self, peer_id: int | None) -> bool:
         """Whether ``peer_id`` names a live peer."""
@@ -223,9 +248,59 @@ class SubstrateBase(DHT):
     #: ``O(digits · N)`` — more than the holder scan it would save.
     OWNER_FIRST_READS = True
 
-    def __init__(self, metrics: MetricsRecorder | None = None) -> None:
+    def __init__(
+        self, n_peers: int, seed: int, metrics: MetricsRecorder | None = None
+    ) -> None:
         super().__init__(metrics)
+        if n_peers < 1:
+            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
         self.peers = PeerStore()
+        #: The substrate's one seeded stream: peer ids at construction,
+        #: then one gateway draw per routed operation.
+        self._rng = np.random.default_rng(seed)
+        #: Keys handed between peers by joins and graceful leaves.
+        self.keys_transferred = 0
+
+    # ------------------------------------------------------------------
+    # Id population and the gateway draw
+    # ------------------------------------------------------------------
+
+    def _draw_ids(self, count: int, id_bits: int) -> list[int]:
+        """``count`` fresh peer ids uniform on ``[0, 2**id_bits)``, in
+        draw order; a draw that repeats or names a live peer is redrawn.
+
+        The order they are registered in is the caller's, and is part
+        of an overlay's observable behaviour: it pins the oracle-scan
+        order of ``keys``/``peer_loads``/holder scans, so an overlay
+        keeps the one it was built with (draw order, sorted, or a
+        ``set``'s iteration order).
+        """
+        fresh: dict[int, None] = {}
+        while len(fresh) < count:
+            candidate = int(self._rng.integers(0, 1 << id_bits))
+            if candidate not in self.peers:
+                fresh[candidate] = None
+        return list(fresh)
+
+    def _joiner_id(self, node_id: int | None, id_bits: int) -> int:
+        """The id a joining peer takes: drawn when ``None``, else
+        ``node_id`` — which must lie in the identifier space and not
+        name a live peer."""
+        if node_id is None:
+            return self._draw_ids(1, id_bits)[0]
+        if node_id in self.peers or not 0 <= node_id < 1 << id_bits:
+            raise ConfigurationError(
+                f"node id already live or outside [0, 2**{id_bits}): {node_id}"
+            )
+        return node_id
+
+    def _gateway(self) -> int:
+        """A uniformly drawn live peer to originate a routed operation
+        from (one draw on the substrate's stream)."""
+        ids = self.peers.sorted_ids()
+        if not ids:
+            raise EmptyOverlayError("no live peers")
+        return ids[int(self._rng.integers(0, len(ids)))]
 
     # ------------------------------------------------------------------
     # Substrate essence
@@ -236,9 +311,9 @@ class SubstrateBase(DHT):
         """Route to the peer responsible for ``key``.
 
         Returns ``(owner_peer_id, hops)``; the kernel charges the hops
-        to the shared recorder.  Implementations draw their gateway from
-        their own seeded generator, so routed-operation RNG streams are
-        substrate-local.
+        to the shared recorder.  Implementations that route from a
+        random peer take it from :meth:`_gateway`, so routed-operation
+        RNG streams are substrate-local.
         """
 
     @abc.abstractmethod
@@ -266,77 +341,6 @@ class SubstrateBase(DHT):
         owner, hops = self.route(key)
         self.metrics.record_remove(hops)
         return self.peers.store_of(owner).pop(key, None)
-
-    def multi_get(
-        self, keys: Sequence[str], *, absorb_errors: bool = False
-    ) -> list[Any | None]:
-        """One batched routed round of gets against the peer store.
-
-        Read-side dual of :meth:`multi_put`: every key is routed and
-        charged individually (``record_get`` per key, so counts and
-        found-flags are byte-identical to sequential :meth:`get`
-        calls), but the round runs entirely inside the kernel — no
-        per-key virtual dispatch through the public ``get`` — which is
-        what coalesced serving rounds and range frontiers actually pay
-        at 2^20-key scale.  ``absorb_errors`` keeps the
-        :meth:`~repro.dht.base.DHT.multi_get` contract: a typed
-        :class:`~repro.errors.DHTError` while routing one key yields
-        ``None`` for that key instead of failing the round.
-        """
-        if type(self).get is not SubstrateBase.get:
-            # A subclass customized the single-key read path (test
-            # fixtures may gate or instrument it; LHT006 bars concrete
-            # substrates from doing so) — batched rounds must observe
-            # those semantics, so fall back to the sequential default.
-            return super().multi_get(keys, absorb_errors=absorb_errors)
-        peers = self.peers
-        metrics = self.metrics
-        values: list[Any | None] = []
-        for key in keys:
-            try:
-                owner, hops = self.route(key)
-            except DHTError:
-                if not absorb_errors:
-                    raise
-                values.append(None)
-                continue
-            value = peers.store_of(owner).get(key)
-            metrics.record_get(hops, found=value is not None)
-            values.append(value)
-        return values
-
-    def multi_put(
-        self,
-        items: Sequence[tuple[str, Any]],
-        *,
-        absorb_errors: bool = False,
-    ) -> list[bool]:
-        """One batched routed round of puts against the peer store.
-
-        The kernel-level write batch: every item is routed and charged
-        individually (``record_put`` per item, so counts are
-        byte-identical to sequential :meth:`put` calls), but the whole
-        batch crosses the overlay as a single parallel round — the
-        latency model the serving layer and ``bulk_load`` fast path
-        bill as one step.  ``absorb_errors`` keeps the
-        :meth:`~repro.dht.base.DHT.multi_put` contract: a typed
-        :class:`~repro.errors.DHTError` raised while routing one item
-        (possible mid-churn) marks that item ``False`` instead of
-        failing the round.
-        """
-        stored: list[bool] = []
-        for key, value in items:
-            try:
-                owner, hops = self.route(key)
-            except DHTError:
-                if not absorb_errors:
-                    raise
-                stored.append(False)
-                continue
-            self.metrics.record_put(hops)
-            self.peers.store_of(owner)[key] = value
-            stored.append(True)
-        return stored
 
     # ------------------------------------------------------------------
     # Direct peer access (replica placement choke point)

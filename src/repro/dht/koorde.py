@@ -31,26 +31,23 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from repro.dht.hashing import hash_key, in_half_open_interval, ring_distance
 from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
-from repro.errors import ConfigurationError, EmptyOverlayError, RoutingError
+from repro.errors import ConfigurationError, RoutingError
 
 __all__ = ["KoordeDHT", "KoordeNode"]
 
 
 @dataclass(slots=True)
 class KoordeNode:
-    """One Koorde peer: ring successor + de Bruijn pointer window."""
+    """One Koorde peer: ring successor + de Bruijn pointer window (its
+    keys live in the kernel's peer store)."""
 
     id: int
     successor: int = 0
     debruijn: list[int] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
 
 
 class KoordeDHT(SubstrateBase):
@@ -76,9 +73,7 @@ class KoordeDHT(SubstrateBase):
         degree: int = 16,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
+        super().__init__(n_peers, seed, metrics)
         b = degree.bit_length() - 1
         if degree < 2 or (1 << b) != degree:
             raise ConfigurationError(f"degree must be a power of two >= 2: {degree}")
@@ -91,23 +86,16 @@ class KoordeDHT(SubstrateBase):
         self.degree = degree
         self.b = b
         self.n_digits = id_bits // b
-        self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, KoordeNode] = {}
 
-        ids: set[int] = set()
-        while len(ids) < n_peers:
-            ids.add(int(self._rng.integers(0, self.space)))
-        ordered = sorted(ids)
-        n = len(ordered)
+        ordered = sorted(self._draw_ids(n_peers, id_bits))
         for idx, node_id in enumerate(ordered):
-            successor = ordered[(idx + 1) % n]
-            node = KoordeNode(
+            self._nodes[node_id] = KoordeNode(
                 id=node_id,
-                successor=successor,
+                successor=ordered[(idx + 1) % n_peers],
                 debruijn=self._build_window(ordered, idx),
             )
-            self._nodes[node_id] = node
-            self.peers.add_peer(node_id, node.store)
+            self.peers.add_peer(node_id)
 
     def _build_window(self, ordered: list[int], idx: int) -> list[int]:
         """The de Bruijn window of ``ordered[idx]``: the consecutive real
@@ -209,12 +197,7 @@ class KoordeDHT(SubstrateBase):
         return self._nodes[current].successor, hops + 1
 
     def route(self, key: str) -> tuple[int, int]:
-        if not self._nodes:
-            raise EmptyOverlayError("no live peers")
-        kid = hash_key(key, self.id_bits)
-        ids = self.peers.sorted_ids()
-        start = ids[int(self._rng.integers(0, len(ids)))]
-        owner, hops = self.route_id(start, kid)
+        owner, hops = self.route_id(self._gateway(), hash_key(key, self.id_bits))
         return owner, max(hops, 1)
 
     def peer_of(self, key: str) -> int:

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.dht.hashing import ID_SPACE, hash_key
 from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
-from repro.errors import ConfigurationError
 
 __all__ = ["LocalDHT"]
 
@@ -41,16 +38,13 @@ class LocalDHT(SubstrateBase):
         seed: int = 0,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
-        rng = np.random.default_rng(seed)
+        super().__init__(n_peers, seed, metrics)
         ids: set[int] = set()
         while len(ids) < n_peers:
             # Compose a full 160-bit identifier from three 64-bit draws.
             pid = 0
             for _ in range(3):
-                pid = (pid << 64) | int(rng.integers(0, 1 << 63))
+                pid = (pid << 64) | int(self._rng.integers(0, 1 << 63))
             ids.add(pid % ID_SPACE)
         for pid in sorted(ids):
             self.peers.add_peer(pid)

@@ -30,11 +30,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any
 
-import numpy as np
-
-from repro.dht.hashing import hash_key, in_half_open_interval
+from repro.dht.hashing import hash_key, in_half_open_interval, successor_in
 from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, EmptyOverlayError, RoutingError
@@ -44,11 +41,11 @@ __all__ = ["OneHopDHT", "OneHopNode"]
 
 @dataclass(slots=True)
 class OneHopNode:
-    """One single-hop peer: identifier, full table view, key store."""
+    """One single-hop peer: identifier and full table view (its keys
+    live in the kernel's peer store)."""
 
     id: int
     table: list[int] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -80,9 +77,7 @@ class OneHopDHT(SubstrateBase):
         quarantine_rounds: int = 2,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
+        super().__init__(n_peers, seed, metrics)
         if quarantine_rounds < 1:
             raise ConfigurationError(
                 f"quarantine_rounds must be >= 1: {quarantine_rounds}"
@@ -90,43 +85,22 @@ class OneHopDHT(SubstrateBase):
         self.id_bits = id_bits
         self.space = 1 << id_bits
         self.quarantine_rounds = quarantine_rounds
-        self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, OneHopNode] = {}
         self._pending: list[_Event] = []
-        self.keys_transferred = 0
-        ids = self._draw_ids(n_peers)
+        ids = self._draw_ids(n_peers, id_bits)
         full_table = sorted(ids)
         for node_id in ids:
-            node = OneHopNode(id=node_id, table=list(full_table))
-            self._nodes[node_id] = node
-            self.peers.add_peer(node_id, node.store)
-
-    def _draw_ids(self, count: int) -> list[int]:
-        ids: set[int] = set(self._nodes)
-        fresh: list[int] = []
-        while len(fresh) < count:
-            candidate = int(self._rng.integers(0, self.space))
-            if candidate not in ids:
-                ids.add(candidate)
-                fresh.append(candidate)
-        return fresh
-
-    @staticmethod
-    def _successor_in(ordered: list[int], target: int) -> int:
-        idx = bisect.bisect_left(ordered, target)
-        return ordered[idx % len(ordered)]
+            self._nodes[node_id] = OneHopNode(id=node_id, table=list(full_table))
+            self.peers.add_peer(node_id)
 
     # ------------------------------------------------------------------
     # Routing: direct owner computation from the gateway's table
     # ------------------------------------------------------------------
 
     def route(self, key: str) -> tuple[int, int]:
-        if not self._nodes:
-            raise EmptyOverlayError("no live peers")
         kid = hash_key(key, self.id_bits)
-        ids = self.peers.sorted_ids()
-        gateway_id = ids[int(self._rng.integers(0, len(ids)))]
-        owner = self._successor_in(ids, kid)
+        gateway_id = self._gateway()
+        owner = self.peers.successor_of(kid)
         if not self._pending:
             # Converged fast path: every table equals the membership
             # (the invariant ``check_tables`` pins once dissemination
@@ -163,44 +137,34 @@ class OneHopDHT(SubstrateBase):
         queues a join event that other peers only apply once the
         quarantine window has elapsed.
         """
-        if node_id is None:
-            node_id = self._draw_ids(1)[0]
-        if node_id in self._nodes:
-            raise ConfigurationError(f"node id already present: {node_id}")
+        node_id = self._joiner_id(node_id, self.id_bits)
         ids = self.peers.sorted_ids()
-        succ_id = self._successor_in(ids, node_id)
+        succ_id = successor_in(ids, node_id)
         pred_id = ids[(bisect.bisect_left(ids, node_id) - 1) % len(ids)]
-        node = OneHopNode(id=node_id, table=sorted([*ids, node_id]))
-        self._nodes[node_id] = node
-        self.peers.add_peer(node_id, node.store)
-
-        succ = self._nodes[succ_id]
-        moved = [
-            k
-            for k in succ.store
-            if in_half_open_interval(
+        self._nodes[node_id] = OneHopNode(id=node_id, table=sorted([*ids, node_id]))
+        self.peers.add_peer(node_id)
+        self.keys_transferred += self.peers.move_keys(
+            succ_id,
+            node_id,
+            lambda k: in_half_open_interval(
                 hash_key(k, self.id_bits), pred_id, node_id, self.space
-            )
-        ]
-        for k in moved:
-            node.store[k] = succ.store.pop(k)
-        self.keys_transferred += len(moved)
+            ),
+        )
         self._pending.append(_Event("join", node_id, self.quarantine_rounds))
         return node_id
 
     def leave(self, node_id: int, graceful: bool = True) -> None:
         """Remove a peer; graceful leaves hand their keys to the successor."""
-        node = self._nodes.get(node_id)
-        if node is None:
+        if node_id not in self._nodes:
             return
         if len(self._nodes) == 1:
             raise EmptyOverlayError("cannot remove the last peer")
         del self._nodes[node_id]
-        self.peers.remove_peer(node_id)
+        orphaned = self.peers.remove_peer(node_id)
         if graceful:
-            succ_id = self.peers.successor_of(node_id)
-            self._nodes[succ_id].store.update(node.store)
-            self.keys_transferred += len(node.store)
+            self.keys_transferred += self.peers.adopt(
+                self.peers.successor_of(node_id), orphaned
+            )
         self._pending.append(_Event("leave", node_id, 1))
 
     def fail(self, node_id: int) -> None:

@@ -14,30 +14,66 @@ substrate used for dynamic churn studies.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-import numpy as np
+from typing import Iterable
 
 from repro.dht.hashing import hash_key
 from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, RoutingError
 
-__all__ = ["PastryDHT", "PastryNode"]
+__all__ = ["PastryDHT", "PastryNode", "PrefixRoutedDHT"]
 
 
 @dataclass(slots=True)
 class PastryNode:
-    """One Pastry peer: identifier, routing table, leaf set, key store."""
+    """One Pastry peer: identifier, routing table and leaf set (its keys
+    live in the kernel's peer store)."""
 
     id: int
     routing_table: list[list[int | None]] = field(default_factory=list)
     leaf_set: list[int] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
 
 
-class PastryDHT(SubstrateBase):
+class PrefixRoutedDHT(SubstrateBase):
+    """The identifier geometry Pastry and Tapestry share: ``id_bits``-wide
+    ids read as ``n_digits`` base-``2**b`` digits, most significant
+    first, resolved one digit per hop."""
+
+    def __init__(
+        self,
+        n_peers: int,
+        seed: int,
+        id_bits: int,
+        b: int,
+        metrics: MetricsRecorder | None,
+    ) -> None:
+        super().__init__(n_peers, seed, metrics)
+        if id_bits % b != 0:
+            raise ConfigurationError(
+                f"id_bits ({id_bits}) must be a multiple of b ({b})"
+            )
+        self.id_bits = id_bits
+        self.b = b
+        self.n_digits = id_bits // b
+        self.digit_base = 1 << b
+
+    @abc.abstractmethod
+    def route(self, key: str) -> tuple[int, int]:
+        """Still abstract: this class is geometry, not an overlay."""
+
+    def _digit(self, node_id: int, position: int) -> int:
+        """The ``position``-th digit (most significant first)."""
+        shift = self.id_bits - (position + 1) * self.b
+        return (node_id >> shift) & (self.digit_base - 1)
+
+    def shared_prefix_len(self, a: int, c: int) -> int:
+        """Number of leading digits ``a`` and ``c`` share."""
+        return (self.id_bits - (a ^ c).bit_length()) // self.b
+
+
+class PastryDHT(PrefixRoutedDHT):
     """A simulated Pastry overlay implementing the generic DHT interface."""
 
     MAX_ROUTE_HOPS = 128
@@ -51,42 +87,15 @@ class PastryDHT(SubstrateBase):
         leaf_set_size: int = 8,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
-        if id_bits % b != 0:
-            raise ConfigurationError(f"id_bits ({id_bits}) must be a multiple of b ({b})")
-        self.id_bits = id_bits
-        self.b = b
-        self.n_digits = id_bits // b
-        self.digit_base = 1 << b
+        super().__init__(n_peers, seed, id_bits, b, metrics)
         self.leaf_set_size = leaf_set_size
-        self._rng = np.random.default_rng(seed)
-        ids: set[int] = set()
-        while len(ids) < n_peers:
-            ids.add(int(self._rng.integers(0, 1 << id_bits)))
         self._nodes: dict[int, PastryNode] = {}
-        for nid in ids:
-            node = PastryNode(id=nid)
-            self._nodes[nid] = node
-            self.peers.add_peer(nid, node.store)
+        # set(): this overlay registers in a set's iteration order, which
+        # pins its oracle-scan order (see SubstrateBase._draw_ids).
+        for nid in set(self._draw_ids(n_peers, id_bits)):
+            self._nodes[nid] = PastryNode(id=nid)
+            self.peers.add_peer(nid)
         self._build_tables()
-
-    # ------------------------------------------------------------------
-    # Identifier digit helpers
-    # ------------------------------------------------------------------
-
-    def _digit(self, node_id: int, position: int) -> int:
-        """The ``position``-th digit (most significant first)."""
-        shift = self.id_bits - (position + 1) * self.b
-        return (node_id >> shift) & (self.digit_base - 1)
-
-    def shared_prefix_len(self, a: int, c: int) -> int:
-        """Number of leading digits ``a`` and ``c`` share."""
-        for pos in range(self.n_digits):
-            if self._digit(a, pos) != self._digit(c, pos):
-                return pos
-        return self.n_digits
 
     # ------------------------------------------------------------------
     # Static overlay construction
@@ -165,10 +174,7 @@ class PastryDHT(SubstrateBase):
         raise RoutingError(f"Pastry routing exceeded {self.MAX_ROUTE_HOPS} hops")
 
     def route(self, key: str) -> tuple[int, int]:
-        key_id = hash_key(key, self.id_bits)
-        ids = self.peers.sorted_ids()
-        start = ids[int(self._rng.integers(0, len(ids)))]
-        owner, hops = self.route_id(start, key_id)
+        owner, hops = self.route_id(self._gateway(), hash_key(key, self.id_bits))
         return owner, max(hops, 1)
 
     # ------------------------------------------------------------------

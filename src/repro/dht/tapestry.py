@@ -16,21 +16,18 @@ overlays in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
 
 from repro.dht.hashing import hash_key
-from repro.dht.kernel import SubstrateBase
 from repro.dht.metrics import MetricsRecorder
-from repro.errors import ConfigurationError, RoutingError
+from repro.dht.pastry import PrefixRoutedDHT
 
 __all__ = ["TapestryDHT", "TapestryNode"]
 
 
 @dataclass(slots=True)
 class TapestryNode:
-    """One Tapestry peer: identifier, per-level routing table, store.
+    """One Tapestry peer: identifier and per-level routing table (its
+    keys live in the kernel's peer store).
 
     ``table[level][digit]`` holds a node whose identifier matches this
     node's first ``level`` digits and continues with ``digit`` — or
@@ -39,10 +36,9 @@ class TapestryNode:
 
     id: int
     table: list[list[int | None]] = field(default_factory=list)
-    store: dict[str, Any] = field(default_factory=dict)
 
 
-class TapestryDHT(SubstrateBase):
+class TapestryDHT(PrefixRoutedDHT):
     """A simulated Tapestry overlay implementing the generic DHT API."""
 
     #: Audit note (cf. the kernel's owner-first default): surrogate
@@ -58,41 +54,18 @@ class TapestryDHT(SubstrateBase):
         b: int = 4,
         metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(metrics)
-        if n_peers < 1:
-            raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
-        if id_bits % b != 0:
-            raise ConfigurationError(
-                f"id_bits ({id_bits}) must be a multiple of b ({b})"
-            )
-        self.id_bits = id_bits
-        self.b = b
-        self.n_digits = id_bits // b
-        self.digit_base = 1 << b
-        self._rng = np.random.default_rng(seed)
-        ids: set[int] = set()
-        while len(ids) < n_peers:
-            ids.add(int(self._rng.integers(0, 1 << id_bits)))
+        super().__init__(n_peers, seed, id_bits, b, metrics)
         self._nodes: dict[int, TapestryNode] = {}
-        for nid in ids:
-            node = TapestryNode(id=nid)
-            self._nodes[nid] = node
-            self.peers.add_peer(nid, node.store)
+        # set(): this overlay registers in a set's iteration order, which
+        # pins its oracle-scan order (see SubstrateBase._draw_ids).
+        for nid in set(self._draw_ids(n_peers, id_bits)):
+            self._nodes[nid] = TapestryNode(id=nid)
+            self.peers.add_peer(nid)
         self._build_tables()
 
     # ------------------------------------------------------------------
-    # Digits and surrogate resolution
+    # Table construction and surrogate resolution
     # ------------------------------------------------------------------
-
-    def _digit(self, node_id: int, position: int) -> int:
-        shift = self.id_bits - (position + 1) * self.b
-        return (node_id >> shift) & (self.digit_base - 1)
-
-    def _shared_prefix_len(self, a: int, c: int) -> int:
-        for pos in range(self.n_digits):
-            if self._digit(a, pos) != self._digit(c, pos):
-                return pos
-        return self.n_digits
 
     def _build_tables(self) -> None:
         ordered = sorted(self._nodes)
@@ -103,7 +76,7 @@ class TapestryDHT(SubstrateBase):
             for other in ordered:
                 if other == node.id:
                     continue
-                level = self._shared_prefix_len(node.id, other)
+                level = self.shared_prefix_len(node.id, other)
                 if level >= self.n_digits:
                     continue
                 digit = self._digit(other, level)
@@ -167,10 +140,7 @@ class TapestryDHT(SubstrateBase):
         return current, hops
 
     def route(self, key: str) -> tuple[int, int]:
-        key_id = hash_key(key, self.id_bits)
-        ids = self.peers.sorted_ids()
-        start = ids[int(self._rng.integers(0, len(ids)))]
-        owner, hops = self.route_id(start, key_id)
+        owner, hops = self.route_id(self._gateway(), hash_key(key, self.id_bits))
         return owner, max(hops, 1)
 
     # ------------------------------------------------------------------

@@ -20,8 +20,8 @@ State machine:
 
 Time comes from a :class:`repro.sim.clock.Clock` — never the wall clock
 (rule LHT001) — so breaker schedules replay deterministically.  The
-owning wrapper decides how that clock advances (simulator-driven, or
-virtual per-operation ticks; see :class:`repro.resilience.ResilientDHT`).
+owning wrapper advances that clock (one virtual tick per operation plus
+backoff delays; see :class:`repro.resilience.ResilientDHT`).
 """
 
 from __future__ import annotations

@@ -34,11 +34,10 @@ substrate is charged there as a normal routed operation, and the shared
 ``retries``, ``breaker_trips`` and ``breaker_rejections`` so experiments
 can report lookup-cost inflation next to availability.
 
-Time: with no ``clock`` argument the wrapper owns a private
-:class:`~repro.sim.clock.Clock` and advances it ``op_tick`` per
-operation plus each backoff delay — deterministic and self-contained.
-Pass a simulator-driven clock instead to schedule the breaker on real
-simulated time (the wrapper then only reads it).
+Time: the wrapper advances the breaker's
+:class:`~repro.sim.clock.Clock` (its own when no breaker is given) by
+one virtual second per operation plus each backoff delay —
+deterministic and self-contained.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.dht.kernel import DelegatingDHT
 from repro.errors import CircuitOpenError, DHTError
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.policy import RetryPolicy
-from repro.sim.clock import Clock
 from repro.sim.rng import derive_seed
 
 __all__ = ["ResilientDHT"]
@@ -68,36 +66,29 @@ class ResilientDHT(DelegatingDHT):
             interface.
         policy: Retry/backoff budget; defaults to
             :data:`~repro.resilience.policy.DEFAULT_RETRY_POLICY`.
-        breaker: Circuit breaker; constructed on the wrapper's clock when
-            omitted.  A caller-supplied breaker should share ``clock``.
-        clock: Simulated time source.  Omitted → the wrapper owns a
-            private clock advanced per operation (see module docs).
-        seed: Root seed for the backoff-jitter stream (ignored when
-            ``rng`` is given); derived via :func:`repro.sim.rng.derive_seed`
-            so it never collides with other consumers.
-        rng: Explicit jitter generator, for callers managing streams.
-        op_tick: Virtual seconds a privately-owned clock advances per
-            operation (including fast rejections, so an open breaker can
-            reach its cool-down without external time).
+        breaker: Circuit breaker, whose clock the wrapper advances; a
+            default one (on a fresh clock) when omitted.
+        seed: Root seed for the backoff-jitter stream; derived via
+            :func:`repro.sim.rng.derive_seed` so it never collides with
+            other consumers.
     """
+
+    #: Virtual seconds the clock advances per operation (including fast
+    #: rejections, so an open breaker can reach its cool-down unaided).
+    OP_TICK = 1.0
 
     def __init__(
         self,
         inner: DHT,
         policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        clock: Clock | None = None,
         seed: int = 0,
-        rng: np.random.Generator | None = None,
-        op_tick: float = 1.0,
     ) -> None:
         super().__init__(inner)
         self.policy = policy or RetryPolicy()
-        self._owns_clock = clock is None
-        self.clock = clock or (breaker.clock if breaker is not None else Clock())
-        self.breaker = breaker or CircuitBreaker(clock=self.clock)
-        self._rng = rng or np.random.default_rng(derive_seed(seed, "resilience"))
-        self.op_tick = op_tick
+        self.breaker = breaker or CircuitBreaker()
+        self.clock = self.breaker.clock
+        self._rng = np.random.default_rng(derive_seed(seed, "resilience"))
         # Local statistics (the shared metrics aggregate across wrappers).
         self.retries = 0
         self.confirmed_drops = 0
@@ -109,14 +100,12 @@ class ResilientDHT(DelegatingDHT):
     # ------------------------------------------------------------------
 
     def _tick(self, seconds: float) -> None:
-        """Advance a privately-owned clock (no-op for external clocks,
-        which only their simulator may advance)."""
-        if self._owns_clock and seconds > 0:
-            self.clock.advance_to(self.clock.now + seconds)
+        """Advance the breaker's clock."""
+        self.clock.advance_to(self.clock.now + seconds)
 
     def _gate(self, key: str) -> None:
         """Fail fast when the breaker is open (nothing is routed)."""
-        self._tick(self.op_tick)
+        self._tick(self.OP_TICK)
         if not self.breaker.allows():
             self.rejections += 1
             self.metrics.record_breaker_rejection()

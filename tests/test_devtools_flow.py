@@ -255,6 +255,24 @@ class TestKernelEncapsulation:
         assert codes(violations) == ["LHT008"]
         assert "add_peer" in violations[0].message
 
+    def test_key_handoff_outside_dht_package_flagged(self, tmp_path):
+        # move_keys/adopt are the kernel's key hand-off: a substrate's
+        # join/leave may call them, an experiment may not.
+        write_tree(
+            tmp_path,
+            {
+                "experiments/shuffle.py": (
+                    "def shuffle(dht):\n"
+                    "    dht.peers.move_keys(0, 1, lambda key: True)\n"
+                    "    dht.peers.adopt(1, {})\n"
+                ),
+            },
+        )
+        violations = lint_paths([tmp_path], select=["LHT008"])
+        assert codes(violations) == ["LHT008", "LHT008"]
+        assert "move_keys" in violations[0].message
+        assert "adopt" in violations[1].message
+
     def test_peerstore_construction_outside_dht_flagged(self, tmp_path):
         write_tree(
             tmp_path,
@@ -380,8 +398,8 @@ class TestRoutePurity:
         assert codes(lint_paths([tmp_path], select=["LHT009"])) == []
 
     def test_maintenance_methods_may_move_keys(self, tmp_path):
-        # join/leave legitimately mutate stores — only *route* paths are
-        # bound by the purity contract.
+        # join/leave legitimately move keys (through the kernel's
+        # move_keys) — only *route* paths are bound by the purity contract.
         write_tree(
             tmp_path,
             {
@@ -392,12 +410,14 @@ class TestRoutePurity:
                     "    def peer_of(self, key):\n"
                     "        return 0\n"
                     "    def join(self, peer_id):\n"
-                    "        store = self.peers.add_peer(peer_id)\n"
-                    "        store['marker'] = True\n"
+                    "        self.peers.add_peer(peer_id)\n"
+                    "        self.keys_transferred += self.peers.move_keys(\n"
+                    "            0, peer_id, lambda key: True\n"
+                    "        )\n"
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT009"])) == []
+        assert codes(lint_paths([tmp_path], select=["LHT008", "LHT009"])) == []
 
 
 POLICY_HEADER = "from dht.kernel import PlacementPolicy\n\n"

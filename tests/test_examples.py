@@ -46,3 +46,17 @@ def test_quickstart_runs():
     assert result.returncode == 0, result.stderr
     assert "min key" in result.stdout
     assert "average split fraction alpha" in result.stdout
+
+
+def test_churn_resilience_reports_keys_handed_off():
+    """The example is the one reader of ``keys_transferred``; both churn
+    phases print the count the kernel's hand-off methods summed."""
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "churn_resilience.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "(582 keys handed off)" in result.stdout
+    assert "(111 keys handed off)" in result.stdout

@@ -106,3 +106,22 @@ def test_public_classes_have_docstrings():
 
 def test_version_is_set():
     assert repro.__version__ == "1.0.0"
+
+
+def test_no_substrate_node_record_declares_a_store():
+    """Keys live in the peer-store kernel only: a ``store`` field on a
+    node record would be a second home for them."""
+    import dataclasses
+
+    import repro.dht
+
+    records = [
+        obj
+        for info in pkgutil.iter_modules(repro.dht.__path__, "repro.dht.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if dataclasses.is_dataclass(obj) and isinstance(obj, type)
+    ]
+    assert len(records) >= 7  # one node record per routed substrate
+    for record in records:
+        fields = {field.name for field in dataclasses.fields(record)}
+        assert "store" not in fields, record.__name__

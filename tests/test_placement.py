@@ -141,7 +141,7 @@ def test_unenrolled_base_is_rejected_unless_k_is_one():
         def peer_of(self, key):
             return 0
 
-    foreign = ForeignDHT()
+    foreign = ForeignDHT(1, 0)
     foreign.peers.add_peer(0)
     with pytest.raises(ConfigurationError, match="no placement policy"):
         registry.placement_for(foreign)

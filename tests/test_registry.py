@@ -116,3 +116,53 @@ def test_banked_hop_metrics_pin_the_routing_extremes():
         chord = metrics["hops_per_op_chord"]
         assert onehop == 1.0, name
         assert onehop < koorde < chord, (name, onehop, koorde, chord)
+
+
+#: What every 32-bit substrate draws for ``(n_peers=16, seed=3)``: they
+#: all take their ids from the first draws of one seeded stream.
+_RING32_IDS = [
+    169217806, 367860371, 404279440, 686073414, 770692085, 778955830,
+    1017093381, 1137256737, 1426794759, 1860266043, 2057509658, 2500366905,
+    2668153314, 3441447623, 3485385464, 3733325604,
+]
+_LOCAL_IDS = [
+    23886928983200740005692152860967006085044256758,
+    56207056047068099099049195148075776895846939545,
+    306998725314943876590154848089172789583348195493,
+    453962762525111136620978859101208724719760595353,
+    475252948402303751784066462935217371834225347936,
+    699310863042992465311434381497701069761650755149,
+    734201270435957958470700220347977218193890600179,
+    762247894675330141919600409467128689575303678323,
+    869844113917525212076075621501730751340484799295,
+    911920357080823585518650339501043907166240568111,
+    1110523761092514588991447904061944842829133428379,
+    1110896582980566304539129132718161112847296758122,
+    1208494428214178573537611984529723388753723836957,
+    1283740178420454952043845377366971447499562508972,
+    1323758426366619357846846560672190052419696522779,
+    1365943255189297722368268533433513638379401876611,
+]
+#: name -> (hops the first routed get charges, sorted peer ids), as
+#: captured before the kernel took over the id and gateway draws.
+_ID_STREAM_PINS = {
+    "can": (1, list(range(16))),
+    "chord": (2, _RING32_IDS),
+    "kademlia": (8, _RING32_IDS),
+    "koorde": (3, _RING32_IDS),
+    "local": (4, _LOCAL_IDS),
+    "onehop": (1, _RING32_IDS),
+    "pastry": (1, _RING32_IDS),
+    "tapestry": (1, _RING32_IDS),
+}
+
+
+@pytest.mark.parametrize("name", registry.names())
+def test_id_stream_and_first_gateway_draw_are_pinned(name):
+    """Ids first, then one gateway draw per routed op: a reordered or
+    extra draw on a substrate's stream fails here by name."""
+    hops, ids = _ID_STREAM_PINS[name]
+    dht = registry.make(name, 16, 3)
+    assert sorted(dht.node_ids) == ids
+    dht.get("pin-key")
+    assert dht.metrics.snapshot().hops == hops

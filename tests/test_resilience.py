@@ -241,7 +241,7 @@ class TestResilientDHT:
         assert not dht.breaker.allows()
         # While the fault persists: fast rejections, with one half-open
         # trial per cool-down that fails and re-opens the breaker.
-        # op_tick=1.0 per operation walks the private clock forward.
+        # One virtual second per operation walks the clock forward.
         for _ in range(15):
             with pytest.raises(DHTError):  # CircuitOpenError or trial failure
                 dht.put("c", 0)

@@ -16,7 +16,8 @@ import pytest
 
 from repro.dht.chord import ChordDHT
 from repro.dht.kernel import PeerStore
-from repro.errors import NoSuchPeerError
+from repro.dht.onehop import OneHopDHT
+from repro.errors import ConfigurationError, NoSuchPeerError
 
 
 class TestPeerStoreIndex:
@@ -58,6 +59,64 @@ class TestPeerStoreIndex:
         with pytest.raises(NoSuchPeerError):
             store.remove_peer(8)
         assert store.sorted_ids() == [7]
+
+
+class TestPeerStoreKeyHandoff:
+    """The kernel moves keys between peers; substrates only say which."""
+
+    def test_add_peer_shares_no_store(self):
+        store = PeerStore()
+        assert store.add_peer(1) is None
+        assert store.store_of(1) == {}
+        with pytest.raises(NoSuchPeerError):
+            store.add_peer(1)
+
+    def test_move_keys_moves_exactly_the_selected_keys(self):
+        store = PeerStore()
+        store.add_peer(1)
+        store.add_peer(2)
+        store.store_of(1).update({"a": 1, "b": 2, "c": 3})
+        store.store_of(2)["z"] = 26
+        assert store.move_keys(1, 2, lambda key: key in "ac") == 2
+        assert store.store_of(1) == {"b": 2}
+        assert store.store_of(2) == {"z": 26, "a": 1, "c": 3}
+        assert list(store.store_of(2)) == ["z", "a", "c"]  # source order
+        assert store.move_keys(1, 2, lambda key: False) == 0
+        with pytest.raises(NoSuchPeerError):
+            store.move_keys(1, 3, lambda key: True)
+
+    def test_adopt_merges_what_remove_peer_returned(self):
+        store = PeerStore()
+        store.add_peer(1)
+        store.add_peer(2)
+        store.store_of(1).update({"a": 1, "b": 2})
+        store.store_of(2).update({"b": "stale", "z": 26})
+        assert store.adopt(2, store.remove_peer(1)) == 2
+        assert store.store_of(2) == {"b": 2, "z": 26, "a": 1}
+        assert store.sorted_ids() == [2]
+
+
+@pytest.mark.parametrize("cls", [ChordDHT, OneHopDHT], ids=["chord", "onehop"])
+class TestJoinerId:
+    """join(node_id) takes ids inside the identifier space only."""
+
+    @pytest.mark.parametrize("bad", [1 << 40, -5], ids=["too-wide", "negative"])
+    def test_id_outside_the_identifier_space_rejected(self, cls, bad):
+        dht = cls(n_peers=8, seed=1, id_bits=32)
+        for i in range(50):
+            dht.put(f"k{i}", i)
+        with pytest.raises(ConfigurationError):
+            dht.join(bad)
+        assert bad not in dht.peers
+        assert dht.n_peers == 8 and dht.keys_transferred == 0
+
+    def test_live_id_rejected_and_a_free_one_taken(self, cls):
+        dht = cls(n_peers=8, seed=1, id_bits=32)
+        with pytest.raises(ConfigurationError):
+            dht.join(dht.node_ids[0])
+        free = next(i for i in range(1 << 32) if i not in dht.peers)
+        assert dht.join(free) == free
+        assert dht.join() in dht.peers
 
 
 class TestChordChurnRouting:

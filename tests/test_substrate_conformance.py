@@ -239,6 +239,31 @@ class TestMultiPut:
         assert spent.dht_lookups == len(self.ITEMS)
 
 
+@pytest.mark.parametrize("absorb", [False, True], ids=["raise", "absorb"])
+@pytest.mark.parametrize("name", substrate_names())
+def test_batch_rounds_equal_sequential_ops_on_every_substrate(name, absorb):
+    """The inherited ``DHT`` batch defaults are the only batch round: on
+    same-seed twins a ``multi_put`` then a ``multi_get`` leave the
+    metrics ledger, the answers and every peer's store exactly as the
+    per-key ``put``/``get`` calls do — gateway draws included."""
+    batched = make_dht(name, N_PEERS, SEED)
+    sequential = make_dht(name, N_PEERS, SEED)
+    items = [(f"b{i}", {"v": i}) for i in range(12)]
+    keys = [key for key, _ in items[::2]] + ["absent-1", "absent-2"]
+
+    assert batched.multi_put(items, absorb_errors=absorb) == [True] * len(items)
+    for key, value in items:
+        sequential.put(key, value)
+    assert batched.metrics.snapshot() == sequential.metrics.snapshot()
+
+    answers = batched.multi_get(keys, absorb_errors=absorb)
+    assert answers == [sequential.get(key) for key in keys]
+    assert batched.metrics.snapshot() == sequential.metrics.snapshot()
+    assert list(batched.keys()) == list(sequential.keys())
+    assert batched.peer_loads() == sequential.peer_loads()
+    assert all(batched.peek(key) == sequential.peek(key) for key, _ in items)
+
+
 class TestMultiPutAbsorbErrors:
     """``absorb_errors=`` must mirror ``multi_get``: per-key absorption
     into the failure sentinel (``False`` for puts, ``None`` for gets),
