@@ -12,7 +12,10 @@ Subcommands:
   paper-scale build/lookup/range workload (also
   ``python -m repro.devtools.profile``);
 * ``benchgate`` — the count/wall-clock benchmark regression gate (also
-  ``python -m repro.devtools.benchgate``).
+  ``python -m repro.devtools.benchgate``);
+* ``loc [PATH ...]`` — code lines per top-level package (lines carrying
+  a token, minus docstrings, comments and blanks): the size metric of
+  ROADMAP's "net-negative ``src/``" goal.  Default path ``src/repro``.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(__doc__)
         print(
             "usage: python -m repro.devtools "
-            "{lint,determinism,sanitize,profile,benchgate} ..."
+            "{lint,determinism,sanitize,profile,benchgate,loc} ..."
         )
         return 0
     command, rest = argv[0], argv[1:]
@@ -96,8 +99,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.devtools import benchgate as _benchgate
 
         return _benchgate.main(rest)
+    if command == "loc":
+        from repro.devtools import loc as _loc
+
+        return _loc.main(rest)
     print(f"unknown subcommand: {command!r} (expected lint, determinism, "
-          f"sanitize, profile, or benchgate)")
+          f"sanitize, profile, benchgate, or loc)")
     return 2
 
 

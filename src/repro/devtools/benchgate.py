@@ -44,13 +44,18 @@ import numpy as np
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
-from repro.core.results import MatchStatus
 from repro.dht.base import DHT
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
 from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ReproError
-from repro.experiments.common import SUBSTRATES, make_dht
+from repro.experiments.common import (
+    SUBSTRATES,
+    hops_per_lookup,
+    make_dht,
+    probe_stored,
+    zipf_probe_cost,
+)
 from repro.devtools.profile import SCALE_PROFILES, run_scale_phases
 from repro.serve import (
     Request,
@@ -61,7 +66,6 @@ from repro.serve import (
     generate_workload,
 )
 from repro.sim.rng import derive_seed
-from repro.workloads.queries import zipf_rank_choice
 
 __all__ = [
     "TOLERANCE",
@@ -150,38 +154,27 @@ def _build(seed: int, *, cache_capacity: int | None) -> tuple[LHTIndex, list[flo
     return index, keys
 
 
-def _probe_stream(keys: list[float], seed: int) -> list[float]:
-    """A Zipf-over-rank probe stream on stored keys (cf. experiment E23)."""
+def _probe_cost(index: LHTIndex, keys: list[float], seed: int) -> float:
+    """Gets per probe of the Zipf-over-rank probe stream on stored keys
+    (the E23 cell; every arm draws the same stream)."""
     rng = np.random.default_rng(derive_seed(seed, "bench:probes"))
-    probes = zipf_rank_choice(
-        np.asarray(keys), _PARAMS["probe_skew"], _PARAMS["n_probes"], rng
-    )
-    return [float(k) for k in probes]
-
-
-def _probe_cost(index: LHTIndex, probes: list[float]) -> float:
-    before = index.dht.metrics.snapshot()
-    for key in probes:
-        record, _ = index.exact_match(key)
-        if record is None:
-            raise ReproError(f"stored key {key!r} reported absent")
-    spent = index.dht.metrics.snapshot() - before
-    return spent.gets / len(probes)
+    return zipf_probe_cost(
+        index, keys, _PARAMS["probe_skew"], _PARAMS["n_probes"], rng
+    )[0]
 
 
 def measure_lookup(seed: int = 1) -> dict:
     """Exact-match and insertion counts on the fixed workload."""
     uncached, keys = _build(seed, cache_capacity=None)
-    probes = _probe_stream(keys, seed)
     metrics: dict[str, float] = {
-        "uncached_gets_per_probe": _probe_cost(uncached, probes)
+        "uncached_gets_per_probe": _probe_cost(uncached, keys, seed)
     }
     for arm, capacity in (
         ("cached_small", _PARAMS["cache_small_capacity"]),
         ("cached_ample", _PARAMS["cache_ample_capacity"]),
     ):
         index, _ = _build(seed, cache_capacity=capacity)
-        metrics[f"{arm}_gets_per_probe"] = _probe_cost(index, probes)
+        metrics[f"{arm}_gets_per_probe"] = _probe_cost(index, keys, seed)
 
     # Maintenance counts: individual inserts on top of the built index
     # (bulk_load sidesteps per-insert lookups, so it would hide both).
@@ -195,7 +188,7 @@ def measure_lookup(seed: int = 1) -> dict:
     metrics["records_moved_per_insert"] = (
         spent.records_moved / _PARAMS["n_inserts"]
     )
-    metrics.update(_hops_per_lookup(partial(_put_get_workload, seed)))
+    metrics.update(_substrate_hops("put+get", partial(_put_get_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
@@ -204,23 +197,25 @@ def measure_lookup(seed: int = 1) -> dict:
 _Measured = tuple[DHT, Callable[[], object]]
 
 
-def _hops_per_lookup(prepare: Callable[[str], _Measured]) -> dict[str, float]:
+def _substrate_hops(
+    what: str, prepare: Callable[[str], _Measured]
+) -> dict[str, float]:
     """Routed hops per DHT-lookup of one workload, on every registered
-    substrate (kernel-charged).
+    substrate (kernel-charged; the E13/E25 cell, so the workload's
+    DHT-lookup count must also be the same on every overlay).
 
     The index-level gates above run over :class:`LocalDHT`'s synthetic
     hop model; this is the *physical* routing cost the same seeded
     workload pays on each real overlay, so a topology change that
     silently lengthens routes fails the gate like any other count.
     """
-    metrics: dict[str, float] = {}
-    for name in sorted(SUBSTRATES):
-        dht, measured = prepare(name)
-        before = dht.metrics.snapshot()
-        measured()
-        spent = dht.metrics.snapshot() - before
-        metrics[f"hops_per_op_{name}"] = spent.hops / spent.dht_lookups
-    return metrics
+    reference: dict = {}
+    return {
+        f"hops_per_op_{name}": hops_per_lookup(
+            name, *prepare(name), what, reference
+        )
+        for name in sorted(SUBSTRATES)
+    }
 
 
 def _put_get_workload(seed: int, name: str) -> _Measured:
@@ -297,7 +292,7 @@ def measure_range(seed: int = 1) -> dict:
         "batch_rounds_per_query": totals["rounds"] / n,
         "lookup_slack_per_query": totals["slack"] / n,
     }
-    metrics.update(_hops_per_lookup(partial(_range_workload, seed)))
+    metrics.update(_substrate_hops("ranges", partial(_range_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
@@ -337,7 +332,7 @@ def measure_build(seed: int = 1) -> dict:
             )
     if info["fast_build_s"] > 0:
         info["speedup"] = info["incremental_build_s"] / info["fast_build_s"]
-    counts.update(_hops_per_lookup(partial(_build_workload, seed)))
+    counts.update(_substrate_hops("build", partial(_build_workload, seed)))
     return {"params": dict(_PARAMS), "metrics": counts, "info": info}
 
 
@@ -566,13 +561,7 @@ def measure_avail(seed: int = 1) -> dict:
         sample = prng.choice(
             np.asarray(keys), size=p["n_probes"], replace=False
         )
-        before = dht.metrics.snapshot()
-        hits = 0
-        for key in sample:
-            result = index.exact_match_checked(float(key))
-            if result.status is MatchStatus.PRESENT:
-                hits += 1
-        spent = dht.metrics.since(before)
+        hits, spent = probe_stored(index, sample)
         availability[k] = hits / p["n_probes"]
         metrics[f"unavailability_at_k{k}"] = 1.0 - availability[k]
         info[f"availability_at_k{k}"] = availability[k]

@@ -13,17 +13,17 @@ This ablation measures all four combinations across data sizes:
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
 from repro.core.config import IndexConfig
 from repro.core.lookup import lht_lookup, lht_lookup_linear
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    trial_rng,
+    scale_params,
+    sweep,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import lookup_keys
 
@@ -40,49 +40,32 @@ _MAX_DEPTH = 20
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Probe counts for the four lookup variants across data sizes."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    lo, hi = params["exps"]
-    sizes = powers_of_two(lo, hi)
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=_MAX_DEPTH)
 
-    curves: dict[str, list[float]] = {
-        "lht-binary": [],
-        "lht-linear": [],
-        "pht-binary": [],
-        "pht-linear": [],
-    }
-    for size in sizes:
-        samples: dict[str, list[float]] = {name: [] for name in curves}
-        for trial in range(params["trials"]):
-            rng = trial_rng(seed, f"ablation:{size}", trial)
-            keys = make_keys("uniform", size, rng)
-            lht = build_index("lht", LocalDHT(64, trial), config, keys)
-            pht = build_index("pht", LocalDHT(64, trial), config, keys)
-            probes = [float(p) for p in lookup_keys(params["n_lookups"], rng)]
-            n = len(probes)
-            samples["lht-binary"].append(
-                sum(lht_lookup(lht.dht, config, p).dht_lookups for p in probes) / n
-            )
-            samples["lht-linear"].append(
-                sum(
-                    lht_lookup_linear(lht.dht, config, p).dht_lookups
-                    for p in probes
-                )
-                / n
-            )
-            samples["pht-binary"].append(
-                sum(pht.lookup(p).dht_lookups for p in probes) / n
-            )
-            samples["pht-linear"].append(
-                sum(pht.lookup_linear(p).dht_lookups for p in probes) / n
-            )
-        for name in curves:
-            curves[name].append(aggregate(samples[name]).mean)
+    def measure(size, trial, rng):
+        keys = make_keys("uniform", size, rng)
+        lht = build_index("lht", LocalDHT(64, trial), config, keys)
+        pht = build_index("pht", LocalDHT(64, trial), config, keys)
+        probes = [float(p) for p in lookup_keys(params["n_lookups"], rng)]
+        variants = {
+            "lht-binary": lambda p: lht_lookup(lht.dht, config, p),
+            "lht-linear": lambda p: lht_lookup_linear(lht.dht, config, p),
+            "pht-binary": pht.lookup,
+            "pht-linear": pht.lookup_linear,
+        }
+        return {
+            name: sum(lookup(p).dht_lookups for p in probes) / len(probes)
+            for name, lookup in variants.items()
+        }
 
-    xs = [float(s) for s in sizes]
+    curves = sweep(
+        seed,
+        lambda size: f"ablation:{size}",
+        powers_of_two(*params["exps"]),
+        params["trials"],
+        measure,
+    )
     return [
         ExperimentResult(
             experiment_id="E16",
@@ -96,7 +79,8 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
                 "max_depth": _MAX_DEPTH,
                 **params,
             },
-            series=[Series(name, xs, ys) for name, ys in curves.items()],
+            # Published as bare means: the curves carry no error bars.
+            series=[Series(name, c.x, c.y) for name, c in curves.items()],
             notes=(
                 "expect lht-binary < pht-binary and each binary variant "
                 "below its linear counterpart"

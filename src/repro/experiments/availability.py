@@ -23,19 +23,15 @@ k=5 loses ≈``1 - (1 - 0.2^5)^gets`` ≈ 0.1%.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import IndexConfig
-from repro.core.index import LHTIndex
-from repro.core.results import MatchStatus
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
-    count_query_time,
+    build_index,
+    probe_stored,
+    scale_params,
     trial_rng,
 )
 from repro.resilience.policy import RetryPolicy
@@ -72,32 +68,20 @@ def _run_cell(
         policy=RetryPolicy(max_attempts=budget),
         seed=derive_seed(seed, f"retries:{drop_rate}:{budget}"),
     )
-    index = LHTIndex(dht, IndexConfig(theta_split=_THETA))
     keys = make_keys("uniform", params["size"], rng)
-    with count_build_time():
-        index.bulk_load((float(k) for k in keys), fast=True)
+    index = build_index("lht", dht, IndexConfig(theta_split=_THETA), keys)
 
     # Faults start only once the index is built: every probed key is
     # genuinely stored, so any non-PRESENT outcome is a failure.
     faulty.get_drop_rate = drop_rate
     sample = rng.choice(keys, size=min(params["probes"], len(keys)), replace=False)
-    before = dht.metrics.snapshot()
-    hits = 0
-    with count_query_time():
-        for key in sample:
-            result = index.exact_match_checked(float(key))
-            if result.status is MatchStatus.PRESENT:
-                hits += 1
-    spent = dht.metrics.snapshot() - before
+    hits, spent = probe_stored(index, sample)
     return hits / len(sample), spent.gets / len(sample)
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Success rate and cost inflation across drop rate × retry budget."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
 
     success: dict[int, list[float]] = {b: [] for b in _BUDGETS}
     cost: dict[int, list[float]] = {b: [] for b in _BUDGETS}

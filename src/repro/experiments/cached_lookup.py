@@ -26,22 +26,18 @@ only* on top of a correctness check, not instead of one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import IndexConfig
-from repro.core.index import LHTIndex
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
-    count_query_time,
+    build_index,
+    scale_params,
     trial_rng,
+    zipf_probe_cost,
 )
 from repro.sim.rng import derive_seed
 from repro.workloads.datasets import make_keys
-from repro.workloads.queries import zipf_rank_choice
 
 __all__ = ["run"]
 
@@ -62,14 +58,6 @@ _DEPTH = 20
 _AMPLE_CAPACITY = 4096
 
 
-def _zipf_probes(
-    keys: np.ndarray, skew: float, n_probes: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Zipf-over-rank probe stream (shared machinery — see
-    :func:`repro.workloads.queries.zipf_rank_choice`)."""
-    return zipf_rank_choice(keys, skew, n_probes, rng)
-
-
 def _arm(
     capacity: int | None,
     skew: float,
@@ -88,57 +76,37 @@ def _arm(
         cache_enabled=capacity is not None,
         cache_capacity=capacity if capacity is not None else 1024,
     )
-    index = LHTIndex(dht, config)
     keys = make_keys("uniform", params["size"], rng)
-    with count_build_time():
-        index.bulk_load((float(k) for k in keys), fast=True)
+    index = build_index("lht", dht, config, keys)
     if index.cache is not None:
         # Measure steady-state reads, not build-time residue.
         index.cache.clear()
 
-    probes = _zipf_probes(keys, skew, params["probes"], rng)
-    before = dht.metrics.snapshot()
-    with count_query_time():
-        for key in probes:
-            record, _ = index.exact_match(float(key))
-            if record is None:
-                raise ReproError(
-                    f"stored key {key!r} reported absent (cache bug)"
-                )
-    spent = dht.metrics.snapshot() - before
-    n = len(probes)
+    gets, spent = zipf_probe_cost(index, keys, skew, params["probes"], rng)
+    n = params["probes"]
     rates = {
         "hit": spent.cache_hits / n,
         "miss": spent.cache_misses / n,
         "stale": spent.cache_stale / n,
     }
-    return spent.gets / n, rates
+    return gets, rates
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Amortized exact-match cost vs workload skew, cache off/small/ample."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
 
+    small = params["small_capacity"]
     arms: dict[str, int | None] = {
         "cache off": None,
-        f"cache on (capacity {params['small_capacity']})": params[
-            "small_capacity"
-        ],
+        f"cache on (capacity {small})": small,
         f"cache on (capacity {_AMPLE_CAPACITY})": _AMPLE_CAPACITY,
     }
-    cost: dict[str, list[float]] = {label: [] for label in arms}
-    small_label = f"cache on (capacity {params['small_capacity']})"
-    small_rates: dict[str, list[float]] = {"hit": [], "miss": [], "stale": []}
-    for label, capacity in arms.items():
-        for skew in _SKEWS:
-            gets, rates = _arm(capacity, skew, params, seed)
-            cost[label].append(gets)
-            if label == small_label:
-                for name in small_rates:
-                    small_rates[name].append(rates[name])
+    cells = {
+        label: [_arm(capacity, skew, params, seed) for skew in _SKEWS]
+        for label, capacity in arms.items()
+    }
+    small_rates = [rates for _, rates in cells[f"cache on (capacity {small})"]]
 
     xs = list(_SKEWS)
     shared = {
@@ -155,7 +123,10 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
             x_label="zipf exponent",
             y_label="routed DHT-gets per exact match",
             params={**shared, "ample_capacity": _AMPLE_CAPACITY},
-            series=[Series(label, xs, ys) for label, ys in cost.items()],
+            series=[
+                Series(label, xs, [gets for gets, _ in arm])
+                for label, arm in cells.items()
+            ],
             notes=(
                 "probes target stored keys and assert PRESENT; uncached "
                 "baseline ~ log2(D/2); ample-capacity arm ~ 1 get once warm"
@@ -166,9 +137,10 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
             title="Small-cache hit/miss/stale rates vs skew (extension)",
             x_label="zipf exponent",
             y_label="fraction of probes",
-            params={**shared, "capacity": params["small_capacity"]},
+            params={**shared, "capacity": small},
             series=[
-                Series(name, xs, ys) for name, ys in small_rates.items()
+                Series(name, xs, [rates[name] for rates in small_rates])
+                for name in ("hit", "miss", "stale")
             ],
             notes="read-only after build, so stale stays 0 by construction",
         ),

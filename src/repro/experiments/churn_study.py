@@ -24,8 +24,13 @@ from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht.chord import ChordDHT
 from repro.dht.churn import ChurnConfig, ChurnDriver
-from repro.errors import ConfigurationError, ReproError
-from repro.experiments.common import ExperimentResult, Series, trial_rng
+from repro.errors import ReproError
+from repro.experiments.common import (
+    ExperimentResult,
+    Series,
+    scale_params,
+    trial_rng,
+)
 from repro.sim.events import Simulator
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import span_ranges
@@ -69,10 +74,7 @@ def _availability(
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Availability vs crash fraction under a fixed churn intensity."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=20)
 
     exact_rates: list[float] = []

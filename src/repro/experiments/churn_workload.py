@@ -12,13 +12,16 @@ additionally reclaims structure.  Both effects appear in the table.
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate
 from repro.baselines.pht import PHTIndex
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentResult, Series, trial_rng
+from repro.experiments.common import (
+    ExperimentResult,
+    Series,
+    scale_params,
+    sweep,
+)
 from repro.workloads.trace import generate_trace, replay
 
 __all__ = ["run"]
@@ -29,19 +32,14 @@ _SCALES = {
 }
 
 _THETA = 50
+_METRICS = ("maintenance_lookups", "maintenance_records_moved")
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Replay mixed traces against both schemes; report maintenance."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
 
-    metrics = ("maintenance_lookups", "maintenance_records_moved")
-    collected: dict[tuple[str, str], list[float]] = {}
-    for trial in range(params["trials"]):
-        rng = trial_rng(seed, "churn-workload", trial)
+    def measure(_, trial, rng):
         trace = generate_trace(params["n_ops"], rng)
         lht = LHTIndex(
             LocalDHT(64, trial),
@@ -50,23 +48,29 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
         pht = PHTIndex(
             LocalDHT(64, trial), IndexConfig(theta_split=_THETA, max_depth=24)
         )
+        measured = {}
         for scheme, index in (("lht", lht), ("pht", pht)):
             totals = replay(index, trace)
-            for metric in metrics:
-                collected.setdefault((scheme, metric), []).append(totals[metric])
+            for metric in _METRICS:
+                measured[f"{scheme}:{metric}"] = totals[metric]
+        return measured
 
+    # One sweep point: the x axis of the published table is the metric.
+    cost = sweep(
+        seed, lambda _: "churn-workload", [0], params["trials"], measure
+    )
     xs = [0.0, 1.0]  # [maintenance_lookups, records_moved]
     series = [
         Series(
             scheme,
             xs,
-            [aggregate(collected[(scheme, m)]).mean for m in metrics],
-            [aggregate(collected[(scheme, m)]).ci95_half_width for m in metrics],
+            [cost[f"{scheme}:{m}"].y[0] for m in _METRICS],
+            [cost[f"{scheme}:{m}"].y_err[0] for m in _METRICS],
         )
         for scheme in ("lht", "pht")
     ]
-    lht_l = aggregate(collected[("lht", "maintenance_lookups")]).mean
-    pht_l = aggregate(collected[("pht", "maintenance_lookups")]).mean
+    lht_l = cost["lht:maintenance_lookups"].y[0]
+    pht_l = cost["pht:maintenance_lookups"].y[0]
     return [
         ExperimentResult(
             experiment_id="E20",

@@ -15,11 +15,11 @@ import numpy as np
 from repro.core.config import IndexConfig
 from repro.costmodel.model import LinearCostModel, saving_ratio
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
+    scale_params,
     trial_rng,
 )
 from repro.workloads.datasets import make_keys
@@ -36,10 +36,7 @@ _GAMMAS = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0]
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Analytic + measured saving ratio over a γ sweep."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     theta = params["theta"]
     size = params["size"]
     config = IndexConfig(theta_split=theta, max_depth=24)

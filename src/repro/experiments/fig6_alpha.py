@@ -13,17 +13,19 @@ converges with scale.
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     count_build_time,
+    scale_params,
+    summarize,
+    sweep,
     trial_rng,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 
 __all__ = ["run", "run_fig6a", "run_fig6b", "expected_alpha"]
@@ -41,11 +43,11 @@ def expected_alpha(theta_split: int) -> float:
     return 0.5 + 1.0 / (2.0 * theta_split)
 
 
-def _scale_params(scale: str) -> dict:
-    try:
-        return _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+def _empty_index(theta_split: int, trial: int) -> LHTIndex:
+    return LHTIndex(
+        LocalDHT(n_peers=64, seed=trial),
+        IndexConfig(theta_split=theta_split, max_depth=24),
+    )
 
 
 def _alpha_growth_curve(
@@ -54,46 +56,58 @@ def _alpha_growth_curve(
     checkpoints: list[int],
     trials: int,
     seed: int,
-) -> tuple[list[float], list[float]]:
+) -> Series:
     """Mean cumulative ᾱ at each size checkpoint, averaged over trials."""
-    per_checkpoint: list[list[float]] = [[] for _ in checkpoints]
+    label = f"{distribution}/θ={theta_split}"
+    per_trial: list[list[dict[str, float]]] = []
     for trial in range(trials):
         rng = trial_rng(seed, f"fig6a:{distribution}:{theta_split}", trial)
         keys = make_keys(distribution, checkpoints[-1], rng)
-        index = LHTIndex(
-            LocalDHT(n_peers=64, seed=trial),
-            IndexConfig(theta_split=theta_split, max_depth=24),
-        )
+        index = _empty_index(theta_split, trial)
         start = 0
-        for ci, size in enumerate(checkpoints):
+        row = []
+        for size in checkpoints:
             # ᾱ comes from the split ledger, so the build must stay on
             # the incremental path (the fast path never splits).
             with count_build_time():
                 index.bulk_load(float(k) for k in keys[start:size])
             start = size
-            per_checkpoint[ci].append(index.ledger.average_alpha)
-    means = [aggregate(vals).mean for vals in per_checkpoint]
-    errs = [aggregate(vals).ci95_half_width for vals in per_checkpoint]
-    return means, errs
+            row.append({label: index.ledger.average_alpha})
+        per_trial.append(row)
+    return summarize(checkpoints, zip(*per_trial))[label]
+
+
+def _alpha_at_size(
+    distribution: str, size: int, thetas: list[int], trials: int, seed: int
+) -> Series:
+    """Mean ᾱ of a full build of ``size`` keys, per ``θ_split``."""
+
+    def measure(theta, trial, rng):
+        keys = make_keys(distribution, size, rng)
+        index = _empty_index(theta, trial)
+        with count_build_time():
+            index.bulk_load(float(k) for k in keys)
+        return {distribution: index.ledger.average_alpha}
+
+    return sweep(
+        seed,
+        lambda theta: f"fig6b:{distribution}:{theta}",
+        thetas,
+        trials,
+        measure,
+    )[distribution]
 
 
 def run_fig6a(scale: str = "ci", seed: int = 0) -> ExperimentResult:
     """E1: average ᾱ vs data size for θ ∈ {40, 160} (Fig. 6a)."""
-    params = _scale_params(scale)
-    lo, hi = params["exps"]
-    checkpoints = powers_of_two(lo, hi)
+    params = scale_params(_SCALES, scale)
+    checkpoints = powers_of_two(*params["exps"])
     series: list[Series] = []
     for theta in (40, 160):
         for distribution in _DISTRIBUTIONS:
-            means, errs = _alpha_growth_curve(
-                distribution, theta, checkpoints, params["trials"], seed
-            )
             series.append(
-                Series(
-                    label=f"{distribution}/θ={theta}",
-                    x=[float(c) for c in checkpoints],
-                    y=means,
-                    y_err=errs,
+                _alpha_growth_curve(
+                    distribution, theta, checkpoints, params["trials"], seed
                 )
             )
         series.append(
@@ -116,36 +130,13 @@ def run_fig6a(scale: str = "ci", seed: int = 0) -> ExperimentResult:
 
 def run_fig6b(scale: str = "ci", seed: int = 0) -> ExperimentResult:
     """E2: average ᾱ vs θ_split at a fixed data size (Fig. 6b)."""
-    params = _scale_params(scale)
+    params = scale_params(_SCALES, scale)
     size = 1 << params["fixed_size_exp"]
     thetas = [20, 40, 60, 100, 160, 240, 320]
-    series: list[Series] = []
-    for distribution in _DISTRIBUTIONS:
-        means: list[float] = []
-        errs: list[float] = []
-        for theta in thetas:
-            samples = []
-            for trial in range(params["trials"]):
-                rng = trial_rng(seed, f"fig6b:{distribution}:{theta}", trial)
-                keys = make_keys(distribution, size, rng)
-                index = LHTIndex(
-                    LocalDHT(n_peers=64, seed=trial),
-                    IndexConfig(theta_split=theta, max_depth=24),
-                )
-                with count_build_time():
-                    index.bulk_load(float(k) for k in keys)
-                samples.append(index.ledger.average_alpha)
-            agg = aggregate(samples)
-            means.append(agg.mean)
-            errs.append(agg.ci95_half_width)
-        series.append(
-            Series(
-                label=distribution,
-                x=[float(t) for t in thetas],
-                y=means,
-                y_err=errs,
-            )
-        )
+    series = [
+        _alpha_at_size(distribution, size, thetas, params["trials"], seed)
+        for distribution in _DISTRIBUTIONS
+    ]
     series.append(
         Series(
             label="expected",

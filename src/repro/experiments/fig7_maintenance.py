@@ -13,17 +13,18 @@ is recorded at each size checkpoint:
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
 from repro.core.config import IndexConfig
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
     count_build_time,
+    scale_params,
+    summarize,
     trial_rng,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 
 __all__ = ["run"]
@@ -38,57 +39,56 @@ _DISTRIBUTIONS = ("uniform", "gaussian")
 _SCHEMES = ("lht", "pht")
 
 
+def _maintenance_curves(
+    scheme: str,
+    distribution: str,
+    checkpoints: list[int],
+    trials: int,
+    seed: int,
+) -> dict[str, Series]:
+    """Cumulative ``moved`` records and ``lookups`` of one scheme's growth."""
+    config = IndexConfig(theta_split=_THETA, max_depth=24)
+    per_trial: list[list[dict[str, float]]] = []
+    for trial in range(trials):
+        rng = trial_rng(seed, f"fig7:{scheme}:{distribution}", trial)
+        keys = make_keys(distribution, checkpoints[-1], rng)
+        index = build_index(
+            scheme, LocalDHT(n_peers=64, seed=trial), config, keys[:0]
+        )
+        start = 0
+        row = []
+        for size in checkpoints:
+            # Maintenance costs come from the ledger, so each
+            # increment replays the incremental algorithm.
+            with count_build_time():
+                index.bulk_load(float(k) for k in keys[start:size])
+            start = size
+            row.append(
+                {
+                    "moved": index.ledger.maintenance_records_moved,
+                    "lookups": index.ledger.maintenance_lookups,
+                }
+            )
+        per_trial.append(row)
+    curves = summarize(checkpoints, zip(*per_trial))
+    for curve in curves.values():
+        curve.label = f"{scheme}/{distribution}"
+    return curves
+
+
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Run both Fig. 7 panels; returns [E3 (moved records), E4 (lookups)]."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    lo, hi = params["exps"]
-    checkpoints = powers_of_two(lo, hi)
-    config = IndexConfig(theta_split=_THETA, max_depth=24)
-
-    moved_series: list[Series] = []
-    lookup_series: list[Series] = []
-    for scheme in _SCHEMES:
-        for distribution in _DISTRIBUTIONS:
-            moved_cp: list[list[float]] = [[] for _ in checkpoints]
-            lookups_cp: list[list[float]] = [[] for _ in checkpoints]
-            for trial in range(params["trials"]):
-                rng = trial_rng(seed, f"fig7:{scheme}:{distribution}", trial)
-                keys = make_keys(distribution, checkpoints[-1], rng)
-                index = build_index(
-                    scheme, LocalDHT(n_peers=64, seed=trial), config, keys[:0]
-                )
-                start = 0
-                for ci, size in enumerate(checkpoints):
-                    # Maintenance costs come from the ledger, so each
-                    # increment replays the incremental algorithm.
-                    with count_build_time():
-                        index.bulk_load(float(k) for k in keys[start:size])
-                    start = size
-                    moved_cp[ci].append(
-                        index.ledger.maintenance_records_moved
-                    )
-                    lookups_cp[ci].append(index.ledger.maintenance_lookups)
-            label = f"{scheme}/{distribution}"
-            xs = [float(c) for c in checkpoints]
-            moved_series.append(
-                Series(
-                    label=label,
-                    x=xs,
-                    y=[aggregate(v).mean for v in moved_cp],
-                    y_err=[aggregate(v).ci95_half_width for v in moved_cp],
-                )
-            )
-            lookup_series.append(
-                Series(
-                    label=label,
-                    x=xs,
-                    y=[aggregate(v).mean for v in lookups_cp],
-                    y_err=[aggregate(v).ci95_half_width for v in lookups_cp],
-                )
-            )
+    params = scale_params(_SCALES, scale)
+    checkpoints = powers_of_two(*params["exps"])
+    curves = [
+        _maintenance_curves(
+            scheme, distribution, checkpoints, params["trials"], seed
+        )
+        for scheme in _SCHEMES
+        for distribution in _DISTRIBUTIONS
+    ]
+    moved_series = [curve["moved"] for curve in curves]
+    lookup_series = [curve["lookups"] for curve in curves]
 
     common = {"scale": scale, "seed": seed, "theta_split": _THETA, **params}
     return [

@@ -14,17 +14,17 @@ lengths.
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
 from repro.core.config import IndexConfig
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
     count_query_time,
-    trial_rng,
+    scale_params,
+    sweep,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import lookup_keys
 
@@ -39,48 +39,43 @@ _THETA = 100
 _MAX_DEPTH = 20  # the paper's a-priori D
 
 
+def _lookup_cost(
+    scheme: str, distribution: str, sizes: list[int], params: dict, seed: int
+) -> Series:
+    """One scheme's mean DHT-lookups per index lookup across data sizes."""
+    config = IndexConfig(theta_split=_THETA, max_depth=_MAX_DEPTH)
+
+    def measure(size, trial, rng):
+        keys = make_keys(distribution, size, rng)
+        dht = LocalDHT(n_peers=64, seed=trial)
+        index = build_index(scheme, dht, config, keys)
+        probes = lookup_keys(params["n_lookups"], rng)
+        total = 0
+        with count_query_time():
+            for probe in probes:
+                total += index.lookup(float(probe)).dht_lookups
+        return {scheme: total / len(probes)}
+
+    return sweep(
+        seed,
+        lambda size: f"fig8:{scheme}:{distribution}:{size}",
+        sizes,
+        params["trials"],
+        measure,
+    )[scheme]
+
+
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Run both Fig. 8 panels; returns [E5 (uniform), E6 (gaussian)]."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    lo, hi = params["exps"]
-    sizes = powers_of_two(lo, hi)
-    config = IndexConfig(theta_split=_THETA, max_depth=_MAX_DEPTH)
+    params = scale_params(_SCALES, scale)
+    sizes = powers_of_two(*params["exps"])
 
     results: list[ExperimentResult] = []
     for exp_id, distribution in (("E5", "uniform"), ("E6", "gaussian")):
-        series: list[Series] = []
-        for scheme in ("lht", "pht"):
-            means: list[float] = []
-            errs: list[float] = []
-            for size in sizes:
-                samples: list[float] = []
-                for trial in range(params["trials"]):
-                    rng = trial_rng(
-                        seed, f"fig8:{scheme}:{distribution}:{size}", trial
-                    )
-                    keys = make_keys(distribution, size, rng)
-                    dht = LocalDHT(n_peers=64, seed=trial)
-                    index = build_index(scheme, dht, config, keys)
-                    probes = lookup_keys(params["n_lookups"], rng)
-                    total = 0
-                    with count_query_time():
-                        for probe in probes:
-                            total += index.lookup(float(probe)).dht_lookups
-                    samples.append(total / len(probes))
-                agg = aggregate(samples)
-                means.append(agg.mean)
-                errs.append(agg.ci95_half_width)
-            series.append(
-                Series(
-                    label=scheme,
-                    x=[float(s) for s in sizes],
-                    y=means,
-                    y_err=errs,
-                )
-            )
+        series = [
+            _lookup_cost(scheme, distribution, sizes, params, seed)
+            for scheme in ("lht", "pht")
+        ]
         lht_mean = sum(series[0].y) / len(series[0].y)
         pht_mean = sum(series[1].y) / len(series[1].y)
         results.append(

@@ -11,19 +11,18 @@ the paper does not discuss (caching or replicating hot name classes).
 
 from __future__ import annotations
 
-from repro.analysis.stats import gini_coefficient
 from repro.core.config import IndexConfig
-from repro.core.index import LHTIndex
 from repro.dht.accesslog import AccessLoggingDHT
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
+    build_index,
     count_query_time,
+    scale_params,
     trial_rng,
 )
+from repro.experiments.stats import gini_coefficient
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import lookup_keys, span_ranges
 
@@ -39,18 +38,15 @@ _THETA = 100
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Access-load skew of query traffic over an LHT."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     rng = trial_rng(seed, "hotspots", 0)
     dht = AccessLoggingDHT(LocalDHT(params["n_peers"], seed))
-    index = LHTIndex(dht, IndexConfig(theta_split=_THETA, max_depth=20))
-    with count_build_time():
-        index.bulk_load(
-            (float(k) for k in make_keys("uniform", params["size"], rng)),
-            fast=True,
-        )
+    index = build_index(
+        "lht",
+        dht,
+        IndexConfig(theta_split=_THETA, max_depth=20),
+        make_keys("uniform", params["size"], rng),
+    )
     dht.reset_log()  # measure query traffic only
 
     with count_query_time():

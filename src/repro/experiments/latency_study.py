@@ -20,14 +20,13 @@ import math
 import numpy as np
 
 from repro.core.config import IndexConfig
-from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    build_index,
+    scale_params,
     trial_rng,
 )
+from repro.experiments.range_perf import range_algorithms
 from repro.sim.network import LatencyModel
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import span_ranges
@@ -58,23 +57,14 @@ def _query_wall_latency(
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Simulated wall-latency distributions for the three algorithms."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=20)
     model = LatencyModel(median=0.05, sigma=0.4)
     hops = max(1, math.ceil(math.log2(params["n_peers"])) // 2)
 
     rng = trial_rng(seed, "latency-study", 0)
     keys = make_keys("uniform", params["size"], rng)
-    lht = build_index("lht", LocalDHT(64, 0), config, keys)
-    pht = build_index("pht", LocalDHT(64, 0), config, keys)
-    runners = {
-        "lht": lht.range_query,
-        "pht-seq": pht.range_query_sequential,
-        "pht-par": pht.range_query_parallel,
-    }
+    runners = range_algorithms(config, keys, 0)
 
     queries = span_ranges(params["n_queries"], _SPAN, rng)
     medians: dict[str, float] = {}

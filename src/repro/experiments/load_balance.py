@@ -10,20 +10,19 @@ vs the raw DHT, under uniform and gaussian data.
 
 from __future__ import annotations
 
-from repro.analysis.stats import gini_coefficient
 from repro.baselines.naive import NaiveIndex
 from repro.baselines.orderpreserving import OrderPreservingIndex
 from repro.core.config import IndexConfig
-from repro.core.index import LHTIndex
 from repro.core.stats import IndexInspector
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
+    build_index,
+    scale_params,
     trial_rng,
 )
+from repro.experiments.stats import gini_coefficient
 from repro.workloads.datasets import make_keys
 
 __all__ = ["run"]
@@ -50,10 +49,7 @@ def _record_loads_lht(dht: LocalDHT) -> list[int]:
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Gini coefficient of per-peer storage, LHT vs raw DHT."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=24)
 
     schemes = ("lht", "raw-dht", "order-preserving")
@@ -64,9 +60,7 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
         keys = make_keys(distribution, params["size"], rng)
 
         dht = LocalDHT(n_peers=params["n_peers"], seed=seed)
-        index = LHTIndex(dht, config)
-        with count_build_time():
-            index.bulk_load((float(k) for k in keys), fast=True)
+        build_index("lht", dht, config, keys)
         gini["lht"].append(gini_coefficient(_record_loads_lht(dht)))
 
         raw_dht = LocalDHT(n_peers=params["n_peers"], seed=seed)

@@ -9,17 +9,18 @@ schemes' measured lookup counts, plus correctness against the oracle.
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
 from repro.core.config import IndexConfig
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
     count_query_time,
-    trial_rng,
+    scale_params,
+    sweep,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 
 __all__ = ["run"]
@@ -34,48 +35,40 @@ _THETA = 100
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Measure min/max query cost for LHT vs PHT across data sizes."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    lo, hi = params["exps"]
-    sizes = powers_of_two(lo, hi)
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=24)
 
-    curves: dict[str, list[float]] = {
-        "lht-min": [],
-        "lht-max": [],
-        "pht-min": [],
-        "pht-max": [],
-    }
-    for size in sizes:
-        samples: dict[str, list[float]] = {k: [] for k in curves}
-        for trial in range(params["trials"]):
-            rng = trial_rng(seed, f"minmax:{size}", trial)
-            keys = make_keys("uniform", size, rng)
-            true_min, true_max = float(keys.min()), float(keys.max())
+    def measure(size, trial, rng):
+        keys = make_keys("uniform", size, rng)
+        true_min, true_max = float(keys.min()), float(keys.max())
 
-            lht = build_index("lht", LocalDHT(64, trial), config, keys)
-            with count_query_time():
-                mn = lht.min_query()
-                mx = lht.max_query()
-            if mn.record.key != true_min or mx.record.key != true_max:
-                raise ReproError("LHT min/max answer mismatch")
-            samples["lht-min"].append(mn.dht_lookups)
-            samples["lht-max"].append(mx.dht_lookups)
+        lht = build_index("lht", LocalDHT(64, trial), config, keys)
+        with count_query_time():
+            mn = lht.min_query()
+            mx = lht.max_query()
+        if mn.record.key != true_min or mx.record.key != true_max:
+            raise ReproError("LHT min/max answer mismatch")
 
-            pht = build_index("pht", LocalDHT(64, trial), config, keys)
-            with count_query_time():
-                pmn, pmn_cost = pht.min_query()
-                pmx, pmx_cost = pht.max_query()
-            if pmn.key != true_min or pmx.key != true_max:
-                raise ReproError("PHT min/max answer mismatch")
-            samples["pht-min"].append(pmn_cost)
-            samples["pht-max"].append(pmx_cost)
-        for name in curves:
-            curves[name].append(aggregate(samples[name]).mean)
+        pht = build_index("pht", LocalDHT(64, trial), config, keys)
+        with count_query_time():
+            pmn, pmn_cost = pht.min_query()
+            pmx, pmx_cost = pht.max_query()
+        if pmn.key != true_min or pmx.key != true_max:
+            raise ReproError("PHT min/max answer mismatch")
+        return {
+            "lht-min": mn.dht_lookups,
+            "lht-max": mx.dht_lookups,
+            "pht-min": pmn_cost,
+            "pht-max": pmx_cost,
+        }
 
-    xs = [float(s) for s in sizes]
+    curves = sweep(
+        seed,
+        lambda size: f"minmax:{size}",
+        powers_of_two(*params["exps"]),
+        params["trials"],
+        measure,
+    )
     return [
         ExperimentResult(
             experiment_id="E12",
@@ -83,7 +76,8 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
             x_label="data size",
             y_label="DHT-lookups per query",
             params={"scale": scale, "seed": seed, "theta_split": _THETA, **params},
-            series=[Series(name, xs, ys) for name, ys in curves.items()],
+            # Published as bare means: the curves carry no error bars.
+            series=[Series(name, c.x, c.y) for name, c in curves.items()],
             notes="expect LHT constant at 1; PHT grows with trie depth",
         )
     ]

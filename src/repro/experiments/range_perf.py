@@ -23,21 +23,23 @@ together.
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate, powers_of_two
+from typing import Callable
+
 from repro.core.config import IndexConfig
 from repro.dht.local import LocalDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
     count_query_time,
-    trial_rng,
+    scale_params,
+    sweep,
 )
+from repro.experiments.stats import powers_of_two
 from repro.workloads.datasets import make_keys
 from repro.workloads.queries import span_ranges
 
-__all__ = ["run", "ALGORITHMS"]
+__all__ = ["run", "ALGORITHMS", "range_algorithms"]
 
 _SCALES = {
     "ci": {
@@ -64,116 +66,97 @@ _DISTRIBUTIONS = ("uniform", "gaussian")
 ALGORITHMS = ("lht", "pht-seq", "pht-par")
 
 
-def _measure_point(
+def range_algorithms(
+    config: IndexConfig, keys, trial: int
+) -> dict[str, Callable[[float, float], object]]:
+    """The compared algorithms, label → ``query(lo, hi)``, over one LHT
+    and one PHT bulk-built from ``keys`` (each on its own 64-peer
+    ``LocalDHT`` seeded by ``trial``)."""
+    lht = build_index("lht", LocalDHT(n_peers=64, seed=trial), config, keys)
+    pht = build_index("pht", LocalDHT(n_peers=64, seed=trial), config, keys)
+    return {
+        "lht": lht.range_query,
+        "pht-seq": pht.range_query_sequential,
+        "pht-par": pht.range_query_parallel,
+    }
+
+
+def _curves(
     distribution: str,
-    size: int,
-    span: float,
-    trials: int,
-    n_queries: int,
+    xs: list,
+    point: Callable[[float], tuple[int, float]],
+    params: dict,
     seed: int,
     tag: str,
-) -> dict[str, tuple[float, float, float, float]]:
-    """Per-algorithm mean (bw, bw_err, lat, lat_err) at one sweep point."""
+) -> dict[str, Series]:
+    """Per-algorithm bandwidth (``bw:<algo>``) and latency
+    (``lat:<algo>``) curves of one distribution over one sweep."""
     config = IndexConfig(theta_split=_THETA, max_depth=_MAX_DEPTH)
-    samples: dict[str, tuple[list[float], list[float]]] = {
-        algo: ([], []) for algo in ALGORITHMS
-    }
-    for trial in range(trials):
-        rng = trial_rng(seed, f"{tag}:{distribution}:{size}:{span}", trial)
+    n_queries = params["n_queries"]
+
+    def stream(x):
+        size, span = point(x)
+        return f"{tag}:{distribution}:{size}:{span}"
+
+    def measure(x, trial, rng):
+        size, span = point(x)
         keys = make_keys(distribution, size, rng)
-        lht = build_index("lht", LocalDHT(n_peers=64, seed=trial), config, keys)
-        pht = build_index("pht", LocalDHT(n_peers=64, seed=trial), config, keys)
+        runners = range_algorithms(config, keys, trial)
         queries = span_ranges(n_queries, span, rng)
-        runners = {
-            "lht": lambda q: lht.range_query(q.lo, q.hi),
-            "pht-seq": lambda q: pht.range_query_sequential(q.lo, q.hi),
-            "pht-par": lambda q: pht.range_query_parallel(q.lo, q.hi),
-        }
+        measured: dict[str, float] = {}
         for algo, runner in runners.items():
             bw = lat = 0.0
             with count_query_time():
                 for query in queries:
-                    result = runner(query)
+                    result = runner(query.lo, query.hi)
                     bw += result.dht_lookups
                     lat += result.parallel_steps
-            samples[algo][0].append(bw / n_queries)
-            samples[algo][1].append(lat / n_queries)
-    out: dict[str, tuple[float, float, float, float]] = {}
-    for algo, (bw_list, lat_list) in samples.items():
-        bw_agg, lat_agg = aggregate(bw_list), aggregate(lat_list)
-        out[algo] = (
-            bw_agg.mean,
-            bw_agg.ci95_half_width,
-            lat_agg.mean,
-            lat_agg.ci95_half_width,
-        )
-    return out
+            measured[f"bw:{algo}"] = bw / n_queries
+            measured[f"lat:{algo}"] = lat / n_queries
+        return measured
+
+    return sweep(seed, stream, xs, params["trials"], measure)
 
 
-def _sweep(
-    xs: list[float],
-    point_params: list[tuple[int, float]],
+def _panels(
+    xs: list,
+    point: Callable[[float], tuple[int, float]],
     params: dict,
     seed: int,
     tag: str,
 ) -> tuple[list[Series], list[Series]]:
-    """Run one sweep; returns (bandwidth series, latency series)."""
-    collected: dict[str, dict[str, list[float]]] = {
-        f"{algo}/{distribution}": {"bw": [], "bw_err": [], "lat": [], "lat_err": []}
-        for algo in ALGORITHMS
+    """Run one sweep over ``xs``, measuring ``point(x) = (size, span)``
+    at each; returns (bandwidth series, latency series)."""
+    curves = {
+        distribution: _curves(distribution, xs, point, params, seed, tag)
         for distribution in _DISTRIBUTIONS
     }
-    for distribution in _DISTRIBUTIONS:
-        for size, span in point_params:
-            point = _measure_point(
-                distribution,
-                size,
-                span,
-                params["trials"],
-                params["n_queries"],
-                seed,
-                tag,
-            )
-            for algo in ALGORITHMS:
-                bw, bw_err, lat, lat_err = point[algo]
-                cell = collected[f"{algo}/{distribution}"]
-                cell["bw"].append(bw)
-                cell["bw_err"].append(bw_err)
-                cell["lat"].append(lat)
-                cell["lat_err"].append(lat_err)
-
-    bw_series = [
-        Series(label, list(xs), cell["bw"], cell["bw_err"])
-        for label, cell in collected.items()
-    ]
-    lat_series = [
-        Series(label, list(xs), cell["lat"], cell["lat_err"])
-        for label, cell in collected.items()
-    ]
-    return bw_series, lat_series
+    panels: tuple[list[Series], list[Series]] = ([], [])
+    for panel, kind in zip(panels, ("bw", "lat")):
+        for algo in ALGORITHMS:
+            for distribution in _DISTRIBUTIONS:
+                series = curves[distribution][f"{kind}:{algo}"]
+                series.label = f"{algo}/{distribution}"
+                panel.append(series)
+    return panels
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Run the four range-performance experiments: E7, E8, E9, E10."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    lo, hi = params["exps"]
-    sizes = powers_of_two(lo, hi)
+    params = scale_params(_SCALES, scale)
     fixed_size = 1 << params["fixed_size_exp"]
     span = params["size_sweep_span"]
 
-    size_bw, size_lat = _sweep(
-        [float(s) for s in sizes],
-        [(s, span) for s in sizes],
+    size_bw, size_lat = _panels(
+        powers_of_two(*params["exps"]),
+        lambda size: (size, span),
         params,
         seed,
         "range-size",
     )
-    span_bw, span_lat = _sweep(
-        [float(s) for s in params["spans"]],
-        [(fixed_size, s) for s in params["spans"]],
+    span_bw, span_lat = _panels(
+        params["spans"],
+        lambda query_span: (fixed_size, query_span),
         params,
         seed,
         "range-span",

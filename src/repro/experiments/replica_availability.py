@@ -20,6 +20,9 @@ outcome is a failure:
   build: the maintenance price of k copies (≈ k exactly, since every
   leaf put fans out once per replica holder).
 
+One result per substrate, ``E26-<substrate>`` (results are saved under
+their id, so each needs its own), plus ``E26b`` for the amplification.
+
 The k = 1 column doubles as the placement no-op proof: the wrapper is a
 pass-through, so its availability matches the unreplicated E22
 budget-1 baseline at the same drop rate.
@@ -29,16 +32,16 @@ from __future__ import annotations
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
-from repro.core.results import MatchStatus
+from repro.dht import registry
 from repro.dht.faulty import FaultyDHT
 from repro.dht.replicated import ReplicatedDHT
-from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentResult,
     Series,
     count_build_time,
-    count_query_time,
     make_dht,
+    probe_stored,
+    scale_params,
     trial_rng,
 )
 from repro.sim.rng import derive_seed
@@ -105,29 +108,15 @@ def _run_cell(
     sample = rng.choice(
         keys, size=min(params["probes"], len(keys)), replace=False
     )
-    before = dht.metrics.snapshot()
-    hits = 0
-    with count_query_time():
-        for key in sample:
-            result = index.exact_match_checked(float(key))
-            if result.status is MatchStatus.PRESENT:
-                hits += 1
-    spent = dht.metrics.since(before)
+    hits, spent = probe_stored(index, sample)
     return hits / len(sample), puts_per_record, spent.replica_failovers
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Availability and put amplification across substrate × p × k."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    if params["substrates"] is None:
-        from repro.dht import registry
-
-        substrates = registry.names()
-    else:
-        substrates = list(params["substrates"])
+    params = scale_params(_SCALES, scale)
+    # ``None`` = every substrate: the registry decides at run time.
+    substrates = list(params["substrates"] or registry.names())
 
     drop_rates = list(params["drop_rates"])
     shared = {
@@ -140,27 +129,23 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
         "ks": _KS,
     }
     results: list[ExperimentResult] = []
-    amplification: dict[str, list[float]] = {}
-    failovers: dict[str, list[float]] = {}
+    amplification: dict[str, list[float]] = {s: [] for s in substrates}
+    failovers: dict[str, list[float]] = {s: [] for s in substrates}
     for substrate in substrates:
-        availability: dict[int, list[float]] = {k: [] for k in _KS}
-        amp_row: list[float] = []
-        fo_row: list[float] = []
+        availability: dict[int, list[float]] = {}
         for k in _KS:
-            total_failovers = 0
-            for drop_rate in drop_rates:
-                rate, puts_per_record, rescued = _run_cell(
-                    substrate, drop_rate, k, params, seed
-                )
-                availability[k].append(rate)
-                total_failovers += rescued
-            amp_row.append(puts_per_record)
-            fo_row.append(float(total_failovers))
-        amplification[substrate] = amp_row
-        failovers[substrate] = fo_row
+            cells = [
+                _run_cell(substrate, drop_rate, k, params, seed)
+                for drop_rate in drop_rates
+            ]
+            availability[k] = [rate for rate, _, _ in cells]
+            amplification[substrate].append(cells[-1][1])
+            failovers[substrate].append(
+                float(sum(rescued for _, _, rescued in cells))
+            )
         results.append(
             ExperimentResult(
-                experiment_id="E26",
+                experiment_id=f"E26-{substrate}",
                 title=(
                     "Exact-match availability vs replication factor "
                     f"({substrate})"

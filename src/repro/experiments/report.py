@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentResult, Series
+from repro.experiments.common import ExperimentResult, Series, format_number
 
 __all__ = ["load_result", "load_directory", "to_markdown", "main"]
 
@@ -27,18 +27,9 @@ def load_result(path: Path) -> ExperimentResult:
     """Load one saved experiment result from its JSON file."""
     try:
         data = json.loads(path.read_text())
-        return ExperimentResult(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            x_label=data["x_label"],
-            y_label=data["y_label"],
-            params=data["params"],
-            series=[
-                Series(s["label"], s["x"], s["y"], s.get("y_err", []))
-                for s in data["series"]
-            ],
-            notes=data.get("notes", ""),
-        )
+        data["series"] = [Series(**series) for series in data["series"]]
+        data.pop("timings", None)  # host-dependent; not part of a report
+        return ExperimentResult(**data)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed result file {path}: {exc}") from exc
 
@@ -62,32 +53,15 @@ def load_directory(directory: str | Path) -> list[ExperimentResult]:
 
 
 def _markdown_table(result: ExperimentResult) -> str:
-    xs = sorted({x for s in result.series for x in s.x})
     header = [result.x_label] + [s.label for s in result.series]
     lines = [
         "| " + " | ".join(header) + " |",
         "|" + "|".join(["---"] * len(header)) + "|",
     ]
-    for x in xs:
-        row = [_fmt(x)]
-        for s in result.series:
-            try:
-                idx = s.x.index(x)
-            except ValueError:
-                row.append("-")
-                continue
-            cell = _fmt(s.y[idx])
-            if s.y_err and s.y_err[idx]:
-                cell += f" ± {_fmt(s.y_err[idx])}"
-            row.append(cell)
+    # An error bar of exactly zero (a single trial) is rendered bare.
+    for row in result.rows(lambda e: f" ± {format_number(e)}" if e else ""):
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
-
-
-def _fmt(value: float) -> str:
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return f"{value:.4g}"
 
 
 def to_markdown(results: list[ExperimentResult]) -> str:

@@ -20,14 +20,15 @@ diameter (onehop flat at 1.0, koorde between onehop and chord).
 from __future__ import annotations
 
 from repro.core.config import IndexConfig
-from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import (
-    ExperimentResult,
     SUBSTRATES,
+    ExperimentResult,
     Series,
     build_index,
     count_query_time,
+    hops_per_lookup,
     make_dht,
+    scale_params,
     trial_rng,
 )
 from repro.workloads.datasets import make_keys
@@ -53,51 +54,66 @@ _SCALES = {
 }
 
 _THETA = 20
-_PHASES = ("build", "lookup", "range")
+#: Result id and title suffix per measured phase, in published order
+#: (the phases *run* build → lookup → range on one index).
+_PHASES = {
+    "lookup": ("E25", "point lookups"),
+    "range": ("E25b", "range queries"),
+    "build": ("E25c", "bulk build"),
+}
+
+
+def _phase_hops(
+    substrate: str, n_peers: int, params: dict, seed: int, reference: dict
+) -> dict[str, float]:
+    """Hops per DHT-lookup of each phase on one overlay of ``n_peers``."""
+    # Identical workload across substrates (the invariance check
+    # depends on it): the stream name omits the substrate.
+    rng = trial_rng(seed, f"routing_diversity:{n_peers}", 0)
+    dht = make_dht(substrate, n_peers, seed)
+    keys = make_keys("uniform", params["size"], rng)
+    index = None
+
+    def build() -> None:
+        nonlocal index
+        index = build_index(
+            "lht", dht, IndexConfig(theta_split=_THETA, max_depth=20), keys
+        )
+
+    def lookup() -> None:
+        with count_query_time():
+            for probe in lookup_keys(params["n_lookups"], rng):
+                index.lookup(float(probe))
+
+    def range_() -> None:
+        with count_query_time():
+            for query in span_ranges(params["n_ranges"], params["span"], rng):
+                index.range_query(query.lo, query.hi)
+
+    return {
+        phase: hops_per_lookup(
+            substrate, dht, step, f"{phase} at N={n_peers}", reference
+        )
+        for phase, step in (("build", build), ("lookup", lookup), ("range", range_))
+    }
 
 
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Routed hops per DHT-lookup, per phase, across every substrate."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
-    config = IndexConfig(theta_split=_THETA, max_depth=20)
+    params = scale_params(_SCALES, scale)
+    xs = [float(n) for n in params["n_peers"]]
 
     hop_series: dict[str, list[Series]] = {phase: [] for phase in _PHASES}
-    reference_cost: dict[tuple[str, int], int] = {}
+    reference_cost: dict = {}
     for substrate in sorted(SUBSTRATES):
-        phase_hops: dict[str, list[float]] = {phase: [] for phase in _PHASES}
-        xs: list[float] = []
-        for n_peers in params["n_peers"]:
-            # Identical workload across substrates (the invariance
-            # check depends on it): the stream name omits the substrate.
-            rng = trial_rng(seed, f"routing_diversity:{n_peers}", 0)
-            dht = make_dht(substrate, n_peers, seed)
-            keys = make_keys("uniform", params["size"], rng)
-
-            before = dht.metrics.snapshot()
-            index = build_index("lht", dht, config, keys)
-            delta = dht.metrics.since(before)
-            _bank(substrate, n_peers, "build", delta, phase_hops, reference_cost)
-
-            before = dht.metrics.snapshot()
-            with count_query_time():
-                for probe in lookup_keys(params["n_lookups"], rng):
-                    index.lookup(float(probe))
-            delta = dht.metrics.since(before)
-            _bank(substrate, n_peers, "lookup", delta, phase_hops, reference_cost)
-
-            before = dht.metrics.snapshot()
-            with count_query_time():
-                for query in span_ranges(params["n_ranges"], params["span"], rng):
-                    index.range_query(query.lo, query.hi)
-            delta = dht.metrics.since(before)
-            _bank(substrate, n_peers, "range", delta, phase_hops, reference_cost)
-
-            xs.append(float(n_peers))
+        hops = [
+            _phase_hops(substrate, n_peers, params, seed, reference_cost)
+            for n_peers in params["n_peers"]
+        ]
         for phase in _PHASES:
-            hop_series[phase].append(Series(substrate, list(xs), phase_hops[phase]))
+            hop_series[phase].append(
+                Series(substrate, list(xs), [point[phase] for point in hops])
+            )
 
     shared = {"scale": scale, "seed": seed, "theta_split": _THETA, **params}
     notes = (
@@ -107,52 +123,13 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     )
     return [
         ExperimentResult(
-            experiment_id="E25",
-            title="Routing diversity: hops per DHT-lookup (point lookups)",
+            experiment_id=exp_id,
+            title=f"Routing diversity: hops per DHT-lookup ({what})",
             x_label="number of peers",
             y_label="mean hops per DHT-lookup",
             params=dict(shared),
-            series=hop_series["lookup"],
+            series=hop_series[phase],
             notes=notes,
-        ),
-        ExperimentResult(
-            experiment_id="E25b",
-            title="Routing diversity: hops per DHT-lookup (range queries)",
-            x_label="number of peers",
-            y_label="mean hops per DHT-lookup",
-            params=dict(shared),
-            series=hop_series["range"],
-            notes=notes,
-        ),
-        ExperimentResult(
-            experiment_id="E25c",
-            title="Routing diversity: hops per DHT-lookup (bulk build)",
-            x_label="number of peers",
-            y_label="mean hops per DHT-lookup",
-            params=dict(shared),
-            series=hop_series["build"],
-            notes=notes,
-        ),
+        )
+        for phase, (exp_id, what) in _PHASES.items()
     ]
-
-
-def _bank(
-    substrate: str,
-    n_peers: int,
-    phase: str,
-    delta,
-    phase_hops: dict[str, list[float]],
-    reference_cost: dict[tuple[str, int], int],
-) -> None:
-    """Record one phase's hops-per-lookup and enforce cost invariance."""
-    if delta.dht_lookups <= 0:
-        raise ReproError(
-            f"{phase} phase issued no DHT-lookups on {substrate} at N={n_peers}"
-        )
-    expected = reference_cost.setdefault((phase, n_peers), delta.dht_lookups)
-    if delta.dht_lookups != expected:
-        raise ReproError(
-            f"index-level {phase} cost differs on {substrate} at "
-            f"N={n_peers}: {delta.dht_lookups} != {expected}"
-        )
-    phase_hops[phase].append(delta.hops / delta.dht_lookups)

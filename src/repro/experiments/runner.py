@@ -9,6 +9,12 @@ Usage (installed as ``lht-experiments``)::
 Each experiment prints a text table mirroring the paper's plot and, with
 ``--out``, writes machine-readable JSON per experiment ID.
 
+An experiment's scales are the keys of its module's ``_SCALES`` table
+(``--list`` shows them).  A scale one of the named experiments does not
+define and ``--jobs < 1`` are refused before anything runs, and a second
+result with an id already emitted in the run before it can overwrite the
+first one's file — each with one ``error:`` line and exit status 2.
+
 ``--jobs N`` fans the experiment *cells* (one per experiment name) out
 across ``N`` worker processes.  This is safe because every cell derives
 all of its randomness from ``(root seed, experiment name, trial)`` via
@@ -103,13 +109,27 @@ def _run_cell(
     return name, batch, elapsed
 
 
+def defined_scales(name: str) -> list[str]:
+    """The scales experiment ``name`` defines: its module's ``_SCALES`` keys."""
+    return list(sys.modules[EXPERIMENTS[name][1].__module__]._SCALES)
+
+
 def _emit(
     name: str,
     batch: list[ExperimentResult],
     elapsed: float,
     out: str | None,
+    results: list[ExperimentResult],
 ) -> None:
+    """Print (and with ``out`` save) one cell's batch; append to ``results``."""
     for result in batch:
+        # Results are saved under their id: a repeat would overwrite.
+        if any(result.experiment_id == r.experiment_id for r in results):
+            raise ConfigurationError(
+                f"{name}: a second result with id {result.experiment_id!r} "
+                "in one run"
+            )
+        results.append(result)
         print(result.to_table())
         print()
         if out is not None:
@@ -130,27 +150,35 @@ def run_experiments(
     With ``jobs > 1`` the cells execute in a ``spawn`` process pool and
     the parent prints/saves them in submission order as each becomes
     available, so stdout and the saved JSON match a serial run exactly
-    (modulo wall-clock timings).
+    (modulo wall-clock timings).  Raises :class:`ConfigurationError`,
+    before any cell runs, for ``jobs < 1`` or a scale one of the
+    experiments does not define.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1: {jobs}")
+    for name in names:
+        scales = defined_scales(name)
+        if scale not in scales:
+            raise ConfigurationError(
+                f"experiment {name!r} defines no scale {scale!r} "
+                f"(defined: {', '.join(scales)})"
+            )
     cells = [(name, scale, seed) for name in names]
     results: list[ExperimentResult] = []
+
+    def announce(name: str) -> None:
+        print(f"== {name}: {EXPERIMENTS[name][0]} (scale={scale})", flush=True)
+
     if jobs == 1:
-        for name, _, _ in cells:
-            description, _runner = EXPERIMENTS[name]
-            print(f"== {name}: {description} (scale={scale})", flush=True)
-            _, batch, elapsed = _run_cell((name, scale, seed))
-            _emit(name, batch, elapsed, out)
-            results.extend(batch)
+        for cell in cells:
+            announce(cell[0])
+            _emit(*_run_cell(cell), out, results)
         return results
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=min(jobs, len(cells))) as pool:
         for name, batch, elapsed in pool.imap(_run_cell, cells):
-            description, _runner = EXPERIMENTS[name]
-            print(f"== {name}: {description} (scale={scale})", flush=True)
-            _emit(name, batch, elapsed, out)
-            results.extend(batch)
+            announce(name)
+            _emit(name, batch, elapsed, out, results)
     return results
 
 
@@ -161,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _main(argv: list[str] | None = None) -> int:
@@ -178,8 +209,8 @@ def _main(argv: list[str] | None = None) -> int:
         choices=("smoke", "ci", "paper"),
         default="ci",
         help="parameter scale: 'ci' is fast, 'paper' uses paper-sized "
-        "sweeps; 'smoke' is the minimal CI leg (experiments that define "
-        "one — currently E26)",
+        "sweeps; 'smoke' is the minimal CI leg (--list shows which "
+        "scales each experiment defines)",
     )
     parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
     parser.add_argument(
@@ -199,7 +230,8 @@ def _main(argv: list[str] | None = None) -> int:
 
     if args.list or not args.experiments:
         for name, (description, _) in EXPERIMENTS.items():
-            print(f"{name:12s} {description}")
+            scales = ", ".join(defined_scales(name))
+            print(f"{name:12s} {description} [scales: {scales}]")
         return 0
 
     names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments

@@ -13,15 +13,17 @@ several network sizes and reports:
 
 from __future__ import annotations
 
-from repro.analysis.stats import aggregate
+from functools import partial
+
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
-from repro.errors import ConfigurationError, ReproError
 from repro.experiments.common import (
-    ExperimentResult,
     SUBSTRATES,
+    ExperimentResult,
     Series,
+    hops_per_lookup,
     make_dht,
+    scale_params,
     trial_rng,
 )
 from repro.workloads.datasets import make_keys
@@ -37,18 +39,22 @@ _SCALES = {
 _THETA = 20
 
 
+def _queries(index: LHTIndex, n_lookups: int, rng) -> None:
+    """The measured step: point lookups, then ten 5 % range queries."""
+    for probe in lookup_keys(n_lookups, rng):
+        index.lookup(float(probe))
+    for query in span_ranges(10, 0.05, rng):
+        index.range_query(query.lo, query.hi)
+
+
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Hop growth and index-cost invariance across substrates."""
-    try:
-        params = _SCALES[scale]
-    except KeyError:
-        raise ConfigurationError(f"unknown scale {scale!r}") from None
+    params = scale_params(_SCALES, scale)
     config = IndexConfig(theta_split=_THETA, max_depth=20)
 
     hop_series: list[Series] = []
-    reference_lookup_cost: dict[int, float] = {}
+    reference_cost: dict = {}
     for substrate in sorted(SUBSTRATES):
-        xs: list[float] = []
         hops: list[float] = []
         for n_peers in params["n_peers"]:
             # The workload must be identical across substrates (the whole
@@ -60,28 +66,19 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
             keys = make_keys("uniform", params["size"], rng)
             for k in keys:
                 index.insert(float(k))
-            before = dht.metrics.snapshot()
-            total_index_lookups = 0
-            for probe in lookup_keys(params["n_lookups"], rng):
-                total_index_lookups += index.lookup(float(probe)).dht_lookups
-            for query in span_ranges(10, 0.05, rng):
-                total_index_lookups += index.range_query(
-                    query.lo, query.hi
-                ).dht_lookups
-            delta = dht.metrics.since(before)
-            xs.append(float(n_peers))
-            hops.append(delta.hops / delta.dht_lookups)
-
             # Index-level lookup counts must not depend on the substrate.
-            expected = reference_lookup_cost.setdefault(
-                n_peers, float(total_index_lookups)
-            )
-            if float(total_index_lookups) != expected:
-                raise ReproError(
-                    f"index-level cost differs on {substrate} at N={n_peers}: "
-                    f"{total_index_lookups} != {expected}"
+            hops.append(
+                hops_per_lookup(
+                    substrate,
+                    dht,
+                    partial(_queries, index, params["n_lookups"], rng),
+                    f"queries at N={n_peers}",
+                    reference_cost,
                 )
-        hop_series.append(Series(substrate, xs, hops))
+            )
+        hop_series.append(
+            Series(substrate, [float(n) for n in params["n_peers"]], hops)
+        )
 
     return [
         ExperimentResult(

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import Aggregate, aggregate, gini_coefficient, powers_of_two
+from repro.experiments.stats import (
+    Aggregate,
+    aggregate,
+    gini_coefficient,
+    powers_of_two,
+)
 from repro.errors import ConfigurationError
 
 

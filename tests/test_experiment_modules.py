@@ -7,6 +7,11 @@ in milliseconds; the CI-scale defaults are exercised by the runner CLI.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -19,55 +24,107 @@ from repro.experiments import (
     range_perf,
     substrates,
 )
+from repro.experiments.runner import EXPERIMENTS
+
+#: One toy ``_SCALES`` row per registered experiment, keyed by its
+#: ``runner.EXPERIMENTS`` name (milliseconds each).
+TINY_SCALES = {
+    "fig6": {"exps": (7, 9), "trials": 2, "fixed_size_exp": 8},
+    "fig7": {"exps": (7, 9), "trials": 2},
+    "fig8": {"exps": (7, 9), "trials": 2, "n_lookups": 30},
+    "range": {
+        "exps": (7, 9),
+        "trials": 1,
+        "n_queries": 10,
+        "fixed_size_exp": 8,
+        "size_sweep_span": 0.1,
+        "spans": [0.05, 0.2],
+    },
+    "eq3": {"size": 1 << 8, "theta": 20},
+    "minmax": {"exps": (7, 9), "trials": 2},
+    "substrates": {"n_peers": [8, 16], "size": 1 << 8, "n_lookups": 10},
+    "churn": {"n_peers": 16, "size": 1 << 8, "duration": 5.0, "probes": 30},
+    "balance": {"n_peers": 16, "size": 1 << 8},
+    "ablation": {"exps": (7, 8), "trials": 1, "n_lookups": 30},
+    "latency": {"size": 1 << 8, "n_queries": 10, "n_peers": 64},
+    "workload": {"n_ops": 300, "trials": 2},
+    "hotspots": {"size": 1 << 8, "n_lookups": 30, "n_ranges": 10, "n_peers": 16},
+    "availability": {"n_peers": 8, "size": 1 << 7, "probes": 30},
+    "cached": {"n_peers": 8, "size": 1 << 9, "probes": 60, "small_capacity": 4},
+    "routing-diversity": {
+        "n_peers": [8, 16],
+        "size": 1 << 7,
+        "n_lookups": 10,
+        "n_ranges": 3,
+        "span": 0.05,
+    },
+    "replica-availability": {
+        "substrates": None,
+        "n_peers": 8,
+        "size": 1 << 6,
+        "probes": 20,
+        "drop_rates": [0.0, 0.3],
+    },
+}
+
+_PINNED = Path(__file__).parent / "data" / "experiments_tiny.json"
 
 
 @pytest.fixture
 def tiny(monkeypatch):
     """Shrink every experiment's scale table to a toy grid."""
-    monkeypatch.setitem(
-        fig6_alpha._SCALES,
-        "tiny",
-        {"exps": (7, 9), "trials": 2, "fixed_size_exp": 8},
-    )
-    monkeypatch.setitem(
-        fig7_maintenance._SCALES, "tiny", {"exps": (7, 9), "trials": 2}
-    )
-    monkeypatch.setitem(
-        fig8_lookup._SCALES,
-        "tiny",
-        {"exps": (7, 9), "trials": 2, "n_lookups": 30},
-    )
-    monkeypatch.setitem(
-        range_perf._SCALES,
-        "tiny",
-        {
-            "exps": (7, 9),
-            "trials": 1,
-            "n_queries": 10,
-            "fixed_size_exp": 8,
-            "size_sweep_span": 0.1,
-            "spans": [0.05, 0.2],
-        },
-    )
-    monkeypatch.setitem(
-        ablation_lookup._SCALES,
-        "tiny",
-        {"exps": (7, 8), "trials": 1, "n_lookups": 30},
-    )
-    monkeypatch.setitem(
-        minmax_cost._SCALES, "tiny", {"exps": (7, 9), "trials": 2}
-    )
-    monkeypatch.setitem(
-        substrates._SCALES,
-        "tiny",
-        {"n_peers": [8, 16], "size": 1 << 8, "n_lookups": 10},
-    )
-    monkeypatch.setitem(
-        churn_study._SCALES,
-        "tiny",
-        {"n_peers": 16, "size": 1 << 8, "duration": 5.0, "probes": 30},
-    )
+    for name, row in TINY_SCALES.items():
+        module = sys.modules[EXPERIMENTS[name][1].__module__]
+        monkeypatch.setitem(module._SCALES, "tiny", row)
     return "tiny"
+
+
+def result_digest(result) -> str:
+    """sha256 of a result's byte-comparable view."""
+    payload = json.dumps(result.canonical_json(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestPinnedResults:
+    """Every registered experiment at the toy scale, byte for byte.
+
+    ``tests/data/experiments_tiny.json`` was captured on the code *before*
+    the harness was folded into ``experiments/common.py`` (``sweep``,
+    ``scale_params``, the shared cells), so a refactor that moves any
+    number, label, note or ``params`` entry fails here.  The one intended
+    difference from that capture: the eight per-substrate E26 tables,
+    which all carried ``experiment_id == "E26"``, are pinned under their
+    distinct ``E26-<substrate>`` ids (same payload otherwise).
+    """
+
+    def test_fixture_covers_every_registered_experiment(self):
+        assert set(TINY_SCALES) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_byte_identical_to_the_pinned_capture(self, tiny, name):
+        pinned = json.loads(_PINNED.read_text())["digests"][name]
+        results = EXPERIMENTS[name][1](tiny, 0)
+        assert {r.experiment_id: result_digest(r) for r in results} == pinned
+
+
+class TestEveryResultIsSaved:
+    """A result is saved under its id, so ids must be unique in a run:
+    before PR 19 the eight per-substrate E26 tables shared one id and
+    ``--out`` kept only the last."""
+
+    def test_ids_unique_and_one_file_per_result(self, tiny, tmp_path, capsys):
+        from repro.experiments.runner import run_experiments
+
+        results = run_experiments(
+            list(EXPERIMENTS), scale=tiny, seed=0, out=str(tmp_path)
+        )
+        ids = [r.experiment_id for r in results]
+        assert len(set(ids)) == len(ids)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{i.lower()}.json" for i in ids
+        )
+        saved = capsys.readouterr().out.count("  saved: ")
+        assert saved == len(results)
 
 
 class TestFig6(object):

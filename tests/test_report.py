@@ -45,6 +45,18 @@ class TestLoading:
         results = load_directory(tmp_path)
         assert [r.experiment_id for r in results] == ["E1", "E2", "E10"]
 
+    def test_per_substrate_ids_sort_between_their_neighbours(self, tmp_path):
+        for exp in ("E26b", "E26-local", "E25c", "E26-chord", "E3"):
+            _sample(exp).save(tmp_path)
+        assert (tmp_path / "e26-chord.json").exists()
+        assert [r.experiment_id for r in load_directory(tmp_path)] == [
+            "E3",
+            "E25c",
+            "E26-chord",
+            "E26-local",
+            "E26b",
+        ]
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "e1.json"
         bad.write_text(json.dumps({"oops": True}))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import gini_coefficient
+from repro.experiments.stats import gini_coefficient
 from repro.baselines.orderpreserving import OrderPreservingIndex
 from repro.core import IndexConfig, IndexInspector, LHTIndex
 from repro.dht.hashing import hash_key
