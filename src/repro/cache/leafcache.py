@@ -17,8 +17,9 @@ Staleness sources and their outcomes:
   passing) and goes stale only for keys in the moved sibling;
 * **merge** — the absorbed child's DHT key is removed, so its entry
   probes to a failed get and is invalidated;
-* **dropped replies** — indistinguishable from a merge from the
-  client's seat; handled identically (never cached, never trusted).
+* **dropped replies** — a lost reply the read path could not rescue
+  from a replica reads as a miss, so it is handled like a merge
+  (never cached, never trusted).
 
 The owning index additionally calls :meth:`on_split` / :meth:`on_merge`
 for the mutations it performs itself, keeping a single-writer cache

@@ -9,9 +9,11 @@ refutes the entry by geometry alone:
 * the bucket covers ``δ`` — done (``cache_hits``); if a split relabelled
   the bucket in place (Theorem 2 keeps one child under the parent's
   name), the entry is refreshed to the new label in passing;
-* the bucket exists but does not cover ``δ``, or the get failed — the
-  entry is stale (``cache_stale``): invalidate it and fall back to the
-  full binary search, whose result re-primes the cache.
+* the bucket exists but does not cover ``δ``, or the get failed (an
+  unrescued lost reply reads as a miss, see
+  :class:`~repro.core.lookup.ReadPath`) — the entry is stale
+  (``cache_stale``): invalidate it and fall back to the full binary
+  search, whose result re-primes the cache.
 
 Failure discipline (the resilience layer sits *below* the cache): a
 typed :class:`~repro.errors.DHTError` — routing failure, open circuit
@@ -28,7 +30,7 @@ from dataclasses import replace
 from repro.cache.leafcache import LeafCache
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
-from repro.core.lookup import Plan, drive_plan, lookup_plan
+from repro.core.lookup import Plan, ReadPath, drive_plan, lookup_plan
 from repro.core.naming import naming
 from repro.core.results import LookupResult
 from repro.dht.base import DHT
@@ -81,4 +83,6 @@ def cached_lookup(
     the validation probe, so a stale entry honestly costs one get more
     than an uncached lookup.
     """
-    return drive_plan(dht.get, cached_plan(config, cache, dht.metrics, key))
+    return drive_plan(
+        ReadPath(dht, config).fetch, cached_plan(config, cache, dht.metrics, key)
+    )

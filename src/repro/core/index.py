@@ -87,8 +87,11 @@ class LHTIndex:
         self.dht = dht
         self.config = config or IndexConfig()
         self.ledger = CostLedger()
-        self._reads = ReadPath(dht, self.config)
-        self._range_executor = RangeQueryExecutor(dht, self.config, self._reads)
+        #: The one routed read path (:class:`~repro.core.lookup.ReadPath`):
+        #: lost replies are rescued from replicas, and the serving layer
+        #: issues its batched rounds through it.
+        self.reads = ReadPath(dht, self.config)
+        self._range_executor = RangeQueryExecutor(dht, self.config, self.reads)
         # Client-side mirror of the leaf-label set, keyed by bit string.
         # Kept exact because this index instance performs every split and
         # merge itself; used only by the bulk_load fast path.
@@ -133,8 +136,9 @@ class LHTIndex:
         return lookup_plan(self.config, key)
 
     def lookup(self, key: float) -> LookupResult:
-        """Locate the leaf bucket covering ``key`` (Alg. 2)."""
-        return drive_plan(self.dht.get, self.lookup_plan(key))
+        """Locate the leaf bucket covering ``key`` (Alg. 2); a typed
+        substrate error propagates."""
+        return drive_plan(self.reads.fetch, self.lookup_plan(key))
 
     def exact_match(self, key: float) -> tuple[Record | None, int]:
         """Return (record with exactly this key or None, DHT-lookups used)."""
@@ -167,7 +171,7 @@ class LHTIndex:
         short.  A non-convergent run is re-driven once over replica
         probes before the key is declared UNREACHABLE."""
         if routed is None or routed.bucket is None:
-            routed = self._reads.redrive(key, routed)
+            routed = self.reads.redrive(key, routed)
             if routed.bucket is None:
                 self.dht.metrics.record_degraded()
                 return ExactMatchResult(
@@ -304,12 +308,12 @@ class LHTIndex:
     def min_query(self, degraded: bool = False) -> MinMaxResult:
         """The record with the smallest key (Theorem 3); ``degraded``
         as for :meth:`range_query`."""
-        return _complete_or_raise(min_query(self._reads), degraded)
+        return _complete_or_raise(min_query(self.reads), degraded)
 
     def max_query(self, degraded: bool = False) -> MinMaxResult:
         """The record with the largest key (Theorem 3); ``degraded``
         as for :meth:`range_query`."""
-        return _complete_or_raise(max_query(self._reads), degraded)
+        return _complete_or_raise(max_query(self.reads), degraded)
 
     def scan(self) -> Iterator[Record]:
         """Iterate every record in ascending key order (one DHT-lookup
@@ -416,7 +420,7 @@ class LHTIndex:
             # own name equals f_n(parent) (Theorem 2's "local leaf").
             local_is_us = naming(bucket.label) == naming(parent)
             remote_key = parent if local_is_us else naming(parent)
-            peer = self.dht.get(str(remote_key))
+            peer = self.reads.fetch(str(remote_key))
             lookups = 1
             if not isinstance(peer, LeafBucket) or peer.label != sibling_label:
                 break  # the sibling subtree is not a single leaf

@@ -18,9 +18,16 @@ Probe outcomes steer the search:
   to ``f_nn(x, μ)`` (Def. 2), the next prefix with a *new* name.
 
 Because a failed get is read *structurally*, a reply the substrate
-dropped must never be mistaken for one: :class:`ReadPath` is the one
-place the read side absorbs typed substrate errors and asks the stack's
-replica holders before a miss is believed.
+dropped must never be mistaken for one.  The substrate keeps them apart
+(``None`` is an answered "not stored", :data:`~repro.dht.base.NO_REPLY`
+a lost reply), and :class:`ReadPath` is the one place in ``repro.core``
+and ``repro.serve`` that issues a routed read: it turns ``NO_REPLY`` —
+and, where the caller degrades instead of raising, a typed substrate
+error — into a replica rescue, and an unrescued one into a miss for
+steering.  That is safe because a converged bucket proves itself
+(``contains_key`` plus the leaf partition); a wrong turn can only end
+the search unconverged, never at a wrong answer.  Lint rule LHT014
+keeps every other module of those packages off the DHT's read methods.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from repro.core.keys import mu_path
 from repro.core.label import Label
 from repro.core.naming import naming, next_naming
 from repro.core.results import LookupResult
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.replicated import replica_layer
 from repro.errors import DHTError, LabelError
 
@@ -98,10 +105,11 @@ def lookup_plan(config: IndexConfig, key: float) -> Plan:
 def drive_plan(fetch: Callable[[str], Any], plan: Plan) -> LookupResult:
     """Run one probe plan to completion, one ``fetch`` per probe.
 
-    The single-plan driver: ``fetch`` is ``dht.get`` for the routed
-    lookup (plain or cache-fronted plan alike) and ``failover_get`` for
-    the replica re-drive, so the generator protocol is spelled out here
-    and nowhere else.
+    The single-plan driver: ``fetch`` is :meth:`ReadPath.fetch` for the
+    routed lookup (plain or cache-fronted plan alike) and
+    ``failover_get`` for the replica re-drive, so the generator protocol
+    is spelled out here and nowhere else.  ``fetch`` must never hand a
+    plan ``NO_REPLY``: a plan reads anything but ``None`` as a node.
     """
     try:
         name = next(plan)
@@ -118,16 +126,22 @@ def lht_lookup(dht: DHT, config: IndexConfig, key: float) -> LookupResult:
     DHT key of the covering bucket — and whose ``dht_lookups`` counts the
     binary-search probes.  A ``None`` bucket indicates an inconsistent
     index (unreachable in a quiescent system; possible transiently under
-    churn).
+    churn) or a search a lost reply bent.
     """
-    return drive_plan(dht.get, lookup_plan(config, key))
+    return drive_plan(ReadPath(dht, config).fetch, lookup_plan(config, key))
 
 
 class ReadPath:
-    """The routed read whose failure is data, shared by every query:
-    a typed :class:`~repro.errors.DHTError` is a miss, and a miss is
-    re-asked of the replica holders (when the stack has a replication
-    layer) before it is believed or reported as unreachable."""
+    """The routed read whose failure is data, shared by every query.
+
+    A read has three outcomes (:meth:`~repro.dht.base.DHT.get`): a
+    value, ``None`` — answered "not stored", final — and ``NO_REPLY``,
+    which is re-asked of the replica holders (when the stack has a
+    replication layer) and, unrescued, becomes a miss.  :meth:`fetch`
+    lets a typed :class:`~repro.errors.DHTError` propagate (the raising
+    API); :meth:`get` and :meth:`round` treat one like a lost reply (the
+    degraded API).
+    """
 
     def __init__(self, dht: DHT, config: IndexConfig) -> None:
         self.dht = dht
@@ -135,19 +149,32 @@ class ReadPath:
         # Resolved once — the stack cannot change under a live index.
         self.replicas = replica_layer(dht)
 
+    def fetch(self, name: str) -> Any | None:
+        """One routed get of ``name``; a lost reply is rescued from the
+        replicas or becomes a miss, a typed error propagates."""
+        value = self.dht.get(name)
+        return value if value is not NO_REPLY else self.rescue(name)
+
     def get(self, name: str) -> Any | None:
-        """One routed get of ``name``, rescued from replicas on a miss."""
+        """:meth:`fetch`, with a typed error rescued like a lost reply."""
         try:
-            value = self.dht.get(name)
+            return self.fetch(name)
         except DHTError:
-            value = None
-        return value if value is not None else self.rescue(name)
+            return self.rescue(name)
+
+    def round(self, names: list[str]) -> list[Any | None]:
+        """One batched round of :meth:`get` calls: a typed error fails
+        its own slot only, and only failed slots are rescued."""
+        values = self.dht.multi_get(names, absorb_errors=True)
+        for slot, value in enumerate(values):
+            if value is NO_REPLY:
+                values[slot] = self.rescue(names[slot])
+        return values
 
     def rescue(self, name: str) -> Any | None:
-        """Probe the replica holders for a name the routed path missed.
-        A structural miss — the name genuinely unstored — probes and
-        stays a miss; a dropped reply is rescued (one
-        ``replica_failovers`` tick) and the query continues undegraded."""
+        """Probe the replica holders for a name whose routed read got no
+        reply.  A rescued value is one ``replica_failovers`` tick and the
+        query continues undegraded; otherwise the name reads as a miss."""
         if self.replicas is None:
             return None
         try:
@@ -200,13 +227,14 @@ def lht_lookup_linear(dht: DHT, config: IndexConfig, key: float) -> LookupResult
     compares the two, quantifying how much of LHT's lookup saving comes
     from the binary search versus the name-class collapse itself.
     """
+    fetch = ReadPath(dht, config).fetch
     mu = mu_path(key, config.max_depth)
     x = mu.prefix(2)  # the regular root #0
     lookups = 0
     probed: list[Label] = []
     while True:
         name = naming(x)
-        bucket = dht.get(str(name))
+        bucket = fetch(str(name))
         lookups += 1
         probed.append(name)
         if isinstance(bucket, LeafBucket) and bucket.contains_key(key):

@@ -45,8 +45,9 @@ sequential stretch: Alg. 2's binary search.)
 can fail even after repair.  The executor never returns silently partial
 data and never raises for it: substrate-raised
 :class:`~repro.errors.DHTError` (routing failures, open circuit
-breakers) is absorbed per frontier key (``multi_get(...,
-absorb_errors=True)``), a missed key is re-asked of the replica holders,
+breakers) is absorbed per frontier key
+(:meth:`~repro.core.lookup.ReadPath.round`), a key that got no reply is
+re-asked of the replica holders,
 and a subtree still unreachable has its interval *recorded* while the
 sweep goes on — ``complete=False`` plus the unreachable ranges tell the
 caller exactly which slices of the answer are missing.  (Raising instead
@@ -59,13 +60,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.bucket import LeafBucket, Record
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
 from repro.core.label import Label
-from repro.core.lookup import ReadPath, lht_lookup
+from repro.core.lookup import ReadPath, drive_plan, lookup_plan
 from repro.core.naming import left_neighbor, naming, right_neighbor
 from repro.core.results import LookupResult, RangeQueryResult
 from repro.dht.base import DHT
@@ -189,14 +190,10 @@ class RangeQueryExecutor:
             state.batch_rounds += 1
             state.dht_lookups += len(batch)
             state.max_step = max(state.max_step, step)
-            names = [str(key) for key, _, _ in batch]
-            values: list[Any] = self._dht.multi_get(names, absorb_errors=True)
-            for (_, on_value, on_miss), name, value in zip(batch, names, values):
-                if value is None:
-                    # Before treating the miss as "node absent" (which
-                    # prunes the subtree or marks it unreachable), ask
-                    # the replica holders directly.
-                    value = self._reads.rescue(name)
+            # Only slots with no reply are re-asked of the replica
+            # holders; an answered "not stored" prunes or repairs as is.
+            values = self._reads.round([str(key) for key, _, _ in batch])
+            for (_, on_value, on_miss), value in zip(batch, values):
                 if value is None:
                     state.failed_lookups += 1
                     on_miss()
@@ -243,7 +240,9 @@ class RangeQueryExecutor:
         lookup of the lower bound (inherently sequential: Alg. 2)."""
         key = float(rng.lo)
         try:
-            result: LookupResult | None = lht_lookup(self._dht, self._config, key)
+            result: LookupResult | None = drive_plan(
+                self._reads.fetch, lookup_plan(self._config, key)
+            )
         except DHTError:
             result = None
         if result is None or result.bucket is None:

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 from repro.core.bucket import LeafBucket, Record
 from repro.core.config import IndexConfig
 from repro.core.label import Label, VIRTUAL_ROOT
-from repro.core.lookup import lht_lookup
+from repro.core.lookup import ReadPath, drive_plan, lookup_plan
 from repro.core.naming import left_neighbor, naming, right_neighbor
 from repro.dht.base import DHT
 from repro.errors import LookupError_
@@ -45,9 +45,9 @@ def fetch_adjacent(
 
 
 def _adjacent_or_raise(
-    dht: DHT, label: Label, rightwards: bool
+    reads: ReadPath, label: Label, rightwards: bool
 ) -> tuple[LeafBucket, int]:
-    bucket, lookups = fetch_adjacent(dht.get, label, rightwards)
+    bucket, lookups = fetch_adjacent(reads.fetch, label, rightwards)
     if bucket is None:
         raise LookupError_(f"cannot reach the tree neighboring {label}")
     return bucket, lookups
@@ -59,14 +59,15 @@ def scan_buckets(dht: DHT, config: IndexConfig) -> Iterator[LeafBucket]:
     Costs one DHT-lookup per leaf (the per-step repair adds at most one),
     beginning with the leftmost leaf under ``#``.
     """
-    bucket = dht.get(str(VIRTUAL_ROOT))
+    reads = ReadPath(dht, config)
+    bucket = reads.fetch(str(VIRTUAL_ROOT))
     if bucket is None:
         raise LookupError_("no leaf stored under '#': index not bootstrapped")
     while True:
         yield bucket
         if bucket.label.on_rightmost_spine:
             return
-        bucket, _ = _adjacent_or_raise(dht, bucket.label, rightwards=True)
+        bucket, _ = _adjacent_or_raise(reads, bucket.label, rightwards=True)
 
 
 def scan_records(dht: DHT, config: IndexConfig) -> Iterator[Record]:
@@ -93,7 +94,8 @@ def knn_query(dht: DHT, config: IndexConfig, key: float, k: int) -> KnnResult:
     """
     if k < 1:
         raise LookupError_(f"k must be >= 1: {k}")
-    start = lht_lookup(dht, config, key)
+    reads = ReadPath(dht, config)
+    start = drive_plan(reads.fetch, lookup_plan(config, key))
     if start.bucket is None:
         raise LookupError_(f"lookup of {key} failed to converge")
     lookups = start.dht_lookups
@@ -121,7 +123,7 @@ def knn_query(dht: DHT, config: IndexConfig, key: float, k: int) -> KnnResult:
             break  # no unexplored leaf can beat the current k-th best
         go_left = left_gap <= right_gap
         frontier = left_label if go_left else right_label
-        bucket, used = _adjacent_or_raise(dht, frontier, rightwards=not go_left)
+        bucket, used = _adjacent_or_raise(reads, frontier, rightwards=not go_left)
         lookups += used
         candidates.extend(bucket.records)
         if go_left:

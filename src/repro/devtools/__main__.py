@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``lint`` — the repo-specific static analysis: per-file, class-shape
-  and call-graph rules LHT001-LHT013 in one pass over the tree;
+  and call-graph rules LHT001-LHT014 in one pass over the tree;
 * ``determinism`` — the same-seed trace-diff harness (also
   ``python -m repro.devtools.determinism``);
 * ``sanitize`` — run a seeded workload with the runtime sanitizer active

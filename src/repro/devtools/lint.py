@@ -69,6 +69,13 @@ LHT013    Placement purity — ``replicas_for`` implementations of
           calls, and — stricter than LHT009 — no wall clock and no
           randomness.  A sampled or time-dependent placement would
           silently break replica agreement between writer and reader.
+LHT014    Routed reads go through ``ReadPath`` — in ``repro.core`` and
+          ``repro.serve``, no ``.get`` / ``.multi_get`` / ``.probe_get``
+          on a DHT (called or passed as a callable) outside
+          ``core/lookup.py``.  A read answers a value, ``None`` or
+          ``NO_REPLY``; a plan or bucket check handed ``NO_REPLY``
+          would read a lost reply as a node, so only
+          :class:`~repro.core.lookup.ReadPath` may see one.
 ========  ==============================================================
 
 (There is no LHT005: ``abc`` already refuses to instantiate a ``DHT``
@@ -207,6 +214,14 @@ PLACEMENT_METHODS = frozenset({"replicas_for"})
 ROUTED_OP_NAMES = frozenset(
     {"put", "get", "remove", "multi_get", "multi_put", "local_write"}
 )
+
+#: DHT reads that can answer ``NO_REPLY`` (LHT014).
+ROUTED_READ_NAMES = frozenset({"get", "multi_get", "probe_get"})
+
+#: Packages whose routed reads must go through ReadPath (LHT014), and
+#: the one module that implements it.
+READ_PATH_PACKAGES = frozenset({"core", "serve"})
+READ_PATH_MODULE = ("core", "lookup.py")
 
 #: Receiver names conventionally bound to a DHT in this codebase.
 DHT_RECEIVER_NAMES = frozenset({"dht", "_dht", "inner", "substrate"})
@@ -1467,6 +1482,36 @@ def _check_placement_purity(program: Program) -> Iterator[Finding]:
         )
 
 
+def _check_read_path(program: Program) -> Iterator[Finding]:
+    """LHT014: repro.core/repro.serve read the DHT through ReadPath."""
+    for info in program.modules.values():
+        parts = info.path.parts
+        if not READ_PATH_PACKAGES & set(parts[:-1]):
+            continue
+        if tuple(parts[-2:]) == READ_PATH_MODULE:
+            continue
+        for node in info.nodes:
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr in ROUTED_READ_NAMES
+            ):
+                continue
+            receiver = node.value
+            name = (
+                receiver.id if isinstance(receiver, ast.Name)
+                else receiver.attr if isinstance(receiver, ast.Attribute)
+                else None
+            )
+            if name in DHT_RECEIVER_NAMES:
+                yield _at(
+                    info, node,
+                    f"routed read {name}.{node.attr} outside ReadPath — "
+                    "it may answer NO_REPLY, which only "
+                    "repro.core.lookup.ReadPath may turn into a rescue "
+                    "or a miss",
+                )
+
+
 def _check_exception_flow(program: Program) -> Iterator[Finding]:
     """LHT010: no broad swallow of DHTError; no silent typed swallow."""
     may_raise = _may_raise_dht(program)
@@ -1582,6 +1627,7 @@ RULES: tuple[Rule, ...] = (
          _check_registry_enrollment),
     Rule("LHT013", "placement policy charges metrics, mutates storage, or "
          "depends on wall clock/randomness", _check_placement_purity),
+    Rule("LHT014", "routed read outside ReadPath", _check_read_path),
 )
 
 #: Rule code -> one-line description (the user-facing catalogue).
@@ -1669,7 +1715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools lint",
         description="Repo-specific static analysis for the LHT "
-        "reproduction (rules LHT001-LHT013, one pass).",
+        "reproduction (rules LHT001-LHT014, one pass).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

@@ -5,7 +5,7 @@ LHT (and the PHT baseline) run unchanged over any of these; see
 """
 
 from repro.dht.accesslog import AccessLoggingDHT
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.can import CANDHT, CANNode, Zone
 from repro.dht.chord import ChordDHT, ChordNode
 from repro.dht.faulty import FaultyDHT
@@ -37,6 +37,7 @@ from repro.dht.tapestry import TapestryDHT, TapestryNode
 __all__ = [
     "AccessLoggingDHT",
     "DHT",
+    "NO_REPLY",
     "CANDHT",
     "CANNode",
     "Zone",

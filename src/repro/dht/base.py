@@ -4,7 +4,10 @@ LHT is an *over-DHT* index: it relies only on ``put``/``get``/``remove``
 keyed by strings, so any substrate implementing :class:`DHT` works
 unchanged.  Every routed operation counts as exactly one *DHT-lookup* —
 the paper's bandwidth unit — and substrates additionally report how many
-physical overlay hops the routing took.
+physical overlay hops the routing took.  A read answers a value,
+``None`` (a live peer answered "not stored") or :data:`NO_REPLY` (no
+answer arrived), so a lost reply never passes for the failed get Alg. 2
+reads as structure.
 
 Substrates in this package (all built on the shared peer-store kernel,
 :mod:`repro.dht.kernel`):
@@ -32,12 +35,25 @@ stacks like ``Serializing(Replicated(Faulty(Chord)))`` compose freely:
 from __future__ import annotations
 
 import abc
+import enum
 from typing import Any, Iterable, Sequence
 
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import DHTError
 
-__all__ = ["DHT"]
+__all__ = ["DHT", "NO_REPLY"]
+
+
+class _Reply(enum.Enum):
+    NO_REPLY = "no reply"
+
+
+#: The third outcome of a read: no reply arrived (a dropped reply, a
+#: dead replica holder, an absorbed typed error).  Unlike ``None`` —
+#: a live peer answered "not stored", which is final — it says nothing
+#: about the key: callers retry it or ask the replica holders.  An enum
+#: member, so it is one object in every process and survives pickling.
+NO_REPLY = _Reply.NO_REPLY
 
 
 class DHT(abc.ABC):
@@ -60,8 +76,13 @@ class DHT(abc.ABC):
 
     @abc.abstractmethod
     def get(self, key: str) -> Any | None:
-        """Fetch the value stored under ``key``, or ``None`` (a *failed*
-        DHT-get, which the LHT lookup algorithm uses as a signal)."""
+        """Fetch the value stored under ``key``.
+
+        Three outcomes: the value; ``None`` — the responsible peer
+        answered "not stored", the *failed* DHT-get Alg. 2 reads as
+        structure, final and never worth retrying; or :data:`NO_REPLY`
+        — no answer arrived, which says nothing about the key.
+        """
 
     @abc.abstractmethod
     def remove(self, key: str) -> Any | None:
@@ -84,9 +105,9 @@ class DHT(abc.ABC):
 
         With ``absorb_errors=True`` (degraded-mode callers), a typed
         :class:`~repro.errors.DHTError` on one key — a routing failure,
-        an open circuit breaker — yields ``None`` for that key instead
-        of failing the round; otherwise the error propagates and the
-        round's remaining keys are not attempted.
+        an open circuit breaker — yields :data:`NO_REPLY` for that key
+        instead of failing the round; otherwise the error propagates and
+        the round's remaining keys are not attempted.
         """
         values: list[Any | None] = []
         for key in keys:
@@ -95,7 +116,7 @@ class DHT(abc.ABC):
             except DHTError:
                 if not absorb_errors:
                     raise
-                values.append(None)
+                values.append(NO_REPLY)
         return values
 
     def multi_put(
@@ -150,7 +171,8 @@ class DHT(abc.ABC):
     @abc.abstractmethod
     def probe_get(self, key: str, peer_id: int) -> Any | None:
         """Fetch ``key`` directly from ``peer_id``'s store (one charged
-        routed get at one hop), or ``None`` if absent or the peer died."""
+        routed get at one hop): the three outcomes of :meth:`get`, with
+        a dead peer answering :data:`NO_REPLY`."""
 
     @abc.abstractmethod
     def put_at(self, key: str, value: Any, peer_id: int) -> None:

@@ -3,14 +3,17 @@
 Over-DHT indexes interpret a failed DHT-get *structurally* (Alg. 2 treats
 it as "this internal node does not exist"), so transient routing failures
 are a genuine hazard for the whole scheme family.  This wrapper makes
-that hazard testable: it drops a configurable fraction of gets (returning
-``None`` as a lossy network would) and optionally fails puts and removes.
+that hazard testable: it drops a configurable fraction of gets and
+optionally fails puts and removes.
 
 Failure semantics, per operation:
 
-* ``get`` — a dropped get returns ``None`` silently (the reply was lost;
-  the caller cannot distinguish it from a genuinely absent key).  Charged
-  as a failed get in the shared :class:`~repro.dht.metrics.MetricsRecorder`.
+* ``get`` / ``probe_get`` — a dropped reply returns
+  :data:`~repro.dht.base.NO_REPLY`, never ``None``: a real overlay
+  tells a timeout apart from an answered "not found", and so does this
+  one.  Charged as a failed get in the shared
+  :class:`~repro.dht.metrics.MetricsRecorder` (the network work
+  happened, the reply was lost).
 * ``put`` / ``remove`` — an injected failure raises the typed
   :class:`repro.errors.DHTError` (never a bare exception) and is charged
   as a ``failed_puts`` / ``failed_removes`` metric, so lost mutations are
@@ -29,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.kernel import DelegatingDHT
 from repro.errors import ConfigurationError, DHTError
 
@@ -85,7 +88,7 @@ class FaultyDHT(DelegatingDHT):
             # Charge the lookup: the network work happened, the reply
             # was lost.
             self.metrics.record_get(1, found=False)
-            return None
+            return NO_REPLY
         return self.inner.get(key)
 
     def remove(self, key: str) -> Any | None:
@@ -108,7 +111,7 @@ class FaultyDHT(DelegatingDHT):
         if rate and self._rng.random() < rate:
             self.dropped_gets += 1
             self.metrics.record_get(1, found=False)
-            return None
+            return NO_REPLY
         return self.inner.probe_get(key, peer_id)
 
     def put_at(self, key: str, value: Any, peer_id: int) -> None:

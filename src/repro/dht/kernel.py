@@ -55,7 +55,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, EmptyOverlayError, NoSuchPeerError
 
@@ -351,14 +351,15 @@ class SubstrateBase(DHT):
     # because the caller (the replication layer) already knows the
     # replica holder — it is a topology neighbor of the owner, one
     # forward away, exactly the D1HT/successor-list replication model.
-    # A probe of a *dead* peer is a failed get (the network work
-    # happened, nobody answered), never an exception: replica probing
-    # is the degraded path and must degrade, not raise.
+    # A probe of a *dead* peer is a failed get that got no reply (the
+    # network work happened, nobody answered: ``NO_REPLY``), never an
+    # exception: replica probing is the degraded path and must degrade,
+    # not raise.
 
     def probe_get(self, key: str, peer_id: int) -> Any | None:
         if not self.peers.is_live(peer_id):
             self.metrics.record_get(1, found=False)
-            return None
+            return NO_REPLY
         value = self.peers.store_of(peer_id).get(key)
         self.metrics.record_get(1, found=value is not None)
         return value

@@ -13,10 +13,19 @@ slice on OneHop.  Topology-aware placement is what makes failover
 converges on, and a degraded read can probe them directly
 (:meth:`ReplicatedDHT.failover_get`) instead of reporting UNREACHABLE.
 
+Reads act on the three outcomes of :meth:`~repro.dht.base.DHT.get`.
+A primary that answers — a value, or ``None`` for "not stored" — is
+final: absent names, which Alg. 2 reads on about half its probes, cost
+one routed get as on the bare substrate.  Only a primary that gave
+:data:`~repro.dht.base.NO_REPLY` is failed over to the backups; the
+first stored value wins, and if none arrives the get answers ``None``
+when some holder answered and ``NO_REPLY`` when none did, so a retry
+layer above still sees the reply as lost.
+
 Cost accounting is honest: a put writes every replica
-(``k`` routed operations, so put amplification is visible), a get
-probes copies in order until one answers, and every failover probe is
-charged as a normal routed get plus a ``replica_probe_gets`` tick.
+(``k`` routed operations, so put amplification is visible), and every
+failover probe is charged as a normal routed get plus a
+``replica_probe_gets`` tick.
 With ``n_replicas=1`` the wrapper is a pure pass-through — the policy
 is never consulted and the operation stream is byte-identical to the
 unwrapped substrate.
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.kernel import DelegatingDHT, PlacementPolicy, stack_layers
 from repro.errors import ConfigurationError
 
@@ -105,17 +114,18 @@ class ReplicatedDHT(DelegatingDHT):
 
     def get(self, key: str) -> Any | None:
         value = self.inner.get(key)
-        if value is not None or self.n_replicas == 1:
-            return value
-        # The primary read came back empty — a dropped reply or a key
-        # that simply is not stored; only the replicas can tell.
+        if value is not NO_REPLY or self.n_replicas == 1:
+            return value  # the primary answered: final
+        answered = False
         for peer in self._targets(key)[1:]:
             self.metrics.record_replica_probe_get()
             value = self.inner.probe_get(key, peer)
-            if value is not None:
+            if value is None:
+                answered = True
+            elif value is not NO_REPLY:
                 self.metrics.record_replica_failover()
                 return value
-        return None
+        return None if answered else NO_REPLY
 
     def remove(self, key: str) -> Any | None:
         removed = [self.inner.remove(key)] + [
@@ -156,14 +166,16 @@ class ReplicatedDHT(DelegatingDHT):
         lookup — for its copy.  Every probe is charged as a routed get
         plus a ``replica_probe_gets`` tick; the *caller* records the
         failover once the rescued value actually rescues its query.
-        Returns ``None`` when no live holder has the key.
+        Skips ``None`` and ``NO_REPLY`` answers alike — a holder whose
+        copy was lost is no better than a silent one — and returns
+        ``None`` when no live holder has the key.
         """
         if self.n_replicas == 1:
             return None
         for peer in self._targets(key):
             self.metrics.record_replica_probe_get()
             value = self.inner.probe_get(key, peer)
-            if value is not None:
+            if value is not None and value is not NO_REPLY:
                 return value
         return None
 

@@ -38,7 +38,9 @@ class SerializingDHT(DelegatingDHT):
 
     @staticmethod
     def _decode(payload: Any) -> Any:
-        return pickle.loads(payload) if payload is not None else None
+        # ``None`` and ``NO_REPLY`` are outcomes, not payloads: they
+        # pass through undecoded.
+        return pickle.loads(payload) if isinstance(payload, bytes) else payload
 
     # ------------------------------------------------------------------
     # DHT interface

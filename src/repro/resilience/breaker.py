@@ -2,7 +2,7 @@
 
 Retries recover *transient* faults; a breaker protects against
 *sustained* ones.  When a substrate fails many operations in a row
-(routing errors, injected put/remove failures, confirmed reply drops),
+(routing errors, injected put/remove failures — never a lost reply),
 hammering it with full retry budgets multiplies the damage — the breaker
 fails fast instead, then probes cautiously once a cool-down has passed.
 

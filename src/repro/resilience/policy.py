@@ -1,11 +1,12 @@
 """Seeded retry policy: exponential backoff with deterministic jitter.
 
 Retries are the first line of defence against the transient failures the
-paper motivates LHT with (§1): a dropped DHT-get is indistinguishable
-from "this internal node does not exist" (Alg. 2's structural reading),
-so the only way to shrink the false-absence probability is to ask again.
-With an independent per-attempt drop probability ``p`` and ``k`` total
-attempts, the residual false-absence probability is ``p^k``.
+paper motivates LHT with (§1).  A dropped DHT-get surfaces as
+:data:`~repro.dht.base.NO_REPLY`, distinct from the ``None`` of "this
+internal node does not exist" (Alg. 2's structural reading), so only
+lost replies are asked again — an absent name is answered once.  With
+an independent per-attempt drop probability ``p`` and ``k`` total
+attempts, the probability that a get is still unanswered is ``p^k``.
 
 All jitter draws flow through an explicitly seeded
 :class:`numpy.random.Generator` (see :func:`repro.sim.rng.derive_seed`),
@@ -89,8 +90,8 @@ class RetryPolicy:
         return delay
 
     def residual_failure(self, drop_rate: float) -> float:
-        """False-absence probability left after the full attempt budget,
-        for an independent per-attempt drop probability."""
+        """Probability a get is still unanswered after the full attempt
+        budget, for an independent per-attempt drop probability."""
         if not 0.0 <= drop_rate <= 1.0:
             raise ConfigurationError(f"drop rate must be in [0, 1]: {drop_rate}")
         return drop_rate**self.max_attempts

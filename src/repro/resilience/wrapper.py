@@ -1,18 +1,20 @@
 """ResilientDHT: retries + timeout budgets + circuit breaking over any DHT.
 
 The paper's lookup algorithm reads a failed DHT-get *structurally*
-("this internal node does not exist", Alg. 2), so a lossy network can
-silently bend a query's search path.  This wrapper narrows that hazard
-at the substrate boundary, staying inside the over-DHT philosophy — it
-composes over any :class:`~repro.dht.base.DHT`, including other
-wrappers:
+("this internal node does not exist", Alg. 2), so a lost reply must
+never pass for an absent name.  The substrate contract keeps the two
+apart — a get answers a value, ``None`` (a live peer answered "not
+stored"), or :data:`~repro.dht.base.NO_REPLY` (no answer arrived) — and
+this wrapper acts on it at the substrate boundary, staying inside the
+over-DHT philosophy — it composes over any :class:`~repro.dht.base.DHT`,
+including other wrappers:
 
 * **Retries** (:class:`~repro.resilience.policy.RetryPolicy`): a get
-  that returns ``None`` is retried up to the attempt budget — a genuine
-  miss stays a miss (every attempt agrees), while a dropped reply is
-  recovered with probability ``1 - p^k``.  Every operation retries on
-  :class:`~repro.errors.DHTError` — except a nested wrapper's fast
-  rejection, which no operation retries.
+  that got ``NO_REPLY`` is retried up to the attempt budget, recovering
+  a dropped reply with probability ``1 - p^k``; a ``None`` is an answer
+  and is never retried, so an absent name costs one get.  Every
+  operation retries on :class:`~repro.errors.DHTError` — except a
+  nested wrapper's fast rejection, which no operation retries.
 * **Per-operation timeout budgets**: cumulative (simulated) backoff per
   operation is capped, so one key cannot burn unbounded time.
 * **Circuit breaker** (:class:`~repro.resilience.breaker.CircuitBreaker`):
@@ -20,8 +22,10 @@ wrappers:
   substrate — injected put/remove failures, routing errors) trip the
   breaker; further operations fail fast with
   :class:`~repro.errors.CircuitOpenError` until the sim-clock cool-down
-  half-opens it.  ``None``-gets never feed the breaker: an absent key is
-  a *valid answer* in the DHT interface, not a health signal.
+  half-opens it.  Neither ``None`` nor ``NO_REPLY`` feeds the breaker:
+  an absent key is a valid answer, and a lost reply on a lossy network
+  is an availability event to retry, not evidence that the substrate
+  is down.
 
 Stacking order matters and is free to the caller:
 ``ResilientDHT(ReplicatedDHT(FaultyDHT(...)))`` retries the whole
@@ -46,7 +50,7 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.kernel import DelegatingDHT
 from repro.errors import CircuitOpenError, DHTError
 from repro.resilience.breaker import CircuitBreaker
@@ -91,7 +95,7 @@ class ResilientDHT(DelegatingDHT):
         self._rng = np.random.default_rng(derive_seed(seed, "resilience"))
         # Local statistics (the shared metrics aggregate across wrappers).
         self.retries = 0
-        self.confirmed_drops = 0
+        #: Gets whose attempt budget ran out on lost replies.
         self.exhausted_gets = 0
         self.rejections = 0
 
@@ -131,18 +135,16 @@ class ResilientDHT(DelegatingDHT):
             return None
         return delay
 
-    def _with_retries(
-        self, operation: Callable[..., T], *args: Any, is_get: bool = False
-    ) -> T:
+    def _with_retries(self, operation: Callable[..., T], *args: Any) -> T:
         """Run ``operation(*args)`` — the one retry loop of all three ops.
 
         A typed :class:`DHTError` feeds the breaker and is retried while
         budget remains; the terminal failure re-raises it.  A fast
         rejection (an inner breaker's :class:`CircuitOpenError`) is
-        never retried and never fed to this breaker.  The only per-op
-        difference: for a get, ``None`` is ambiguous — absent key or
-        dropped reply — so it is retried too, without consulting the
-        breaker (an absent key is a valid answer, not a failure).
+        never retried and never fed to this breaker.  A ``NO_REPLY``
+        (only a get returns one) is retried without consulting the
+        breaker and returned once the budget is spent; any other result
+        — ``None`` included — is an answer and ends the loop.
         """
         retry = 0
         spent = 0.0
@@ -157,12 +159,7 @@ class ResilientDHT(DelegatingDHT):
                 if delay is None:
                     raise
             else:
-                if result is not None or not is_get:
-                    if is_get and retry:
-                        # The earlier None was a dropped reply, proven by
-                        # this success — worth counting, but the breaker
-                        # sees a completed operation.
-                        self.confirmed_drops += 1
+                if result is not NO_REPLY:
                     self.breaker.record_success()
                     return result
                 delay = self._next_backoff(retry, spent)
@@ -185,7 +182,7 @@ class ResilientDHT(DelegatingDHT):
 
     def get(self, key: str) -> Any | None:
         self._gate(key)
-        return self._with_retries(self.inner.get, key, is_get=True)
+        return self._with_retries(self.inner.get, key)
 
     def remove(self, key: str) -> Any | None:
         self._gate(key)

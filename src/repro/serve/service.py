@@ -50,7 +50,7 @@ from typing import Any, cast
 
 from repro.core.index import LHTIndex
 from repro.core.results import LookupResult, MatchStatus
-from repro.errors import ConfigurationError, DHTError, OverloadError, ReproError
+from repro.errors import ConfigurationError, OverloadError, ReproError
 from repro.sim.clock import Clock
 
 __all__ = [
@@ -186,18 +186,12 @@ def _failed(exc: ReproError) -> Response:
 
 
 def _looked_up(
-    index: LHTIndex,
-    request: Request,
-    routed: LookupResult | None,
-    cause: DHTError | None = None,
+    index: LHTIndex, request: Request, routed: LookupResult
 ) -> Response:
-    """Map the index's typed finish of one plan to a response;
-    ``cause`` is the round failure that cut the plan short, if one did."""
+    """Map the index's typed finish of one plan to a response."""
     result = index.finish_lookup(request.key, routed)
     if result.status is not MatchStatus.UNREACHABLE:
         response = Response(Status.OK, answer=result.record)
-    elif cause is not None:
-        response = _failed(cause)
     else:
         response = Response(
             Status.ERROR, error=f"lookup of {request.key}: unreachable"
@@ -210,9 +204,12 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
     """Drive one probe plan per lookup, lock-stepped round by round.
 
     Each round collects every active plan's next probe name, issues the
-    *unique* names as one ``multi_get``, and feeds the shared replies
-    back — so two sessions probing the same name class pay one routed
-    get between them.
+    *unique* names as one batched round (``index.reads.round``), and
+    feeds the shared replies back — so two sessions probing the same
+    name class pay one routed get between them.  The round fails per
+    key: a name that got no reply, or a typed error, is rescued from
+    the replicas for the plans awaiting it alone, exactly as the
+    direct path's read would be.
     """
     dht = index.dht
     before = dht.metrics.dht_lookups
@@ -242,15 +239,7 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
         wanted = [name for _, _, name in plans]
         unique = list(dict.fromkeys(wanted))
         saved += len(wanted) - len(unique)
-        try:
-            replies = dict(zip(unique, dht.multi_get(unique)))
-        except DHTError as exc:
-            # The round failed as a unit: every in-flight lookup is
-            # finished as a drive the substrate cut short (replica
-            # re-drive, else the typed error reported as data).
-            for slot, _plan, _name in plans:
-                responses[slot] = _looked_up(index, requests[slot], None, exc)
-            break
+        replies = dict(zip(unique, index.reads.round(unique)))
 
     dht.metrics.record_batch(saved)
     return BatchResult(

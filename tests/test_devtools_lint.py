@@ -383,6 +383,95 @@ class TestRegistryEnrollmentRule:
         assert codes(lint_paths([src], select=["LHT012"])) == []
 
 
+#: A miniature core/serve tree: the read path module may read the DHT;
+#: every other module must go through it.
+READ_PATH_TREE = {
+    "core/lookup.py": (
+        "NO_REPLY = object()\n"
+        "\n"
+        "class ReadPath:\n"
+        "    def __init__(self, dht):\n"
+        "        self.dht = dht\n"
+        "\n"
+        "    def fetch(self, name):\n"
+        "        value = self.dht.get(name)\n"
+        "        return None if value is NO_REPLY else value\n"
+        "\n"
+        "    def round(self, names):\n"
+        "        return self.dht.multi_get(names, absorb_errors=True)\n"
+    ),
+    "core/index.py": (
+        "from core.lookup import ReadPath\n"
+        "\n"
+        "class Index:\n"
+        "    def __init__(self, dht):\n"
+        "        self.dht = dht\n"
+        "        self.reads = ReadPath(dht)\n"
+        "        self.sizes = {}\n"
+        "\n"
+        "    def sibling(self, name):\n"
+        "        return self.reads.fetch(name)\n"
+        "\n"
+        "    def size(self, bits):\n"
+        "        return self.sizes.get(bits, 0)\n"
+    ),
+    "serve/service.py": (
+        "def execute(index, names):\n"
+        "    return index.reads.round(names)\n"
+    ),
+}
+
+
+class TestReadPathRule:
+    """LHT014: in core/ and serve/, routed reads go through ReadPath."""
+
+    def _tree(self, tmp_path: Path, **overrides: str) -> Path:
+        files = {**READ_PATH_TREE, **overrides}
+        for relpath, source in files.items():
+            file = tmp_path / relpath
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_text(source)
+        return tmp_path
+
+    def test_reads_through_the_read_path_are_clean(self, tmp_path):
+        root = self._tree(tmp_path)
+        assert codes(lint_paths([root], select=["LHT014"])) == []
+
+    @pytest.mark.parametrize(
+        "relpath, source, line",
+        [
+            ("core/merge.py",
+             "def sibling(index, name):\n    return index.dht.get(name)\n", 2),
+            ("core/scan.py",
+             "def scan(dht, walk):\n    return walk(dht.get)\n", 2),
+            ("core/range.py",
+             "class Executor:\n"
+             "    def run(self, names):\n"
+             "        return self._dht.multi_get(names)\n", 3),
+            ("serve/service.py",
+             "def execute(index, names):\n"
+             "    return index.dht.multi_get(names)\n", 2),
+            ("serve/probe.py",
+             "def probe(inner, key, peer):\n"
+             "    return inner.probe_get(key, peer)\n", 2),
+        ],
+    )
+    def test_direct_dht_read_flagged(self, tmp_path, relpath, source, line):
+        root = self._tree(tmp_path, **{relpath: source})
+        violations = lint_paths([root], select=["LHT014"])
+        assert [(Path(v.path).relative_to(root).as_posix(), v.line)
+                for v in violations] == [(relpath, line)]
+        assert "ReadPath" in violations[0].message
+
+    def test_other_packages_may_read_the_dht(self, tmp_path):
+        src = "def probe(dht, key):\n    return dht.get(key)\n"
+        assert lint_at(src, "experiments/probe.py", tmp_path) == []
+        assert lint_at(src, "baselines/pht.py", tmp_path) == []
+
+    def test_real_tree_is_clean(self):
+        assert codes(lint_paths([REPO_SRC], select=["LHT014"])) == []
+
+
 class TestNoqaSuppression:
     def test_blanket_noqa(self, tmp_path):
         src = "def f(x=[]):  # noqa\n    return x\n"
@@ -550,7 +639,8 @@ class TestOnePass:
         """``tests/data/lint_parity_parent.json`` holds every fixture tree
         of this module and ``test_devtools_flow.py`` as the parent commit
         ran them, with what its ``lint_paths`` and ``analyze_paths``
-        reported together on each (minus LHT005, deleted with its rule).
+        reported together on each (minus LHT005, deleted with its rule;
+        LHT014, added since, is left out of the comparison).
         """
         golden = Path(__file__).parent / "data" / "lint_parity_parent.json"
         cases = json.loads(golden.read_text())
@@ -564,7 +654,9 @@ class TestOnePass:
             reported = [
                 [Path(v.path).relative_to(root).as_posix(), v.line, v.col,
                  v.code, v.message]
-                for v in lint_paths([root / p for p in case["paths"]])
+                for v in lint_paths(
+                    [root / p for p in case["paths"]], ignore=["LHT014"]
+                )
             ]
             assert reported == case["findings"], case["fixture"]
 

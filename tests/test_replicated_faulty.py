@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import IndexConfig, LHTIndex
+from repro.core import IndexConfig, LHTIndex, MatchStatus
 from repro.dht import (
+    NO_REPLY,
     ChordDHT,
     FaultyDHT,
     LocalDHT,
@@ -34,14 +35,45 @@ class TestReplicatedDHT:
         assert dht.get("k") == "v"
         assert inner.metrics.since(before).gets == 1
 
-    def test_get_fails_over(self):
+    def test_lost_primary_copy_is_rescued_by_the_index(self):
+        """An owner that lost its copy answers "not stored" — final at
+        the wrapper, which probes no backup — so the index's lookup
+        cannot converge and ``finish_lookup`` re-drives it over replica
+        probes: PRESENT, with one failover tick."""
         inner = LocalDHT(16, 0)
-        dht = ReplicatedDHT(inner, n_replicas=3)
+        index = LHTIndex(
+            ReplicatedDHT(inner, n_replicas=3),
+            IndexConfig(theta_split=4, max_depth=20),
+        )
+        keys = [float(k) for k in np.random.default_rng(1).random(60)]
+        for key in keys:
+            index.insert(key)
+        key = keys[7]
+        name = str(index.lookup(key).name)
+        inner.remove(name)  # primary copy lost at the owner
+        assert index.dht.get(name) is None  # the owner's answer stands
+        before = inner.metrics.snapshot()
+        result = index.exact_match_checked(key)
+        assert result.status is MatchStatus.PRESENT
+        assert result.record.key == key
+        spent = inner.metrics.since(before)
+        assert spent.replica_failovers == 1
+        assert spent.replica_probe_gets >= 2  # the owner, then a backup
+
+    def test_get_fails_over_only_on_no_reply(self):
+        inner = LocalDHT(16, 0)
+        flaky = FaultyDHT(inner, get_drop_rate=1.0, probe_drop_rate=0.0)
+        dht = ReplicatedDHT(flaky, n_replicas=3)
         dht.put("k", "v")
-        inner.remove("k")  # primary copy lost at the owner
-        assert dht.get("k") == "v"  # served by a replica holder
+        assert dht.get("k") == "v"  # dropped primary, served by a backup
         assert inner.metrics.replica_failovers == 1
-        assert inner.metrics.replica_probe_gets >= 1
+        assert inner.metrics.replica_probe_gets == 1
+        # An absent name: every backup answers, so the miss is final.
+        assert dht.get("absent") is None
+        assert inner.metrics.replica_probe_gets == 3
+        # Nobody answers: the reply stays lost for a retry layer above.
+        flaky.probe_drop_rate = 1.0
+        assert dht.get("k") is NO_REPLY
 
     def test_remove_clears_all(self):
         inner = LocalDHT(16, 0)
@@ -109,8 +141,9 @@ class TestFaultyDHT:
     def test_drops_are_counted(self):
         dht = FaultyDHT(LocalDHT(8, 0), get_drop_rate=1.0, seed=1)
         dht.put("k", 1)
-        assert dht.get("k") is None
-        assert dht.dropped_gets == 1
+        assert dht.get("k") is NO_REPLY
+        assert dht.probe_get("k", dht.peer_of("k")) is NO_REPLY
+        assert dht.dropped_gets == 2
         assert dht.peek("k") == 1  # oracle access is never faulty
 
     def test_put_failures_raise(self):

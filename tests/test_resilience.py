@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import IndexConfig, LHTIndex, MatchStatus
-from repro.dht import FaultyDHT, LocalDHT, ReplicatedDHT
+from repro.dht import NO_REPLY, FaultyDHT, LocalDHT, ReplicatedDHT
 from repro.errors import CircuitOpenError, ConfigurationError, DHTError
 from repro.resilience import (
     BreakerState,
@@ -168,14 +168,12 @@ class TestResilientDHT:
         dht.put("k", 1)
         assert dht.get("k") == 1
         assert dht.remove("k") == 1
-        # Successful operations never retry...
+        # Successful operations never retry, and neither does a miss:
+        # ``None`` is an answer ("not stored"), not a lost reply.
+        assert dht.get("k") is None
         assert dht.retries == 0
         assert dht.metrics.retries == 0
-        # ...but a miss must exhaust the attempt budget: the wrapper
-        # cannot distinguish "absent" from "dropped reply".
-        assert dht.get("k") is None
-        assert dht.retries == dht.policy.max_retries
-        assert dht.exhausted_gets == 1
+        assert dht.exhausted_gets == 0
 
     def test_get_retries_recover_dropped_replies(self):
         dht, faulty = _stack(drop=0.5, seed=3)
@@ -184,20 +182,32 @@ class TestResilientDHT:
         for _ in range(200):
             if dht.get("k") == "v":
                 recovered += 1
-        # residual false-absence = 0.5^5 ≈ 3% per call
+        # residual unanswered = 0.5^5 ≈ 3% per call
         assert recovered >= 185
-        assert dht.confirmed_drops > 0
+        assert dht.exhausted_gets == 200 - recovered
         assert faulty.dropped_gets > 0
         assert dht.metrics.retries == dht.retries > 0
 
     def test_genuine_miss_stays_a_miss(self):
-        dht, _ = _stack(drop=0.3, seed=1)
+        dht, faulty = _stack(drop=0.3, seed=1)
         for _ in range(50):
             assert dht.get("never-stored") is None
-        assert dht.exhausted_gets == 50
-        # Ambiguous None-gets never feed the breaker.
+        # Only the lost replies were asked again: one retry per drop,
+        # and every miss ended on its first answered attempt.
+        assert dht.retries == faulty.dropped_gets > 0
+        assert dht.exhausted_gets == 0
         assert dht.breaker.state is BreakerState.CLOSED
         assert dht.metrics.breaker_trips == 0
+
+    def test_lost_replies_never_feed_the_breaker(self):
+        policy = RetryPolicy(max_attempts=2, timeout_budget=None)
+        dht, faulty = _stack(drop=1.0, policy=policy)
+        for _ in range(20):
+            assert dht.get("k") is NO_REPLY
+        assert dht.exhausted_gets == 20
+        assert faulty.dropped_gets == 40  # every attempt was routed
+        assert dht.breaker.consecutive_failures == 0
+        assert dht.breaker.state is BreakerState.CLOSED
 
     def test_put_retries_then_raises(self):
         policy = RetryPolicy(max_attempts=3, timeout_budget=None)
@@ -288,7 +298,7 @@ class TestResilientDHT:
             dht, _ = _stack(drop=0.4, seed=11)
             dht.put("k", 1)
             outcomes = tuple(dht.get("k") for _ in range(50))
-            return outcomes, dht.retries, dht.confirmed_drops, dht.clock.now
+            return outcomes, dht.retries, dht.exhausted_gets, dht.clock.now
 
         assert run() == run()
 

@@ -21,9 +21,15 @@ from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.results import MatchStatus
 from repro.dht.faulty import FaultyDHT
+from repro.dht.kernel import DelegatingDHT
 from repro.dht.local import LocalDHT
 from repro.dht.replicated import ReplicatedDHT
-from repro.errors import ConfigurationError, OverloadError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    OverloadError,
+    ReproError,
+    RoutingError,
+)
 from repro.serve import (
     Arrival,
     AsyncFrontend,
@@ -657,15 +663,60 @@ class TestServedLookupsRunTheIndexPath:
         )
 
 
+class OneNameFailsDHT(DelegatingDHT):
+    """Raises a typed routing failure for one name, answers the rest."""
+
+    failing: str | None = None
+
+    def get(self, key):
+        if key == self.failing:
+            raise RoutingError(f"cannot route {key!r}")
+        return self.inner.get(key)
+
+
+class TestRoundsFailPerKey:
+    def test_one_failing_name_fails_only_its_own_plans(self):
+        """A typed error on one name of a lock-stepped round is that
+        name's failure alone: every request not waiting on it gets the
+        direct path's answer at the direct path's cost."""
+        dht = OneNameFailsDHT(LocalDHT(16, 0))
+        index = LHTIndex(dht, IndexConfig(theta_split=4, max_depth=20))
+        for i in range(64):
+            index.insert(i / 64)
+        keys = [(i + 0.5) / 8 for i in range(8)]
+        probed = [{str(name) for name in index.lookup(k).probed} for k in keys]
+        owners = {}
+        for slot, names in enumerate(probed):
+            for name in names:
+                owners.setdefault(name, []).append(slot)
+        dht.failing, (victim,) = next(
+            (name, slots) for name, slots in owners.items() if len(slots) == 1
+        )
+        direct = [index.exact_match_checked(k) for k in keys]
+        result = execute_batch(
+            index, [Request(RequestKind.LOOKUP, k) for k in keys]
+        )
+        others = [slot for slot in range(8) if slot != victim]
+        served = result.responses
+        assert [served[i].status for i in others] == [Status.OK] * 7
+        assert [served[i].answer for i in others] == [
+            direct[i].record for i in others
+        ]
+        assert [served[i].dht_lookups for i in others] == [
+            direct[i].dht_lookups for i in others
+        ]
+        assert all(direct[i].status is MatchStatus.PRESENT for i in others)
+
+
 class BuggyDHT(LocalDHT):
     """A substrate with an arming switch for a non-ReproError bug."""
 
     armed = False
 
-    def multi_get(self, keys):
+    def multi_get(self, keys, *, absorb_errors=False):
         if self.armed:
             raise RuntimeError("injected bug")
-        return super().multi_get(keys)
+        return super().multi_get(keys, absorb_errors=absorb_errors)
 
 
 def build_buggy_index():

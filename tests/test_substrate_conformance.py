@@ -35,7 +35,7 @@ from repro.dht import (
     ReplicatedDHT,
     SerializingDHT,
 )
-from repro.dht.base import DHT
+from repro.dht.base import DHT, NO_REPLY
 from repro.dht.registry import make as make_dht, names as substrate_names
 from repro.errors import DHTError
 from repro.resilience import ResilientDHT
@@ -175,8 +175,11 @@ class TestAbsorbErrors:
         inner = make_dht("local", N_PEERS, SEED)
         flaky = FaultyDHT(inner, get_drop_rate=1.0, seed=SEED)
         flaky.put("k", 1)
-        # A dropped get returns None (reply lost), never raises.
-        assert flaky.multi_get(["k", "k"], absorb_errors=True) == [None, None]
+        # A dropped get returns NO_REPLY (reply lost), never raises.
+        assert flaky.multi_get(["k", "k"], absorb_errors=True) == [
+            NO_REPLY,
+            NO_REPLY,
+        ]
 
     def test_typed_error_propagates_without_flag(self):
         class ExplodingDHT(SerializingDHT):
@@ -187,8 +190,8 @@ class TestAbsorbErrors:
         with pytest.raises(DHTError):
             exploding.multi_get(["a", "b"])
         assert exploding.multi_get(["a", "b"], absorb_errors=True) == [
-            None,
-            None,
+            NO_REPLY,
+            NO_REPLY,
         ]
 
 
@@ -305,7 +308,7 @@ class TestMultiPutAbsorbErrors:
         puts = flaky.multi_put([(k, 1) for k in keys], absorb_errors=True)
         gets = flaky.multi_get(keys, absorb_errors=True)
         assert puts == [False] * len(keys)
-        assert gets == [None] * len(keys)
+        assert gets == [NO_REPLY] * len(keys)
 
 
 class TestMultiPutCacheInvalidation:
