@@ -31,7 +31,8 @@ from repro.cache.leafcache import LeafCache
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
 from repro.core.lookup import Plan, ReadPath, drive_plan, lookup_plan
-from repro.core.naming import naming
+from repro.core.label import Label
+from repro.core.naming import naming_bits
 from repro.core.results import LookupResult
 from repro.dht.base import DHT
 from repro.dht.metrics import MetricsRecorder
@@ -50,7 +51,7 @@ def cached_plan(
     """
     candidate = cache.lookup(key, config.max_depth)
     if candidate is not None:
-        name = naming(candidate)
+        name = "#" + naming_bits(candidate.bits)
         bucket = yield name
         if isinstance(bucket, LeafBucket) and bucket.contains_key(key):
             metrics.record_cache_hit()
@@ -59,7 +60,7 @@ def cached_plan(
                 # (Theorem 2); adopt the current label.
                 cache.invalidate(candidate)
                 cache.store(bucket.label)
-            return LookupResult(bucket, name, 1, (name,))
+            return LookupResult(bucket, Label(name[1:]), 1, (name,))
         metrics.record_cache_stale()
         cache.invalidate(candidate)
     else:

@@ -8,6 +8,12 @@ collapses from ``D`` labels to ``≈ D/2`` distinct names and the binary
 search needs only ``log(D/2)`` DHT-gets — the paper's headline lookup
 saving over PHT's ``log D``.
 
+The search is prefix arithmetic on μ's bit string: a candidate prefix is
+a slice of it, and its name is the ``f_n`` kernel of
+:mod:`repro.core.naming` applied to that slice.  A plan therefore yields
+*DHT keys* (``"#" + bits``) and builds one :class:`Label` only, for the
+name of the bucket it converges on.
+
 Probe outcomes steer the search:
 
 * **failed get** — ``f_n(x)`` is not an internal node, so the leaf lies at
@@ -37,13 +43,13 @@ from typing import Any, Callable, Generator, cast
 
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
-from repro.core.keys import mu_path
+from repro.core.keys import key_bits
 from repro.core.label import Label
-from repro.core.naming import naming, next_naming
+from repro.core.naming import naming_bits, next_naming_depth
 from repro.core.results import LookupResult
 from repro.dht.base import DHT, NO_REPLY
 from repro.dht.replicated import replica_layer
-from repro.errors import DHTError, LabelError
+from repro.errors import DHTError
 
 __all__ = [
     "Plan",
@@ -54,56 +60,55 @@ __all__ = [
     "lookup_plan",
 ]
 
-#: A probe plan: yields names to get, is sent the values, returns the result.
-Plan = Generator[Label, Any, LookupResult]
+#: A probe plan: yields the DHT keys to get, is sent the values, returns
+#: the result.
+Plan = Generator[str, Any, LookupResult]
 
 
 def lookup_plan(config: IndexConfig, key: float) -> Plan:
     """Alg. 2 as a *probe plan*: the search logic with the I/O peeled off.
 
-    A generator that yields the next name to probe (``f_n`` of a
-    candidate prefix) and receives the fetched value via ``send``; it
-    returns the final :class:`LookupResult` through ``StopIteration``.
+    A generator that yields the DHT key of the next name to probe
+    (``"#" + f_n`` of a candidate prefix's bits) and receives the
+    fetched value via ``send``; it returns the final
+    :class:`LookupResult` through ``StopIteration``.
     :func:`drive_plan` drives one plan with sequential fetches; the
     serving layer's coalescer (:mod:`repro.serve`) drives *many*
     plans in lock-step, merging each round's probes into one
     :meth:`~repro.dht.base.DHT.multi_get` — both paths execute this
     exact search, so their answers cannot diverge.
     """
-    mu = mu_path(key, config.max_depth)
+    mu = "0" + key_bits(key, config.max_depth - 1)  # μ(δ, D)'s bits
     shorter = 2
     longer = config.max_depth + 1
-    lookups = 0
-    probed: list[Label] = []
+    probed: list[str] = []
 
     while shorter <= longer:
         mid = (shorter + longer) // 2
-        x = mu.prefix(mid)
-        name = naming(x)
+        name = "#" + naming_bits(mu[: mid - 1])  # f_n(x), x = μ.prefix(mid)
         bucket = yield name
-        lookups += 1
         probed.append(name)
         if bucket is None:
             # f_n(x) is not internal: the leaf is at or above it.  All
             # lengths in (f_n(x).length, mid] share this name — skip them.
-            longer = name.length
+            longer = len(name)
         elif isinstance(bucket, LeafBucket) and bucket.contains_key(key):
-            return LookupResult(bucket, name, lookups, tuple(probed))
+            return LookupResult(bucket, Label(name[1:]), len(probed), tuple(probed))
         else:
             # The probed name is internal; the leaf lies strictly below.
-            # Skip to the next prefix of μ with a different name.
-            try:
-                shorter = next_naming(x, mu).length
-            except LabelError:
+            # Skip to the next prefix of μ with a different name, f_nn(x, μ).
+            depth = next_naming_depth(mu, mid - 1)
+            if not depth:
                 # μ continues with identical bits past x — only possible if
                 # the index is inconsistent (see module docs); give up.
                 break
+            shorter = depth + 1
 
-    return LookupResult(None, None, lookups, tuple(probed))
+    return LookupResult(None, None, len(probed), tuple(probed))
 
 
 def drive_plan(fetch: Callable[[str], Any], plan: Plan) -> LookupResult:
-    """Run one probe plan to completion, one ``fetch`` per probe.
+    """Run one probe plan to completion, one ``fetch`` per yielded DHT key.
 
     The single-plan driver: ``fetch`` is :meth:`ReadPath.fetch` for the
     routed lookup (plain or cache-fronted plan alike) and
@@ -114,7 +119,7 @@ def drive_plan(fetch: Callable[[str], Any], plan: Plan) -> LookupResult:
     try:
         name = next(plan)
         while True:
-            name = plan.send(fetch(str(name)))
+            name = plan.send(fetch(name))
     except StopIteration as stop:
         return cast(LookupResult, stop.value)
 
@@ -228,21 +233,17 @@ def lht_lookup_linear(dht: DHT, config: IndexConfig, key: float) -> LookupResult
     from the binary search versus the name-class collapse itself.
     """
     fetch = ReadPath(dht, config).fetch
-    mu = mu_path(key, config.max_depth)
-    x = mu.prefix(2)  # the regular root #0
-    lookups = 0
-    probed: list[Label] = []
-    while True:
-        name = naming(x)
-        bucket = fetch(str(name))
-        lookups += 1
+    mu = "0" + key_bits(key, config.max_depth - 1)
+    depth = 1  # x = #0, the regular root
+    probed: list[str] = []
+    while depth:
+        name = "#" + naming_bits(mu[:depth])
+        bucket = fetch(name)
         probed.append(name)
         if isinstance(bucket, LeafBucket) and bucket.contains_key(key):
-            return LookupResult(bucket, name, lookups, tuple(probed))
+            return LookupResult(bucket, Label(name[1:]), len(probed), tuple(probed))
         if bucket is None:
             # Inconsistent index (unreachable in a quiescent system).
-            return LookupResult(None, None, lookups, tuple(probed))
-        try:
-            x = next_naming(x, mu)
-        except LabelError:
-            return LookupResult(None, None, lookups, tuple(probed))
+            break
+        depth = next_naming_depth(mu, depth)  # x ← f_nn(x, μ); 0: none
+    return LookupResult(None, None, len(probed), tuple(probed))

@@ -8,7 +8,9 @@ tree's size or shape.
 Two practical extensions beyond the paper's statement:
 
 * a single-leaf tree has its only leaf ``#0`` stored under ``#``, so a max
-  query's lookup of ``#0`` fails and is repaired with one lookup of ``#``;
+  query's lookup of ``#0`` fails and is repaired with one lookup of ``#``
+  (whose bucket must then be ``#0`` itself — anything else means the
+  get of ``#0`` lost its reply);
 * when deletions leave the extreme bucket empty, the query walks inward
   across neighboring trees (one lookup each) until it finds a record.
 
@@ -48,9 +50,10 @@ def max_query(reads: ReadPath) -> MinMaxResult:
     lookups = 1
     if bucket is None:
         # Single-leaf tree: the only leaf #0 lives under f_n(#0) = '#'.
+        # Any other leaf there means '#0' exists and its reply was lost.
         bucket = reads.get(str(VIRTUAL_ROOT))
         lookups += 1
-        if bucket is None:
+        if bucket is None or bucket.label != ROOT:
             return _blocked(reads, Range(0.0, 1.0), lookups)
     return _scan(reads, bucket, lookups, want_min=False)
 

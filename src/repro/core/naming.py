@@ -13,6 +13,12 @@ technical core of LHT:
   (Def. 3): the nearest right/left *branch node*, used to sweep a range
   query across adjacent neighboring subtrees.
 
+``f_n`` and ``f_nn`` are prefix arithmetic on a label's bit string, so
+each is stated once, as a ``str`` kernel (:func:`naming_bits`,
+:func:`next_naming_depth`); :func:`naming` and :func:`next_naming` wrap
+them for ``Label`` callers, and the lookup binary search (Alg. 2) calls
+the kernels directly so that its probes build no ``Label``.
+
 Also provided are the inverses of ``f_n`` (which leaf is stored under a
 given internal-node name — Theorem 1's constructive content) and the LCA
 computation used by the general range-forwarding algorithm (Alg. 4).
@@ -25,7 +31,9 @@ from repro.errors import LabelError
 
 __all__ = [
     "naming",
+    "naming_bits",
     "next_naming",
+    "next_naming_depth",
     "right_neighbor",
     "left_neighbor",
     "leaf_named_by",
@@ -33,6 +41,25 @@ __all__ = [
     "leftmost_leaf_key",
     "lca_label",
 ]
+
+
+def naming_bits(bits: str) -> str:
+    """``f_n`` on a non-empty bit string: strip the trailing run of its
+    final bit (``"01100"`` → ``"011"``, ``"0000"`` → ``""``)."""
+    return bits.rstrip(bits[-1])
+
+
+def next_naming_depth(mu: str, depth: int) -> int:
+    """``f_nn`` on bit strings: the depth of ``f_nn(mu[:depth], mu)``.
+
+    That is the length of the shortest prefix of ``mu`` longer than
+    ``depth`` whose final bit differs from ``mu[depth - 1]`` (from ``0``
+    for the virtual root, ``depth == 0``).  Returns 0 — never the depth
+    of a next name, which extends a prefix — when every remaining bit of
+    ``mu`` repeats that bit.
+    """
+    other = "1" if depth == 0 or mu[depth - 1] == "0" else "0"
+    return mu.find(other, depth) + 1
 
 
 def naming(label: Label) -> Label:
@@ -52,11 +79,9 @@ def naming(label: Label) -> Label:
         LabelError: if applied to the virtual root, which has no bits to
             truncate (the virtual root is never a leaf).
     """
-    bits = label.bits
-    if not bits:
+    if label.is_virtual_root:
         raise LabelError("f_n is undefined on the virtual root")
-    last = bits[-1]
-    return Label(bits.rstrip(last))
+    return Label(naming_bits(label.bits))
 
 
 def next_naming(x: Label, mu: Label) -> Label:
@@ -79,12 +104,10 @@ def next_naming(x: Label, mu: Label) -> Label:
     """
     if not x.is_proper_prefix_of(mu):
         raise LabelError(f"{x} is not a proper prefix of {mu}")
-    last = x.last_bit if x.bits else "0"
-    rest = mu.bits[len(x.bits):]
-    for offset, bit in enumerate(rest):
-        if bit != last:
-            return Label(mu.bits[: len(x.bits) + offset + 1])
-    raise LabelError(f"no next name: {mu} continues {x} with identical bits")
+    depth = next_naming_depth(mu.bits, x.depth)
+    if not depth:
+        raise LabelError(f"no next name: {mu} continues {x} with identical bits")
+    return Label(mu.bits[:depth])
 
 
 def right_neighbor(x: Label) -> Label:

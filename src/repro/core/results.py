@@ -46,7 +46,7 @@ class LookupResult:
     bucket: LeafBucket | None
     name: Label | None
     dht_lookups: int
-    probed: tuple[Label, ...] = ()
+    probed: tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:

@@ -33,7 +33,8 @@ def fetch_adjacent(
     """The leaf adjacent to ``label``; returns (bucket, gets used).
 
     ``label`` must not touch the data-space edge in that direction;
-    ``None`` when ``get`` answered neither probe.
+    ``None`` when the walk is cut off: ``get`` answered neither probe,
+    or the repair landed on a leaf that does not abut ``label``.
     """
     # The near-edge leaf of the neighboring tree is stored under β; if β
     # is itself a leaf, repair via f_n(β) (same pattern as Alg. 3).
@@ -41,7 +42,17 @@ def fetch_adjacent(
     bucket = get(str(beta))
     if bucket is not None:
         return bucket, 1
-    return get(str(naming(beta))), 2
+    bucket = get(str(naming(beta)))
+    # The repair is right only when β really is a leaf.  A miss of β that
+    # was a lost reply, not an answered "not stored", sends it to some
+    # other leaf: only geometry can tell, so a non-adjacent leaf is no
+    # answer.
+    if bucket is not None:
+        here, there = label.interval, bucket.label.interval
+        abuts = there.low == here.high if rightwards else there.high == here.low
+        if not abuts:
+            return None, 2
+    return bucket, 2
 
 
 def _adjacent_or_raise(

@@ -227,7 +227,7 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
         waiting = []
         for slot, plan, name in plans:
             try:
-                waiting.append((slot, plan, str(plan.send(replies[name]))))
+                waiting.append((slot, plan, plan.send(replies[name])))
             except StopIteration as stop:
                 responses[slot] = _looked_up(index, requests[slot], stop.value)
             except ReproError as exc:  # malformed request: nothing routed for it

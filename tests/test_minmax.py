@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import IndexConfig, LHTIndex
-from repro.dht import LocalDHT
+from repro.dht import NO_REPLY, LocalDHT
+from repro.errors import LookupError_
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
 
@@ -90,3 +92,60 @@ class TestEmptyExtremeBuckets:
             index.delete(key)
         assert index.min_query().record is None
         assert index.max_query().record is None
+
+
+class _LossyLocalDHT(LocalDHT):
+    """A local DHT whose gets of the names in ``lost`` get no reply."""
+
+    def __init__(self) -> None:
+        super().__init__(n_peers=16, seed=0)
+        self.lost: set[str] = set()
+
+    def get(self, key):
+        return NO_REPLY if key in self.lost else super().get(key)
+
+
+class TestLostReplyNeverSteersARepair:
+    """An unrescued lost reply reads as a miss; a repair step it steers
+    must end ``complete=False`` (or raise), never at a wrong leaf."""
+
+    #: Leaves #000 (0.0 … 0.1035), #001 (0.2520) and an empty #01.
+    KEYS = [0.0, 8 / 2**12, 9 / 2**12, 0.103515625, 0.251953125]
+
+    def _index(self, lost: set[str]) -> LHTIndex:
+        dht = _LossyLocalDHT()
+        index = LHTIndex(dht, IndexConfig(theta_split=4, max_depth=20))
+        for key in self.KEYS:
+            index.insert(key)
+        assert [str(label) for label in index.leaf_labels()] == [
+            "#000", "#001", "#01",
+        ]
+        dht.lost = lost
+        return index
+
+    def test_inward_walk_rejects_a_non_adjacent_repair(self):
+        """'#00' (stores #001) lost: f_n('#00') = '#' holds #000, which
+        does not abut #01, so the walk is cut off, not answered 0.1035."""
+        index = self._index({"#00"})
+        result = index.max_query(degraded=True)
+        assert not result.complete and result.record is None
+        with pytest.raises(LookupError_):
+            index.max_query()
+        assert index.min_query().record.key == 0.0
+
+    def test_knn_raises_instead_of_skipping_a_leaf(self):
+        index = self._index({"#00"})
+        with pytest.raises(LookupError_):
+            index.knn_query(0.75, 1)
+
+    def test_single_leaf_fallback_requires_the_root_leaf(self):
+        """'#0' lost: the leaf under '#' is #000, not #0, so the tree is
+        not a single leaf and #000's maximum is no answer."""
+        index = self._index({"#0"})
+        result = index.max_query(degraded=True)
+        assert not result.complete and result.record is None
+
+    def test_fault_free_answers_are_unchanged(self):
+        index = self._index(set())
+        assert index.max_query().record.key == 0.251953125
+        assert index.knn_query(0.75, 1).records[0].key == 0.251953125

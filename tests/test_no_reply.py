@@ -15,7 +15,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core import IndexConfig, LHTIndex, LeafBucket, MatchStatus, Record
 from repro.dht import (
@@ -127,6 +127,14 @@ class TestAbsentNameCost:
     stored=st.lists(dyadic_keys, min_size=1, max_size=80, unique=True),
     others=st.lists(dyadic_keys, max_size=20),
     seed=st.integers(min_value=0, max_value=2**16),
+)
+# At k=1, p=0.3 this seed drops the get of '#00': max_query's inward walk
+# (from the empty leaf '#01') must not take the f_n repair's '#000', a
+# leaf not adjacent to '#01', for the answer (0.1035, not 0.2520).
+@example(
+    stored=[0.103515625, 0.0, 8 / 2**12, 9 / 2**12, 0.251953125],
+    others=[],
+    seed=623,
 )
 def test_deploy_stack_answers_are_typed_and_true(k, p, stored, others, seed):
     dht, faulty = deploy_stack(k, seed)
