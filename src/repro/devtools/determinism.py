@@ -115,7 +115,10 @@ def run_workload(
     The trace is a list of canonical strings, one per operation, capturing
     everything observable about the run: the operation, its subject key,
     its DHT-lookup cost, the index's record/leaf counts afterwards, and
-    any split or merge events.  A final line digests the end-state leaf
+    any split or merge events.  A ``stack`` line then records the DHT
+    stack's whole :class:`~repro.dht.metrics.MetricsSnapshot` (hops,
+    retries, replica probes), which tells apart stacks whose index-level
+    costs agree.  A final line digests the end-state leaf
     structure and key multiset through the oracle inspector, which first
     verifies it: a digest is only ever taken of a state that satisfies
     the paper's invariants (:func:`repro.core.stats.check_structure`).
@@ -170,6 +173,10 @@ def run_workload(
             f"leaves={index.leaf_count}{detail}"
         )
 
+    # The stack's own counters: op lines charge index-level costs only,
+    # so routing hops, retries and replica probes show up here alone.
+    counters = sorted(dht.metrics.snapshot().to_dict().items())
+    events.append("stack " + " ".join(f"{k}={v}" for k, v in counters))
     inspector = IndexInspector(dht)
     inspector.verify()
     stats = inspector.stats()

@@ -7,6 +7,9 @@ API, the divergence path, and the CLI driver.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 import repro.devtools.determinism as determinism
@@ -39,8 +42,10 @@ class TestSameSeedFixture:
         assert len(set(report.digests)) == 1
 
     def test_cached_local_agrees_with_local_on_answers(self):
-        """Same seed, cache on vs off: every trace line must agree on
-        everything except cost (hits are cheaper, staleness dearer)."""
+        """Same seed, cache on vs off: every op line and the final line
+        agree on everything except cost (hits are cheaper, staleness
+        dearer).  The ``stack`` line is left out: it is the stack's own
+        counter ledger, where the cache's savings show."""
         plain = run_workload(seed=4, substrate="local", n_ops=150)
         cached = run_workload(seed=4, substrate="cached-local", n_ops=150)
         assert len(plain) == len(cached)
@@ -50,7 +55,8 @@ class TestSameSeedFixture:
                 f for f in line.split() if not f.startswith("cost=")
             )
 
-        for a, b in zip(plain, cached):
+        assert plain[-2].startswith("stack ") and cached[-2].startswith("stack ")
+        for a, b in zip(plain[:-2] + plain[-1:], cached[:-2] + cached[-1:]):
             assert strip_cost(a) == strip_cost(b)
 
     def test_serializing_local_trace_equals_local(self, assert_deterministic):
@@ -91,8 +97,10 @@ class TestLibraryApi:
 
     def test_trace_shape(self):
         events = run_workload(seed=0, n_ops=50)
-        assert len(events) == 51  # one line per op + final digest line
+        # one line per op + the stack's counters + final digest line
+        assert len(events) == 52
         assert events[0].startswith("00000 ")
+        assert events[-2].startswith("stack ") and " dht_lookups=" in events[-2]
         assert events[-1].startswith("final ")
 
     def test_unknown_substrate_rejected(self):
@@ -136,6 +144,34 @@ class TestLibraryApi:
         )
         report.raise_if_diverged()  # must not raise
         assert "deterministic" in report.summary()
+
+
+class TestPinnedDigests:
+    """Every gate arm's whole-trace digest at seed 0 / 200 ops, pinned
+    in ``tests/data/determinism_digests.json``.  The ``stack`` line
+    makes the arms distinct: chord's hops, resilient-local's retries and
+    deploy-local's replica probes all move a digest, and only
+    ``serializing-local`` shares ``local``'s (a byte store charges
+    exactly what a reference store charges)."""
+
+    PINNED = json.loads(
+        (Path(__file__).parent / "data" / "determinism_digests.json").read_text()
+    )
+
+    def test_every_arm_is_pinned(self):
+        assert set(self.PINNED["digests"]) == set(determinism.SUBSTRATES)
+
+    @pytest.mark.parametrize("arm", sorted(determinism.SUBSTRATES))
+    def test_digest_matches_pin(self, arm):
+        events = run_workload(
+            seed=self.PINNED["seed"], substrate=arm, n_ops=self.PINNED["n_ops"]
+        )
+        assert trace_digest(events) == self.PINNED["digests"][arm]
+
+    def test_only_the_byte_store_shares_a_digest(self):
+        digests = self.PINNED["digests"]
+        assert digests["serializing-local"] == digests["local"]
+        assert len(set(digests.values())) == len(digests) - 1
 
 
 class TestCli:
