@@ -2,7 +2,8 @@
 """Composing a deployment-grade stack from the substrate wrappers.
 
 The over-DHT philosophy means production concerns compose *underneath*
-the index without touching it.  This example assembles
+the index without touching it.  This example assembles, from the one
+stack spec ``"serializing/replicated:3/chord"``,
 
     LHT
      └─ SerializingDHT      (values cross the boundary as bytes)
@@ -21,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import CANDHT, ChordDHT, IndexConfig, LHTIndex
-from repro.dht import ReplicatedDHT, SerializingDHT
+from repro import CANDHT, IndexConfig, LHTIndex
+from repro.dht import registry
+from repro.dht.kernel import stack_layers
 from repro.errors import ReproError
 
 
@@ -33,8 +35,8 @@ def main() -> None:
 
     print("building the deployment stack: "
           "Serializing ∘ Replicated(3) ∘ Chord(48) ...")
-    ring = ChordDHT(n_peers=48, seed=0)
-    stack = SerializingDHT(ReplicatedDHT(ring, n_replicas=3))
+    stack = registry.stack("serializing/replicated:3/chord", 48, 0)
+    *_, ring = stack_layers(stack)
     index = LHTIndex(stack, config)
     for key in keys:
         index.insert(key)

@@ -3,11 +3,13 @@
 Subcommands:
 
 * ``lint`` — the repo-specific static analysis: per-file, class-shape
-  and call-graph rules LHT001-LHT014 in one pass over the tree;
+  and call-graph rules LHT001-LHT014 (no LHT005 or LHT012) in one pass
+  over the tree;
 * ``determinism`` — the same-seed trace-diff harness (also
   ``python -m repro.devtools.determinism``);
 * ``sanitize`` — run a seeded workload with the runtime sanitizer active
-  and report how many invariant sweeps passed;
+  over one of the determinism gate's stacks and report how many
+  invariant sweeps passed;
 * ``profile`` — the deterministic per-phase hot-spot profiler over the
   paper-scale build/lookup/range workload (also
   ``python -m repro.devtools.profile``);
@@ -45,14 +47,17 @@ def _run_sanitize(argv: Sequence[str]) -> int:
 
     from repro.core.config import IndexConfig
     from repro.core.index import LHTIndex
+    from repro.dht import registry
     from repro.errors import SanitizerError
     from repro.sim.rng import RngStreams, derive_seed
     from repro.workloads.trace import generate_trace, replay
 
     streams = RngStreams(args.seed)
     trace = generate_trace(args.ops, streams.stream("workload"))
-    dht = _determinism.SUBSTRATES[args.substrate](
-        args.peers, derive_seed(args.seed, "substrate")
+    dht = registry.stack(
+        _determinism.SUBSTRATES[args.substrate],
+        args.peers,
+        derive_seed(args.seed, "substrate"),
     )
     index = LHTIndex(
         dht, IndexConfig(theta_split=args.theta, sanitize=True)

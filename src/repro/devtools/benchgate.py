@@ -44,15 +44,14 @@ import numpy as np
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
+from repro.dht import registry
 from repro.dht.base import DHT
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
 from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ReproError
 from repro.experiments.common import (
-    SUBSTRATES,
     hops_per_lookup,
-    make_dht,
     probe_stored,
     zipf_probe_cost,
 )
@@ -214,13 +213,15 @@ def _substrate_hops(
         f"hops_per_op_{name}": hops_per_lookup(
             name, *prepare(name), what, reference
         )
-        for name in sorted(SUBSTRATES)
+        for name in registry.names()
     }
 
 
 def _put_get_workload(seed: int, name: str) -> _Measured:
     """One fixed put+get workload on the bare substrate."""
-    dht = make_dht(name, _PARAMS["hops_n_peers"], derive_seed(seed, "bench:hops"))
+    dht = registry.make(
+        name, _PARAMS["hops_n_peers"], derive_seed(seed, "bench:hops")
+    )
     n_ops = _PARAMS["hops_n_ops"]
 
     def measured() -> None:
@@ -237,7 +238,7 @@ def _hops_index(seed: int, name: str) -> tuple[LHTIndex, list[float]]:
     to load it with — the same shape and keys on every overlay, so
     index-level get counts are substrate-invariant and only topology
     moves the hop numbers."""
-    dht = make_dht(
+    dht = registry.make(
         name, _PARAMS["hops_index_n_peers"], derive_seed(seed, "bench:hops:index")
     )
     config = IndexConfig(

@@ -26,19 +26,13 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.stats import IndexInspector
 from repro.dht import registry
-from repro.dht.base import DHT
-from repro.dht.faulty import FaultyDHT
-from repro.dht.local import LocalDHT
-from repro.dht.replicated import ReplicatedDHT
-from repro.dht.serializing import SerializingDHT
 from repro.errors import ConfigurationError, DeterminismError, ReproError
-from repro.resilience.wrapper import ResilientDHT
 from repro.sim.rng import RngStreams, derive_seed
 from repro.workloads.trace import OpType, generate_trace
 
@@ -51,51 +45,22 @@ __all__ = [
 ]
 
 
-def _make_resilient_local(n_peers: int, seed: int) -> DHT:
-    """ResilientDHT over a lossy LocalDHT: exercises the retry/breaker
-    layer end-to-end — drops, backoff jitter, and degraded outcomes must
-    all replay identically from the root seed."""
-    faulty = FaultyDHT(
-        LocalDHT(n_peers=n_peers, seed=seed),
-        get_drop_rate=0.1,
-        seed=derive_seed(seed, "faults"),
-    )
-    return ResilientDHT(faulty, seed=derive_seed(seed, "retries"))
-
-
-def _make_serializing_local(n_peers: int, seed: int) -> DHT:
-    """SerializingDHT over LocalDHT: the trace must equal ``local``'s —
-    the index cannot tell a byte store from a reference store."""
-    return SerializingDHT(LocalDHT(n_peers=n_peers, seed=seed))
-
-
-def _make_deploy_local(n_peers: int, seed: int) -> DHT:
-    """Resilient(Replicated3(Faulty 2 %(Serializing(LocalDHT)))), the
-    ``bench/stacks.py`` deployment stack — the only arm with a replica
-    layer, so the read path's failover branch replays under the gate."""
-    faulty = FaultyDHT(
-        _make_serializing_local(n_peers, seed),
-        get_drop_rate=0.02,
-        seed=derive_seed(seed, "faults"),
-    )
-    return ResilientDHT(
-        ReplicatedDHT(faulty, n_replicas=3), seed=derive_seed(seed, "retries")
-    )
-
-
-#: Substrate name -> factory ``(n_peers, seed) -> DHT``: every substrate
+#: Gate arm -> :func:`repro.dht.registry.stack` spec: every substrate
 #: enrolled in ``repro.dht.registry``, plus four wrapper arms.
-SUBSTRATES: dict[str, Callable[[int, int], DHT]] = {
-    **registry.factories(),
-    "resilient-local": _make_resilient_local,
-    "serializing-local": _make_serializing_local,
-    "deploy-local": _make_deploy_local,
-    # The cache is index-level, not DHT-level: this arm runs the
-    # registry's local substrate with ``cache_enabled`` turned on in the
-    # IndexConfig (see ``run_workload``), at a small capacity so
-    # eviction, split and merge invalidation, and stale-entry fallbacks
-    # all replay.
-    "cached-local": registry.spec("local").factory,
+SUBSTRATES: dict[str, str] = {
+    **{name: name for name in registry.names()},
+    # Drops, backoff jitter and degraded outcomes replay from the seed.
+    "resilient-local": "resilient/faulty:0.1/local",
+    # A byte store: the trace must equal ``local``'s.
+    "serializing-local": "serializing/local",
+    # The ``bench/stacks.py`` deployment stack, the only arm with a
+    # replica layer, so the read path's failover branch replays.
+    "deploy-local": "resilient/replicated:3/faulty:0.02/serializing/local",
+    # The cache is index-level, not DHT-level: this arm runs ``local``
+    # with ``cache_enabled`` in the IndexConfig (see ``run_workload``),
+    # at a small capacity so eviction, split and merge invalidation,
+    # and stale-entry fallbacks all replay.
+    "cached-local": "local",
 }
 
 #: Substrates that enable the leaf cache on the *index* they drive.
@@ -130,7 +95,9 @@ def run_workload(
         )
     streams = RngStreams(seed)
     trace = generate_trace(n_ops, streams.stream("workload"), distribution)
-    dht = SUBSTRATES[substrate](n_peers, derive_seed(seed, "substrate"))
+    dht = registry.stack(
+        SUBSTRATES[substrate], n_peers, derive_seed(seed, "substrate")
+    )
     config = IndexConfig(
         theta_split=theta_split,
         cache_enabled=substrate in _CACHED_SUBSTRATES,

@@ -57,11 +57,6 @@ LHT011    Parallel-engine safety — a callable shipped to a
           rebind a global or mutate another module's module-level state:
           spawn workers re-import fresh modules, so such state silently
           diverges between ``--jobs 1`` and ``--jobs N``.
-LHT012    Every concrete substrate in ``repro/dht`` is enrolled in
-          :mod:`repro.dht.registry` (a ``register(...)`` call names its
-          class) — the registry is what feeds the conformance, soak,
-          fault, determinism, and benchgate matrices, so an
-          unregistered substrate would silently skip them all.
 LHT013    Placement purity — ``replicas_for`` implementations of
           :class:`~repro.dht.kernel.PlacementPolicy` subclasses (and
           every helper they reach) must be pure reads of topology:
@@ -79,7 +74,10 @@ LHT014    Routed reads go through ``ReadPath`` — in ``repro.core`` and
 ========  ==============================================================
 
 (There is no LHT005: ``abc`` already refuses to instantiate a ``DHT``
-subclass that misses an abstract method.)
+subclass that misses an abstract method.  There is no LHT012: the
+registry-completeness test in ``tests/test_registry.py`` walks
+``SubstrateBase.__subclasses__()`` at run time and reports any concrete
+substrate missing from :mod:`repro.dht.registry`.)
 
 Violations can be suppressed per line with ``# noqa`` or
 ``# noqa: LHT003, LHT007`` trailing comments; ``--select`` / ``--ignore``
@@ -370,8 +368,6 @@ class ClassInfo:
     bases: list[str] = field(default_factory=list)
     #: method name -> function qualname.
     methods: dict[str, str] = field(default_factory=dict)
-    #: Whether the class declares an ``@abstractmethod`` of its own.
-    abstract: bool = False
 
     @property
     def name(self) -> str:
@@ -626,14 +622,6 @@ def _simple_name(expr: ast.expr) -> str | None:
     return None
 
 
-def _is_abstract(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    return any(
-        _simple_name(dec.func if isinstance(dec, ast.Call) else dec)
-        == "abstractmethod"
-        for dec in node.decorator_list
-    )
-
-
 def _collect_classes(program: Program, info: ModuleInfo) -> None:
     for node in info.tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -660,7 +648,6 @@ def _collect_classes(program: Program, info: ModuleInfo) -> None:
         for item in node.body:
             if isinstance(item, _DEFS):
                 cls.methods[item.name] = f"{qual}.{item.name}"
-                cls.abstract = cls.abstract or _is_abstract(item)
         program.classes[qual] = cls
 
 
@@ -1314,60 +1301,6 @@ def _check_kernel_overrides(program: Program) -> Iterator[Finding]:
             )
 
 
-def _registered_class_names(program: Program) -> set[str] | None:
-    """Class names passed to ``register(...)`` calls in the dht package.
-
-    Returns ``None`` when no registry module is in the scanned set (the
-    rule is then not applicable — e.g. linting a single substrate file).
-    """
-    registry_present = False
-    names: set[str] = set()
-    for info in program.modules.values():
-        if not info.in_dht_package:
-            continue
-        registry_present |= info.path.name == "registry.py"
-        for node in info.nodes:
-            if not (
-                isinstance(node, ast.Call)
-                and _simple_name(node.func) == "register"
-            ):
-                continue
-            cls_arg: ast.expr | None = None
-            if len(node.args) >= 2:
-                cls_arg = node.args[1]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "cls":
-                        cls_arg = kw.value
-            name = _simple_name(cls_arg) if cls_arg is not None else None
-            if name is not None:
-                names.add(name)
-    if not registry_present and not names:
-        return None
-    return names
-
-
-def _check_registry_enrollment(program: Program) -> Iterator[Finding]:
-    """LHT012: concrete substrates must be registered.
-
-    The registry is the single enrollment point feeding every
-    all-substrates matrix; an unregistered substrate would silently
-    dodge them all.  Classes declaring their own abstract methods are
-    exempt, as are wrappers (they never reach ``SubstrateBase``).
-    """
-    registered = _registered_class_names(program)
-    if registered is None:
-        return
-    for cls in _dht_substrates(program):
-        if not cls.abstract and cls.name not in registered:
-            yield cls.path, cls.line, 1, (
-                f"substrate {cls.name} is not enrolled in "
-                "repro.dht.registry — add a register(...) call so "
-                "the conformance/soak/fault/determinism/benchgate "
-                "matrices cover it"
-            )
-
-
 def _check_hermeticity(program: Program) -> Iterator[Finding]:
     """LHT007: deterministic code must not reach a sink through helpers.
 
@@ -1623,8 +1556,6 @@ RULES: tuple[Rule, ...] = (
          _check_exception_flow),
     Rule("LHT011", "process-pool worker rebinds or mutates cross-module "
          "state", _check_parallel_safety),
-    Rule("LHT012", "substrate not enrolled in repro.dht.registry",
-         _check_registry_enrollment),
     Rule("LHT013", "placement policy charges metrics, mutates storage, or "
          "depends on wall clock/randomness", _check_placement_purity),
     Rule("LHT014", "routed read outside ReadPath", _check_read_path),
@@ -1715,7 +1646,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools lint",
         description="Repo-specific static analysis for the LHT "
-        "reproduction (rules LHT001-LHT014, one pass).",
+        "reproduction (rules LHT001-LHT014 bar LHT005/LHT012, one pass).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

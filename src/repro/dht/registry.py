@@ -1,28 +1,43 @@
-"""The substrate registry: one enrollment point for every overlay.
+"""The substrate registry and the one stack spec.
 
 Every concrete :class:`~repro.dht.kernel.SubstrateBase` subclass in
 ``repro.dht`` is registered here by name, and every suite that iterates
 "all substrates" — the conformance matrix, the churn soak, the fault
 matrix, the determinism gate, the benchgate hop metrics, and the
-experiment runner's ``SUBSTRATES`` — draws its list from this module
-instead of a hand-maintained copy.  Adding a substrate therefore means
-adding exactly one :func:`register` call below; forgetting it is caught
-twice, by lint rule LHT012 (static) and by the registry-completeness
-test in ``tests/test_registry.py`` (runtime ``__subclasses__`` walk).
+experiments — draws its list from :func:`names` and builds an isolated
+overlay with default routing parameters through :func:`make`.  Adding a
+substrate therefore means adding exactly one :func:`register` call
+below; forgetting it is caught by the registry-completeness test in
+``tests/test_registry.py`` (a runtime ``__subclasses__`` walk).
 
-Factories take ``(n_peers, seed)`` and build an isolated overlay with
-default routing parameters, which is the contract the experiment layer
-(`repro.experiments.common.make_dht`) and all test matrices rely on.
+A multi-layer stack is built by :func:`stack` from a spec string
+``layer[:arg]/.../substrate``, outermost layer first — e.g.
+``"resilient/replicated:3/faulty:0.02/serializing/local"``.  The last
+token is a registry name; the five layers are
+
+* ``faulty[:p]`` — :class:`FaultyDHT` dropping a fraction ``p`` of gets
+  (default 0), seeded ``derive_seed(seed, "faults")``;
+* ``resilient`` — :class:`ResilientDHT`, seeded
+  ``derive_seed(seed, "retries")``;
+* ``replicated[:k]`` — :class:`ReplicatedDHT` with ``k`` replicas
+  (default 3);
+* ``serializing`` — :class:`SerializingDHT`;
+* ``accesslog`` — :class:`AccessLoggingDHT`.
+
+The substrate itself is ``make(substrate, n_peers, seed)``, so one root
+seed fixes the whole stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
+from repro.dht.accesslog import AccessLoggingDHT
 from repro.dht.can import CANDHT
 from repro.dht.chord import ChordDHT
 from repro.dht.base import DHT
+from repro.dht.faulty import FaultyDHT
 from repro.dht.kademlia import KademliaDHT
 from repro.dht.kernel import PlacementPolicy, SubstrateBase, stack_layers
 from repro.dht.koorde import KoordeDHT
@@ -36,8 +51,12 @@ from repro.dht.placement import (
     TableSlicePolicy,
     ZoneNeighborsPolicy,
 )
+from repro.dht.replicated import ReplicatedDHT
+from repro.dht.serializing import SerializingDHT
 from repro.dht.tapestry import TapestryDHT
 from repro.errors import ConfigurationError
+from repro.resilience.wrapper import ResilientDHT
+from repro.sim.rng import derive_seed
 
 __all__ = [
     "SubstrateSpec",
@@ -45,8 +64,8 @@ __all__ = [
     "names",
     "spec",
     "specs",
-    "factories",
     "make",
+    "stack",
     "placement_for",
 ]
 
@@ -57,8 +76,8 @@ class SubstrateSpec:
 
     Attributes:
         name: Registry key (the ``--substrate`` / experiment name).
-        cls: The concrete :class:`SubstrateBase` subclass.
-        factory: ``(n_peers, seed) -> DHT`` building a fresh overlay.
+        cls: The concrete :class:`SubstrateBase` subclass, built as
+            ``cls(n_peers=n_peers, seed=seed)``.
         dynamic: Whether the overlay supports membership churn
             (``join``/``leave``/``fail``) after construction.
         placement: Factory for the substrate's topology-aware
@@ -70,7 +89,6 @@ class SubstrateSpec:
 
     name: str
     cls: type[SubstrateBase]
-    factory: Callable[[int, int], DHT]
     dynamic: bool
     placement: Callable[[], PlacementPolicy] | None = None
 
@@ -81,18 +99,14 @@ _REGISTRY: dict[str, SubstrateSpec] = {}
 def register(
     name: str,
     cls: type[SubstrateBase],
-    factory: Callable[[int, int], DHT] | None = None,
     dynamic: bool = False,
     placement: Callable[[], PlacementPolicy] | None = None,
 ) -> None:
     """Enroll a substrate under ``name``; duplicate names are rejected."""
     if name in _REGISTRY:
         raise ConfigurationError(f"substrate already registered: {name!r}")
-    if factory is None:
-        factory = lambda n_peers, seed: cls(n_peers=n_peers, seed=seed)  # noqa: E731
     _REGISTRY[name] = SubstrateSpec(
-        name=name, cls=cls, factory=factory, dynamic=dynamic,
-        placement=placement,
+        name=name, cls=cls, dynamic=dynamic, placement=placement
     )
 
 
@@ -116,14 +130,54 @@ def specs() -> list[SubstrateSpec]:
     return [_REGISTRY[name] for name in names()]
 
 
-def factories() -> dict[str, Callable[[int, int], DHT]]:
-    """Name -> factory map (a fresh dict; mutating it cannot unregister)."""
-    return {name: _REGISTRY[name].factory for name in names()}
-
-
 def make(name: str, n_peers: int, seed: int) -> DHT:
     """Build a fresh overlay of the named substrate."""
-    return spec(name).factory(n_peers, seed)
+    return spec(name).cls(n_peers=n_peers, seed=seed)
+
+
+#: Layer name -> (argument parser or ``None`` for no argument, builder
+#: ``(inner, seed, *arg) -> DHT``); an omitted argument takes the
+#: wrapper's own default.
+_LAYERS: dict[str, tuple[Callable[[str], Any] | None, Callable[..., DHT]]] = {
+    "faulty": (float, lambda inner, seed, *p: FaultyDHT(
+        inner, *p, seed=derive_seed(seed, "faults"))),
+    "resilient": (None, lambda inner, seed: ResilientDHT(
+        inner, seed=derive_seed(seed, "retries"))),
+    "replicated": (int, lambda inner, seed, *k: ReplicatedDHT(inner, *k)),
+    "serializing": (None, lambda inner, seed: SerializingDHT(inner)),
+    "accesslog": (None, lambda inner, seed: AccessLoggingDHT(inner)),
+}
+
+
+def stack(spec: str, n_peers: int, seed: int) -> DHT:
+    """Build the stack ``layer[:arg]/.../substrate``, outermost first.
+
+    An unknown layer or substrate, an argument on a layer that takes
+    none, or an argument that does not parse raises
+    :class:`ConfigurationError`.
+    """
+    *layers, substrate = spec.split("/")
+    dht = make(substrate, n_peers, seed)
+    for token in reversed(layers):
+        name, colon, raw = token.partition(":")
+        if name not in _LAYERS:
+            raise ConfigurationError(
+                f"unknown layer {name!r} in {spec!r}; expected one of "
+                f"{sorted(_LAYERS)}"
+            )
+        parse, build = _LAYERS[name]
+        args: tuple[Any, ...] = ()
+        if colon:
+            if parse is None:
+                raise ConfigurationError(f"layer {name!r} takes no argument")
+            try:
+                args = (parse(raw),)
+            except ValueError:
+                raise ConfigurationError(
+                    f"malformed argument {raw!r} for layer {name!r}"
+                ) from None
+        dht = build(dht, seed, *args)
+    return dht
 
 
 def placement_for(dht: DHT) -> PlacementPolicy:

@@ -44,7 +44,6 @@ from repro.baselines.pht import PHTIndex
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.results import MatchStatus
-from repro.dht import registry as substrate_registry
 from repro.dht.base import DHT
 from repro.dht.metrics import MetricsSnapshot
 from repro.errors import ConfigurationError, ReproError
@@ -55,8 +54,6 @@ from repro.workloads.queries import zipf_rank_choice
 __all__ = [
     "Series",
     "ExperimentResult",
-    "SUBSTRATES",
-    "make_dht",
     "build_index",
     "scale_params",
     "trial_rng",
@@ -71,16 +68,6 @@ __all__ = [
     "reset_wall_clock",
     "wall_clock_totals",
 ]
-
-#: Substrate factories selectable from the CLI — drawn from the
-#: registry so every enrolled substrate is an experiment arm.
-SUBSTRATES: dict[str, Callable[[int, int], DHT]] = substrate_registry.factories()
-
-
-def make_dht(substrate: str, n_peers: int, seed: int) -> DHT:
-    """Instantiate a substrate by name (delegates to the registry)."""
-    return substrate_registry.make(substrate, n_peers, seed)
-
 
 def scale_params(scales: Mapping[str, dict], scale: str) -> dict:
     """The row of a module's ``_SCALES`` table for ``scale`` (typed error)."""

@@ -11,9 +11,11 @@ the paper does not discuss (caching or replicating hot name classes).
 
 from __future__ import annotations
 
+from typing import cast
+
 from repro.core.config import IndexConfig
+from repro.dht import registry
 from repro.dht.accesslog import AccessLoggingDHT
-from repro.dht.local import LocalDHT
 from repro.experiments.common import (
     ExperimentResult,
     Series,
@@ -40,7 +42,9 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Access-load skew of query traffic over an LHT."""
     params = scale_params(_SCALES, scale)
     rng = trial_rng(seed, "hotspots", 0)
-    dht = AccessLoggingDHT(LocalDHT(params["n_peers"], seed))
+    dht = cast(
+        AccessLoggingDHT, registry.stack("accesslog/local", params["n_peers"], seed)
+    )
     index = build_index(
         "lht",
         dht,

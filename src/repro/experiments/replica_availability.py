@@ -39,7 +39,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     count_build_time,
-    make_dht,
     probe_stored,
     scale_params,
     trial_rng,
@@ -89,7 +88,7 @@ def _run_cell(
     """(availability, puts per record at build, failovers recorded)."""
     rng = trial_rng(seed, f"replica-avail:{substrate}:{drop_rate}:{k}", 0)
     faulty = FaultyDHT(
-        make_dht(substrate, params["n_peers"], derive_seed(seed, "sub")),
+        registry.make(substrate, params["n_peers"], derive_seed(seed, "sub")),
         seed=derive_seed(seed, f"faults:{substrate}:{drop_rate}:{k}"),
     )
     dht = ReplicatedDHT(faulty, n_replicas=k)

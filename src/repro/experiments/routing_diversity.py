@@ -20,14 +20,13 @@ diameter (onehop flat at 1.0, koorde between onehop and chord).
 from __future__ import annotations
 
 from repro.core.config import IndexConfig
+from repro.dht import registry
 from repro.experiments.common import (
-    SUBSTRATES,
     ExperimentResult,
     Series,
     build_index,
     count_query_time,
     hops_per_lookup,
-    make_dht,
     scale_params,
     trial_rng,
 )
@@ -70,7 +69,7 @@ def _phase_hops(
     # Identical workload across substrates (the invariance check
     # depends on it): the stream name omits the substrate.
     rng = trial_rng(seed, f"routing_diversity:{n_peers}", 0)
-    dht = make_dht(substrate, n_peers, seed)
+    dht = registry.make(substrate, n_peers, seed)
     keys = make_keys("uniform", params["size"], rng)
     index = None
 
@@ -105,7 +104,7 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
 
     hop_series: dict[str, list[Series]] = {phase: [] for phase in _PHASES}
     reference_cost: dict = {}
-    for substrate in sorted(SUBSTRATES):
+    for substrate in registry.names():
         hops = [
             _phase_hops(substrate, n_peers, params, seed, reference_cost)
             for n_peers in params["n_peers"]
@@ -118,7 +117,7 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     shared = {"scale": scale, "seed": seed, "theta_split": _THETA, **params}
     notes = (
         "index-level DHT-lookup counts verified identical across all "
-        f"{len(SUBSTRATES)} registered substrates in every phase; hop "
+        f"{len(registry.names())} registered substrates in every phase; hop "
         "rows order by overlay diameter (onehop == 1.0 when converged)"
     )
     return [

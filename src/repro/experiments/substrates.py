@@ -17,12 +17,11 @@ from functools import partial
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
+from repro.dht import registry
 from repro.experiments.common import (
-    SUBSTRATES,
     ExperimentResult,
     Series,
     hops_per_lookup,
-    make_dht,
     scale_params,
     trial_rng,
 )
@@ -54,14 +53,14 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
 
     hop_series: list[Series] = []
     reference_cost: dict = {}
-    for substrate in sorted(SUBSTRATES):
+    for substrate in registry.names():
         hops: list[float] = []
         for n_peers in params["n_peers"]:
             # The workload must be identical across substrates (the whole
             # point of the invariance check), so the stream name omits the
             # substrate.
             rng = trial_rng(seed, f"substrates:{n_peers}", 0)
-            dht = make_dht(substrate, n_peers, seed)
+            dht = registry.make(substrate, n_peers, seed)
             index = LHTIndex(dht, config)
             keys = make_keys("uniform", params["size"], rng)
             for k in keys:

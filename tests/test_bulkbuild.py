@@ -18,8 +18,8 @@ from repro.baselines.pht import PHTIndex
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.stats import IndexInspector
+from repro.dht import registry
 from repro.dht.local import LocalDHT
-from repro.experiments.common import SUBSTRATES
 
 
 def _state(dht) -> dict[str, tuple]:
@@ -93,14 +93,14 @@ class TestLHTEquivalence:
         assert spent.puts == 0
 
 
-@pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+@pytest.mark.parametrize("substrate", registry.names())
 class TestSubstrateIndependence:
     def test_one_put_per_leaf_zero_moves(self, substrate):
         rng = np.random.default_rng(11)
         keys = [float(k) for k in rng.random(600)]
         config = IndexConfig(theta_split=24, max_depth=16)
-        fast = LHTIndex(SUBSTRATES[substrate](16, 5), config)
-        slow = LHTIndex(SUBSTRATES[substrate](16, 5), config)
+        fast = LHTIndex(registry.make(substrate, 16, 5), config)
+        slow = LHTIndex(registry.make(substrate, 16, 5), config)
 
         before = fast.dht.metrics.snapshot()
         fast.bulk_load(keys, fast=True)

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import IndexConfig, IndexInspector, LHTIndex, MatchStatus
-from repro.dht import ChordDHT, ChurnConfig, ChurnDriver, FaultyDHT
-from repro.resilience import ResilientDHT, RetryPolicy
+from repro.dht import ChurnConfig, ChurnDriver, registry
+from repro.dht.kernel import stack_layers
 from repro.sim import Simulator
 from repro.sim.rng import derive_seed
 
@@ -30,13 +30,8 @@ DURATION = 20.0
 
 def _run_arm(resilient: bool, seed: int = 0):
     """One churn arm; returns (index, keys, churn driver, chord)."""
-    chord = ChordDHT(n_peers=24, seed=seed)
-    faulty = FaultyDHT(chord, seed=derive_seed(seed, "faults"))
-    dht = (
-        ResilientDHT(faulty, seed=derive_seed(seed, "retries"))
-        if resilient
-        else faulty
-    )
+    dht = registry.stack(f"{'resilient/' * resilient}faulty/chord", 24, seed)
+    *_, faulty, chord = stack_layers(dht)
     index = LHTIndex(dht, IndexConfig(theta_split=10, max_depth=20))
     keys = [float(k) for k in np.random.default_rng(seed).random(N_KEYS)]
     for key in keys:  # routed inserts, still fault-free
@@ -99,9 +94,8 @@ class TestChurnWithResilience:
 
     def test_structure_survives_with_sanitizer_forced_on(self):
         """The full arm replays green with the runtime sanitizer active."""
-        chord = ChordDHT(n_peers=24, seed=1)
-        faulty = FaultyDHT(chord, seed=derive_seed(1, "faults"))
-        dht = ResilientDHT(faulty, seed=derive_seed(1, "retries"))
+        dht = registry.stack("resilient/faulty/chord", 24, 1)
+        *_, chord = stack_layers(dht)
         index = LHTIndex(
             dht, IndexConfig(theta_split=10, max_depth=20, sanitize=True)
         )

@@ -36,8 +36,7 @@ import numpy as np
 import pytest
 
 from repro.dht import CANDHT, ChordDHT, OneHopDHT
-from repro.dht.registry import names as substrate_names
-from repro.experiments.common import make_dht
+from repro.dht.registry import make as make_dht, names as substrate_names
 
 PUTS_PER_STEP = 4
 

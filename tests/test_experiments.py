@@ -9,16 +9,15 @@ import pytest
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
+from repro.dht import registry
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import runner
 from repro.experiments.common import (
     ExperimentResult,
-    SUBSTRATES,
     Series,
     hops_per_lookup,
-    make_dht,
     probe_stored,
     scale_params,
     summarize,
@@ -84,14 +83,14 @@ class TestExperimentResult:
 
 class TestCommonHelpers:
     def test_make_dht_all_substrates(self):
-        for name in SUBSTRATES:
-            dht = make_dht(name, 8, 0)
+        for name in registry.names():
+            dht = registry.make(name, 8, 0)
             dht.put("k", 1)
             assert dht.get("k") == 1
 
     def test_make_dht_unknown(self):
         with pytest.raises(ConfigurationError):
-            make_dht("napster", 8, 0)
+            registry.make("napster", 8, 0)
 
     def test_trial_rng_deterministic_and_distinct(self):
         a = trial_rng(0, "x", 0).random(3)
@@ -319,7 +318,7 @@ class TestSharedCells:
 
         # The same phase on another overlay: same index-level count,
         # its own routing cost.
-        chord = _three_key_index(make_dht("chord", 4, 0))
+        chord = _three_key_index(registry.make("chord", 4, 0))
         assert hops_per_lookup(
             "chord", chord.dht, lookups(chord), "lookups at N=4", reference
         ) > 0

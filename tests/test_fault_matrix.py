@@ -28,14 +28,9 @@ import pytest
 
 from repro.core import IndexConfig, IndexInspector, LHTIndex, MatchStatus
 from repro.dht import FaultyDHT
-from repro.dht.registry import make as make_substrate, names as substrate_names
+from repro.dht.kernel import stack_layers
+from repro.dht.registry import make as make_substrate, names as substrate_names, stack
 from repro.errors import LookupError_, ReproError
-from repro.resilience import ResilientDHT
-
-SUBSTRATES = {
-    name: (lambda name=name: make_substrate(name, 16, 0))
-    for name in substrate_names()
-}
 
 DROP_RATES = (0.05, 0.2, 0.5)
 
@@ -55,8 +50,8 @@ def _build(substrate: str, drop_rate: float, resilient: bool, cached: bool):
     cache is warmed fault-free (by the build) *and* probed under faults,
     so stale-looking validation probes (dropped replies) occur.
     """
-    faulty = FaultyDHT(SUBSTRATES[substrate](), seed=7)
-    dht = ResilientDHT(faulty, seed=7) if resilient else faulty
+    dht = stack(f"{'resilient/' * resilient}faulty/{substrate}", 16, 0)
+    *_, faulty, _ = stack_layers(dht)
     index = LHTIndex(
         dht,
         IndexConfig(theta_split=8, cache_enabled=cached, cache_capacity=16),
@@ -70,7 +65,7 @@ def _build(substrate: str, drop_rate: float, resilient: bool, cached: bool):
 @pytest.fixture(
     params=[
         (name, rate, resilient, cached)
-        for name in sorted(SUBSTRATES)
+        for name in substrate_names()
         for rate in DROP_RATES
         for resilient in (False, True)
         for cached in (False, True)
@@ -186,7 +181,7 @@ class TestRaisingViewIsOnlyAView:
 
     @pytest.mark.parametrize("resilient", (False, True), ids=("raw", "resilient"))
     @pytest.mark.parametrize("rate", (0.0,) + DROP_RATES)
-    @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("substrate", substrate_names())
     def test_raises_iff_typed_answer_is_incomplete(
         self, substrate, rate, resilient
     ):
@@ -222,12 +217,15 @@ class TestRaisingViewIsOnlyAView:
 class TestMutationFaults:
     """Injected put/remove failures surface as typed errors + counters."""
 
-    @pytest.mark.parametrize("name", sorted(SUBSTRATES))
+    @pytest.mark.parametrize("name", substrate_names())
     def test_put_and_remove_failures_are_typed_and_counted(self, name):
         from repro.errors import DHTError
 
         faulty = FaultyDHT(
-            SUBSTRATES[name](), put_fail_rate=1.0, remove_fail_rate=1.0, seed=1
+            make_substrate(name, 16, 0),
+            put_fail_rate=1.0,
+            remove_fail_rate=1.0,
+            seed=1,
         )
         with pytest.raises(DHTError):
             faulty.put("k", 1)

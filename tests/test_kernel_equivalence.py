@@ -25,12 +25,8 @@ import pytest
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
-from repro.experiments.common import (
-    ExperimentResult,
-    Series,
-    make_dht,
-    trial_rng,
-)
+from repro.dht.registry import make as make_dht
+from repro.experiments.common import ExperimentResult, Series, trial_rng
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "equivalence"
 

@@ -18,16 +18,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.core import IndexConfig, LHTIndex, LeafBucket, MatchStatus, Record
-from repro.dht import (
-    NO_REPLY,
-    ChordDHT,
-    FaultyDHT,
-    LocalDHT,
-    ReplicatedDHT,
-    SerializingDHT,
-)
+from repro.dht import DHT, NO_REPLY, ChordDHT, FaultyDHT, LocalDHT, registry
 from repro.errors import ReproError
-from repro.resilience import ResilientDHT
 
 N_PEERS = 16
 CONFIG = IndexConfig(theta_split=4, max_depth=20)
@@ -39,10 +31,14 @@ dyadic_keys = st.integers(min_value=0, max_value=2**12 - 1).map(
 )
 
 
-def deploy_stack(k: int, seed: int = 0) -> tuple[ResilientDHT, FaultyDHT]:
+def deploy_stack(
+    k: int, seed: int = 0, substrate: str = "local"
+) -> tuple[DHT, FaultyDHT]:
     """The deployment stack, faults off; returns (top, fault layer)."""
-    faulty = FaultyDHT(SerializingDHT(LocalDHT(N_PEERS, 0)), seed=seed)
-    return ResilientDHT(ReplicatedDHT(faulty, n_replicas=k), seed=seed), faulty
+    dht = registry.stack(
+        f"resilient/replicated:{k}/faulty/serializing/{substrate}", N_PEERS, seed
+    )
+    return dht, dht.inner.inner
 
 
 def value_of(key: float) -> str:
@@ -71,8 +67,8 @@ class TestContract:
         assert pickle.loads(pickle.dumps(NO_REPLY)) is NO_REPLY
 
     def test_serializing_passes_outcomes_through_undecoded(self):
-        flaky = FaultyDHT(LocalDHT(8, 0), get_drop_rate=1.0)
-        dht = SerializingDHT(flaky)
+        dht = registry.stack("serializing/faulty:1/local", 8, 0)
+        flaky = dht.inner
         dht.put("k", {"a": 1})
         assert dht.get("k") is NO_REPLY
         flaky.get_drop_rate = 0.0
@@ -124,6 +120,7 @@ class TestAbsentNameCost:
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("p", [0.0, 0.3])
 @given(
+    substrate=st.sampled_from(registry.names()),
     stored=st.lists(dyadic_keys, min_size=1, max_size=80, unique=True),
     others=st.lists(dyadic_keys, max_size=20),
     seed=st.integers(min_value=0, max_value=2**16),
@@ -132,15 +129,22 @@ class TestAbsentNameCost:
 # (from the empty leaf '#01') must not take the f_n repair's '#000', a
 # leaf not adjacent to '#01', for the answer (0.1035, not 0.2520).
 @example(
+    substrate="local",
     stored=[0.103515625, 0.0, 8 / 2**12, 9 / 2**12, 0.251953125],
     others=[],
-    seed=623,
+    seed=428,
 )
-def test_deploy_stack_answers_are_typed_and_true(k, p, stored, others, seed):
-    dht, faulty = deploy_stack(k, seed)
+def test_deploy_stack_answers_are_typed_and_true(
+    k, p, substrate, stored, others, seed
+):
+    dht, faulty = deploy_stack(k, seed, substrate)
     index = build(dht, stored)
     oracle = {key: value_of(key) for key in stored}
-    bare = build(LocalDHT(N_PEERS, 0), stored) if p == 0.0 else None
+    bare = (
+        build(registry.make(substrate, N_PEERS, seed), stored)
+        if p == 0.0
+        else None
+    )
     faulty.get_drop_rate = p
 
     for key in stored + others:
@@ -191,8 +195,16 @@ def test_deploy_stack_answers_are_typed_and_true(k, p, stored, others, seed):
         if extreme.complete:
             assert extreme.record.key == want
     try:
+        scanned = [record.key for record in index.scan()]
+    except ReproError:
+        pass
+    else:
+        assert scanned == sorted(oracle)
+    try:
         nearest = index.knn_query(probe, 3)
     except ReproError:
         pass
     else:
         assert all(isinstance(r, Record) for r in nearest.records)
+        distances = sorted(abs(r.key - probe) for r in nearest.records)
+        assert distances == sorted(abs(key - probe) for key in oracle)[:3]

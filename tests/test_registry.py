@@ -1,11 +1,13 @@
-"""Registry completeness and contract tests.
+"""Registry completeness, stack-spec and contract tests.
 
 The registry (`repro.dht.registry`) is the single enrollment point:
 every suite that iterates "all substrates" draws from it.  These tests
 close the loop — a concrete ``SubstrateBase`` subclass under
-``src/repro/dht/`` that is *not* registered fails here (and trips lint
-rule LHT012 statically), so a new overlay cannot silently dodge the
-conformance/fault/soak/determinism matrices.  The banked-benchmark
+``src/repro/dht/`` that is *not* registered fails here (a run-time
+``__subclasses__`` walk), so a new overlay cannot silently dodge the
+conformance/fault/soak/determinism matrices.  ``registry.stack`` builds
+every multi-layer stack from one spec string; its tests pin the
+grammar, the errors and the seed derivation.  The banked-benchmark
 ordering test pins the acceptance criterion of the routing-diversity
 study: single-hop routes in exactly 1.0 hops, Koorde strictly between
 single-hop and Chord.
@@ -13,6 +15,7 @@ single-hop and Chord.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import inspect
 import json
@@ -21,10 +24,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.dht import ChordDHT
-from repro.dht import registry
-from repro.dht.kernel import SubstrateBase
+from repro.dht import (
+    AccessLoggingDHT,
+    ChordDHT,
+    FaultyDHT,
+    LocalDHT,
+    ReplicatedDHT,
+    SerializingDHT,
+    registry,
+)
+from repro.dht.kernel import SubstrateBase, stack_layers
 from repro.errors import ConfigurationError
+from repro.resilience import ResilientDHT
+from repro.sim.rng import derive_seed
 
 import repro.dht
 
@@ -47,15 +59,32 @@ def _all_substrate_classes() -> set[type]:
     }
 
 
+def _unregistered_substrates() -> set[type]:
+    return _all_substrate_classes() - {spec.cls for spec in registry.specs()}
+
+
 def test_every_substrate_in_src_is_registered():
-    expected = _all_substrate_classes()
-    registered = {spec.cls for spec in registry.specs()}
-    missing = expected - registered
+    missing = _unregistered_substrates()
     assert not missing, (
         "SubstrateBase subclasses not enrolled in repro.dht.registry: "
         f"{sorted(c.__name__ for c in missing)}"
     )
-    assert registered <= expected, "registry names classes outside repro.dht"
+    registered = {spec.cls for spec in registry.specs()}
+    assert registered <= _all_substrate_classes(), (
+        "registry names classes outside repro.dht"
+    )
+
+
+def test_a_stray_substrate_is_reported_missing():
+    """The run-time walk catches what lint rule LHT012 used to: a
+    concrete substrate defined in ``repro.dht`` but never registered."""
+    stray = type("StrayDHT", (LocalDHT,), {"__module__": "repro.dht.stray"})
+    try:
+        assert _unregistered_substrates() == {stray}
+    finally:
+        del stray
+        gc.collect()  # a class is in a reference cycle with its MRO
+    assert _unregistered_substrates() == set()
 
 
 def test_registry_lists_all_eight_substrates():
@@ -95,12 +124,6 @@ def test_unknown_name_rejected():
 def test_duplicate_registration_rejected():
     with pytest.raises(ConfigurationError, match="already registered"):
         registry.register("chord", ChordDHT)
-
-
-def test_factories_returns_a_defensive_copy():
-    copy = registry.factories()
-    copy.pop("chord")
-    assert "chord" in registry.factories()
 
 
 def test_banked_hop_metrics_pin_the_routing_extremes():
@@ -166,3 +189,56 @@ def test_id_stream_and_first_gateway_draw_are_pinned(name):
     assert sorted(dht.node_ids) == ids
     dht.get("pin-key")
     assert dht.metrics.snapshot().hops == hops
+
+
+class TestStack:
+    """``registry.stack(spec, n_peers, seed)``: ``layer[:arg]/.../substrate``,
+    outermost layer first, five layers, one root seed."""
+
+    def test_layers_outermost_first_with_defaults(self):
+        dht = registry.stack(
+            "accesslog/resilient/replicated/faulty/serializing/chord", 8, 1
+        )
+        layers = list(stack_layers(dht))
+        assert [type(layer) for layer in layers] == [
+            AccessLoggingDHT, ResilientDHT, ReplicatedDHT, FaultyDHT,
+            SerializingDHT, ChordDHT,
+        ]
+        assert layers[2].n_replicas == 3
+        assert layers[3].get_drop_rate == 0.0
+        assert layers[-1].n_peers == 8
+
+    def test_a_bare_name_is_make(self):
+        for name in registry.names():
+            stacked, made = registry.stack(name, 8, 3), registry.make(name, 8, 3)
+            assert type(stacked) is type(made)
+            assert stacked.node_ids == made.node_ids
+
+    def test_arguments_reach_the_layers(self):
+        replicated, faulty, _ = stack_layers(
+            registry.stack("replicated:2/faulty:0.25/local", 8, 0)
+        )
+        assert replicated.n_replicas == 2
+        assert faulty.get_drop_rate == 0.25
+
+    def test_seeds_derive_from_the_root(self):
+        """The substrate takes the root seed, the fault layer
+        ``derive_seed(seed, "faults")``, the retry layer ``"retries"``."""
+        resilient, faulty, base = stack_layers(
+            registry.stack("resilient/faulty/local", 8, 11)
+        )
+        assert base.node_ids == registry.make("local", 8, 11).node_ids
+        twin = FaultyDHT(base, seed=derive_seed(11, "faults"))
+        assert faulty._rng.random() == twin._rng.random()
+        retry_twin = ResilientDHT(base, seed=derive_seed(11, "retries"))
+        assert resilient._rng.random() == retry_twin._rng.random()
+
+    @pytest.mark.parametrize("spec", [
+        "", "resilient", "napster", "cached/local", "local/local",
+        "faulty:x/local", "faulty:/local", "faulty:1.5/local",
+        "replicated:2.5/local", "replicated:0/local", "serializing:1/local",
+        "resilient:3/local",
+    ])
+    def test_malformed_specs_are_configuration_errors(self, spec):
+        with pytest.raises(ConfigurationError):
+            registry.stack(spec, 8, 0)

@@ -23,79 +23,51 @@ configuration:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.dht import (
-    AccessLoggingDHT,
-    CANDHT,
-    ChordDHT,
-    FaultyDHT,
-    LocalDHT,
-    OneHopDHT,
-    ReplicatedDHT,
-    SerializingDHT,
-)
+from repro.dht import CANDHT, ChordDHT, FaultyDHT, OneHopDHT, SerializingDHT
 from repro.dht.base import DHT, NO_REPLY
-from repro.dht.registry import make as make_dht, names as substrate_names
+from repro.dht.kernel import stack_layers
+from repro.dht.registry import make as make_dht, names as substrate_names, stack
 from repro.errors import DHTError
-from repro.resilience import ResilientDHT
 
 N_PEERS = 16
 SEED = 7
 
-#: name -> factory over a freshly built substrate.
-WRAPPERS = {
-    "faulty": lambda inner: FaultyDHT(inner, seed=SEED),
-    "replicated": lambda inner: ReplicatedDHT(inner, n_replicas=2),
-    "serializing": SerializingDHT,
-    "accesslog": AccessLoggingDHT,
-    "resilient": ResilientDHT,
-}
-
-#: Stacked combinations exercised on top of single wrappers; order reads
-#: outermost-first, e.g. ``serializing+replicated`` is
-#: ``SerializingDHT(ReplicatedDHT(substrate))``.
-STACKS = {
-    "serializing+replicated": lambda inner: SerializingDHT(
-        ReplicatedDHT(inner, n_replicas=2)
+#: Every configuration as a :func:`repro.dht.registry.stack` spec: each
+#: registered substrate bare, then chord under each wrapper alone and in
+#: three stacked combinations (specs read outermost-first).
+CONFIGS = [
+    *substrate_names(),
+    *(
+        f"{layer}/chord"
+        for layer in ("accesslog", "faulty", "replicated:2", "resilient",
+                      "serializing")
     ),
-    "resilient+faulty": lambda inner: ResilientDHT(
-        FaultyDHT(inner, seed=SEED)
-    ),
-    "accesslog+serializing+replicated": lambda inner: AccessLoggingDHT(
-        SerializingDHT(ReplicatedDHT(inner, n_replicas=2))
-    ),
-}
-
-CONFIGS = {
-    **{name: (name, None) for name in substrate_names()},
-    **{
-        f"chord+{wname}": ("chord", wfactory)
-        for wname, wfactory in sorted(WRAPPERS.items())
-    },
-    **{
-        f"chord+{sname}": ("chord", sfactory)
-        for sname, sfactory in sorted(STACKS.items())
-    },
-}
+    "serializing/replicated:2/chord",
+    "resilient/faulty/chord",
+    "accesslog/serializing/replicated:2/chord",
+]
 
 
-def _build_config(name: str) -> DHT:
-    substrate, wrapper = CONFIGS[name]
-    inner = make_dht(substrate, N_PEERS, SEED)
-    return wrapper(inner) if wrapper else inner
+def config_id(spec: str) -> str:
+    """``serializing/replicated:2/chord`` -> ``chord+serializing+replicated``."""
+    *layers, substrate = spec.split("/")
+    return "+".join([substrate, *(layer.partition(":")[0] for layer in layers)])
 
 
-@pytest.fixture(params=sorted(CONFIGS), ids=sorted(CONFIGS))
+@pytest.fixture(params=CONFIGS, ids=config_id)
 def dht(request) -> DHT:
-    return _build_config(request.param)
+    return stack(request.param, N_PEERS, SEED)
 
 
-@pytest.fixture(params=sorted(CONFIGS), ids=sorted(CONFIGS))
+@pytest.fixture(params=CONFIGS, ids=config_id)
 def dht_pair(request) -> tuple[DHT, DHT]:
     """Two independently built, identically configured stacks — one for
     the batched operation under test, one for its sequential twin."""
-    return _build_config(request.param), _build_config(request.param)
+    return stack(request.param, N_PEERS, SEED), stack(request.param, N_PEERS, SEED)
 
 
 class TestRoundTrips:
@@ -172,8 +144,7 @@ class TestMultiGet:
 
 class TestAbsorbErrors:
     def test_errors_absorbed_per_key(self):
-        inner = make_dht("local", N_PEERS, SEED)
-        flaky = FaultyDHT(inner, get_drop_rate=1.0, seed=SEED)
+        flaky = stack("faulty:1/local", N_PEERS, SEED)
         flaky.put("k", 1)
         # A dropped get returns NO_REPLY (reply lost), never raises.
         assert flaky.multi_get(["k", "k"], absorb_errors=True) == [
@@ -352,21 +323,19 @@ class TestMultiPutCacheInvalidation:
         dht.check_partition()
 
 
-class _RecordingInner(LocalDHT):
-    """Substrate that records batched calls reaching it directly."""
+def _count_batched_calls(base: DHT, monkeypatch) -> Counter:
+    """Give ``base``'s class counting ``multi_put``/``multi_get``
+    overrides; returns the live call counter."""
+    calls: Counter = Counter()
+    for name in ("multi_put", "multi_get"):
+        real = getattr(type(base), name)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.multi_put_calls = 0
-        self.multi_get_calls = 0
+        def counting(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
 
-    def multi_put(self, items, *, absorb_errors=False):
-        self.multi_put_calls += 1
-        return super().multi_put(items, absorb_errors=absorb_errors)
-
-    def multi_get(self, keys, *, absorb_errors=False):
-        self.multi_get_calls += 1
-        return super().multi_get(keys, absorb_errors=absorb_errors)
+        monkeypatch.setattr(type(base), name, counting)
+    return calls
 
 
 class TestWrapperBatchedOpForwarding:
@@ -377,29 +346,31 @@ class TestWrapperBatchedOpForwarding:
     Forwarding would skip the whole wrapper stack — the regression this
     class pins (see the DelegatingDHT docstring in repro.dht.kernel)."""
 
-    FACTORIES = {**WRAPPERS, **STACKS}
+    WRAPPED = [spec for spec in CONFIGS if "/" in spec]
 
-    @pytest.mark.parametrize("name", sorted(FACTORIES), ids=sorted(FACTORIES))
-    def test_inner_overrides_are_never_invoked(self, name):
-        inner = _RecordingInner(n_peers=N_PEERS, seed=SEED)
-        wrapped = self.FACTORIES[name](inner)
+    @pytest.mark.parametrize(
+        "spec", WRAPPED, ids=lambda spec: config_id(spec).split("+", 1)[1]
+    )
+    def test_inner_overrides_are_never_invoked(self, spec, monkeypatch):
+        wrapped = stack(spec, N_PEERS, SEED)
+        *_, base = stack_layers(wrapped)
+        calls = _count_batched_calls(base, monkeypatch)
 
         items = [(f"k{i}", i) for i in range(6)]
         wrapped.multi_put(items)
         wrapped.multi_get([key for key, _ in items])
-        assert inner.multi_put_calls == 0
-        assert inner.multi_get_calls == 0
+        assert calls == {}
         for key, value in items:
             assert wrapped.get(key) == value
 
-    def test_direct_substrate_overrides_still_dispatch(self):
+    def test_direct_substrate_overrides_still_dispatch(self, monkeypatch):
         """The rule is about wrappers, not dynamic dispatch: calling the
         substrate directly must use its own override."""
-        inner = _RecordingInner(n_peers=N_PEERS, seed=SEED)
-        inner.multi_put([("k", 1)])
-        inner.multi_get(["k"])
-        assert inner.multi_put_calls == 1
-        assert inner.multi_get_calls == 1
+        base = make_dht("local", N_PEERS, SEED)
+        calls = _count_batched_calls(base, monkeypatch)
+        base.multi_put([("k", 1)])
+        base.multi_get(["k"])
+        assert calls == {"multi_put": 1, "multi_get": 1}
 
 
 class TestCacheInvalidation:

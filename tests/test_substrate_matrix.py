@@ -15,32 +15,27 @@ import pytest
 
 from repro.core import IndexConfig, IndexInspector, LHTIndex
 from repro.devtools.determinism import SUBSTRATES as GATE_STACKS
-from repro.dht import (
-    AccessLoggingDHT,
-    ChordDHT,
-    FaultyDHT,
-    LocalDHT,
-    ReplicatedDHT,
-    SerializingDHT,
-)
-from repro.dht.registry import factories
+from repro.dht import registry
 
+#: Backend id -> :func:`repro.dht.registry.stack` spec.
 BACKENDS = {
-    **{name: (lambda make=make: make(16, 0)) for name, make in factories().items()},
-    "deploy-local": lambda: GATE_STACKS["deploy-local"](16, 0),
-    "serializing(local)": lambda: SerializingDHT(LocalDHT(16, 0)),
-    "replicated(chord)": lambda: ReplicatedDHT(ChordDHT(n_peers=16, seed=0), 2),
-    "faulty-0(local)": lambda: FaultyDHT(LocalDHT(16, 0), get_drop_rate=0.0),
-    "logging(local)": lambda: AccessLoggingDHT(LocalDHT(16, 0)),
-    "serializing(replicated(chord))": lambda: SerializingDHT(
-        ReplicatedDHT(ChordDHT(n_peers=16, seed=0), 2)
-    ),
+    **{name: name for name in registry.names()},
+    "deploy-local": GATE_STACKS["deploy-local"],
+    "serializing(local)": "serializing/local",
+    "replicated(chord)": "replicated:2/chord",
+    "faulty-0(local)": "faulty:0/local",
+    "logging(local)": "accesslog/local",
+    "serializing(replicated(chord))": "serializing/replicated:2/chord",
 }
+
+
+def build(name: str):
+    return registry.stack(BACKENDS[name], 16, 0)
 
 
 @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
 def backend(request):
-    return BACKENDS[request.param]()
+    return build(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +86,7 @@ class TestMatrix:
         lookup_costs = []
         for name in sorted(BACKENDS):
             index = LHTIndex(
-                BACKENDS[name](), IndexConfig(theta_split=10, max_depth=20)
+                build(name), IndexConfig(theta_split=10, max_depth=20)
             )
             for key in keys:
                 index.insert(key)
