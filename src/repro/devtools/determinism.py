@@ -32,7 +32,12 @@ from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.stats import IndexInspector
 from repro.dht import registry
-from repro.errors import ConfigurationError, DeterminismError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    DeterminismError,
+    ReproError,
+    SanitizerError,
+)
 from repro.sim.rng import RngStreams, derive_seed
 from repro.workloads.trace import OpType, generate_trace
 
@@ -110,7 +115,9 @@ def run_workload(
         # Faulty substrates (e.g. the resilient-local stack) may fail an
         # operation even after retries; the *failure itself* must replay
         # deterministically, so it becomes a trace event rather than an
-        # abort.  Fault-free substrates never take this path.
+        # abort.  Fault-free substrates never take this path.  A broken
+        # invariant is a defect, not an event: the sanitizer's error
+        # propagates.
         try:
             if operation.op is OpType.INSERT:
                 result = index.insert(operation.key)
@@ -131,6 +138,8 @@ def run_workload(
                 rresult = index.range_query(operation.key, hi)
                 cost = rresult.dht_lookups
                 detail = f" hi={hi!r} n={len(rresult.records)}"
+        except SanitizerError:
+            raise
         except ReproError as exc:
             cost = 0
             detail = f" error={type(exc).__name__}"
@@ -263,6 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SanitizerError as exc:
+        print(f"sanitizer FAILED: {exc}", file=sys.stderr)
+        return 1
     print(report.summary())
     return 0 if report.matched else 1
 

@@ -19,7 +19,8 @@ from repro.devtools.determinism import (
     run_workload,
     trace_digest,
 )
-from repro.errors import ConfigurationError, DeterminismError
+from repro.core.stats import IndexSanitizer
+from repro.errors import ConfigurationError, DeterminismError, SanitizerError
 
 
 class TestSameSeedFixture:
@@ -87,6 +88,34 @@ class TestSameSeedFixture:
         monkeypatch.setenv("LHT_SANITIZE", "1")
         report = assert_deterministic(seed=5, substrate="local", n_ops=150)
         assert report.digests[0] == baseline
+
+
+class TestSanitizerFailures:
+    """An invariant violation is a defect, not a replayable trace event:
+    under ``LHT_SANITIZE`` the harness must fail, never digest it."""
+
+    @pytest.fixture
+    def broken_sanitizer(self, monkeypatch):
+        """Every sanitizer raises on its 50th post-mutation sweep."""
+        real = IndexSanitizer.after_mutation
+        calls: dict[int, int] = {}
+
+        def after_mutation(self, context, inserted=1):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            if calls[id(self)] == 50:
+                raise SanitizerError(f"injected violation after {context}")
+            real(self, context, inserted)
+
+        monkeypatch.setenv("LHT_SANITIZE", "1")
+        monkeypatch.setattr(IndexSanitizer, "after_mutation", after_mutation)
+
+    def test_sanitizer_error_propagates(self, broken_sanitizer):
+        with pytest.raises(SanitizerError, match="injected violation"):
+            check_determinism(seed=0, n_ops=200)
+
+    def test_cli_fails_loudly(self, broken_sanitizer, capsys):
+        assert determinism.main(["--ops", "200"]) == 1
+        assert "sanitizer FAILED" in capsys.readouterr().err
 
 
 class TestLibraryApi:
