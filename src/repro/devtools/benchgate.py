@@ -12,17 +12,21 @@ request serving, or replicated availability more expensive fails a test
 instead of a human's memory.
 
 The ``scale`` suite (``BENCH_scale.json``) additionally banks the
-*wall-clock* of the paper-scale build/lookup/range workload from
-:mod:`repro.devtools.profile`.  Wall seconds drift with the host, so
-they get a much wider per-profile tolerance band
+*wall-clock* of the paper-scale build/lookup/range workload
+(:data:`SCALE_PROFILES`, :func:`run_scale_phases`).  Wall seconds drift
+with the host, so they get a much wider per-profile tolerance band
 (:data:`SCALE_WALL_TOLERANCE`) than the exact counts — the band catches
 an order-of-magnitude hot-path regression without flaking on machine
-noise.
+noise.  ``--hotspots`` runs the same workload under :mod:`cProfile` and
+prints each phase's hot spots, ranked by call count (a pure function of
+the seed, so the ranking is byte-stable across runs and hosts) with the
+measured times alongside; it gates and writes nothing.
 
 Usage::
 
     python -m repro.devtools.benchgate --check           # gate (default)
     python -m repro.devtools.benchgate --write           # refresh baselines
+    python -m repro.devtools.benchgate --hotspots --scale-profile smoke
 
 The pytest gate (``tests/test_bench_regression.py``, marked ``bench``)
 runs the same measurement and fails on any metric that regresses more
@@ -34,11 +38,13 @@ gated metrics are lower-is-better.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import time
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -55,7 +61,6 @@ from repro.experiments.common import (
     probe_stored,
     zipf_probe_cost,
 )
-from repro.devtools.profile import SCALE_PROFILES, run_scale_phases
 from repro.serve import (
     Request,
     RequestKind,
@@ -65,6 +70,7 @@ from repro.serve import (
     generate_workload,
 )
 from repro.sim.rng import derive_seed
+from repro.workloads.queries import zipf_rank_choice
 
 __all__ = [
     "TOLERANCE",
@@ -75,6 +81,9 @@ __all__ = [
     "SERVE_BASELINE",
     "SCALE_BASELINE",
     "AVAIL_BASELINE",
+    "SCALE_PROFILES",
+    "PhaseResult",
+    "run_scale_phases",
     "measure_lookup",
     "measure_range",
     "measure_build",
@@ -106,7 +115,7 @@ AVAIL_BASELINE = _REPO_ROOT / "BENCH_avail.json"
 
 #: Pre-PR phase wall-clock on the reference host, measured at the tip of
 #: the serving-layer PR (the commit before the hot-path overhaul) with
-#: the exact workload of :data:`repro.devtools.profile.SCALE_PROFILES`.
+#: the exact workload of :data:`SCALE_PROFILES`.
 #: Recorded so every ``scale`` measurement reports its speedup against
 #: the state this PR optimised — informational, never gated.
 _PRE_PR_WALL_S = {
@@ -589,12 +598,198 @@ def measure_avail(seed: int = 1) -> dict:
     return {"params": dict(_AVAIL_PARAMS), "metrics": metrics, "info": info}
 
 
+#: The two scale workload shapes.  ``full`` is the banked paper-scale run
+#: (2^20 keys, 1024 peers); ``smoke`` is the same pipeline small enough
+#: for a CI leg.  Baselines are only comparable against identical
+#: parameters, so the gate records the shape next to its numbers.
+SCALE_PROFILES: dict[str, dict[str, Any]] = {
+    "smoke": {
+        "seed": 1,
+        "n_keys": 1 << 14,
+        "n_peers": 128,
+        "n_probes": 2000,
+        "n_ranges": 8,
+        "theta_split": 100,
+        "max_depth": 24,
+        "probe_skew": 1.1,
+        "range_lo_max": 0.99,
+        "range_width_min": 0.0005,
+        "range_width_max": 0.002,
+    },
+    "full": {
+        "seed": 1,
+        "n_keys": 1 << 20,
+        "n_peers": 1024,
+        "n_probes": 20000,
+        "n_ranges": 32,
+        "theta_split": 100,
+        "max_depth": 24,
+        "probe_skew": 1.1,
+        "range_lo_max": 0.99,
+        "range_width_min": 0.0005,
+        "range_width_max": 0.002,
+    },
+}
+
+#: Hot spots ``--hotspots`` prints per phase.
+HOTSPOT_ROWS = 12
+
+
+@dataclass(slots=True)
+class PhaseResult:
+    """One scale phase: wall seconds, workload counts, hot spots.
+
+    ``hotspots`` rows are ``{"function", "calls", "tottime_s",
+    "cumtime_s"}`` ranked by descending call count (ties broken by
+    function name) — the deterministic ordering; times are informative
+    only.
+    """
+
+    name: str
+    seconds: float
+    counts: dict[str, float]
+    hotspots: list[dict[str, Any]] = field(default_factory=list)
+
+
+def _normalize_function(filename: str, line: int, func: str) -> str:
+    """A host-independent display name for one profiled function."""
+    if filename.startswith("~") or filename.startswith("<"):
+        return f"<builtin>:{func}"
+    parts = Path(filename).parts
+    for anchor in ("repro", "site-packages"):
+        if anchor in parts:
+            tail = "/".join(parts[parts.index(anchor):])
+            return f"{tail}:{line}:{func}"
+    return f"{Path(filename).name}:{line}:{func}"
+
+
+def _hotspots(profiler: cProfile.Profile) -> list[dict[str, Any]]:
+    profiler.create_stats()
+    rows = [
+        {
+            "function": _normalize_function(*key),
+            "calls": int(nc),
+            "tottime_s": round(tt, 6),
+            "cumtime_s": round(ct, 6),
+        }
+        for key, (cc, nc, tt, ct, _callers) in profiler.stats.items()  # type: ignore[attr-defined]
+    ]
+    rows.sort(key=lambda r: (-r["calls"], r["function"]))
+    return rows[:HOTSPOT_ROWS]
+
+
+def run_scale_phases(
+    params: dict[str, Any], *, profile_phases: bool = False
+) -> list[PhaseResult]:
+    """Run the build/lookup/range phases of one scale workload.
+
+    With ``profile_phases=False`` (the gate) each phase is timed only;
+    with ``True`` (``--hotspots``) each phase also runs under its own
+    :class:`cProfile.Profile` and reports its :data:`HOTSPOT_ROWS` hot
+    spots.  Workload generation (key draws, probe streams, range
+    endpoints) sits *outside* the timed sections, so the phases measure
+    index work only.
+    """
+    seed = params["seed"]
+    rng = np.random.default_rng(derive_seed(seed, "scale:keys"))
+    keys = [float(k) for k in rng.random(params["n_keys"])]
+    dht = LocalDHT(n_peers=params["n_peers"], seed=derive_seed(seed, "scale:sub"))
+    index = LHTIndex(
+        dht,
+        IndexConfig(
+            theta_split=params["theta_split"], max_depth=params["max_depth"]
+        ),
+    )
+    phases: list[PhaseResult] = []
+
+    def timed(name: str, fn: Callable[[], Any]) -> Any:
+        profiler = cProfile.Profile() if profile_phases else None
+        started = time.perf_counter()
+        if profiler is not None:
+            profiler.enable()
+        out = fn()
+        if profiler is not None:
+            profiler.disable()
+        seconds = time.perf_counter() - started
+        phases.append(
+            PhaseResult(
+                name=name,
+                seconds=seconds,
+                counts={},
+                hotspots=_hotspots(profiler) if profiler else [],
+            )
+        )
+        return out
+
+    timed("build", lambda: index.bulk_load(keys, fast=True))
+    phases[-1].counts = {"leaves": float(index.leaf_count)}
+
+    prng = np.random.default_rng(derive_seed(seed, "scale:probes"))
+    probes = [
+        float(k)
+        for k in zipf_rank_choice(
+            np.asarray(keys), params["probe_skew"], params["n_probes"], prng
+        )
+    ]
+    before = dht.metrics.snapshot()
+
+    def lookup() -> None:
+        for key in probes:
+            index.exact_match(key)
+
+    timed("lookup", lookup)
+    phases[-1].counts = {
+        "lookup_gets": float((dht.metrics.snapshot() - before).gets)
+    }
+
+    rrng = np.random.default_rng(derive_seed(seed, "scale:ranges"))
+    spans = [
+        (
+            lo := float(rrng.uniform(0.0, params["range_lo_max"])),
+            float(
+                min(
+                    1.0,
+                    lo
+                    + rrng.uniform(
+                        params["range_width_min"], params["range_width_max"]
+                    ),
+                )
+            ),
+        )
+        for _ in range(params["n_ranges"])
+    ]
+
+    def ranges() -> int:
+        got = 0
+        for lo, hi in spans:
+            got += len(index.range_query(lo, hi).records)
+        return got
+
+    got = timed("range", ranges)
+    phases[-1].counts = {"range_records": float(got)}
+    return phases
+
+
+def _format_hotspots(profile: str, phases: list[PhaseResult]) -> str:
+    """Human-readable per-phase hot-spot report."""
+    lines = [f"scale profile '{profile}'"]
+    for phase in phases:
+        counts = ", ".join(f"{k}={v:g}" for k, v in sorted(phase.counts.items()))
+        lines.append(f"\n== {phase.name}: {phase.seconds:.4f}s  ({counts})")
+        lines.append(f"{'calls':>10}  {'tottime':>9}  {'cumtime':>9}  function")
+        for row in phase.hotspots:
+            lines.append(
+                f"{row['calls']:>10}  {row['tottime_s']:>9.4f}  "
+                f"{row['cumtime_s']:>9.4f}  {row['function']}"
+            )
+    return "\n".join(lines)
+
+
 def measure_scale(seed: int = 1, profile: str = "full") -> dict:
     """Paper-scale wall-clock and counts for one workload shape.
 
-    Runs the shared :func:`repro.devtools.profile.run_scale_phases`
-    pipeline (2^20 keys over 1024 peers at ``full`` scale) without the
-    profiler and returns two gated sections: ``counts`` (exact,
+    Runs :func:`run_scale_phases` (2^20 keys over 1024 peers at ``full``
+    scale) without the profiler and returns two gated sections: ``counts`` (exact,
     seed-reproducible — leaf count, routed lookup gets, range records —
     gated at :data:`TOLERANCE`) and ``wall_s`` (per-phase seconds, gated
     at the wide :data:`SCALE_WALL_TOLERANCE` band for the shape).
@@ -732,6 +927,12 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="compare against the baselines (default)",
     )
+    mode.add_argument(
+        "--hotspots",
+        action="store_true",
+        help="profile the scale workload (--scale-profile) and print each "
+        "phase's hot spots; gates and writes nothing",
+    )
     parser.add_argument("--seed", type=int, default=_PARAMS["seed"])
     parser.add_argument(
         "--only",
@@ -748,6 +949,12 @@ def main(argv: list[str] | None = None) -> int:
         help="workload shape for the scale suite (default: full)",
     )
     args = parser.parse_args(argv)
+
+    if args.hotspots:
+        params = {**SCALE_PROFILES[args.scale_profile], "seed": args.seed}
+        phases = run_scale_phases(params, profile_phases=True)
+        print(_format_hotspots(args.scale_profile, phases))
+        return 0
 
     suites = {
         "lookup": (LOOKUP_BASELINE, measure_lookup),

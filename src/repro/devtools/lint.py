@@ -25,11 +25,6 @@ LHT002    No global randomness (stdlib ``random``, ``numpy.random``
 LHT003    No bare ``assert`` in library code — ``python -O`` strips
           asserts, so invariants must raise typed :mod:`repro.errors`
           exceptions.
-LHT004    No mutable default arguments.
-LHT006    Concrete substrates built on
-          :class:`repro.dht.kernel.SubstrateBase` do not override the
-          kernel-owned storage methods (``put``, ``get``, ``remove``,
-          ``peek``, ``local_write``, ``peer_loads``).
 LHT007    Transitive hermeticity — no chain of project-internal calls
           from a deterministic package reaches a wall-clock or
           global-randomness sink hiding in a non-deterministic module
@@ -73,19 +68,17 @@ LHT014    Routed reads go through ``ReadPath`` — in ``repro.core`` and
           :class:`~repro.core.lookup.ReadPath` may see one.
 ========  ==============================================================
 
-(There is no LHT005: ``abc`` already refuses to instantiate a ``DHT``
-subclass that misses an abstract method.  There is no LHT012: the
-registry-completeness test in ``tests/test_registry.py`` walks
-``SubstrateBase.__subclasses__()`` at run time and reports any concrete
-substrate missing from :mod:`repro.dht.registry`.)
+Missing codes are rules another check already covers: LHT004
+(mutable defaults) is ruff's ``B006``; LHT005, because ``abc`` refuses
+to instantiate a ``DHT`` subclass that misses an abstract method; LHT006
+(kernel-owned overrides) and LHT012 (registry enrollment), because
+``tests/test_registry.py`` walks ``SubstrateBase.__subclasses__()`` at
+run time and checks both.
 
-Violations can be suppressed per line with ``# noqa`` or
-``# noqa: LHT003, LHT007`` trailing comments; ``--select`` / ``--ignore``
-restrict a run; ``--format json`` emits a machine-readable report that
-includes the analysis wall time (so CI logs expose a pathological
-slowdown).  Test modules (``tests/`` directories, ``test_*.py``,
-``conftest.py``) are skipped: the contracts bind library code only.  The
-module is dependency-free (stdlib ``ast`` only).
+Every run reports every rule; there is no suppression comment.  Test
+modules (``tests/`` directories, ``test_*.py``, ``conftest.py``) are
+skipped: the contracts bind library code only.  The module is
+dependency-free (stdlib ``ast`` only).
 
 Call-graph construction caveats
 -------------------------------
@@ -111,11 +104,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
-import re
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -123,7 +113,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "KERNEL_OWNED_METHODS",
     "LINT_RULES",
     "Program",
     "Violation",
@@ -132,12 +121,6 @@ __all__ = [
     "lint_source",
     "main",
 ]
-
-#: Methods the peer-store kernel owns; substrates must not re-grow them
-#: (LHT006) — storage and metrics charging live in exactly one place.
-KERNEL_OWNED_METHODS = frozenset(
-    {"put", "get", "remove", "peek", "local_write", "peer_loads"}
-)
 
 #: Top-level packages whose modules must be hermetic (LHT001/LHT002).
 #: ``cache`` and ``baselines`` perform routed operations whose counts
@@ -181,12 +164,6 @@ _NUMPY_RANDOM_ALLOWED = frozenset(
     }
 )
 
-#: Constructors whose call as a default argument produces shared state.
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-     "OrderedDict"}
-)
-
 #: PeerStore methods/attributes only the kernel module may touch.
 PEERSTORE_STORAGE_SURFACE = frozenset(
     {"store_of", "find_holder", "all_keys", "loads", "_stores",
@@ -200,7 +177,9 @@ PEERSTORE_MEMBERSHIP_SURFACE = frozenset(
 )
 
 #: Kernel-owned storage methods a route path may never call on self.
-KERNEL_STORAGE_METHODS = KERNEL_OWNED_METHODS - {"peer_loads"}
+KERNEL_STORAGE_METHODS = frozenset(
+    {"put", "get", "remove", "peek", "local_write"}
+)
 
 #: Substrate routing entry points checked for purity (LHT009).
 ROUTE_METHODS = frozenset({"route", "route_point", "route_id"})
@@ -250,8 +229,6 @@ MODULE_BODY = "<module>"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9,\s]+))?", re.IGNORECASE)
-
 
 @dataclass(frozen=True, slots=True)
 class Violation:
@@ -265,16 +242,6 @@ class Violation:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable dict (``--format json`` output shape)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +328,6 @@ class FunctionNode:
 class ClassInfo:
     qualname: str
     module: str
-    path: Path
-    line: int
     #: Resolved base references: project class qualnames, or
     #: ``"?Name"`` markers for bases outside the scanned tree.
     bases: list[str] = field(default_factory=list)
@@ -381,7 +346,6 @@ class ModuleInfo:
     tree: ast.Module
     #: Every node of ``tree``, flattened once for the rules that scan it.
     nodes: list[ast.AST]
-    source_lines: list[str]
     deterministic: bool
     #: local alias -> dotted module path.
     import_modules: dict[str, str] = field(default_factory=dict)
@@ -627,9 +591,7 @@ def _collect_classes(program: Program, info: ModuleInfo) -> None:
         if not isinstance(node, ast.ClassDef):
             continue
         qual = f"{info.name}.{node.name}"
-        cls = ClassInfo(
-            qualname=qual, module=info.name, path=info.path, line=node.lineno
-        )
+        cls = ClassInfo(qualname=qual, module=info.name)
         for base in node.bases:
             dotted = _resolve_dotted(info, base)
             resolved: str | None = None
@@ -1002,7 +964,6 @@ def _program_from_sources(sources: Sequence[tuple[Path, Path, str]]) -> Program:
             path=file,
             tree=tree,
             nodes=list(ast.walk(tree)),
-            source_lines=source.splitlines(),
             deterministic=any(
                 part in DETERMINISTIC_PACKAGES for part in file.parts[:-1]
             ),
@@ -1171,7 +1132,7 @@ def _may_raise_dht(program: Program) -> set[str]:
 
 # ----------------------------------------------------------------------
 # Rules: each yields (path, line, col, message); the driver stamps the
-# rule's code, applies ``# noqa``, and sorts.
+# rule's code and sorts.
 # ----------------------------------------------------------------------
 
 Finding = tuple[Path, int, int, str]
@@ -1247,58 +1208,6 @@ def _check_bare_assert(program: Program) -> Iterator[Finding]:
                     "bare assert in library code — raise a typed "
                     "repro.errors exception (asserts vanish under python -O)",
                 )
-
-
-def _is_mutable_literal(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.SetComp, ast.DictComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and _simple_name(node.func) in _MUTABLE_FACTORIES
-    )
-
-
-def _check_mutable_defaults(program: Program) -> Iterator[Finding]:
-    """LHT004."""
-    for info in program.modules.values():
-        for node in info.nodes:
-            if not isinstance(node, (*_DEFS, ast.Lambda)):
-                continue
-            for default in [*node.args.defaults, *node.args.kw_defaults]:
-                if default is not None and _is_mutable_literal(default):
-                    name = getattr(node, "name", "<lambda>")
-                    yield _at(
-                        info, default,
-                        f"mutable default argument in {name}() — default "
-                        "to None and construct inside the body",
-                    )
-
-
-def _dht_substrates(program: Program) -> Iterator[ClassInfo]:
-    """``SubstrateBase`` subclasses defined inside a ``dht`` package."""
-    for cls in program.subclasses_of("SubstrateBase"):
-        if program.modules[cls.module].in_dht_package:
-            yield cls
-
-
-def _check_kernel_overrides(program: Program) -> Iterator[Finding]:
-    """LHT006: substrates must not override kernel-owned methods.
-
-    A class whose base chain reaches ``SubstrateBase`` gets storage,
-    oracle reads, and metrics charging from the kernel; re-defining any
-    of :data:`KERNEL_OWNED_METHODS` would fork the accounting the
-    equivalence goldens pin.  Wrappers are exempt — their base chain
-    goes through ``DelegatingDHT``, never ``SubstrateBase``.
-    """
-    for cls in _dht_substrates(program):
-        overridden = sorted(set(cls.methods) & KERNEL_OWNED_METHODS)
-        if overridden:
-            yield cls.path, cls.line, 1, (
-                f"substrate {cls.name} overrides kernel-owned "
-                f"method(s): {', '.join(overridden)} — storage and "
-                "metrics charging belong to SubstrateBase"
-            )
 
 
 def _check_hermeticity(program: Program) -> Iterator[Finding]:
@@ -1543,9 +1452,6 @@ RULES: tuple[Rule, ...] = (
     Rule("LHT002", "global randomness in a deterministic package",
          _check_global_randomness),
     Rule("LHT003", "bare assert in library code", _check_bare_assert),
-    Rule("LHT004", "mutable default argument", _check_mutable_defaults),
-    Rule("LHT006", "substrate overrides a kernel-owned storage method",
-         _check_kernel_overrides),
     Rule("LHT007", "transitive wall-clock/randomness sink reachable from a "
          "deterministic package", _check_hermeticity),
     Rule("LHT008", "peer-store surface touched outside its owning layer",
@@ -1570,67 +1476,23 @@ LINT_RULES: dict[str, str] = {rule.code: rule.summary for rule in RULES}
 # ----------------------------------------------------------------------
 
 
-def _wanted_codes(
-    select: Sequence[str] | None, ignore: Sequence[str] | None
-) -> set[str]:
-    """Codes a run reports; an unknown code is an error, not a no-op."""
-    known = set(LINT_RULES) | {"E902", "E999"}
-    for code in [*(select or ()), *(ignore or ())]:
-        if code.upper() not in known:
-            raise ConfigurationError(
-                f"unknown rule code {code!r}; known codes: {sorted(known)}"
-            )
-    wanted = {code.upper() for code in select} if select else known
-    return wanted - {code.upper() for code in ignore or ()}
-
-
-def _suppressed(violation: Violation, source_lines: Sequence[str]) -> bool:
-    """Whether a ``# noqa`` on the violation's line covers its code."""
-    if not 1 <= violation.line <= len(source_lines):
-        return False
-    match = _NOQA_RE.search(source_lines[violation.line - 1])
-    if match is None:
-        return False
-    listed = {
-        code.strip().upper()
-        for code in (match.group("codes") or "").split(",")
-        if code.strip()
-    }
-    return not listed or violation.code in listed  # no codes: blanket
-
-
-def _run_rules(program: Program, wanted: set[str]) -> list[Violation]:
-    """Run every wanted rule over the program; sorted, deduplicated,
-    ``# noqa``-filtered violations."""
-    violations = {v for v in program.parse_errors if v.code in wanted}
-    lines_by_path = {
-        info.path: info.source_lines for info in program.modules.values()
-    }
+def _run_rules(program: Program) -> list[Violation]:
+    """Run every rule over the program; sorted, deduplicated violations."""
+    violations = set(program.parse_errors)
     for rule in RULES:
-        if rule.code not in wanted:
-            continue
         # A finding can be reached once per route entry or pool site;
         # the set reports each (path, line, col, code, message) once.
         for path, line, col, message in rule.check(program):
-            violation = Violation(str(path), line, col, rule.code, message)
-            if not _suppressed(violation, lines_by_path[path]):
-                violations.add(violation)
+            violations.add(Violation(str(path), line, col, rule.code, message))
     return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.code))
 
 
-def lint_paths(
-    paths: Sequence[Path | str],
-    *,
-    select: Sequence[str] | None = None,
-    ignore: Sequence[str] | None = None,
-) -> list[Violation]:
+def lint_paths(paths: Sequence[Path | str]) -> list[Violation]:
     """Lint files and directories as one program; violations, sorted.
 
-    Raises :class:`ConfigurationError` for a missing path or an unknown
-    rule code in ``select``/``ignore``.
+    Raises :class:`ConfigurationError` for a missing path.
     """
-    wanted = _wanted_codes(select, ignore)
-    return _run_rules(build_program(paths), wanted)
+    return _run_rules(build_program(paths))
 
 
 def lint_source(
@@ -1638,67 +1500,29 @@ def lint_source(
 ) -> list[Violation]:
     """Lint one module's source text as a one-file program."""
     path = Path(path)
-    program = _program_from_sources([(path, path.parent, source)])
-    return _run_rules(program, _wanted_codes(None, None))
+    return _run_rules(_program_from_sources([(path, path.parent, source)]))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools lint",
         description="Repo-specific static analysis for the LHT "
-        "reproduction (rules LHT001-LHT014 bar LHT005/LHT012, one pass).",
+        "reproduction (every rule in LINT_RULES, one pass).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint as one program",
     )
-    parser.add_argument(
-        "--select", action="append", default=None, metavar="CODE",
-        help="only report these rule codes (repeatable)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", default=None, metavar="CODE",
-        help="suppress these rule codes (repeatable)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (json includes analysis wall time)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
     args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for code, description in sorted(LINT_RULES.items()):
-            print(f"{code}  {description}")
-        return 0
 
     started = time.perf_counter()
     try:
-        wanted = _wanted_codes(args.select, args.ignore)
         program = build_program(args.paths)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    violations = _run_rules(program, wanted)
+    violations = _run_rules(program)
     wall_s = time.perf_counter() - started
-    if args.format == "json":
-        counts = Counter(violation.code for violation in violations)
-        print(
-            json.dumps(
-                {
-                    "tool": "repro.devtools.lint",
-                    "rules": LINT_RULES,
-                    "files": program.n_files,
-                    "violations": [v.to_dict() for v in violations],
-                    "counts": dict(sorted(counts.items())),
-                    "analysis_wall_s": round(wall_s, 4),
-                },
-                indent=2,
-            )
-        )
-        return 1 if violations else 0
     for violation in violations:
         print(violation.format())
     if violations:
@@ -1709,4 +1533,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     print(f"ok: {program.n_files} file(s) clean ({wall_s:.2f}s)")
     return 0
-

@@ -34,8 +34,8 @@ Three classes:
   placement rule, and its maintenance protocol (finger repair, zone
   split, event dissemination, k-bucket construction, surrogate
   resolution) — which says *which* keys move on a join or leave, never
-  how.  Lint rule LHT006 keeps concrete substrates from re-growing
-  overrides of the kernel-owned methods.
+  how.  ``tests/test_registry.py`` keeps concrete substrates from
+  re-growing overrides of the kernel-owned methods.
 * :class:`DelegatingDHT` — the base for the wrapper stack
   (:class:`~repro.dht.faulty.FaultyDHT`,
   :class:`~repro.dht.replicated.ReplicatedDHT`,

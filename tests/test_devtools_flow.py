@@ -11,7 +11,6 @@ per-file and class-shape rules of the same pass live in
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -35,6 +34,11 @@ def write_tree(tmp_path: Path, files: dict[str, str]) -> Path:
 
 def codes(violations) -> list[str]:
     return [v.code for v in violations]
+
+
+def found(tmp_path: Path, *wanted: str) -> list:
+    """The one pass's findings under ``tmp_path`` with a ``wanted`` code."""
+    return [v for v in lint_paths([tmp_path]) if v.code in wanted]
 
 
 # ----------------------------------------------------------------------
@@ -154,19 +158,9 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT007"])
+        violations = found(tmp_path, "LHT007")
         assert codes(violations) == ["LHT007"]
         assert "global-randomness" in violations[0].message
-
-    def test_noqa_on_frontier_call_suppresses(self, tmp_path):
-        files = dict(TRANSITIVE_SINK)
-        files["core/engine.py"] = (
-            "from util.timing import helper\n\n"
-            "def run():\n"
-            "    return helper()  # noqa: LHT007\n"
-        )
-        write_tree(tmp_path, files)
-        assert codes(lint_paths([tmp_path])) == []
 
     def test_dynamic_dispatch_is_not_a_false_positive(self, tmp_path):
         write_tree(
@@ -185,7 +179,7 @@ class TestTransitiveHermeticity:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT007"])) == []
+        assert codes(found(tmp_path, "LHT007")) == []
 
     def test_seeded_generator_helper_is_clean(self, tmp_path):
         write_tree(
@@ -237,7 +231,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT008"])
+        violations = found(tmp_path, "LHT008")
         assert codes(violations) == ["LHT008"]
         assert "store_of" in violations[0].message
 
@@ -251,7 +245,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT008"])
+        violations = found(tmp_path, "LHT008")
         assert codes(violations) == ["LHT008"]
         assert "add_peer" in violations[0].message
 
@@ -268,7 +262,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT008"])
+        violations = found(tmp_path, "LHT008")
         assert codes(violations) == ["LHT008", "LHT008"]
         assert "move_keys" in violations[0].message
         assert "adopt" in violations[1].message
@@ -285,7 +279,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT008"])
+        violations = found(tmp_path, "LHT008")
         assert codes(violations) == ["LHT008"]
         assert "constructed outside" in violations[0].message
 
@@ -301,7 +295,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT008"])) == []
+        assert codes(found(tmp_path, "LHT008")) == []
 
     def test_kernel_module_itself_is_exempt(self, tmp_path):
         write_tree(
@@ -314,7 +308,7 @@ class TestKernelEncapsulation:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT008"])) == []
+        assert codes(found(tmp_path, "LHT008")) == []
 
 
 SUBSTRATE_HEADER = "from dht.kernel import SubstrateBase\n\n"
@@ -337,7 +331,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT009"])
+        violations = found(tmp_path, "LHT009")
         assert codes(violations) == ["LHT009"]
         assert "charges metrics" in violations[0].message
 
@@ -358,7 +352,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT009"])
+        violations = found(tmp_path, "LHT009")
         assert codes(violations) == ["LHT009"]
         assert "_peek_store" in violations[0].message
 
@@ -377,7 +371,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT009"])
+        violations = found(tmp_path, "LHT009")
         assert codes(violations) == ["LHT009"]
         assert "self.get" in violations[0].message
 
@@ -395,7 +389,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT009"])) == []
+        assert codes(found(tmp_path, "LHT009")) == []
 
     def test_maintenance_methods_may_move_keys(self, tmp_path):
         # join/leave legitimately move keys (through the kernel's
@@ -417,7 +411,7 @@ class TestRoutePurity:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT008", "LHT009"])) == []
+        assert codes(found(tmp_path, "LHT008", "LHT009")) == []
 
 
 POLICY_HEADER = "from dht.kernel import PlacementPolicy\n\n"
@@ -439,7 +433,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT013"])
+        violations = found(tmp_path, "LHT013")
         assert codes(violations) == ["LHT013"]
         assert "charges metrics" in violations[0].message
 
@@ -457,7 +451,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT013"])
+        violations = found(tmp_path, "LHT013")
         # Two offenses: the store_of() read and the subscript mutation.
         assert set(codes(violations)) == {"LHT013"}
         assert len(violations) == 2
@@ -479,7 +473,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT013"])
+        violations = found(tmp_path, "LHT013")
         assert codes(violations) == ["LHT013"]
         assert "sink" in violations[0].message
 
@@ -499,7 +493,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT013"])) == []
+        assert codes(found(tmp_path, "LHT013")) == []
 
     def test_abstract_base_is_exempt(self, tmp_path):
         # The ABC itself (simple name PlacementPolicy) is skipped; only
@@ -514,7 +508,7 @@ class TestPlacementPurity:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT013"])) == []
+        assert codes(found(tmp_path, "LHT013")) == []
 
 
 class TestExceptionFlow:
@@ -533,7 +527,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT010"])
+        violations = found(tmp_path, "LHT010")
         assert codes(violations) == ["LHT010"]
         assert "except Exception" in violations[0].message
 
@@ -551,7 +545,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT010"])
+        violations = found(tmp_path, "LHT010")
         assert codes(violations) == ["LHT010"]
         assert "silently discards" in violations[0].message
 
@@ -569,7 +563,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(found(tmp_path, "LHT010")) == []
 
     def test_broad_except_reraising_is_clean(self, tmp_path):
         write_tree(
@@ -584,7 +578,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(found(tmp_path, "LHT010")) == []
 
     def test_broad_except_around_benign_code_is_clean(self, tmp_path):
         write_tree(
@@ -599,7 +593,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(found(tmp_path, "LHT010")) == []
 
     def test_internally_handled_callee_does_not_propagate_risk(
         self, tmp_path
@@ -624,7 +618,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT010"])) == []
+        assert codes(found(tmp_path, "LHT010")) == []
 
     def test_risk_propagates_transitively_through_helpers(self, tmp_path):
         write_tree(
@@ -641,7 +635,7 @@ class TestExceptionFlow:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT010"])
+        violations = found(tmp_path, "LHT010")
         assert codes(violations) == ["LHT010"]
 
 
@@ -667,7 +661,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT011"])
+        violations = found(tmp_path, "LHT011")
         assert codes(violations) == ["LHT011"]
         assert "lambda" in violations[0].message
 
@@ -684,7 +678,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT011"])
+        violations = found(tmp_path, "LHT011")
         assert codes(violations) == ["LHT011"]
         assert "bound method" in violations[0].message
 
@@ -700,7 +694,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT011"])
+        violations = found(tmp_path, "LHT011")
         assert codes(violations) == ["LHT011"]
         assert "locally defined" in violations[0].message
 
@@ -722,7 +716,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT011"])
+        violations = found(tmp_path, "LHT011")
         assert codes(violations) == ["LHT011"]
         assert "global" in violations[0].message
 
@@ -748,7 +742,7 @@ class TestParallelSafety:
                 ),
             },
         )
-        violations = lint_paths([tmp_path], select=["LHT011"])
+        violations = found(tmp_path, "LHT011")
         assert codes(violations) == ["LHT011"]
         assert "jobs.acc.TOTALS" in violations[0].message
 
@@ -771,51 +765,10 @@ class TestParallelSafety:
                 ),
             },
         )
-        assert codes(lint_paths([tmp_path], select=["LHT011"])) == []
+        assert codes(found(tmp_path, "LHT011")) == []
 
 
 class TestDriver:
-    def test_json_output_includes_wall_time_and_counts(self, tmp_path, capsys):
-        write_tree(tmp_path, TRANSITIVE_SINK)
-        assert main([str(tmp_path), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tool"] == "repro.devtools.lint"
-        assert payload["counts"] == {"LHT007": 1}
-        assert payload["violations"][0]["code"] == "LHT007"
-        assert isinstance(payload["analysis_wall_s"], float)
-        assert payload["files"] == 2
-
-    def test_clean_tree_json_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, {"pkg/ok.py": "X = 1\n"})
-        assert main([str(tmp_path), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["violations"] == []
-
-    def test_select_and_ignore(self, tmp_path):
-        files = dict(TRANSITIVE_SINK)
-        files["experiments/probe.py"] = (
-            "def probe(index):\n    return index.dht.peers.store_of(0)\n"
-        )
-        write_tree(tmp_path, files)
-        everything = set(codes(lint_paths([tmp_path])))
-        assert everything == {"LHT007", "LHT008"}
-        assert codes(lint_paths([tmp_path], select=["LHT008"])) == [
-            "LHT008"
-        ]
-        assert codes(lint_paths([tmp_path], ignore=["LHT008"])) == [
-            "LHT007"
-        ]
-
-    def test_unknown_rule_code_rejected(self, tmp_path, capsys):
-        from repro.errors import ConfigurationError
-
-        target = tmp_path / "mod.py"
-        target.write_text("X = 1\n")
-        with pytest.raises(ConfigurationError, match="unknown rule code"):
-            lint_paths([target], select=["LHT099"])
-        assert main([str(target), "--select", "LHT099"]) == 2
-        assert "unknown rule code" in capsys.readouterr().err
-
     def test_missing_path_is_an_error_not_a_green_gate(self, tmp_path, capsys):
         from repro.errors import ConfigurationError
 
@@ -823,12 +776,6 @@ class TestDriver:
             lint_paths([tmp_path / "nope"])
         assert main([str(tmp_path / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err
-
-    def test_cli_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in CALL_GRAPH_RULES:
-            assert code in out
 
     def test_test_files_are_exempt(self, tmp_path):
         write_tree(
@@ -859,10 +806,10 @@ class TestRepoGate:
         assert LINT_RULES[code]
 
     def test_devtools_package_exports(self):
+        """Names are imported from the module that defines them: the
+        package re-exports nothing."""
         import repro.devtools as devtools
 
-        assert devtools.LINT_RULES is LINT_RULES
-        assert devtools.lint_paths is lint_paths
-        assert devtools.build_program is build_program
-        for gone in ("ANALYZER_RULES", "analyze_paths"):
-            assert not hasattr(devtools, gone)
+        for name in ("LINT_RULES", "lint_paths", "build_program",
+                     "IndexSanitizer", "check_determinism", "analyze_paths"):
+            assert not hasattr(devtools, name)

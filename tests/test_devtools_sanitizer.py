@@ -13,8 +13,7 @@ import pytest
 
 from repro.core import IndexConfig, IndexInspector, Label, LHTIndex, Record
 from repro.core.results import MergeEvent, SplitEvent
-from repro.core.stats import sanitizer_mode
-from repro.devtools import IndexSanitizer, sanitizer_enabled
+from repro.core.stats import IndexSanitizer, sanitizer_enabled, sanitizer_mode
 from repro.dht import ChordDHT, LocalDHT
 from repro.errors import SanitizerError
 

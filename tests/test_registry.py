@@ -5,7 +5,8 @@ every suite that iterates "all substrates" draws from it.  These tests
 close the loop — a concrete ``SubstrateBase`` subclass under
 ``src/repro/dht/`` that is *not* registered fails here (a run-time
 ``__subclasses__`` walk), so a new overlay cannot silently dodge the
-conformance/fault/soak/determinism matrices.  ``registry.stack`` builds
+conformance/fault/soak/determinism matrices; one that redefines a
+kernel-owned storage method fails here too.  ``registry.stack`` builds
 every multi-layer stack from one spec string; its tests pin the
 grammar, the errors and the seed derivation.  The banked-benchmark
 ordering test pins the acceptance criterion of the routing-diversity
@@ -41,8 +42,16 @@ from repro.sim.rng import derive_seed
 import repro.dht
 
 
-def _all_substrate_classes() -> set[type]:
-    """Every concrete SubstrateBase subclass defined in repro.dht."""
+#: Storage and metrics charging live in ``SubstrateBase`` alone: a
+#: substrate is ``route`` + ``peer_of`` + its maintenance protocol.
+KERNEL_OWNED = frozenset(
+    {"put", "get", "remove", "peek", "local_write", "peer_loads"}
+)
+
+
+def _substrate_subclasses() -> set[type]:
+    """Every SubstrateBase subclass defined in repro.dht, abstract ones
+    included."""
     for mod_info in pkgutil.iter_modules(repro.dht.__path__, "repro.dht."):
         importlib.import_module(mod_info.name)
     seen: set[type] = set()
@@ -52,10 +61,20 @@ def _all_substrate_classes() -> set[type]:
             if sub not in seen:
                 seen.add(sub)
                 stack.append(sub)
+    return {cls for cls in seen if cls.__module__.startswith("repro.dht")}
+
+
+def _all_substrate_classes() -> set[type]:
+    """Every concrete SubstrateBase subclass defined in repro.dht."""
+    return {c for c in _substrate_subclasses() if not inspect.isabstract(c)}
+
+
+def _kernel_overrides() -> dict[type, set[str]]:
+    """Substrate classes that redefine a kernel-owned method."""
     return {
-        cls
-        for cls in seen
-        if cls.__module__.startswith("repro.dht") and not inspect.isabstract(cls)
+        cls: own
+        for cls in _substrate_subclasses()
+        if (own := KERNEL_OWNED & set(vars(cls)))
     }
 
 
@@ -85,6 +104,30 @@ def test_a_stray_substrate_is_reported_missing():
         del stray
         gc.collect()  # a class is in a reference cycle with its MRO
     assert _unregistered_substrates() == set()
+
+
+def test_no_substrate_overrides_a_kernel_owned_method():
+    overrides = _kernel_overrides()
+    assert not overrides, (
+        "substrates redefine kernel-owned methods: "
+        f"{ {cls.__name__: sorted(own) for cls, own in overrides.items()} }"
+    )
+
+
+def test_a_stray_kernel_override_is_reported():
+    """The run-time walk catches what lint rule LHT006 used to: a
+    substrate in ``repro.dht`` that re-grows its own storage."""
+    stray = type(
+        "StrayDHT",
+        (LocalDHT,),
+        {"__module__": "repro.dht.stray", "get": lambda self, key: None},
+    )
+    try:
+        assert _kernel_overrides() == {stray: {"get"}}
+    finally:
+        del stray
+        gc.collect()  # a class is in a reference cycle with its MRO
+    assert _kernel_overrides() == {}
 
 
 def test_registry_lists_all_eight_substrates():

@@ -18,7 +18,7 @@ from repro.core.bucket import LeafBucket, Record
 from repro.core.bulkbuild import BulkPlan
 from repro.core.interval import DyadicInterval, Range
 from repro.core.label import Label
-from repro.devtools.profile import PhaseResult
+from repro.devtools.benchgate import PhaseResult
 from repro.dht.can import CANNode, Zone
 from repro.dht.chord import ChordNode
 from repro.dht.kademlia import KademliaNode
