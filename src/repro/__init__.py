@@ -52,7 +52,6 @@ from repro.dht import (
     MetricsRecorder,
     PastryDHT,
 )
-from repro.multidim import MultiDimIndex
 from repro.resilience import (
     CircuitBreaker,
     ResilientDHT,
@@ -84,7 +83,6 @@ __all__ = [
     "LocalDHT",
     "MetricsRecorder",
     "PastryDHT",
-    "MultiDimIndex",
     "CircuitBreaker",
     "ResilientDHT",
     "RetryPolicy",

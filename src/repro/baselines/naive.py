@@ -23,7 +23,6 @@ class NaiveIndex:
 
     def __init__(self, dht: DHT) -> None:
         self.dht = dht
-        self.record_count = 0
 
     @staticmethod
     def _key(key: float) -> str:
@@ -32,7 +31,6 @@ class NaiveIndex:
     def insert(self, key: float, value: Any = None) -> int:
         """One DHT-put; returns the DHT-lookups used (always 1)."""
         self.dht.put(self._key(key), Record(key, value))
-        self.record_count += 1
         return 1
 
     def exact_match(self, key: float) -> tuple[Record | None, int]:

@@ -39,7 +39,6 @@ class OrderPreservingIndex:
         del seed  # arcs are deterministic; kept for factory symmetry
         self.n_peers = n_peers
         self._stores: list[list[Record]] = [[] for _ in range(n_peers)]
-        self.record_count = 0
 
     def _peer_for(self, key: float) -> int:
         return min(int(key * self.n_peers), self.n_peers - 1)
@@ -53,7 +52,6 @@ class OrderPreservingIndex:
         record = Record(key, value)
         store = self._stores[self._peer_for(key)]
         bisect.insort(store, record)
-        self.record_count += 1
         return 1
 
     def exact_match(self, key: float) -> tuple[Record | None, int]:
@@ -92,5 +90,5 @@ class OrderPreservingIndex:
         return {peer: len(store) for peer, store in enumerate(self._stores)}
 
     def __len__(self) -> int:
-        return self.record_count
+        return sum(len(store) for store in self._stores)
 

@@ -14,19 +14,22 @@ Structure and costs follow the paper's characterization exactly:
   under the range's LCA in parallel) — Figs. 9-10 compare LHT to both.
 
 The capacity accounting (one slot for the label) matches the LHT bucket
-model so both schemes split at identical record counts.
+model so both schemes split at identical record counts.  Like
+:class:`~repro.core.index.LHTIndex`, the index keeps no copy of the
+trie: record and leaf counts and the fast bulk load read the stored
+leaves through one oracle walk (``keys``/``peek``, no lookup cost).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.baselines.pht.node import PHTNode
 from repro.core.bucket import Record
 from repro.core.bulkbuild import normalize_items, plan_bulk_load
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
-from repro.core.keys import key_bits, mu_path
+from repro.core.keys import mu_path
 from repro.core.label import Label, ROOT
 from repro.core.range_query import compute_lca
 from repro.core.results import CostLedger, RangeQueryResult, SplitEvent
@@ -61,8 +64,6 @@ class PHTIndex:
         self.dht = dht
         self.config = config or IndexConfig()
         self.ledger = CostLedger()
-        self._leaf_bits: set[str] = {ROOT.bits}
-        self.record_count = 0
         self.dht.put(str(ROOT), PHTNode(ROOT))
 
     # ------------------------------------------------------------------
@@ -70,7 +71,14 @@ class PHTIndex:
     # ------------------------------------------------------------------
 
     def lookup(self, key: float) -> PHTLookupResult:
-        """Binary-search the prefix lengths of ``μ(δ, D)`` for the leaf.
+        """Binary-search the prefix lengths of ``μ(δ, D)`` for the leaf,
+        one routed get per probe."""
+        return self._search(self.dht.get, key)
+
+    def _search(
+        self, fetch: Callable[[str], PHTNode | None], key: float
+    ) -> PHTLookupResult:
+        """The binary search, one ``fetch`` per probe.
 
         Every trie node is addressable by its own label, so each probe
         has three outcomes: leaf (done), internal node (go longer),
@@ -82,7 +90,7 @@ class PHTIndex:
         lookups = 0
         while lo <= hi:
             mid = (lo + hi) // 2
-            node = self.dht.get(str(mu.prefix(mid)))
+            node = fetch(str(mu.prefix(mid)))
             lookups += 1
             if node is None:
                 hi = mid - 1
@@ -150,7 +158,6 @@ class PHTIndex:
         removed = result.node.remove(key)
         if removed is not None:
             self.dht.local_write(str(result.node.label), result.node)
-            self.record_count -= 1
         return removed is not None, lookups
 
     def bulk_load(
@@ -158,9 +165,10 @@ class PHTIndex:
         items: Iterable[float | tuple[float, Any]],
         fast: bool = False,
     ) -> int:
-        """Insert many records via a client-side leaf mirror (the same
-        cost contract as :meth:`LHTIndex.bulk_load`: maintenance is
-        charged in full, per-record routed lookups are elided).
+        """Insert many records without routed lookups (the same cost
+        contract as :meth:`LHTIndex.bulk_load`: maintenance is charged in
+        full, per-record routed lookups are elided — each record's leaf
+        is found by the binary search run over the free ``peek``).
 
         With ``fast=True`` the sorted client-side planner
         (:mod:`repro.core.bulkbuild` — PHT splits at the same interval
@@ -175,7 +183,9 @@ class PHTIndex:
         count = 0
         for item in items:
             key, value = item if isinstance(item, tuple) else (item, None)
-            node = self._local_find_leaf(key)
+            node = self._search(self.dht.peek, key).node
+            if node is None:
+                raise LookupError_(f"no stored PHT leaf covers {key}")
             self._place(node, Record(key, value))
             count += 1
         return count
@@ -186,12 +196,9 @@ class PHTIndex:
         records = normalize_items(items)
         if not records:
             return 0
-        existing: dict[str, list[Record]] = {}
-        for bits in self._leaf_bits:
-            node = self.dht.peek(str(Label(bits)))
-            if not isinstance(node, PHTNode) or not node.is_leaf:
-                raise LookupError_(f"PHT leaf mirror out of sync at #{bits}")
-            existing[bits] = list(node.records)
+        existing = {
+            node.label.bits: list(node.records) for node in self._leaves()
+        }
         plan = plan_bulk_load(existing, records, self.config)
         # Leaves the replay split are now internal: record-free nodes
         # under their own (unchanged) DHT keys, links cleared.
@@ -217,8 +224,6 @@ class PHTIndex:
                 str(label),
                 PHTNode(label, True, plan.leaves[bits], prev_label, next_label),
             )
-        self._leaf_bits = set(plan.leaves)
-        self.record_count += plan.inserted
         return plan.inserted
 
     # ------------------------------------------------------------------
@@ -236,7 +241,6 @@ class PHTIndex:
         target.add(record)
         # Persist the mutation at the holding peer (local disk write).
         self.dht.local_write(str(target.label), target)
-        self.record_count += 1
         return event
 
     def _split(self, node: PHTNode) -> tuple[SplitEvent, PHTNode, PHTNode]:
@@ -302,9 +306,6 @@ class PHTIndex:
             dht_lookups=maintenance,
         )
         self.ledger.record_split(event)
-        self._leaf_bits.discard(parent_label.bits)
-        self._leaf_bits.add(left.label.bits)
-        self._leaf_bits.add(right.label.bits)
         return event, left, right
 
     # ------------------------------------------------------------------
@@ -447,27 +448,27 @@ class PHTIndex:
             label = node.label.left_child if leftwards else node.label.right_child
 
     # ------------------------------------------------------------------
-    # Client-side fast path and introspection
+    # Introspection (derived from the stored leaves)
     # ------------------------------------------------------------------
 
-    def _local_find_leaf(self, key: float) -> PHTNode:
-        path = "0" + key_bits(key, self.config.max_depth - 1)
-        for end in range(1, len(path) + 1):
-            bits = path[:end]
-            if bits in self._leaf_bits:
-                node = self.dht.peek(str(Label(bits)))
-                if isinstance(node, PHTNode) and node.is_leaf:
-                    return node
-                raise LookupError_(f"PHT leaf mirror out of sync at #{bits}")
-        raise LookupError_(f"no known PHT leaf covers {key}")
+    def _leaves(self) -> list[PHTNode]:
+        """Every stored leaf node: one oracle walk, no lookup cost."""
+        nodes = (self.dht.peek(key) for key in self.dht.keys())
+        return [
+            node for node in nodes if isinstance(node, PHTNode) and node.is_leaf
+        ]
 
     def __len__(self) -> int:
-        return self.record_count
+        return sum(len(node) for node in self._leaves())
 
     @property
     def leaf_count(self) -> int:
-        return len(self._leaf_bits)
+        return len(self._leaves())
 
     @property
     def depth(self) -> int:
-        return max(len(bits) for bits in self._leaf_bits)
+        return max(node.label.depth for node in self._leaves())
+
+    def leaf_labels(self) -> list[Label]:
+        """All stored leaf labels in left-to-right order."""
+        return sorted(node.label for node in self._leaves())

@@ -7,7 +7,7 @@ See :mod:`repro.cache.leafcache` for the data structure and safety
 argument, :mod:`repro.cache.lookup` for the fronted lookup, and
 ``docs/performance.md`` for design notes and when *not* to enable it.
 
-Enable per index via ``IndexConfig(cache_enabled=True)``; observe
+Enable per index via ``IndexConfig(cache_capacity=1024)``; observe
 behaviour through the ``cache_hits`` / ``cache_misses`` / ``cache_stale``
 counters on the substrate's :class:`~repro.dht.metrics.MetricsRecorder`.
 """

@@ -29,27 +29,24 @@ class IndexConfig:
             count falls below this value.  Defaults to ``θ_split // 2`` (set
             at construction when left as 0) to provide hysteresis against
             split/merge thrashing.
-        sanitize: Run the runtime sanitizer
-            (:class:`repro.core.stats.IndexSanitizer`) after every
-            mutating index operation.  Also switched on globally by the
-            ``LHT_SANITIZE=1`` environment variable.
-        cache_enabled: Front lookups with a client-side
-            :class:`repro.cache.LeafCache` (see ``docs/performance.md``):
-            a cache hit answers an exact-match with one *validated*
-            DHT-get instead of the Alg. 2 binary search.  Off by default —
-            the paper's cost figures are measured uncached.
-        cache_capacity: Maximum leaf labels the cache retains (LRU
-            eviction).  Each entry is one short bit string, so memory is
+        cache_capacity: Front lookups with a client-side
+            :class:`repro.cache.LeafCache` (see ``docs/performance.md``)
+            retaining at most this many leaf labels (LRU eviction): a
+            cache hit answers an exact-match with one *validated* DHT-get
+            instead of the Alg. 2 binary search.  ``None`` (the default)
+            means no cache — the paper's cost figures are measured
+            uncached.  Each entry is one short bit string, so memory is
             negligible; the bound exists to model a constrained client.
+
+    The runtime sanitizer has no field: the ``LHT_SANITIZE`` environment
+    variable is its one switch (:func:`repro.core.stats.sanitizer_enabled`).
     """
 
     theta_split: int = 100
     max_depth: int = 20
     merge_enabled: bool = False
     merge_threshold: int = 0
-    sanitize: bool = False
-    cache_enabled: bool = False
-    cache_capacity: int = 1024
+    cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
         if self.theta_split < 2:
@@ -65,7 +62,7 @@ class IndexConfig:
                 f"merge_threshold {self.merge_threshold} must lie in "
                 f"[2, theta_split={self.theta_split}]"
             )
-        if self.cache_capacity < 1:
+        if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ConfigurationError(
                 f"cache_capacity must be >= 1: {self.cache_capacity}"
             )

@@ -9,13 +9,18 @@ It stores leaf buckets under the DHT keys produced by the naming function
 * ``lookup`` / ``exact_match`` — Alg. 2;
 * ``range_query`` — Algs. 3-4 (§6);
 * ``min_query`` / ``max_query`` — Theorem 3 (§7);
-* ``bulk_load`` — a loader that keeps a client-side mirror of the leaf
-  label set so index *construction* skips per-record routed lookups.
-  Maintenance costs (split puts, moved records) are charged identically
-  to ``insert``; only the insertion's own lookup traffic is elided.  The
-  maintenance experiments (Figs. 6-7) measure exactly the maintenance
-  ledger, so bulk loading reproduces the paper's numbers at a fraction of
-  the wall-clock.
+* ``bulk_load`` — a loader that finds each record's leaf by running
+  Alg. 2 over the free oracle read ``peek``, so index *construction*
+  skips per-record routed lookups.  Maintenance costs (split puts, moved
+  records) are charged identically to ``insert``; only the insertion's
+  own lookup traffic is elided.  The maintenance experiments (Figs. 6-7)
+  measure exactly the maintenance ledger, so bulk loading reproduces the
+  paper's numbers at a fraction of the wall-clock.
+
+The index keeps no copy of the tree: by local tree summarization (§4)
+the stored leaf buckets *are* the tree, so the record and leaf counts
+and the fast bulk load read them through the oracle walk
+(:func:`repro.core.stats.stored_buckets`).
 
 Cost accounting: substrate-level totals live in ``index.dht.metrics``;
 maintenance-only totals (the paper's Fig. 7 measure) live in
@@ -31,7 +36,6 @@ from repro.core.bucket import LeafBucket, Record
 from repro.core.bulkbuild import leaf_put_items, normalize_items, plan_bulk_load
 from repro.core.config import IndexConfig
 from repro.core.interval import Range
-from repro.core.keys import key_bits
 from repro.core.label import Label, ROOT
 from repro.core.lookup import Plan, ReadPath, drive_plan, lookup_plan
 from repro.core.minmax import max_query, min_query
@@ -50,7 +54,7 @@ from repro.core.results import (
     SplitEvent,
 )
 from repro.core.scan import KnnResult, knn_query, scan_records
-from repro.core.stats import IndexSanitizer, sanitizer_enabled
+from repro.core.stats import IndexSanitizer, sanitizer_enabled, stored_buckets
 from repro.dht.base import DHT
 from repro.errors import DHTError, LookupError_
 
@@ -92,10 +96,6 @@ class LHTIndex:
         #: issues its batched rounds through it.
         self.reads = ReadPath(dht, self.config)
         self._range_executor = RangeQueryExecutor(dht, self.config, self.reads)
-        # Client-side mirror of the leaf-label set, keyed by bit string.
-        # Kept exact because this index instance performs every split and
-        # merge itself; used only by the bulk_load fast path.
-        self._leaf_bits: set[str] = {ROOT.bits}
         # Optional leaf-label cache fronting every lookup (and therefore
         # exact_match/insert/delete, which all start with one).  Sits
         # *above* whatever substrate stack `dht` is — including a
@@ -103,19 +103,16 @@ class LHTIndex:
         # mutate it (see repro.cache.lookup).
         self.cache: LeafCache | None = (
             LeafCache(self.config.cache_capacity)
-            if self.config.cache_enabled
+            if self.config.cache_capacity is not None
             else None
         )
-        self.record_count = 0
         # Bootstrap: the root leaf lives under f_n(#0) = '#'.
         self.dht.put(str(naming(ROOT)), LeafBucket(ROOT))
-        # Opt-in runtime sanitizer (LHT_SANITIZE=1 or config.sanitize):
-        # re-validates Theorems 1-2 and the §3.2 structural properties
-        # after every mutating operation.
+        # Opt-in runtime sanitizer (LHT_SANITIZE=1): re-validates
+        # Theorems 1-2 and the §3.2 structural properties after every
+        # mutating operation.
         self.sanitizer: IndexSanitizer | None = (
-            IndexSanitizer(dht, self.config)
-            if self.config.sanitize or sanitizer_enabled()
-            else None
+            IndexSanitizer(dht, self.config) if sanitizer_enabled() else None
         )
 
     # ------------------------------------------------------------------
@@ -126,7 +123,7 @@ class LHTIndex:
         """The probe plan for ``key`` (Alg. 2): :meth:`lookup` drives
         one, the serving layer many in lock-step.
 
-        With ``cache_enabled``, a cached covering label short-circuits
+        With a ``cache_capacity``, a cached covering label short-circuits
         the binary search to one validated DHT-get (see
         :func:`repro.cache.cached_plan`); results are identical either
         way, only the cost differs.
@@ -214,7 +211,6 @@ class LHTIndex:
         if removed is None:
             return DeleteResult(deleted=False, dht_lookups=lookups)
         self.dht.local_write(str(name), bucket)
-        self.record_count -= 1
         merges: tuple[MergeEvent, ...] = ()
         if self.config.merge_enabled:
             merges = tuple(self._maybe_merge(bucket))
@@ -229,10 +225,13 @@ class LHTIndex:
         items: Iterable[float | tuple[float, Any]],
         fast: bool = False,
     ) -> int:
-        """Insert many records via the client-side leaf mirror.
+        """Insert many records without routed lookups.
 
         Accepts bare keys or ``(key, value)`` pairs; returns the number
-        inserted.  See the class docs for the cost-accounting contract.
+        inserted.  Each record's leaf is found by Alg. 2 run over the
+        free oracle read ``peek`` — no get, no cache counter — and then
+        placed exactly as :meth:`insert` places it, so splits are charged
+        in full.  See the module docs for the cost-accounting contract.
 
         With ``fast=True`` the input is sorted once and the final leaf
         partition is computed client-side (:mod:`repro.core.bulkbuild`):
@@ -249,8 +248,10 @@ class LHTIndex:
         count = 0
         for item in items:
             key, value = item if isinstance(item, tuple) else (item, None)
-            bucket = self._local_find_bucket(key)
-            self._place(bucket, Record(key, value))
+            found = drive_plan(self.dht.peek, lookup_plan(self.config, key))
+            if found.bucket is None:
+                raise LookupError_(f"no stored leaf covers {key}")
+            self._place(found.bucket, Record(key, value))
             count += 1
         return count
 
@@ -261,24 +262,15 @@ class LHTIndex:
         records = normalize_items(items)
         if not records:
             return 0
-        existing: dict[str, list[Record]] = {}
-        for bits in self._leaf_bits:
-            label = Label(bits)
-            bucket = self.dht.peek(str(naming(label)))
-            if not isinstance(bucket, LeafBucket) or bucket.label != label:
-                raise LookupError_(
-                    f"leaf mirror out of sync at {label}: did another "
-                    f"client mutate this index?"
-                )
-            existing[bits] = list(bucket.records)
+        existing = {
+            bucket.label.bits: list(bucket.records) for bucket in self._leaves()
+        }
         plan = plan_bulk_load(existing, records, self.config)
         # One batched routed round commits the whole plan: each changed
         # final leaf is charged one put (identical counts to sequential
         # puts), and the batch crosses the overlay as a single parallel
         # step (see DHT.multi_put).
         self.dht.multi_put(leaf_put_items(plan))
-        self._leaf_bits = set(plan.leaves)
-        self.record_count += plan.inserted
         if self.cache is not None:
             # Cached labels self-validate, so stale entries would only
             # cost detours — but a bulk rebuild invalidates en masse.
@@ -359,7 +351,6 @@ class LHTIndex:
             target = bucket
             target.add(record)
             self.dht.local_write(str(naming(bucket.label)), bucket)
-        self.record_count += 1
         if self.sanitizer is not None:
             if event is not None:
                 self.sanitizer.check_split(event)
@@ -397,9 +388,6 @@ class LHTIndex:
             dht_lookups=1,
         )
         self.ledger.record_split(event)
-        self._leaf_bits.discard(parent.bits)
-        self._leaf_bits.add(local_label.bits)
-        self._leaf_bits.add(remote_label.bits)
         if self.cache is not None:
             self.cache.on_split(event)
         return event, remote_bucket
@@ -450,55 +438,35 @@ class LHTIndex:
             )
             self.ledger.record_merge(event)
             events.append(event)
-            self._leaf_bits.discard(parent.left_child.bits)
-            self._leaf_bits.discard(parent.right_child.bits)
-            self._leaf_bits.add(parent.bits)
             if self.cache is not None:
                 self.cache.on_merge(event)
             bucket = survivor
         return events
 
     # ------------------------------------------------------------------
-    # Client-side fast path
+    # Introspection (derived from the stored leaves)
     # ------------------------------------------------------------------
 
-    def _local_find_bucket(self, key: float) -> LeafBucket:
-        """Find the covering bucket via the client-side leaf mirror
-        (no routed lookups; used by :meth:`bulk_load`)."""
-        path = "0" + key_bits(key, self.config.max_depth - 1)
-        for end in range(1, len(path) + 1):
-            bits = path[:end]
-            if bits in self._leaf_bits:
-                label = Label(bits)
-                bucket = self.dht.peek(str(naming(label)))
-                if isinstance(bucket, LeafBucket) and bucket.label == label:
-                    return bucket
-                raise LookupError_(
-                    f"leaf mirror out of sync at {label}: did another "
-                    f"client mutate this index?"
-                )
-        raise LookupError_(f"no known leaf covers {key}")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+    def _leaves(self) -> list[LeafBucket]:
+        """Every stored leaf bucket: one oracle walk, no lookup cost."""
+        return list(stored_buckets(self.dht).values())
 
     def __len__(self) -> int:
-        return self.record_count
+        return sum(len(bucket) for bucket in self._leaves())
 
     @property
     def leaf_count(self) -> int:
-        """Number of leaf buckets (client-mirror view)."""
-        return len(self._leaf_bits)
+        """Number of stored leaf buckets."""
+        return len(self._leaves())
 
     @property
     def depth(self) -> int:
-        """Depth in bits of the deepest leaf (client-mirror view)."""
-        return max(len(bits) for bits in self._leaf_bits)
+        """Depth in bits of the deepest stored leaf."""
+        return max(bucket.label.depth for bucket in self._leaves())
 
     def leaf_labels(self) -> list[Label]:
-        """All leaf labels in left-to-right order (client-mirror view)."""
+        """All stored leaf labels in left-to-right order."""
         return sorted(
-            (Label(bits) for bits in self._leaf_bits),
+            (bucket.label for bucket in self._leaves()),
             key=lambda lab: (lab.interval.low, lab.depth),
         )

@@ -9,7 +9,7 @@ interface (``keys``/``peek`` — no lookup cost, no metric perturbed):
   leaf partition of ``[0, 1)``.  :meth:`IndexInspector.verify` *is*
   that check — tests run it after every mutation sequence.
 * :class:`IndexSanitizer` is the opt-in runtime sanitizer
-  (``LHT_SANITIZE=1`` or ``IndexConfig(sanitize=True)``, ASan-style):
+  (``LHT_SANITIZE=1``, ASan-style):
   :class:`~repro.core.index.LHTIndex` calls its hooks after each
   mutating operation.  It runs the same check on the same walk and adds
   only what needs state or an :class:`IndexConfig` — adaptive sweep

@@ -4,13 +4,11 @@ One subcommand per job:
 
 * ``lint`` — the repo-specific static analysis: every rule of
   ``repro.devtools.lint.LINT_RULES`` in one pass over the tree;
-* ``determinism`` — the same-seed trace-diff harness (also
-  ``python -m repro.devtools.determinism``); run it under
+* ``determinism`` — the same-seed trace-diff harness; run it under
   ``LHT_SANITIZE=1`` to sweep the invariants after every mutation — a
   violation fails the run;
 * ``benchgate`` — the count/wall-clock benchmark regression gate, and
-  ``benchgate --hotspots`` the per-phase profile of its scale workload
-  (also ``python -m repro.devtools.benchgate``);
+  ``benchgate --hotspots`` the per-phase profile of its scale workload;
 * ``loc [PATH ...]`` — code lines per top-level package (lines carrying
   a token, minus docstrings, comments and blanks): the size metric of
   ROADMAP's "net-negative ``src/``" goal.  Default path ``src/repro``.

@@ -24,9 +24,9 @@ measured times alongside; it gates and writes nothing.
 
 Usage::
 
-    python -m repro.devtools.benchgate --check           # gate (default)
-    python -m repro.devtools.benchgate --write           # refresh baselines
-    python -m repro.devtools.benchgate --hotspots --scale-profile smoke
+    python -m repro.devtools benchgate --check           # gate (default)
+    python -m repro.devtools benchgate --write           # refresh baselines
+    python -m repro.devtools benchgate --hotspots --scale-profile smoke
 
 The pytest gate (``tests/test_bench_regression.py``, marked ``bench``)
 runs the same measurement and fails on any metric that regresses more
@@ -150,8 +150,7 @@ def _build(seed: int, *, cache_capacity: int | None) -> tuple[LHTIndex, list[flo
     config = IndexConfig(
         theta_split=_PARAMS["theta_split"],
         max_depth=_PARAMS["max_depth"],
-        cache_enabled=cache_capacity is not None,
-        cache_capacity=cache_capacity if cache_capacity is not None else 1024,
+        cache_capacity=cache_capacity,
     )
     index = LHTIndex(dht, config)
     rng = np.random.default_rng(derive_seed(seed, "bench:keys"))
@@ -915,7 +914,7 @@ def _write_scale(path: Path, current: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="benchgate",
+        prog="python -m repro.devtools benchgate",
         description="Count-based benchmark regression gate.",
     )
     mode = parser.add_mutually_exclusive_group()
@@ -1001,6 +1000,3 @@ def main(argv: list[str] | None = None) -> int:
     print("benchgate: all metrics within tolerance")
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -12,7 +12,7 @@ Exposed three ways:
 
 * :func:`check_determinism` — library entry point returning a
   :class:`DeterminismReport`;
-* ``python -m repro.devtools.determinism --substrate chord`` — CLI;
+* ``python -m repro.devtools determinism --substrate chord`` — CLI;
 * the ``assert_deterministic`` pytest fixture in ``tests/conftest.py``.
 
 All randomness flows through :class:`repro.sim.rng.RngStreams`, so the
@@ -62,7 +62,7 @@ SUBSTRATES: dict[str, str] = {
     # replica layer, so the read path's failover branch replays.
     "deploy-local": "resilient/replicated:3/faulty:0.02/serializing/local",
     # The cache is index-level, not DHT-level: this arm runs ``local``
-    # with ``cache_enabled`` in the IndexConfig (see ``run_workload``),
+    # with a ``cache_capacity`` in the IndexConfig (see ``run_workload``),
     # at a small capacity so eviction, split and merge invalidation,
     # and stale-entry fallbacks all replay.
     "cached-local": "local",
@@ -105,8 +105,7 @@ def run_workload(
     )
     config = IndexConfig(
         theta_split=theta_split,
-        cache_enabled=substrate in _CACHED_SUBSTRATES,
-        cache_capacity=32,
+        cache_capacity=32 if substrate in _CACHED_SUBSTRATES else None,
     )
     index = LHTIndex(dht, config)
 
@@ -145,7 +144,7 @@ def run_workload(
             detail = f" error={type(exc).__name__}"
         events.append(
             f"{step:05d} {operation.op.value} key={operation.key!r} "
-            f"cost={cost} records={index.record_count} "
+            f"cost={cost} records={len(index)} "
             f"leaves={index.leaf_count}{detail}"
         )
 
@@ -247,7 +246,7 @@ def check_determinism(
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.devtools.determinism",
+        prog="python -m repro.devtools determinism",
         description="Replay a seeded workload twice and diff the traces.",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -278,6 +277,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(report.summary())
     return 0 if report.matched else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

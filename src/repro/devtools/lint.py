@@ -38,8 +38,10 @@ LHT008    Kernel encapsulation — the :class:`repro.dht.kernel.PeerStore`
           inside ``repro.dht``.
 LHT009    Route purity — substrate ``route``/``route_point``/``route_id``
           implementations (and every helper they reach) must not mutate
-          peer stores, charge metrics, or call kernel storage methods:
-          the kernel charges each routed operation exactly once.
+          peer stores (directly or through the membership mutators
+          ``peers.add_peer``/``remove_peer``/``move_keys``/``adopt``),
+          charge metrics, or call kernel storage methods: the kernel
+          charges each routed operation exactly once.
 LHT010    Exception-flow completeness — a broad handler (bare ``except``,
           ``Exception``, ``BaseException``) around code that can raise a
           typed :class:`~repro.errors.DHTError` must re-raise; a typed
@@ -170,11 +172,14 @@ PEERSTORE_STORAGE_SURFACE = frozenset(
      "_sorted_ids"}
 )
 
+#: PeerStore membership methods that change which peer holds what: a
+#: route or placement path calling one mutates the stores (LHT009/013).
+PEERSTORE_MUTATORS = frozenset({"add_peer", "remove_peer", "move_keys", "adopt"})
+
 #: PeerStore membership methods substrates (repro.dht.*) may use.
-PEERSTORE_MEMBERSHIP_SURFACE = frozenset(
-    {"add_peer", "remove_peer", "move_keys", "adopt", "is_live",
-     "sorted_ids", "successor_of"}
-)
+PEERSTORE_MEMBERSHIP_SURFACE = PEERSTORE_MUTATORS | {
+    "is_live", "sorted_ids", "successor_of"
+}
 
 #: Kernel-owned storage methods a route path may never call on self.
 KERNEL_STORAGE_METHODS = frozenset(
@@ -837,6 +842,12 @@ class _FunctionExtractor(ast.NodeVisitor):
             offense = (
                 f"reads/writes peer stores via {dotted_receiver}.{method}()"
             )
+        elif (
+            receiver
+            and receiver[-1] == "peers"
+            and method in PEERSTORE_MUTATORS
+        ):
+            offense = f"mutates peer stores via {dotted_receiver}.{method}()"
         elif (
             receiver
             and receiver[-1] == "store"

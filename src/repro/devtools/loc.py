@@ -68,6 +68,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"  {sum(counts.values()):6d}  total")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

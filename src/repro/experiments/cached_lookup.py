@@ -73,8 +73,7 @@ def _arm(
     config = IndexConfig(
         theta_split=_THETA,
         max_depth=_DEPTH,
-        cache_enabled=capacity is not None,
-        cache_capacity=capacity if capacity is not None else 1024,
+        cache_capacity=capacity,
     )
     keys = make_keys("uniform", params["size"], rng)
     index = build_index("lht", dht, config, keys)

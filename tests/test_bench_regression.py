@@ -36,7 +36,7 @@ class TestBenchGate:
         baseline = _load(_ROOT / "BENCH_lookup.json")
         assert current["params"] == baseline["params"], (
             "workload parameters changed — refresh baselines with "
-            "python -m repro.devtools.benchgate --write"
+            "python -m repro.devtools benchgate --write"
         )
         violations = benchgate.compare(
             current["metrics"], baseline["metrics"]
@@ -69,7 +69,7 @@ class TestBenchGate:
         baseline = _load(_ROOT / "BENCH_build.json")
         assert current["params"] == baseline["params"], (
             "workload parameters changed — refresh baselines with "
-            "python -m repro.devtools.benchgate --write"
+            "python -m repro.devtools benchgate --write"
         )
         violations = benchgate.compare(
             current["metrics"], baseline["metrics"]
@@ -91,7 +91,7 @@ class TestBenchGate:
         baseline = _load(_ROOT / "BENCH_serve.json")
         assert current["params"] == baseline["params"], (
             "serving workload parameters changed — refresh baselines with "
-            "python -m repro.devtools.benchgate --write"
+            "python -m repro.devtools benchgate --write"
         )
         violations = benchgate.compare(
             current["metrics"], baseline["metrics"]

@@ -55,7 +55,7 @@ class TestLHTEquivalence:
         slow.bulk_load(sorted(keys))
         assert _state(fast.dht) == _state(slow.dht)
         assert fast.leaf_count == slow.leaf_count
-        assert fast.record_count == slow.record_count
+        assert len(fast) == len(slow)
 
     @settings(max_examples=40, deadline=None)
     @given(keys=keys_lists)
@@ -133,3 +133,65 @@ class TestPHTEquivalence:
         fr = fast.range_query_sequential(0.1, 0.6)
         sr = slow.range_query_sequential(0.1, 0.6)
         assert [r.key for r in fr.records] == [r.key for r in sr.records]
+
+
+class TestIncrementalLoadTwin:
+    """The incremental ``bulk_load`` is an ``insert`` loop minus the
+    routed lookups: the index keeps no copy of the tree, so each record's
+    leaf is found by the index's own search run over the free ``peek``.
+    Same state, same splits, same counts — and not one get or cache
+    counter charged for the search."""
+
+    FREE = ("gets", "cache_hits", "cache_misses", "cache_stale")
+
+    @staticmethod
+    def _twins(scheme: str):
+        cls = LHTIndex if scheme == "lht" else PHTIndex
+        # LHT runs with a (small) leaf cache: the loader must not touch it.
+        cache = 4 if scheme == "lht" else None
+        config = IndexConfig(theta_split=4, max_depth=16, cache_capacity=cache)
+        return (
+            cls(LocalDHT(n_peers=16, seed=3), config),
+            cls(LocalDHT(n_peers=16, seed=3), config),
+        )
+
+    @pytest.mark.parametrize("scheme", ["lht", "pht"])
+    @settings(max_examples=40, deadline=None)
+    @given(keys=keys_lists)
+    def test_bulk_load_equals_insert_loop(self, scheme, keys):
+        loaded, inserted = self._twins(scheme)
+        before = loaded.dht.metrics.snapshot()
+        assert loaded.bulk_load(list(keys)) == len(keys)
+        spent = loaded.dht.metrics.snapshot() - before
+        for key in keys:
+            inserted.insert(key)
+        assert _state(loaded.dht) == _state(inserted.dht)
+        assert loaded.ledger.splits == inserted.ledger.splits
+        assert len(loaded) == len(inserted) == len(keys)
+        assert loaded.leaf_count == inserted.leaf_count
+        assert {name: getattr(spent, name) for name in self.FREE} == dict.fromkeys(
+            self.FREE, 0
+        )
+
+
+class TestLayeredOnMergedTree:
+    def test_fast_load_onto_merged_tree_equals_incremental(self):
+        """Pre-existing leaves are read from the stored state, so a tree
+        shaped by merges as well as splits composes like a fresh one."""
+        rng = np.random.default_rng(17)
+        first = [float(k) for k in rng.random(300)]
+        second = [float(k) for k in rng.random(200)]
+        config = IndexConfig(theta_split=8, max_depth=16, merge_enabled=True)
+        fast = LHTIndex(LocalDHT(n_peers=16, seed=3), config)
+        slow = LHTIndex(LocalDHT(n_peers=16, seed=3), config)
+        for index in (fast, slow):
+            for key in first:
+                index.insert(key)
+            for key in first[:250]:
+                index.delete(key)
+            assert index.ledger.merges
+        fast.bulk_load(second, fast=True)
+        slow.bulk_load(sorted(second))
+        assert _state(fast.dht) == _state(slow.dht)
+        assert len(fast) == len(slow) == 250
+        IndexInspector(fast.dht).verify()

@@ -85,7 +85,7 @@ class TestLeafCache:
     def test_split_hook_keeps_cache_exact(self):
         index = LHTIndex(
             LocalDHT(8, 0),
-            IndexConfig(theta_split=2, cache_enabled=True, cache_capacity=16),
+            IndexConfig(theta_split=2, cache_capacity=16),
         )
         assert index.cache is not None
         for k in (0.1, 0.2, 0.3, 0.6, 0.8):
@@ -99,7 +99,6 @@ class TestLeafCache:
             IndexConfig(
                 theta_split=2,
                 merge_enabled=True,
-                cache_enabled=True,
                 cache_capacity=16,
             ),
         )
@@ -115,7 +114,7 @@ class TestLeafCache:
     def test_root_only_index_caches_root(self):
         index = LHTIndex(
             LocalDHT(8, 0),
-            IndexConfig(theta_split=8, cache_enabled=True),
+            IndexConfig(theta_split=8, cache_capacity=1024),
         )
         assert index.cache is not None
         index.insert(0.5)
@@ -135,7 +134,6 @@ class TestCachedLookupStaleness:
             IndexConfig(
                 theta_split=4,
                 merge_enabled=True,
-                cache_enabled=True,
                 cache_capacity=64,
             ),
         )
@@ -223,7 +221,7 @@ class _ErringDHT(LocalDHT):
 class TestCacheFailureDiscipline:
     def test_dht_error_propagates_and_cache_is_untouched(self):
         dht = _ErringDHT()
-        index = LHTIndex(dht, IndexConfig(theta_split=8, cache_enabled=True))
+        index = LHTIndex(dht, IndexConfig(theta_split=8, cache_capacity=1024))
         index.insert(0.5)
         index.exact_match(0.5)
         entries = _labels(index.cache)
@@ -244,7 +242,7 @@ class TestCacheFailureDiscipline:
             breaker=CircuitBreaker(failure_threshold=2, reset_timeout=3.0),
             seed=3,
         )
-        index = LHTIndex(dht, IndexConfig(theta_split=8, cache_enabled=True))
+        index = LHTIndex(dht, IndexConfig(theta_split=8, cache_capacity=1024))
         index.insert(0.5)
         index.exact_match(0.5)
         entries = _labels(index.cache)
@@ -303,7 +301,7 @@ class TestCacheConfig:
             dht = _ErringDHT()
             index = LHTIndex(
                 dht,
-                IndexConfig(theta_split=4, cache_enabled=True, cache_capacity=8),
+                IndexConfig(theta_split=4, cache_capacity=8),
             )
             # A second client splits leaves behind the cache's back.
             twins.append((dht, index, LHTIndex(dht, IndexConfig(theta_split=4))))

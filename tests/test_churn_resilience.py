@@ -92,13 +92,12 @@ class TestChurnWithResilience:
             for key in set(truth) - got:
                 assert any(r.contains(key) for r in result.unreachable)
 
-    def test_structure_survives_with_sanitizer_forced_on(self):
+    def test_structure_survives_with_sanitizer_forced_on(self, monkeypatch):
         """The full arm replays green with the runtime sanitizer active."""
+        monkeypatch.setenv("LHT_SANITIZE", "1")
         dht = registry.stack("resilient/faulty/chord", 24, 1)
         *_, chord = stack_layers(dht)
-        index = LHTIndex(
-            dht, IndexConfig(theta_split=10, max_depth=20, sanitize=True)
-        )
+        index = LHTIndex(dht, IndexConfig(theta_split=10, max_depth=20))
         keys = [float(k) for k in np.random.default_rng(1).random(150)]
         for key in keys:
             index.insert(key)  # each insert re-validates Theorems 1-2

@@ -375,6 +375,26 @@ class TestRoutePurity:
         assert codes(violations) == ["LHT009"]
         assert "self.get" in violations[0].message
 
+    def test_route_moving_keys_flagged(self, tmp_path):
+        # A membership mutator on the peers receiver rewrites which peer
+        # holds what: a store mutation, not a topology read.
+        write_tree(
+            tmp_path,
+            {
+                "dht/mover.py": SUBSTRATE_HEADER + (
+                    "class MoverSub(SubstrateBase):\n"
+                    "    def route(self, key):\n"
+                    "        self.peers.move_keys(0, 1, lambda k: True)\n"
+                    "        return 1, 1\n"
+                    "    def peer_of(self, key):\n"
+                    "        return 0\n"
+                ),
+            },
+        )
+        violations = found(tmp_path, "LHT009")
+        assert codes(violations) == ["LHT009"]
+        assert "self.peers.move_keys" in violations[0].message
+
     def test_pure_route_is_clean(self, tmp_path):
         write_tree(
             tmp_path,
@@ -455,6 +475,23 @@ class TestPlacementPurity:
         # Two offenses: the store_of() read and the subscript mutation.
         assert set(codes(violations)) == {"LHT013"}
         assert len(violations) == 2
+
+    def test_policy_adding_peer_flagged(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "dht/kernel.py": "class PlacementPolicy:\n    pass\n",
+                "dht/bad.py": POLICY_HEADER + (
+                    "class JoiningPolicy(PlacementPolicy):\n"
+                    "    def replicas_for(self, key, owner, k):\n"
+                    "        self.substrate.peers.add_peer(owner + 1)\n"
+                    "        return [owner, owner + 1]\n"
+                ),
+            },
+        )
+        violations = found(tmp_path, "LHT013")
+        assert codes(violations) == ["LHT013"]
+        assert "peers.add_peer" in violations[0].message
 
     def test_policy_randomness_flagged_one_helper_away(self, tmp_path):
         # Stricter than LHT009: hermeticity sinks are placement

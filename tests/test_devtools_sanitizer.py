@@ -18,9 +18,15 @@ from repro.dht import ChordDHT, LocalDHT
 from repro.errors import SanitizerError
 
 
-def _build(theta_split=4, n=60, sanitize=True, seed=0):
+@pytest.fixture
+def sanitized(monkeypatch):
+    """``LHT_SANITIZE=1`` — the one switch — for indexes built in the test."""
+    monkeypatch.setenv("LHT_SANITIZE", "1")
+
+
+def _build(theta_split=4, n=60, seed=0):
     dht = LocalDHT(16, 0)
-    config = IndexConfig(theta_split=theta_split, max_depth=20, sanitize=sanitize)
+    config = IndexConfig(theta_split=theta_split, max_depth=20)
     index = LHTIndex(dht, config)
     for key in np.random.default_rng(seed).random(n):
         index.insert(float(key))
@@ -50,10 +56,9 @@ class TestActivation:
         index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4))
         assert index.sanitizer is None
 
-    def test_config_flag_enables_without_env(self, monkeypatch):
-        monkeypatch.delenv("LHT_SANITIZE", raising=False)
-        index = LHTIndex(LocalDHT(4, 0), IndexConfig(theta_split=4, sanitize=True))
-        assert index.sanitizer is not None
+    def test_env_var_is_the_only_switch(self):
+        with pytest.raises(TypeError):
+            IndexConfig(sanitize=True)  # type: ignore[call-arg]
 
     def test_default_is_off(self, monkeypatch):
         monkeypatch.delenv("LHT_SANITIZE", raising=False)
@@ -61,6 +66,7 @@ class TestActivation:
         assert index.sanitizer is None
 
 
+@pytest.mark.usefixtures("sanitized")
 class TestHealthyRuns:
     def test_sanitized_insert_delete_workload(self):
         index, _, _ = _build(n=80)
@@ -72,10 +78,7 @@ class TestHealthyRuns:
     def test_sanitized_merge_workload(self):
         dht = LocalDHT(8, 0)
         index = LHTIndex(
-            dht,
-            IndexConfig(
-                theta_split=4, max_depth=20, merge_enabled=True, sanitize=True
-            ),
+            dht, IndexConfig(theta_split=4, max_depth=20, merge_enabled=True)
         )
         keys = [float(k) for k in np.random.default_rng(1).random(60)]
         for key in keys:
@@ -86,7 +89,7 @@ class TestHealthyRuns:
 
     def test_sanitized_chord_substrate(self):
         dht = ChordDHT(n_peers=12, seed=0)
-        index = LHTIndex(dht, IndexConfig(theta_split=4, sanitize=True))
+        index = LHTIndex(dht, IndexConfig(theta_split=4))
         for key in np.random.default_rng(2).random(50):
             index.insert(float(key))
         assert index.sanitizer.checks_run > 0
@@ -95,7 +98,7 @@ class TestHealthyRuns:
         """A median split may shed nothing under skew; transient
         over-capacity buckets are legal and must not trip the sanitizer."""
         dht = LocalDHT(8, 0)
-        index = LHTIndex(dht, IndexConfig(theta_split=4, sanitize=True))
+        index = LHTIndex(dht, IndexConfig(theta_split=4))
         # Tight cluster: all keys share a long common prefix, so several
         # consecutive median splits move zero records.
         for i in range(12):
@@ -103,6 +106,7 @@ class TestHealthyRuns:
         assert index.sanitizer.checks_run > 0
 
 
+@pytest.mark.usefixtures("sanitized")
 class TestBulkLoadAllowance:
     """One ``bulk_load`` is one mutation that may legally add many
     records to one bucket: its allowance is the records it inserted."""
@@ -111,7 +115,7 @@ class TestBulkLoadAllowance:
         # Nine equal keys, θ=8: median splits shed nothing, so the
         # sorted build leaves one over-capacity bucket — legal.
         index = LHTIndex(
-            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=12, sanitize=True)
+            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=12)
         )
         assert index.bulk_load([0.0] * 9, fast=True) == 9
         assert index.sanitizer.checks_run == 1
@@ -121,7 +125,7 @@ class TestBulkLoadAllowance:
         # A tight cluster far above the depth cap: the sorted build's
         # one-split-per-insert replay leaves over-capacity buckets.
         index = LHTIndex(
-            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=40, sanitize=True)
+            LocalDHT(16, 3), IndexConfig(theta_split=8, max_depth=40)
         )
         keys = [0.300001 + i * 1e-9 for i in range(200)]
         index.bulk_load(keys[:50], fast=True)
@@ -129,6 +133,7 @@ class TestBulkLoadAllowance:
         assert index.sanitizer.checks_run == 2
 
 
+@pytest.mark.usefixtures("sanitized")
 class TestCorruptionDetection:
     def test_corruption_caught_on_next_mutation(self):
         """The wired-in hook: corrupt between operations, the next insert
@@ -136,7 +141,7 @@ class TestCorruptionDetection:
         allowance is spent by the sweep that used it.  (Every other
         corruption × entry point: tests/test_inspector_corruption.py.)
         """
-        index, dht, _ = _build(sanitize=True, n=0)
+        index, dht, _ = _build(n=0)
         index.bulk_load(
             [float(k) for k in np.random.default_rng(4).random(40)], fast=True
         )
@@ -151,13 +156,13 @@ class TestCorruptionDetection:
 
 
 class TestTheorem2Checks:
-    def test_valid_split_event_passes(self):
-        index, dht, config = _build(sanitize=True, n=40)
+    def test_valid_split_event_passes(self, sanitized):
+        index, dht, config = _build(n=40)
         sanitizer = index.sanitizer
         assert sanitizer.splits_checked > 0  # exercised by the build
 
     def test_split_event_with_swapped_children_rejected(self):
-        _, dht, config = _build(sanitize=False)
+        _, dht, config = _build()
         sanitizer = IndexSanitizer(dht, config)
         # Parent ends in 0, so appending 0 extends the trailing run: the
         # LEFT child shares f_n with the parent and must be retained.
@@ -174,7 +179,7 @@ class TestTheorem2Checks:
             sanitizer.check_split(bogus)
 
     def test_split_event_with_foreign_children_rejected(self):
-        _, dht, config = _build(sanitize=False)
+        _, dht, config = _build()
         sanitizer = IndexSanitizer(dht, config)
         bogus = SplitEvent(
             parent=Label("010"),
@@ -188,7 +193,7 @@ class TestTheorem2Checks:
             sanitizer.check_split(bogus)
 
     def test_merge_event_dual_rejected(self):
-        _, dht, config = _build(sanitize=False)
+        _, dht, config = _build()
         sanitizer = IndexSanitizer(dht, config)
         parent = Label("010")
         # The absorbed child must be the parent-named one (#0101 here,
@@ -203,7 +208,7 @@ class TestTheorem2Checks:
             sanitizer.check_merge(bogus)
 
     def test_merge_event_valid_dual_passes(self):
-        _, dht, config = _build(sanitize=False)
+        _, dht, config = _build()
         sanitizer = IndexSanitizer(dht, config)
         parent = Label("010")
         good = MergeEvent(

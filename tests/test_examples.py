@@ -26,7 +26,6 @@ def test_examples_exist():
         "media_library_range_search.py",
         "p2p_database_minmax.py",
         "churn_resilience.py",
-        "multidim_geosearch.py",
         "deployment_stack.py",
     } <= names
 

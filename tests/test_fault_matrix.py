@@ -54,7 +54,7 @@ def _build(substrate: str, drop_rate: float, resilient: bool, cached: bool):
     *_, faulty, _ = stack_layers(dht)
     index = LHTIndex(
         dht,
-        IndexConfig(theta_split=8, cache_enabled=cached, cache_capacity=16),
+        IndexConfig(theta_split=8, cache_capacity=16 if cached else None),
     )
     keys = [float(k) for k in np.random.default_rng(7).random(N_KEYS)]
     index.bulk_load(keys)

@@ -172,14 +172,15 @@ class TestBulkLoad:
             == fast.ledger.maintenance_records_moved
         )
 
-    def test_mirror_detects_foreign_mutation(self):
+    def test_corrupted_store_ends_in_typed_error(self):
         index, dht = _fresh(theta=4)
         index.bulk_load([0.1, 0.2, 0.3, 0.6, 0.7])
-        # Corrupt the stored bucket behind the mirror's back.
+        # Corrupt a stored bucket behind the index's back.
         some_key = next(iter(dht.keys()))
         dht.put(some_key, "not a bucket")
-        # Either typed error: under LHT_SANITIZE=1 the sweep after the
-        # first placed record meets the hole before the mirror does.
+        # Either typed error: the search over the stored leaves ends
+        # without a covering bucket, or under LHT_SANITIZE=1 the sweep
+        # after the first placed record meets the hole first.
         with pytest.raises((LookupError_, SanitizerError)):
             index.bulk_load([0.15, 0.65, 0.05, 0.95, 0.45, 0.25, 0.35])
 
@@ -219,6 +220,20 @@ class TestOracleEquivalence:
 
 
 class TestIntrospection:
+    def test_derived_counts_equal_the_oracle_after_merges(self):
+        index, dht = _fresh(theta=4, merge=True)
+        rng = np.random.default_rng(3)
+        keys = [float(k) for k in rng.random(300)]
+        for key in keys:
+            index.insert(key)
+        for key in keys[:240]:
+            index.delete(key)
+        assert len(index.ledger.merges) > 10
+        stats = IndexInspector(dht).stats()
+        assert index.leaf_count == stats.n_leaves
+        assert index.depth == stats.max_depth
+        assert len(index) == stats.n_records == 60
+
     def test_leaf_labels_ordered(self):
         index, _ = _fresh(theta=4)
         rng = np.random.default_rng(2)

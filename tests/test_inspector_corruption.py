@@ -30,7 +30,13 @@ from repro.core.stats import IndexSanitizer
 from repro.dht import LocalDHT
 from repro.errors import SanitizerError
 
-CONFIG = IndexConfig(theta_split=4, max_depth=20, sanitize=True)
+CONFIG = IndexConfig(theta_split=4, max_depth=20)
+
+
+@pytest.fixture(autouse=True)
+def _sanitized(monkeypatch):
+    """Every index in this module is sanitized (``LHT_SANITIZE=1``)."""
+    monkeypatch.setenv("LHT_SANITIZE", "1")
 
 
 def _healthy() -> tuple[LHTIndex, LocalDHT]:

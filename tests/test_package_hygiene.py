@@ -87,7 +87,6 @@ def test_top_level_exports():
         "CANDHT",
         "KademliaDHT",
         "PastryDHT",
-        "MultiDimIndex",
         "LinearCostModel",
         "ReferenceTree",
     ):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.pht import PHTIndex, PHTNode
-from repro.core import IndexConfig, Label, LeafBucket, Range, Record, ReferenceTree, ROOT
+from repro.core import IndexConfig, LeafBucket, Range, Record, ReferenceTree, ROOT
 from repro.dht import LocalDHT
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -58,8 +58,7 @@ class TestStructure:
         for k in rng.random(0):
             pass
         stored = {key for key in dht.keys()}
-        for bits in index._leaf_bits:
-            label = Label(bits)
+        for label in index.leaf_labels():
             assert str(label) in stored
             for ancestor in label.ancestors():
                 if not ancestor.is_virtual_root:
@@ -73,7 +72,7 @@ class TestStructure:
         tree = ReferenceTree(IndexConfig(theta_split=8, max_depth=20))
         for key in keys:
             tree.insert(key)
-        assert sorted(index._leaf_bits) == sorted(
+        assert sorted(l.bits for l in index.leaf_labels()) == sorted(
             l.bits for l in tree.leaf_labels
         )
 
@@ -165,7 +164,7 @@ class TestLeafLinks:
             seen.append(node.label)
             node = dht.peek(str(node.next_label)) if node.next_label else None
         assert sorted(str(l) for l in seen) == sorted(
-            str(Label(bits)) for bits in index._leaf_bits
+            str(l) for l in index.leaf_labels()
         )
         lows = [l.interval.low for l in seen]
         assert lows == sorted(lows)
@@ -173,8 +172,8 @@ class TestLeafLinks:
     def test_prev_links_mirror_next_links(self):
         rng = np.random.default_rng(6)
         index, dht = _build([float(k) for k in rng.random(600)], theta=8)
-        for bits in index._leaf_bits:
-            node = dht.peek(str(Label(bits)))
+        for label in index.leaf_labels():
+            node = dht.peek(str(label))
             if node.next_label is not None:
                 neighbor = dht.peek(str(node.next_label))
                 assert neighbor.prev_label == node.label
@@ -243,7 +242,7 @@ class TestBulkLoad:
         fast_dht = LocalDHT(n_peers=16, seed=0)
         fast = PHTIndex(fast_dht, IndexConfig(theta_split=8, max_depth=20))
         fast.bulk_load(keys)
-        assert sorted(fast._leaf_bits) == sorted(slow._leaf_bits)
+        assert fast.leaf_labels() == slow.leaf_labels()
         assert fast.ledger.maintenance_lookups == slow.ledger.maintenance_lookups
         assert (
             fast.ledger.maintenance_records_moved

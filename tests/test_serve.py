@@ -602,7 +602,7 @@ class TestServedLookupsRunTheIndexPath:
         for cached in (True, False):
             dht = LocalDHT(n_peers=16, seed=SEED)
             config = IndexConfig(
-                theta_split=4, max_depth=20, cache_enabled=cached
+                theta_split=4, max_depth=20, cache_capacity=1024 if cached else None
             )
             index = LHTIndex(dht, config)
             keys = [i / 64 for i in range(64)]

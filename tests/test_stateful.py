@@ -132,7 +132,7 @@ class CacheEquivalenceMachine(RuleBasedStateMachine):
 
     Two LHTIndexes over identically-seeded substrates run the same
     random interleaving of mutations and queries; the only difference is
-    ``cache_enabled`` (with a deliberately tiny capacity so eviction and
+    ``cache_capacity`` (deliberately tiny, so eviction and
     re-priming churn constantly).  Every query's *answer* must agree
     byte-for-byte — records, verdicts, range contents — across splits
     and merges; only the cost may differ.  This machine is the
@@ -148,7 +148,7 @@ class CacheEquivalenceMachine(RuleBasedStateMachine):
         )
         self.cached = LHTIndex(
             LocalDHT(n_peers=16, seed=0),
-            IndexConfig(**base, cache_enabled=True, cache_capacity=4),
+            IndexConfig(**base, cache_capacity=4),
         )
         self.live: list[float] = []
 
