@@ -64,11 +64,17 @@ _SWEEP_BASE = 32
 
 def stored_buckets(dht: DHT) -> dict[Label, LeafBucket]:
     """The oracle walk: every stored leaf bucket, keyed by its *storage*
-    label (the DHT key it sits under)."""
+    label (the DHT key it sits under).  Values under other keys are not
+    the index's and are skipped; anything but a bucket under a ``#``-name
+    is a corrupted store."""
     out: dict[Label, LeafBucket] = {}
     for key in dht.keys():
         value = dht.peek(key)
         if not isinstance(value, LeafBucket):
+            if key.startswith("#"):
+                raise SanitizerError(
+                    f"non-bucket {value!r} stored under index name {key!r}"
+                )
             continue
         try:
             storage = Label.parse(key)

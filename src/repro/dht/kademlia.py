@@ -19,6 +19,7 @@ iterative lookup, Kademlia's natural bandwidth unit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.dht.hashing import hash_key
@@ -31,18 +32,17 @@ __all__ = ["KademliaDHT", "KademliaNode"]
 
 @dataclass(slots=True)
 class KademliaNode:
-    """One Kademlia peer: identifier and k-buckets (its keys live in the
-    kernel's peer store)."""
+    """One Kademlia peer: identifier, k-buckets and the candidate lists
+    its FIND_NODE answers are drawn from (its keys live in the kernel's
+    peer store)."""
 
     id: int
     buckets: list[list[int]] = field(default_factory=list)
-    #: Every contact plus the node itself — what FIND_NODE ranks.  The
-    #: overlay is static, so this is flattened once, at construction.
-    known: list[int] = field(default_factory=list)
-
-    def contacts(self) -> list[int]:
-        """All known contacts across buckets."""
-        return [c for bucket in self.buckets for c in bucket]
+    #: ``candidates[(id ^ t).bit_length()]`` is a superset of the node's
+    #: k known ids (itself included) closest to any target ``t`` (see
+    #: :meth:`KademliaDHT._candidates`).  The overlay is static, so these
+    #: are built once, at construction.
+    candidates: list[list[int]] = field(default_factory=list)
 
 
 class KademliaDHT(SubstrateBase):
@@ -91,47 +91,73 @@ class KademliaDHT(SubstrateBase):
                 idx = self._bucket_index(node.id, other)
                 if len(node.buckets[idx]) < self.k:
                     node.buckets[idx].append(other)
-            node.known = node.contacts() + [node.id]
+            node.candidates = [
+                self._candidates(node, i) for i in range(self.id_bits + 1)
+            ]
+
+    def _candidates(self, node: KademliaNode, i: int) -> list[int]:
+        """The ids ``node`` ranks for a target ``t`` with
+        ``(node.id ^ t).bit_length() == i``.
+
+        With ``h = i - 1`` the top bit of ``node.id ^ t``, XOR's prefix
+        structure orders the node's known ids in strict distance groups:
+        bucket ``h`` (distance top bit below ``h``), then the node itself
+        with buckets ``0..h-1`` (top bit exactly ``h``), then bucket
+        ``h+1``, ``h+2``, … (top bit ``h+1``, ``h+2``, …).  So the k
+        closest lie in the shortest prefix of those groups that holds
+        ``k`` ids — all ``t`` with the same ``i`` share it.
+        """
+        buckets = node.buckets
+        nearest = buckets[i - 1] if i else []
+        if len(nearest) >= self.k:
+            return nearest
+        out = [*nearest, node.id]
+        for bucket in buckets[: max(i - 1, 0)]:
+            out += bucket
+        for bucket in buckets[i:]:
+            if len(out) >= self.k:
+                break
+            out += bucket
+        return out
 
     # ------------------------------------------------------------------
     # Iterative lookup
     # ------------------------------------------------------------------
 
-    def _node_closest_contacts(self, node_id: int, target: int) -> list[int]:
-        """A node's answer to FIND_NODE: its k known contacts closest to
-        ``target`` (itself included, as real implementations do),
-        closest first."""
-        return sorted(self._nodes[node_id].known, key=target.__xor__)[: self.k]
+    def _find_node(self, node_id: int, target: int) -> list[int]:
+        """A node's answer to FIND_NODE: the XOR distances to ``target``
+        of the k ids it knows (itself included, as real implementations
+        do) that are closest to ``target``, closest first."""
+        candidates = self._nodes[node_id].candidates[(node_id ^ target).bit_length()]
+        return sorted([c ^ target for c in candidates])[: self.k]
 
     def iterative_find(self, start: int, target: int) -> tuple[int, int]:
         """Locate the globally XOR-closest node to ``target``.
 
-        Returns ``(closest_node_id, messages_sent)``.
+        Returns ``(closest_node_id, messages_sent)``.  The shortlist is
+        kept as distances to ``target`` (``id = distance ^ target``), so
+        it sorts as plain ints.
         """
         queried: set[int] = set()
-        shortlist = self._node_closest_contacts(start, target)
+        shortlist = self._find_node(start, target)
         messages = 0
         for _ in range(self.MAX_ROUNDS):
-            pending = [c for c in shortlist if c not in queried]
+            pending = [d for d in shortlist if d not in queried]
             if not pending:
                 break
-            best_before = shortlist[0] ^ target
-            for contact in pending[: self.alpha]:
-                queried.add(contact)
+            best_before = shortlist[0]
+            for distance in pending[: self.alpha]:
+                queried.add(distance)
                 messages += 1
-                learned = self._node_closest_contacts(contact, target)
+                learned = self._find_node(distance ^ target, target)
                 # Only the k closest ever matter: an id that more ids
                 # push out of the top k never re-enters it.
-                shortlist = sorted(
-                    set(shortlist).union(learned), key=target.__xor__
-                )[: self.k]
-            if shortlist[0] ^ target == best_before and queried.issuperset(
-                shortlist
-            ):
+                shortlist = sorted(set(shortlist).union(learned))[: self.k]
+            if shortlist[0] == best_before and queried.issuperset(shortlist):
                 break
         else:
             raise RoutingError(f"Kademlia lookup did not converge on {target}")
-        return shortlist[0], max(messages, 1)
+        return shortlist[0] ^ target, max(messages, 1)
 
     def route(self, key: str) -> tuple[int, int]:
         return self.iterative_find(self._gateway(), hash_key(key, self.id_bits))
@@ -141,5 +167,19 @@ class KademliaDHT(SubstrateBase):
     # ------------------------------------------------------------------
 
     def peer_of(self, key: str) -> int:
+        """The XOR-closest live id to ``hash(key)``: walk the bits from
+        the top, keeping the half of the sorted ids whose bit matches the
+        target's whenever that half is non-empty."""
         target = hash_key(key, self.id_bits)
-        return min(self._nodes, key=lambda nid: nid ^ target)
+        ids = self.peers.sorted_ids()
+        lo, hi, prefix = 0, len(ids), 0
+        bit = self.id_bits
+        while hi - lo > 1:
+            bit -= 1
+            upper = prefix | 1 << bit
+            split = bisect_left(ids, upper, lo, hi)
+            if split == lo or (split < hi and target & 1 << bit):
+                lo, prefix = split, upper
+            else:
+                hi = split
+        return ids[lo]

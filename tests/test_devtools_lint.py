@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,27 @@ class TestDriver:
             assert devtools_cli([gone, str(good)]) == 2
         assert find_spec("repro.devtools.flow") is None
         assert find_spec("repro.devtools.profile") is None
+
+    def test_no_ci_step_or_doc_runs_a_job_module_directly(self):
+        """``python -m repro.devtools.<job>`` imports the job's module,
+        runs nothing and exits 0, so a CI step or recipe still spelled
+        that way would pass vacuously."""
+        repo = REPO_SRC.parent
+        roots = [".github/workflows", "README.md", "docs", "examples", ".claude/skills"]
+        files = [
+            path
+            for root in map(repo.joinpath, roots)
+            for path in ([root] if root.is_file() else sorted(root.rglob("*")))
+            if path.is_file() and path.suffix in {".md", ".py", ".yml", ".yaml"}
+        ]
+        assert len(files) > 5
+        old_spelling = re.compile(r"python3?\s+-m\s+repro\.devtools\.\w+")
+        found = [
+            f"{path.relative_to(repo)}: {match.group()}"
+            for path in files
+            for match in old_spelling.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
 
     def test_missing_path_is_an_error_not_a_green_gate(self, tmp_path, capsys):
         from repro.errors import ConfigurationError

@@ -103,6 +103,10 @@ def unparsable_key(dht: LocalDHT) -> None:
     dht.put("not-a-label", LeafBucket(Label("01")))
 
 
+def not_a_bucket(dht: LocalDHT) -> None:
+    dht.put(_victim(dht)[0], "not a bucket")
+
+
 def over_deep(dht: LocalDHT) -> None:
     bucket = _victim(dht)[1]
     while bucket.label.depth <= CONFIG.max_depth:
@@ -144,6 +148,7 @@ TABLE = [
     (record_outside, r"record key outside leaf", EVERY_ENTRY),
     (relabelled, r"Theorem 1 violated: bucket .* stored under", EVERY_ENTRY),
     (unparsable_key, r"unparsable DHT key 'not-a-label'", EVERY_ENTRY),
+    (not_a_bucket, r"non-bucket 'not a bucket' stored under index name", EVERY_ENTRY),
     (over_deep, r"deeper than max depth 20", NEEDS_CONFIG),
     (over_stuffed, r"over capacity 3", NEEDS_CONFIG),
 ]
@@ -177,6 +182,21 @@ class TestCorruptionDetection:
         dht = LocalDHT(4, 0)
         with pytest.raises(SanitizerError, match="no leaf buckets"):
             IndexInspector(dht).verify()
+
+    def test_derived_counts_reject_a_non_bucket_under_an_index_name(self):
+        """``len`` and ``leaf_count`` are read off the stored buckets, so
+        a clobbered bucket must fail them, not shrink them."""
+        dht = LocalDHT(8)
+        index = LHTIndex(dht, IndexConfig(theta_split=4))
+        for key in (0.1, 0.3, 0.5, 0.7, 0.9):
+            index.insert(key)
+        dht.put("note", "not a bucket")  # not an index name: skipped
+        assert (len(index), index.leaf_count) == (5, 2)
+        dht.put("#0", "not a bucket")
+        with pytest.raises(SanitizerError, match="index name '#0'"):
+            len(index)
+        with pytest.raises(SanitizerError, match="index name '#0'"):
+            index.leaf_count  # noqa: B018
 
     def test_healthy_state_passes(self):
         index, dht = _healthy()

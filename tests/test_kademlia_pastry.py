@@ -12,6 +12,61 @@ from repro.dht.pastry import PastryDHT
 from repro.errors import ConfigurationError
 
 
+def assert_finds_match_reference(monkeypatch, dht: KademliaDHT) -> None:
+    """Pin ``dht.iterative_find`` message for message against the
+    unoptimised routine — every FIND_NODE ranks the node's whole contact
+    list by XOR distance — for 2 000 names.  Each name is looked up at
+    its hash, at its owner's id and at the start's own id, so answers at
+    distance 0 (``t == n``) are covered too."""
+
+    def reference_answer(node_id, target):
+        node = dht._nodes[node_id]
+        candidates = [c for bucket in node.buckets for c in bucket]
+        candidates.append(node_id)
+        candidates.sort(key=lambda c: c ^ target)
+        return candidates[: dht.k]
+
+    def reference_find(start, target):
+        sent = []
+        queried = set()
+        shortlist = sorted(reference_answer(start, target), key=lambda c: c ^ target)
+        sent.append((start, tuple(shortlist)))
+        for _ in range(dht.MAX_ROUNDS):
+            pending = [c for c in shortlist[: dht.k] if c not in queried]
+            if not pending:
+                break
+            best_before = shortlist[0] ^ target
+            for contact in pending[: dht.alpha]:
+                queried.add(contact)
+                learned = reference_answer(contact, target)
+                sent.append((contact, tuple(learned)))
+                shortlist = sorted(
+                    set(shortlist) | set(learned), key=lambda c: c ^ target
+                )
+            if shortlist[0] ^ target == best_before and all(
+                c in queried for c in shortlist[: dht.k]
+            ):
+                break
+        return shortlist[0], max(len(sent) - 1, 1), sent
+
+    sent: list = []
+    answer = dht._find_node
+
+    def recording(node_id, target):
+        learned = answer(node_id, target)
+        sent.append((node_id, tuple(d ^ target for d in learned)))
+        return learned
+
+    monkeypatch.setattr(dht, "_find_node", recording)
+    for i in range(2000):
+        start = dht.peer_of(f"from{i}")
+        owner = dht.peer_of(f"name{i}")
+        for target in (hash_key(f"name{i}", dht.id_bits), owner, start):
+            del sent[:]
+            found, messages = dht.iterative_find(start, target)
+            assert (found, messages, sent) == reference_find(start, target)
+
+
 class TestKademlia:
     def test_bucket_index_is_highest_differing_bit(self):
         dht = KademliaDHT(n_peers=4, seed=0, id_bits=16)
@@ -29,57 +84,37 @@ class TestKademlia:
             assert messages >= 1
 
     def test_find_is_message_for_message_the_unoptimised_routine(self, monkeypatch):
-        """The flat contact list, C-level XOR sort key and k-truncated
-        shortlist change no FIND_NODE: same recipients in the same order,
+        """Candidate lists, distance-space shortlists and the k-truncated
+        merge change no FIND_NODE: same recipients in the same order,
         same answers, same owner, for 2 000 names."""
-        dht = KademliaDHT(n_peers=128, seed=4)
+        assert_finds_match_reference(monkeypatch, KademliaDHT(n_peers=128, seed=4))
 
-        def reference_answer(node_id, target):
-            node = dht._nodes[node_id]
-            candidates = node.contacts() + [node_id]
-            candidates.sort(key=lambda c: c ^ target)
-            return candidates[: dht.k]
+    @pytest.mark.parametrize(
+        "n_peers, k, alpha, id_bits",
+        [
+            (1, 2, 1, 8),  # k > n: every answer is the whole overlay
+            (4, 8, 2, 16),  # k > n
+            (60, 3, 3, 32),
+            (64, 20, 3, 8),
+            (256, 8, 3, 32),  # the benchmark's overlay shape
+            (300, 2, 1, 16),
+            (500, 20, 2, 32),
+        ],
+    )
+    def test_find_matches_the_unoptimised_routine_across_shapes(
+        self, monkeypatch, n_peers, k, alpha, id_bits
+    ):
+        dht = KademliaDHT(n_peers=n_peers, seed=4, id_bits=id_bits, k=k, alpha=alpha)
+        assert_finds_match_reference(monkeypatch, dht)
 
-        def reference_find(start, target):
-            sent = []
-            queried = set()
-            shortlist = sorted(
-                reference_answer(start, target), key=lambda c: c ^ target
-            )
-            sent.append((start, tuple(shortlist)))
-            for _ in range(dht.MAX_ROUNDS):
-                pending = [c for c in shortlist[: dht.k] if c not in queried]
-                if not pending:
-                    break
-                best_before = shortlist[0] ^ target
-                for contact in pending[: dht.alpha]:
-                    queried.add(contact)
-                    learned = reference_answer(contact, target)
-                    sent.append((contact, tuple(learned)))
-                    shortlist = sorted(
-                        set(shortlist) | set(learned), key=lambda c: c ^ target
-                    )
-                if shortlist[0] ^ target == best_before and all(
-                    c in queried for c in shortlist[: dht.k]
-                ):
-                    break
-            return shortlist[0], max(len(sent) - 1, 1), sent
-
-        sent: list = []
-        answer = dht._node_closest_contacts
-
-        def recording(node_id, target):
-            learned = answer(node_id, target)
-            sent.append((node_id, tuple(learned)))
-            return learned
-
-        monkeypatch.setattr(dht, "_node_closest_contacts", recording)
+    @pytest.mark.parametrize("id_bits", [8, 32])
+    @pytest.mark.parametrize("n_peers", [1, 2, 60, 256])
+    def test_peer_of_is_the_xor_minimum(self, n_peers, id_bits):
+        dht = KademliaDHT(n_peers=n_peers, seed=2, id_bits=id_bits)
         for i in range(2000):
-            target = hash_key(f"name{i}", dht.id_bits)
-            start = dht.peer_of(f"from{i}")
-            del sent[:]
-            found, messages = dht.iterative_find(start, target)
-            assert (found, messages, sent) == reference_find(start, target)
+            target = hash_key(f"name{i}", id_bits)
+            expected = min(dht._nodes, key=lambda nid: nid ^ target)
+            assert dht.peer_of(f"name{i}") == expected
 
     def test_put_get_remove(self):
         dht = KademliaDHT(n_peers=30, seed=0)
