@@ -30,14 +30,13 @@ from dataclasses import replace
 from repro.cache.leafcache import LeafCache
 from repro.core.bucket import LeafBucket
 from repro.core.config import IndexConfig
-from repro.core.lookup import Plan, ReadPath, drive_plan, lookup_plan
+from repro.core.lookup import Plan, lookup_plan
 from repro.core.label import Label
 from repro.core.naming import naming_bits
 from repro.core.results import LookupResult
-from repro.dht.base import DHT
 from repro.dht.metrics import MetricsRecorder
 
-__all__ = ["cached_lookup", "cached_plan"]
+__all__ = ["cached_plan"]
 
 
 def cached_plan(
@@ -73,17 +72,3 @@ def cached_plan(
         result = replace(result, dht_lookups=result.dht_lookups + 1)
     return result
 
-
-def cached_lookup(
-    dht: DHT, config: IndexConfig, cache: LeafCache, key: float
-) -> LookupResult:
-    """Locate the leaf covering ``key``, consulting the leaf cache first.
-
-    Returns the same :class:`~repro.core.results.LookupResult` contract
-    as :func:`~repro.core.lookup.lht_lookup`; ``dht_lookups`` includes
-    the validation probe, so a stale entry honestly costs one get more
-    than an uncached lookup.
-    """
-    return drive_plan(
-        ReadPath(dht, config).fetch, cached_plan(config, cache, dht.metrics, key)
-    )

@@ -36,7 +36,6 @@ __all__ = [
     "next_naming_depth",
     "right_neighbor",
     "left_neighbor",
-    "leaf_named_by",
     "rightmost_leaf_key",
     "leftmost_leaf_key",
     "lca_label",
@@ -142,27 +141,6 @@ def left_neighbor(x: Label) -> Label:
         return x
     trimmed = x.bits.rstrip("0")
     return Label(trimmed[:-1] + "0")
-
-
-def leaf_named_by(omega: Label, leaf_depths: dict[Label, int] | None = None) -> str:
-    """Describe which leaf the internal node ``omega`` names (Theorem 1).
-
-    This is documentation-as-code for the bijection proof: the unique leaf
-    stored under DHT key ``omega`` is
-
-    * the *rightmost* leaf of ``omega``'s subtree (``omega`` + ``1…1``)
-      when ``omega`` ends with ``0``;
-    * the *leftmost* leaf of ``omega``'s subtree (``omega`` + ``0…0``)
-      when ``omega`` ends with ``1`` or is the virtual root.
-
-    The exact leaf depth depends on the live tree, so this returns the
-    direction as a string (``"rightmost"`` or ``"leftmost"``); the query
-    algorithms only ever need the direction.
-    """
-    del leaf_depths  # direction is independent of the live tree shape
-    if omega.is_virtual_root or omega.last_bit == "1":
-        return "leftmost"
-    return "rightmost"
 
 
 def rightmost_leaf_key(subtree: Label) -> Label:

@@ -81,10 +81,6 @@ class LinearCostModel:
         """Analytic per-split PHT cost (Eq. 2)."""
         return psi_pht(theta_split, self.record_move_cost, self.lookup_cost)
 
-    def analytic_saving_ratio(self, theta_split: int) -> float:
-        """Eq. 3 evaluated for this parameterization."""
-        return saving_ratio(self.gamma(theta_split))
-
     def ledger_cost(self, ledger: CostLedger) -> float:
         """Measured maintenance cost of an index run:
         ``moved · i + lookups · j``."""

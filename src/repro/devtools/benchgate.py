@@ -208,7 +208,7 @@ def _substrate_hops(
     what: str, prepare: Callable[[str], _Measured]
 ) -> dict[str, float]:
     """Routed hops per DHT-lookup of one workload, on every registered
-    substrate (kernel-charged; the E13/E25 cell, so the workload's
+    substrate (kernel-charged; the E25 cell, so the workload's
     DHT-lookup count must also be the same on every overlay).
 
     The index-level gates above run over :class:`LocalDHT`'s synthetic

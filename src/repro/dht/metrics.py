@@ -10,22 +10,14 @@ difference, so the same harness works unchanged over any substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 __all__ = ["MetricsSnapshot", "MetricsRecorder"]
 
 
 @dataclass(frozen=True, slots=True)
 class MetricsSnapshot:
-    """Immutable counter values; supports subtraction for per-op deltas.
-
-    Counters accrete over the project's life (the resilience counters
-    arrived after the substrate ones, the cache counters after those), so
-    snapshot arithmetic must tolerate *older* snapshots — ones captured
-    before a counter existed, whether in-process (a pickled baseline, a
-    subclass) or rehydrated from JSON via :meth:`from_dict`.  Any counter
-    the other operand lacks reads as 0.
-    """
+    """Immutable counter values; supports subtraction for per-op deltas."""
 
     dht_lookups: int = 0
     failed_gets: int = 0
@@ -53,22 +45,12 @@ class MetricsSnapshot:
 
     def __sub__(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         return MetricsSnapshot(
-            *[getattr(self, name) - getattr(other, name, 0) for name in _COUNTERS]
+            *[getattr(self, name) - getattr(other, name) for name in _COUNTERS]
         )
 
     def to_dict(self) -> dict[str, int]:
         """All counters as a plain dict (JSON-friendly)."""
         return {name: getattr(self, name) for name in _COUNTERS}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
-        """Rehydrate a snapshot saved when fewer counters existed.
-
-        Missing counters default to 0; unknown keys (counters this
-        version no longer has) are ignored rather than raised, so old
-        and new baselines stay mutually readable.
-        """
-        return cls(**{k: int(v) for k, v in data.items() if k in _COUNTERS})
 
 
 #: Every counter, declared once as a :class:`MetricsSnapshot` field; the
@@ -276,22 +258,9 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
-        """Capture current counter values.
-
-        Counters the recorder does not carry (an older recorder pickled
-        into a fixture, say) read as 0, mirroring
-        :meth:`MetricsSnapshot.from_dict`.
-        """
-        return MetricsSnapshot(*[getattr(self, name, 0) for name in _COUNTERS])
+        """Capture current counter values."""
+        return MetricsSnapshot(*[getattr(self, name) for name in _COUNTERS])
 
     def since(self, snap: MetricsSnapshot) -> MetricsSnapshot:
-        """Delta between now and an earlier snapshot.
-
-        The snapshot may predate counters added since it was taken
-        (missing attributes subtract as 0 — see
-        :meth:`MetricsSnapshot.__sub__`).
-        """
+        """Delta between now and an earlier snapshot."""
         return self.snapshot() - snap
-
-    #: Alias: ``delta`` reads better at experiment call sites.
-    delta = since

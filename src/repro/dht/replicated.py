@@ -90,9 +90,6 @@ class ReplicatedDHT(DelegatingDHT):
             *_, base = stack_layers(inner)
             policy.bind(base)
         self.policy = policy
-        #: Removes that observed disagreeing replica values (satellite
-        #: counter mirrored into ``metrics.replica_divergences``).
-        self.divergent_removes = 0
 
     def _targets(self, key: str) -> list[int]:
         """Ordered replica holders for ``key`` (owner first, live)."""
@@ -136,7 +133,6 @@ class ReplicatedDHT(DelegatingDHT):
         if present and any(value != present[0] for value in present[1:]):
             # Divergent replicas: surface the drift instead of silently
             # answering with whichever copy happened to come back first.
-            self.divergent_removes += 1
             self.metrics.record_replica_divergence()
         if removed[0] is not None:
             return removed[0]  # the primary copy is authoritative

@@ -22,7 +22,6 @@ E5-6       Fig. 8a-b              :mod:`repro.experiments.fig8_lookup`
 E7-10      Figs. 9a-b, 10a-b      :mod:`repro.experiments.range_perf`
 E11        Eq. 3 (§8.2)           :mod:`repro.experiments.eq3_saving`
 E12        Theorem 3 (§7)         :mod:`repro.experiments.minmax_cost`
-E13        substrate independence :mod:`repro.experiments.substrates`
 E14        churn resilience       :mod:`repro.experiments.churn_study`
 E15        storage load balance   :mod:`repro.experiments.load_balance`
 E16        lookup ablation        :mod:`repro.experiments.ablation_lookup`
@@ -31,7 +30,7 @@ E20        mixed-workload upkeep  :mod:`repro.experiments.churn_workload`
 E21        query hot spots        :mod:`repro.experiments.hotspots`
 E22, E22b  retry availability     :mod:`repro.experiments.availability`
 E23, E23b  leaf-cache skew sweep  :mod:`repro.experiments.cached_lookup`
-E25, b, c  routing diversity      :mod:`repro.experiments.routing_diversity`
+E25, b, c  substrate independence :mod:`repro.experiments.routing_diversity`
 E26-*, b   replica availability   :mod:`repro.experiments.replica_availability`
 =========  =====================  ==========================================
 """

@@ -21,7 +21,7 @@ module keeps only its measurement.
   (Zipf probes on stored keys → routed gets per probe, an absent answer
   is an error: E23, ``BENCH_lookup``) and :func:`hops_per_lookup` (one
   phase's routed hops per DHT-lookup on one substrate, with the
-  cross-substrate cost-invariance check of footnote 5: E13, E25, the
+  cross-substrate cost-invariance check of footnote 5: E25 and the
   ``hops_per_op_*`` gates).
 * :class:`ExperimentResult` owns the x × series row walk
   (:meth:`ExperimentResult.rows`) that the text table and the Markdown

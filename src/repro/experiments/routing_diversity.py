@@ -1,4 +1,5 @@
-"""E25 — routing diversity: LHT costs from single-hop to log-hop overlays.
+"""E25 — substrate independence and routing diversity: LHT costs from
+single-hop to log-hop overlays.
 
 The "any DHT" claim (paper §3, footnote 5) means the index pays the same
 number of DHT-lookups on every substrate while each lookup's physical
@@ -44,7 +45,7 @@ _SCALES = {
         "span": 0.05,
     },
     "paper": {
-        "n_peers": [16, 64, 256],
+        "n_peers": [16, 64, 256, 1024],
         "size": 1 << 11,
         "n_lookups": 120,
         "n_ranges": 12,

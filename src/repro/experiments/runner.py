@@ -49,7 +49,6 @@ from repro.experiments import (
     range_perf,
     replica_availability,
     routing_diversity,
-    substrates,
 )
 from repro.experiments import common
 from repro.experiments.common import ExperimentResult
@@ -65,7 +64,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[str, int], list[ExperimentResult]]]]
     "range": ("E7-E10: range query perf (Figs. 9-10)", range_perf.run),
     "eq3": ("E11: saving ratio vs gamma (Eq. 3)", eq3_saving.run),
     "minmax": ("E12: min/max query cost (Thm. 3)", minmax_cost.run),
-    "substrates": ("E13: substrate independence", substrates.run),
     "churn": ("E14: availability under churn", churn_study.run),
     "balance": ("E15: storage load balance", load_balance.run),
     "ablation": ("E16: lookup ablation (collapse vs search)", ablation_lookup.run),

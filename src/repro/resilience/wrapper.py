@@ -93,11 +93,8 @@ class ResilientDHT(DelegatingDHT):
         self.breaker = breaker or CircuitBreaker()
         self.clock = self.breaker.clock
         self._rng = np.random.default_rng(derive_seed(seed, "resilience"))
-        # Local statistics (the shared metrics aggregate across wrappers).
-        self.retries = 0
         #: Gets whose attempt budget ran out on lost replies.
         self.exhausted_gets = 0
-        self.rejections = 0
 
     # ------------------------------------------------------------------
     # Retry machinery
@@ -111,7 +108,6 @@ class ResilientDHT(DelegatingDHT):
         """Fail fast when the breaker is open (nothing is routed)."""
         self._tick(self.OP_TICK)
         if not self.breaker.allows():
-            self.rejections += 1
             self.metrics.record_breaker_rejection()
             raise CircuitOpenError(
                 f"circuit open: operation on {key!r} rejected "
@@ -166,7 +162,6 @@ class ResilientDHT(DelegatingDHT):
                 if delay is None:
                     self.exhausted_gets += 1
                     return result
-            self.retries += 1
             self.metrics.record_retry()
             self._tick(delay)
             spent += delay

@@ -22,7 +22,7 @@ from repro.experiments import (
     fig8_lookup,
     minmax_cost,
     range_perf,
-    substrates,
+    routing_diversity,
 )
 from repro.experiments.runner import EXPERIMENTS
 
@@ -42,7 +42,6 @@ TINY_SCALES = {
     },
     "eq3": {"size": 1 << 8, "theta": 20},
     "minmax": {"exps": (7, 9), "trials": 2},
-    "substrates": {"n_peers": [8, 16], "size": 1 << 8, "n_lookups": 10},
     "churn": {"n_peers": 16, "size": 1 << 8, "duration": 5.0, "probes": 30},
     "balance": {"n_peers": 16, "size": 1 << 8},
     "ablation": {"exps": (7, 8), "trials": 1, "n_lookups": 30},
@@ -125,6 +124,11 @@ class TestEveryResultIsSaved:
         )
         saved = capsys.readouterr().out.count("  saved: ")
         assert saved == len(results)
+        # The committed paper results hold exactly one file per result.
+        committed = Path(__file__).parents[1] / "results" / "paper"
+        assert {p.stem for p in committed.glob("e*.json")} == {
+            i.lower() for i in ids
+        }
 
 
 class TestFig6(object):
@@ -190,11 +194,13 @@ class TestOthers(object):
         assert all(y > 1 for y in result.series_by_label("pht-min").y)
         assert all(y > 1 for y in result.series_by_label("pht-max").y)
 
-    def test_substrates(self, tiny):
+    def test_routing_diversity(self, tiny):
         from repro.dht.registry import names as substrate_names
 
-        (result,) = substrates.run(tiny, seed=0)
-        assert {s.label for s in result.series} == set(substrate_names())
+        results = routing_diversity.run(tiny, seed=0)
+        assert [r.experiment_id for r in results] == ["E25", "E25b", "E25c"]
+        for result in results:
+            assert [s.label for s in result.series] == substrate_names()
 
     def test_churn(self, tiny):
         (result,) = churn_study.run(tiny, seed=0)

@@ -154,7 +154,6 @@ class TestRunnerCLI:
             "range",
             "eq3",
             "minmax",
-            "substrates",
             "churn",
             "balance",
             "ablation",

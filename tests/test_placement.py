@@ -161,15 +161,16 @@ class TestDivergenceAccounting:
         # Corrupt one backup copy behind the wrapper's back.
         backup = dht.replica_peers("k")[1]
         inner.local_write_at("k", "stale", backup)
+        before = inner.metrics.snapshot()
         assert dht.remove("k") == "v"  # primary copy is authoritative
-        assert dht.divergent_removes == 1
-        assert inner.metrics.replica_divergences == 1
+        assert inner.metrics.since(before).replica_divergences == 1
 
     def test_agreeing_removes_do_not_count(self):
         dht = ReplicatedDHT(LocalDHT(N_PEERS, 0), n_replicas=3)
         dht.put("k", "v")
+        before = dht.metrics.snapshot()
         assert dht.remove("k") == "v"
-        assert dht.divergent_removes == 0
+        assert dht.metrics.since(before).replica_divergences == 0
 
     @pytest.mark.parametrize("cls", [LeafBucket, PHTNode])
     def test_byte_store_replicas_compare_by_value(self, cls):
@@ -183,8 +184,9 @@ class TestDivergenceAccounting:
             dht = ReplicatedDHT(SerializingDHT(LocalDHT(N_PEERS, 0)), n_replicas=3)
             dht.put("k", value("b"))
             dht.local_write_at("k", tampered, dht.replica_peers("k")[1])
+            before = dht.metrics.snapshot()
             assert dht.remove("k") == value("b")
-            assert dht.divergent_removes == expected
+            assert dht.metrics.since(before).replica_divergences == expected
 
 
 class TestDeterministicFailover:

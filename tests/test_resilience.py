@@ -171,7 +171,6 @@ class TestResilientDHT:
         # Successful operations never retry, and neither does a miss:
         # ``None`` is an answer ("not stored"), not a lost reply.
         assert dht.get("k") is None
-        assert dht.retries == 0
         assert dht.metrics.retries == 0
         assert dht.exhausted_gets == 0
 
@@ -186,7 +185,8 @@ class TestResilientDHT:
         assert recovered >= 185
         assert dht.exhausted_gets == 200 - recovered
         assert faulty.dropped_gets > 0
-        assert dht.metrics.retries == dht.retries > 0
+        # A lost reply is asked again unless it used up its get's budget.
+        assert dht.metrics.retries == faulty.dropped_gets - dht.exhausted_gets > 0
 
     def test_genuine_miss_stays_a_miss(self):
         dht, faulty = _stack(drop=0.3, seed=1)
@@ -194,7 +194,7 @@ class TestResilientDHT:
             assert dht.get("never-stored") is None
         # Only the lost replies were asked again: one retry per drop,
         # and every miss ended on its first answered attempt.
-        assert dht.retries == faulty.dropped_gets > 0
+        assert dht.metrics.retries == faulty.dropped_gets > 0
         assert dht.exhausted_gets == 0
         assert dht.breaker.state is BreakerState.CLOSED
         assert dht.metrics.breaker_trips == 0
@@ -215,7 +215,7 @@ class TestResilientDHT:
         with pytest.raises(DHTError):
             dht.put("k", 1)
         assert faulty.failed_puts == 3  # every attempt reached the substrate
-        assert dht.retries == 2
+        assert dht.metrics.retries == 2
         assert dht.metrics.failed_puts == 3
 
     def test_breaker_trips_and_fails_fast(self):
@@ -232,7 +232,6 @@ class TestResilientDHT:
         with pytest.raises(CircuitOpenError):
             dht.put("c", 3)
         assert faulty.failed_puts == routed  # rejected without routing
-        assert dht.rejections == 1
         assert dht.metrics.breaker_rejections == 1
         # An open breaker also rejects gets and removes.
         with pytest.raises(CircuitOpenError):
@@ -255,7 +254,7 @@ class TestResilientDHT:
         for _ in range(15):
             with pytest.raises(DHTError):  # CircuitOpenError or trial failure
                 dht.put("c", 0)
-        assert dht.rejections > 0
+        assert dht.metrics.breaker_rejections > 0
         assert dht.clock.now >= breaker.reset_timeout
         # The fault heals: the next half-open trial succeeds and closes.
         faulty.put_fail_rate = 0.0
@@ -298,7 +297,7 @@ class TestResilientDHT:
             dht, _ = _stack(drop=0.4, seed=11)
             dht.put("k", 1)
             outcomes = tuple(dht.get("k") for _ in range(50))
-            return outcomes, dht.retries, dht.exhausted_gets, dht.clock.now
+            return outcomes, dht.metrics.retries, dht.exhausted_gets, dht.clock.now
 
         assert run() == run()
 
@@ -314,6 +313,7 @@ class TestResilientDHT:
         assert not inner.breaker.allows()
         outer = ResilientDHT(inner, seed=1)
         routed = faulty.failed_puts
+        before = outer.metrics.snapshot()
         for rejected, operation in enumerate(
             (
                 lambda: outer.get("k"),
@@ -324,8 +324,9 @@ class TestResilientDHT:
         ):
             with pytest.raises(CircuitOpenError):
                 operation()
-            assert inner.rejections == rejected  # one attempt, no retry
-        assert outer.retries == 0 and outer.metrics.retries == 0
+            # One attempt, no retry.
+            assert outer.metrics.since(before).breaker_rejections == rejected
+        assert outer.metrics.since(before).retries == 0
         assert outer.breaker.consecutive_failures == 0
         assert outer.breaker.state is BreakerState.CLOSED
         assert faulty.failed_puts == routed  # nothing reached the substrate
