@@ -69,18 +69,6 @@ class LinearCostModel:
         if self.record_move_cost < 0 or self.lookup_cost <= 0:
             raise ConfigurationError("require i >= 0 and j > 0")
 
-    def gamma(self, theta_split: int) -> float:
-        """``γ = θ·i / j`` for this parameterization."""
-        return gamma(theta_split, self.record_move_cost, self.lookup_cost)
-
-    def psi_lht(self, theta_split: int) -> float:
-        """Analytic per-split LHT cost (Eq. 1)."""
-        return psi_lht(theta_split, self.record_move_cost, self.lookup_cost)
-
-    def psi_pht(self, theta_split: int) -> float:
-        """Analytic per-split PHT cost (Eq. 2)."""
-        return psi_pht(theta_split, self.record_move_cost, self.lookup_cost)
-
     def ledger_cost(self, ledger: CostLedger) -> float:
         """Measured maintenance cost of an index run:
         ``moved · i + lookups · j``."""

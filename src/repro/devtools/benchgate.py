@@ -9,18 +9,15 @@ a fixed workload and compares them against checked-in baselines
 ``BENCH_serve.json`` / ``BENCH_avail.json`` at the repository root), so
 a change that silently makes lookups, range queries, bulk builds,
 request serving, or replicated availability more expensive fails a test
-instead of a human's memory.
+instead of a human's memory.  Wall-clock is not measured here: the
+benchmark in ``bench/`` owns it.
 
-The ``scale`` suite (``BENCH_scale.json``) additionally banks the
-*wall-clock* of the paper-scale build/lookup/range workload
-(:data:`SCALE_PROFILES`, :func:`run_scale_phases`).  Wall seconds drift
-with the host, so they get a much wider per-profile tolerance band
-(:data:`SCALE_WALL_TOLERANCE`) than the exact counts — the band catches
-an order-of-magnitude hot-path regression without flaking on machine
-noise.  ``--hotspots`` runs the same workload under :mod:`cProfile` and
-prints each phase's hot spots, ranked by call count (a pure function of
-the seed, so the ranking is byte-stable across runs and hosts) with the
-measured times alongside; it gates and writes nothing.
+``--hotspots`` runs the paper-scale build/lookup/range workload
+(:data:`SCALE_PROFILES`, :func:`run_scale_phases`) under
+:mod:`cProfile` and prints each phase's hot spots, ranked by call count
+(a pure function of the seed, so the ranking is byte-stable across runs
+and hosts) with the profiler's times alongside; it gates and writes
+nothing.
 
 Usage::
 
@@ -29,10 +26,11 @@ Usage::
     python -m repro.devtools benchgate --hotspots --scale-profile smoke
 
 The pytest gate (``tests/test_bench_regression.py``, marked ``bench``)
-runs the same measurement and fails on any metric that regresses more
-than :data:`TOLERANCE` over its baseline.  Improvements are accepted
-silently — refresh the baselines with ``--write`` to bank them.  All
-gated metrics are lower-is-better.
+runs the same measurement and fails on any metric above its baseline:
+every gated metric is a seed-deterministic count or a simulated time,
+so the comparison is exact.  Improvements are accepted silently —
+refresh the baselines with ``--write`` to bank them.  All gated metrics
+are lower-is-better.
 """
 
 from __future__ import annotations
@@ -40,9 +38,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
-import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -51,16 +47,11 @@ import numpy as np
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht import registry
-from repro.dht.base import DHT
 from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
 from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ReproError
-from repro.experiments.common import (
-    hops_per_lookup,
-    probe_stored,
-    zipf_probe_cost,
-)
+from repro.experiments.common import phase_hops, probe_stored, zipf_probe_cost
 from repro.serve import (
     Request,
     RequestKind,
@@ -73,13 +64,10 @@ from repro.sim.rng import derive_seed
 from repro.workloads.queries import zipf_rank_choice
 
 __all__ = [
-    "TOLERANCE",
-    "SCALE_WALL_TOLERANCE",
     "LOOKUP_BASELINE",
     "RANGE_BASELINE",
     "BUILD_BASELINE",
     "SERVE_BASELINE",
-    "SCALE_BASELINE",
     "AVAIL_BASELINE",
     "SCALE_PROFILES",
     "PhaseResult",
@@ -88,40 +76,17 @@ __all__ = [
     "measure_range",
     "measure_build",
     "measure_serve",
-    "measure_scale",
     "measure_avail",
     "compare",
     "main",
 ]
-
-#: Allowed relative regression before the gate fails.
-TOLERANCE = 0.10
-
-#: Allowed relative wall-clock regression for the ``scale`` suite, per
-#: workload shape.  Wall seconds are host-dependent, so the bands are
-#: wide: the banked ``full`` numbers may double before the gate trips,
-#: and the sub-second ``smoke`` shape (where fixed overheads dominate)
-#: may quadruple — loose enough for CI runners, tight enough that
-#: reverting the hot-path work (a ~4x build slowdown) still fails.
-SCALE_WALL_TOLERANCE = {"full": 1.0, "smoke": 3.0}
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 LOOKUP_BASELINE = _REPO_ROOT / "BENCH_lookup.json"
 RANGE_BASELINE = _REPO_ROOT / "BENCH_range.json"
 BUILD_BASELINE = _REPO_ROOT / "BENCH_build.json"
 SERVE_BASELINE = _REPO_ROOT / "BENCH_serve.json"
-SCALE_BASELINE = _REPO_ROOT / "BENCH_scale.json"
 AVAIL_BASELINE = _REPO_ROOT / "BENCH_avail.json"
-
-#: Pre-PR phase wall-clock on the reference host, measured at the tip of
-#: the serving-layer PR (the commit before the hot-path overhaul) with
-#: the exact workload of :data:`SCALE_PROFILES`.
-#: Recorded so every ``scale`` measurement reports its speedup against
-#: the state this PR optimised — informational, never gated.
-_PRE_PR_WALL_S = {
-    "full": {"build_s": 10.4015, "lookup_s": 0.8081, "range_s": 0.1482},
-    "smoke": {"build_s": 0.0817, "lookup_s": 0.0673, "range_s": 0.0016},
-}
 
 #: Fixed workload shape — the baselines are only comparable against the
 #: exact same parameters, so they are recorded alongside the metrics.
@@ -136,12 +101,16 @@ _PARAMS = {
     "probe_skew": 1.1,
     "cache_small_capacity": 16,
     "cache_ample_capacity": 4096,
-    "hops_n_peers": 32,
-    "hops_n_ops": 64,
-    "hops_index_n_peers": 16,
-    "hops_index_n_keys": 256,
-    "hops_index_theta": 8,
-    "hops_index_n_ranges": 8,
+    # The E25 cell behind the ``hops_per_op_*`` gates (its ``ci`` row
+    # at N = 32): ``common.phase_hops`` reads these names.
+    "hops": {
+        "n_peers": 32,
+        "size": 512,
+        "n_lookups": 40,
+        "n_ranges": 6,
+        "span": 0.05,
+        "theta_split": 20,
+    },
 }
 
 
@@ -195,87 +164,28 @@ def measure_lookup(seed: int = 1) -> dict:
     metrics["records_moved_per_insert"] = (
         spent.records_moved / _PARAMS["n_inserts"]
     )
-    metrics.update(_substrate_hops("put+get", partial(_put_get_workload, seed)))
+    metrics.update(_substrate_hops(seed, "lookup"))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
-#: A per-substrate hop workload: the overlay it runs on, and the step
-#: whose routed traffic is measured (setup has already happened).
-_Measured = tuple[DHT, Callable[[], object]]
+def _substrate_hops(seed: int, phase: str) -> dict[str, float]:
+    """``hops_per_op_<substrate>``: routed hops per DHT-lookup of one
+    phase of the E25 cell (:func:`phase_hops`) on every registered
+    substrate, each phase's DHT-lookup count equal on all of them.
 
-
-def _substrate_hops(
-    what: str, prepare: Callable[[str], _Measured]
-) -> dict[str, float]:
-    """Routed hops per DHT-lookup of one workload, on every registered
-    substrate (kernel-charged; the E25 cell, so the workload's
-    DHT-lookup count must also be the same on every overlay).
-
-    The index-level gates above run over :class:`LocalDHT`'s synthetic
-    hop model; this is the *physical* routing cost the same seeded
+    The index-level gates run over :class:`LocalDHT`'s synthetic hop
+    model; these are the *physical* routing costs the same seeded
     workload pays on each real overlay, so a topology change that
     silently lengthens routes fails the gate like any other count.
     """
+    hops = _PARAMS["hops"]
     reference: dict = {}
     return {
-        f"hops_per_op_{name}": hops_per_lookup(
-            name, *prepare(name), what, reference
-        )
+        f"hops_per_op_{name}": phase_hops(
+            name, hops["n_peers"], hops, seed, reference
+        )[phase]
         for name in registry.names()
     }
-
-
-def _put_get_workload(seed: int, name: str) -> _Measured:
-    """One fixed put+get workload on the bare substrate."""
-    dht = registry.make(
-        name, _PARAMS["hops_n_peers"], derive_seed(seed, "bench:hops")
-    )
-    n_ops = _PARAMS["hops_n_ops"]
-
-    def measured() -> None:
-        for i in range(n_ops):
-            dht.put(f"hop-key-{i}", i)
-        for i in range(n_ops):
-            dht.get(f"hop-key-{i}")
-
-    return dht, measured
-
-
-def _hops_index(seed: int, name: str) -> tuple[LHTIndex, list[float]]:
-    """An empty small LHT index over one substrate and the seeded keys
-    to load it with — the same shape and keys on every overlay, so
-    index-level get counts are substrate-invariant and only topology
-    moves the hop numbers."""
-    dht = registry.make(
-        name, _PARAMS["hops_index_n_peers"], derive_seed(seed, "bench:hops:index")
-    )
-    config = IndexConfig(
-        theta_split=_PARAMS["hops_index_theta"], max_depth=_PARAMS["max_depth"]
-    )
-    rng = np.random.default_rng(derive_seed(seed, "bench:hops:index-keys"))
-    keys = [float(k) for k in rng.random(_PARAMS["hops_index_n_keys"])]
-    return LHTIndex(dht, config), keys
-
-
-def _build_workload(seed: int, name: str) -> _Measured:
-    """The bulk build of the small index."""
-    index, keys = _hops_index(seed, name)
-    return index.dht, lambda: index.bulk_load(keys)
-
-
-def _range_workload(seed: int, name: str) -> _Measured:
-    """Seeded range queries over the built small index."""
-    index, keys = _hops_index(seed, name)
-    index.bulk_load(keys)
-    rng = np.random.default_rng(derive_seed(seed, "bench:hops:ranges"))
-
-    def measured() -> None:
-        for _ in range(_PARAMS["hops_index_n_ranges"]):
-            lo = float(rng.uniform(0.0, 0.9))
-            hi = float(min(1.0, lo + rng.uniform(0.01, 0.4)))
-            index.range_query(lo, hi)
-
-    return index.dht, measured
 
 
 def measure_range(seed: int = 1) -> dict:
@@ -301,7 +211,7 @@ def measure_range(seed: int = 1) -> dict:
         "batch_rounds_per_query": totals["rounds"] / n,
         "lookup_slack_per_query": totals["slack"] / n,
     }
-    metrics.update(_substrate_hops("ranges", partial(_range_workload, seed)))
+    metrics.update(_substrate_hops(seed, "range"))
     return {"params": dict(_PARAMS), "metrics": metrics}
 
 
@@ -311,9 +221,7 @@ def measure_build(seed: int = 1) -> dict:
     Gated metrics are the routed put and records-moved counts per key
     for both paths (all deterministic and lower-is-better); the fast
     path's put count must equal the final leaf count, so any stray
-    extra put fails the gate.  Wall-clock seconds and the resulting
-    speedup ride along under ``info`` — recorded for visibility, never
-    compared, because they drift with the host.
+    extra put fails the gate.
     """
     n = _PARAMS["n_keys"]
     rng = np.random.default_rng(derive_seed(seed, "bench:keys"))
@@ -323,14 +231,11 @@ def measure_build(seed: int = 1) -> dict:
     )
 
     counts: dict[str, float] = {}
-    info: dict[str, float] = {}
     for arm, fast in (("incremental", False), ("fast", True)):
         dht = LocalDHT(n_peers=16, seed=derive_seed(seed, "bench:sub"))
         index = LHTIndex(dht, config)
         before = dht.metrics.snapshot()
-        started = time.perf_counter()
         index.bulk_load(keys, fast=fast)
-        info[f"{arm}_build_s"] = time.perf_counter() - started
         spent = dht.metrics.snapshot() - before
         counts[f"{arm}_puts_per_key"] = spent.puts / n
         counts[f"{arm}_moved_per_key"] = spent.records_moved / n
@@ -339,10 +244,8 @@ def measure_build(seed: int = 1) -> dict:
                 f"fast bulk-build issued {spent.puts} puts for "
                 f"{index.leaf_count} leaves"
             )
-    if info["fast_build_s"] > 0:
-        info["speedup"] = info["incremental_build_s"] / info["fast_build_s"]
-    counts.update(_substrate_hops("build", partial(_build_workload, seed)))
-    return {"params": dict(_PARAMS), "metrics": counts, "info": info}
+    counts.update(_substrate_hops(seed, "build"))
+    return {"params": dict(_PARAMS), "metrics": counts}
 
 
 #: Serving-gate workload shape — its own dict so the three original
@@ -406,7 +309,7 @@ def measure_serve(seed: int = 1) -> dict:
     (throughput, gets saved, batches, rejections).  The served run must
     issue *strictly fewer* routed gets than the serial replay at this
     concurrency (``max_in_flight`` ≥ 8) — a hard invariant, not a
-    tolerance-gated count.
+    banked count.
     """
     workload_config = WorkloadConfig(
         n_requests=_SERVE_PARAMS["n_requests"],
@@ -512,8 +415,7 @@ def _drive_identity(dht, seed: int) -> tuple:
 def measure_avail(seed: int = 1) -> dict:
     """Availability vs replication factor, and the k=1 no-op proof.
 
-    Three hard invariants (raised as :class:`ReproError`, not
-    tolerance-gated):
+    Three hard invariants (raised as :class:`ReproError`, not banked):
 
     * **k=1 byte-identity** — the same seeded mixed workload driven
       through ``FaultyDHT(LocalDHT)`` bare and through
@@ -597,10 +499,9 @@ def measure_avail(seed: int = 1) -> dict:
     return {"params": dict(_AVAIL_PARAMS), "metrics": metrics, "info": info}
 
 
-#: The two scale workload shapes.  ``full`` is the banked paper-scale run
-#: (2^20 keys, 1024 peers); ``smoke`` is the same pipeline small enough
-#: for a CI leg.  Baselines are only comparable against identical
-#: parameters, so the gate records the shape next to its numbers.
+#: The two ``--hotspots`` workload shapes.  ``full`` is the paper-scale
+#: run (2^20 keys, 1024 peers); ``smoke`` is the same pipeline small
+#: enough for a CI leg.
 SCALE_PROFILES: dict[str, dict[str, Any]] = {
     "smoke": {
         "seed": 1,
@@ -636,18 +537,17 @@ HOTSPOT_ROWS = 12
 
 @dataclass(slots=True)
 class PhaseResult:
-    """One scale phase: wall seconds, workload counts, hot spots.
+    """One scale phase: workload counts and hot spots.
 
     ``hotspots`` rows are ``{"function", "calls", "tottime_s",
     "cumtime_s"}`` ranked by descending call count (ties broken by
-    function name) — the deterministic ordering; times are informative
-    only.
+    function name) — the deterministic ordering; the profiler's times
+    are display only.
     """
 
     name: str
-    seconds: float
     counts: dict[str, float]
-    hotspots: list[dict[str, Any]] = field(default_factory=list)
+    hotspots: list[dict[str, Any]]
 
 
 def _normalize_function(filename: str, line: int, func: str) -> str:
@@ -677,17 +577,13 @@ def _hotspots(profiler: cProfile.Profile) -> list[dict[str, Any]]:
     return rows[:HOTSPOT_ROWS]
 
 
-def run_scale_phases(
-    params: dict[str, Any], *, profile_phases: bool = False
-) -> list[PhaseResult]:
+def run_scale_phases(params: dict[str, Any]) -> list[PhaseResult]:
     """Run the build/lookup/range phases of one scale workload.
 
-    With ``profile_phases=False`` (the gate) each phase is timed only;
-    with ``True`` (``--hotspots``) each phase also runs under its own
-    :class:`cProfile.Profile` and reports its :data:`HOTSPOT_ROWS` hot
-    spots.  Workload generation (key draws, probe streams, range
-    endpoints) sits *outside* the timed sections, so the phases measure
-    index work only.
+    Each phase runs under its own :class:`cProfile.Profile` and reports
+    its :data:`HOTSPOT_ROWS` hot spots.  Workload generation (key draws,
+    probe streams, range endpoints) sits *outside* the profiled
+    sections, so the phases profile index work only.
     """
     seed = params["seed"]
     rng = np.random.default_rng(derive_seed(seed, "scale:keys"))
@@ -701,26 +597,15 @@ def run_scale_phases(
     )
     phases: list[PhaseResult] = []
 
-    def timed(name: str, fn: Callable[[], Any]) -> Any:
-        profiler = cProfile.Profile() if profile_phases else None
-        started = time.perf_counter()
-        if profiler is not None:
-            profiler.enable()
+    def profiled(name: str, fn: Callable[[], Any]) -> Any:
+        profiler = cProfile.Profile()
+        profiler.enable()
         out = fn()
-        if profiler is not None:
-            profiler.disable()
-        seconds = time.perf_counter() - started
-        phases.append(
-            PhaseResult(
-                name=name,
-                seconds=seconds,
-                counts={},
-                hotspots=_hotspots(profiler) if profiler else [],
-            )
-        )
+        profiler.disable()
+        phases.append(PhaseResult(name, {}, _hotspots(profiler)))
         return out
 
-    timed("build", lambda: index.bulk_load(keys, fast=True))
+    profiled("build", lambda: index.bulk_load(keys, fast=True))
     phases[-1].counts = {"leaves": float(index.leaf_count)}
 
     prng = np.random.default_rng(derive_seed(seed, "scale:probes"))
@@ -736,7 +621,7 @@ def run_scale_phases(
         for key in probes:
             index.exact_match(key)
 
-    timed("lookup", lookup)
+    profiled("lookup", lookup)
     phases[-1].counts = {
         "lookup_gets": float((dht.metrics.snapshot() - before).gets)
     }
@@ -764,7 +649,7 @@ def run_scale_phases(
             got += len(index.range_query(lo, hi).records)
         return got
 
-    got = timed("range", ranges)
+    got = profiled("range", ranges)
     phases[-1].counts = {"range_records": float(got)}
     return phases
 
@@ -774,7 +659,7 @@ def _format_hotspots(profile: str, phases: list[PhaseResult]) -> str:
     lines = [f"scale profile '{profile}'"]
     for phase in phases:
         counts = ", ".join(f"{k}={v:g}" for k, v in sorted(phase.counts.items()))
-        lines.append(f"\n== {phase.name}: {phase.seconds:.4f}s  ({counts})")
+        lines.append(f"\n== {phase.name}: ({counts})")
         lines.append(f"{'calls':>10}  {'tottime':>9}  {'cumtime':>9}  function")
         for row in phase.hotspots:
             lines.append(
@@ -784,66 +669,27 @@ def _format_hotspots(profile: str, phases: list[PhaseResult]) -> str:
     return "\n".join(lines)
 
 
-def measure_scale(seed: int = 1, profile: str = "full") -> dict:
-    """Paper-scale wall-clock and counts for one workload shape.
-
-    Runs :func:`run_scale_phases` (2^20 keys over 1024 peers at ``full``
-    scale) without the profiler and returns two gated sections: ``counts`` (exact,
-    seed-reproducible — leaf count, routed lookup gets, range records —
-    gated at :data:`TOLERANCE`) and ``wall_s`` (per-phase seconds, gated
-    at the wide :data:`SCALE_WALL_TOLERANCE` band for the shape).
-    ``info`` records the pre-PR wall-clock and the resulting speedups.
-    """
-    if profile not in SCALE_PROFILES:
-        raise ReproError(f"unknown scale profile {profile!r}")
-    params = dict(SCALE_PROFILES[profile])
-    params["seed"] = seed
-    phases = run_scale_phases(params)
-    counts: dict[str, float] = {}
-    wall: dict[str, float] = {}
-    for phase in phases:
-        wall[f"{phase.name}_s"] = round(phase.seconds, 4)
-        counts.update(phase.counts)
-    info = {
-        f"pre_pr_{name}": value for name, value in _PRE_PR_WALL_S[profile].items()
-    }
-    for name, value in wall.items():
-        if value > 0:
-            info[f"{name[:-2]}_speedup_vs_pre_pr"] = round(
-                _PRE_PR_WALL_S[profile][name] / value, 2
-            )
-    return {
-        "profile": profile,
-        "params": params,
-        "counts": counts,
-        "wall_s": wall,
-        "info": info,
-    }
-
-
 def compare(
-    current: Mapping[str, float],
-    baseline: Mapping[str, float],
-    tolerance: float = TOLERANCE,
+    current: Mapping[str, float], baseline: Mapping[str, float]
 ) -> list[str]:
-    """Violations of ``current <= baseline * (1 + tolerance)`` per metric.
+    """Violations of ``current <= baseline`` per metric.
 
-    Comparison runs over the *baseline's* keys: metrics added since a
-    baseline was written are not gated until ``--write`` records them
-    (mirroring snapshot-counter accretion), but a metric the current
-    measurement *lost* is itself a violation — a silently renamed metric
-    must not un-gate a regression.
+    Every gated metric is a seed-deterministic count or simulated time,
+    so any rise — down to one ulp — is a regression.  Comparison runs
+    over the *baseline's* keys: metrics added since a baseline was
+    written are not gated until ``--write`` records them (mirroring
+    snapshot-counter accretion), but a metric the current measurement
+    *lost* is itself a violation — a silently renamed metric must not
+    un-gate a regression.
     """
     violations: list[str] = []
     for name, base in baseline.items():
         if name not in current:
             violations.append(f"{name}: missing from current measurement")
             continue
-        limit = base * (1.0 + tolerance)
-        if current[name] > limit:
+        if current[name] > base:
             violations.append(
-                f"{name}: {current[name]:.4f} exceeds baseline "
-                f"{base:.4f} by more than {tolerance:.0%}"
+                f"{name}: {current[name]!r} exceeds baseline {base!r}"
             )
     return violations
 
@@ -860,56 +706,6 @@ def _check_file(path: Path, current: dict) -> list[str]:
         f"{path.name}: {v}"
         for v in compare(current["metrics"], baseline["metrics"])
     ]
-
-
-def _check_scale(path: Path, current: dict) -> list[str]:
-    """Gate one scale measurement against its profile's baseline section.
-
-    ``BENCH_scale.json`` differs from the other baselines: it holds one
-    section per workload shape (so the CI smoke leg and the banked full
-    run share a file), and its wall-clock block is gated at the wide
-    per-shape band rather than :data:`TOLERANCE`.
-    """
-    if not path.exists():
-        return [f"{path.name}: baseline missing (run --write)"]
-    profile = current["profile"]
-    section = json.loads(path.read_text()).get("profiles", {}).get(profile)
-    if section is None:
-        return [
-            f"{path.name}: no baseline for profile {profile!r}; "
-            "refresh with --write"
-        ]
-    if section.get("params") != current["params"]:
-        return [
-            f"{path.name}: workload parameters changed; refresh with --write"
-        ]
-    failures = [
-        f"{path.name}: {v}"
-        for v in compare(current["counts"], section["counts"])
-    ]
-    failures.extend(
-        f"{path.name}: {v}"
-        for v in compare(
-            current["wall_s"], section["wall_s"], SCALE_WALL_TOLERANCE[profile]
-        )
-    )
-    return failures
-
-
-def _write_scale(path: Path, current: dict) -> None:
-    """Merge one profile's section into ``BENCH_scale.json``.
-
-    Other profiles' banked sections are preserved, so refreshing the
-    smoke shape never discards the (expensive) full-scale numbers.
-    """
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data.setdefault("profiles", {})[current["profile"]] = {
-        "params": current["params"],
-        "counts": current["counts"],
-        "wall_s": current["wall_s"],
-        "info": current["info"],
-    }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -935,23 +731,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=_PARAMS["seed"])
     parser.add_argument(
         "--only",
-        choices=("lookup", "range", "build", "serve", "scale", "avail"),
+        choices=("lookup", "range", "build", "serve", "avail"),
         action="append",
         default=None,
-        help="measure only these gates (repeatable; default: all but "
-        "the paper-scale wall-clock suite)",
+        help="measure only these gates (repeatable; default: all)",
     )
     parser.add_argument(
         "--scale-profile",
         choices=sorted(SCALE_PROFILES),
         default="full",
-        help="workload shape for the scale suite (default: full)",
+        help="workload shape for --hotspots (default: full)",
     )
     args = parser.parse_args(argv)
 
     if args.hotspots:
         params = {**SCALE_PROFILES[args.scale_profile], "seed": args.seed}
-        phases = run_scale_phases(params, profile_phases=True)
+        phases = run_scale_phases(params)
         print(_format_hotspots(args.scale_profile, phases))
         return 0
 
@@ -961,42 +756,26 @@ def main(argv: list[str] | None = None) -> int:
         "build": (BUILD_BASELINE, measure_build),
         "serve": (SERVE_BASELINE, measure_serve),
         "avail": (AVAIL_BASELINE, measure_avail),
-        "scale": (
-            SCALE_BASELINE,
-            lambda seed: measure_scale(seed, args.scale_profile),
-        ),
     }
-    # The scale suite times a 2^20-key build, so the default run keeps
-    # to the count gates; opt in with ``--only scale``.
-    chosen = args.only if args.only else [n for n in suites if n != "scale"]
     measurements = {
-        suites[name][0]: suites[name][1](args.seed) for name in chosen
+        suites[name][0]: suites[name][1](args.seed)
+        for name in (args.only or suites)
     }
     if args.write:
         for path, current in measurements.items():
-            if "profile" in current:
-                _write_scale(path, current)
-            else:
-                path.write_text(
-                    json.dumps(current, indent=2, sort_keys=True) + "\n"
-                )
+            path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
         return 0
 
     failures: list[str] = []
     for path, current in measurements.items():
-        if "profile" in current:
-            failures.extend(_check_scale(path, current))
-            shown = {**current["counts"], **current["wall_s"]}
-        else:
-            failures.extend(_check_file(path, current))
-            shown = current["metrics"]
-        for name, value in shown.items():
+        failures.extend(_check_file(path, current))
+        for name, value in current["metrics"].items():
             print(f"{path.name}: {name} = {value:.4f}")
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}")
         return 1
-    print("benchgate: all metrics within tolerance")
+    print("benchgate: no metric above its baseline")
     return 0
 

@@ -19,24 +19,25 @@ module keeps only its measurement.
   :func:`probe_stored` (exact-match known-stored keys → PRESENT count
   and metrics delta: E22, E26, ``BENCH_avail``), :func:`zipf_probe_cost`
   (Zipf probes on stored keys → routed gets per probe, an absent answer
-  is an error: E23, ``BENCH_lookup``) and :func:`hops_per_lookup` (one
-  phase's routed hops per DHT-lookup on one substrate, with the
-  cross-substrate cost-invariance check of footnote 5: E25 and the
-  ``hops_per_op_*`` gates).
+  is an error: E23, ``BENCH_lookup``) and :func:`phase_hops` (build,
+  lookup and range routed hops per DHT-lookup on one substrate, each
+  phase through :func:`hops_per_lookup`'s cross-substrate
+  cost-invariance check of footnote 5: E25 and the ``hops_per_op_*``
+  gates).
 * :class:`ExperimentResult` owns the x × series row walk
   (:meth:`ExperimentResult.rows`) that the text table and the Markdown
   report both render.
+
+A result is a pure function of (scale, seed): the harness records
+counts only.  Wall-clock is measured by the benchmark in ``bench/``.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,12 +45,14 @@ from repro.baselines.pht import PHTIndex
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.core.results import MatchStatus
+from repro.dht import registry
 from repro.dht.base import DHT
 from repro.dht.metrics import MetricsSnapshot
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.stats import aggregate
 from repro.sim.rng import derive_seed
-from repro.workloads.queries import zipf_rank_choice
+from repro.workloads.datasets import make_keys
+from repro.workloads.queries import lookup_keys, span_ranges, zipf_rank_choice
 
 __all__ = [
     "Series",
@@ -62,11 +65,8 @@ __all__ = [
     "probe_stored",
     "zipf_probe_cost",
     "hops_per_lookup",
+    "phase_hops",
     "format_number",
-    "count_build_time",
-    "count_query_time",
-    "reset_wall_clock",
-    "wall_clock_totals",
 ]
 
 def scale_params(scales: Mapping[str, dict], scale: str) -> dict:
@@ -82,43 +82,6 @@ def scale_params(scales: Mapping[str, dict], scale: str) -> dict:
 def trial_rng(seed: int, experiment: str, trial: int) -> np.random.Generator:
     """Independent generator per (experiment, trial) pair."""
     return np.random.default_rng(derive_seed(seed, f"{experiment}:{trial}"))
-
-
-# ----------------------------------------------------------------------
-# Wall-clock accounting (experiments only — the deterministic core is
-# wall-clock-free by lint rule LHT001).  Every figure's numbers stay
-# count-based; these totals ride along in ExperimentResult.timings so
-# the bulk-build / parallel-runner speedups are visible in every run
-# without ever entering a benchgate comparison.
-# ----------------------------------------------------------------------
-
-_WALL_TOTALS = {"build_s": 0.0, "query_s": 0.0}
-
-
-def reset_wall_clock() -> None:
-    """Zero the per-experiment build/query wall-clock accumulators."""
-    for phase in _WALL_TOTALS:
-        _WALL_TOTALS[phase] = 0.0
-
-
-def wall_clock_totals() -> dict[str, float]:
-    """A copy of the accumulated wall-clock totals, in seconds."""
-    return dict(_WALL_TOTALS)
-
-
-@contextmanager
-def _count_wall(phase: str) -> Iterator[None]:
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        _WALL_TOTALS[phase] += time.perf_counter() - started
-
-
-#: ``with count_build_time():`` charges the block to the experiment's
-#: ``build_s`` total; ``count_query_time`` likewise to ``query_s``.
-count_build_time = partial(_count_wall, "build_s")
-count_query_time = partial(_count_wall, "query_s")
 
 
 _SCHEMES = {"lht": LHTIndex, "pht": PHTIndex}
@@ -141,8 +104,7 @@ def build_index(
     if scheme not in _SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     index = _SCHEMES[scheme](dht, config)
-    with count_build_time():
-        index.bulk_load((float(k) for k in keys), fast=fast)
+    index.bulk_load((float(k) for k in keys), fast=fast)
     return index
 
 
@@ -229,10 +191,9 @@ def probe_stored(
     """
     before = index.dht.metrics.snapshot()
     hits = 0
-    with count_query_time():
-        for key in sample:
-            if index.exact_match_checked(float(key)).status is MatchStatus.PRESENT:
-                hits += 1
+    for key in sample:
+        if index.exact_match_checked(float(key)).status is MatchStatus.PRESENT:
+            hits += 1
     return hits, index.dht.metrics.since(before)
 
 
@@ -250,10 +211,9 @@ def zipf_probe_cost(
     """
     probes = zipf_rank_choice(np.asarray(keys), skew, n_probes, rng)
     before = index.dht.metrics.snapshot()
-    with count_query_time():
-        for key in probes:
-            if index.exact_match(float(key))[0] is None:
-                raise ReproError(f"stored key {key!r} reported absent")
+    for key in probes:
+        if index.exact_match(float(key))[0] is None:
+            raise ReproError(f"stored key {key!r} reported absent")
     spent = index.dht.metrics.since(before)
     return spent.gets / n_probes, spent
 
@@ -286,6 +246,45 @@ def hops_per_lookup(
     return spent.hops / spent.dht_lookups
 
 
+def phase_hops(
+    substrate: str, n_peers: int, params: Mapping, seed: int, reference: dict
+) -> dict[str, float]:
+    """Hops per DHT-lookup of each phase on one overlay of ``n_peers``.
+
+    The E25 cell, also behind the ``hops_per_op_*`` gates: one LHT index
+    (``theta_split``, D = 20) is fast-built from ``size`` uniform keys,
+    then serves ``n_lookups`` point lookups and ``n_ranges`` range
+    queries of width ``span``.  The workload stream omits the substrate,
+    so every overlay of one ``n_peers`` draws the same keys and queries,
+    and :func:`hops_per_lookup` holds each phase's DHT-lookup count
+    equal across them through ``reference``.
+    """
+    rng = trial_rng(seed, f"routing_diversity:{n_peers}", 0)
+    dht = registry.make(substrate, n_peers, seed)
+    keys = make_keys("uniform", params["size"], rng)
+    config = IndexConfig(theta_split=params["theta_split"], max_depth=20)
+    index = None
+
+    def build() -> None:
+        nonlocal index
+        index = build_index("lht", dht, config, keys)
+
+    def lookup() -> None:
+        for probe in lookup_keys(params["n_lookups"], rng):
+            index.lookup(float(probe))
+
+    def range_() -> None:
+        for query in span_ranges(params["n_ranges"], params["span"], rng):
+            index.range_query(query.lo, query.hi)
+
+    return {
+        phase: hops_per_lookup(
+            substrate, dht, step, f"{phase} at N={n_peers}", reference
+        )
+        for phase, step in (("build", build), ("lookup", lookup), ("range", range_))
+    }
+
+
 @dataclass(slots=True)
 class ExperimentResult:
     """The regenerated data behind one paper figure or analysis."""
@@ -297,11 +296,6 @@ class ExperimentResult:
     params: dict
     series: list[Series]
     notes: str = ""
-    #: Wall-clock seconds (``build_s``, ``query_s``, ``wall_s``), stamped
-    #: by the runner from the accumulators above.  Informational only:
-    #: host-dependent, never part of any count-based comparison, and
-    #: stripped by :meth:`canonical_json` for byte-identity checks.
-    timings: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Rendering
@@ -343,28 +337,11 @@ class ExperimentResult:
             lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
         if self.notes:
             lines.append(f"  note: {self.notes}")
-        if self.timings:
-            cells = ", ".join(
-                f"{name}={seconds:.2f}s"
-                for name, seconds in sorted(self.timings.items())
-            )
-            lines.append(f"  wall: {cells}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
         """A JSON-serializable dict of the result."""
         return asdict(self)
-
-    def canonical_json(self) -> dict:
-        """The result dict without host-dependent wall-clock timings.
-
-        This is the byte-comparable view: two runs of the same seed must
-        agree on it exactly (the ``--jobs`` determinism test compares
-        it), while ``timings`` legitimately varies run to run.
-        """
-        data = self.to_json()
-        data.pop("timings", None)
-        return data
 
     def save(self, directory: str | Path) -> Path:
         """Write the result JSON into ``directory``; returns the path."""

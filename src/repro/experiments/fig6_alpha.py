@@ -19,7 +19,6 @@ from repro.dht.local import LocalDHT
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
     scale_params,
     summarize,
     sweep,
@@ -69,8 +68,7 @@ def _alpha_growth_curve(
         for size in checkpoints:
             # ᾱ comes from the split ledger, so the build must stay on
             # the incremental path (the fast path never splits).
-            with count_build_time():
-                index.bulk_load(float(k) for k in keys[start:size])
+            index.bulk_load(float(k) for k in keys[start:size])
             start = size
             row.append({label: index.ledger.average_alpha})
         per_trial.append(row)
@@ -85,8 +83,7 @@ def _alpha_at_size(
     def measure(theta, trial, rng):
         keys = make_keys(distribution, size, rng)
         index = _empty_index(theta, trial)
-        with count_build_time():
-            index.bulk_load(float(k) for k in keys)
+        index.bulk_load(float(k) for k in keys)
         return {distribution: index.ledger.average_alpha}
 
     return sweep(

@@ -19,7 +19,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    count_build_time,
     scale_params,
     summarize,
     trial_rng,
@@ -60,8 +59,7 @@ def _maintenance_curves(
         for size in checkpoints:
             # Maintenance costs come from the ledger, so each
             # increment replays the incremental algorithm.
-            with count_build_time():
-                index.bulk_load(float(k) for k in keys[start:size])
+            index.bulk_load(float(k) for k in keys[start:size])
             start = size
             row.append(
                 {

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    count_query_time,
     scale_params,
     sweep,
 )
@@ -51,9 +50,8 @@ def _lookup_cost(
         index = build_index(scheme, dht, config, keys)
         probes = lookup_keys(params["n_lookups"], rng)
         total = 0
-        with count_query_time():
-            for probe in probes:
-                total += index.lookup(float(probe)).dht_lookups
+        for probe in probes:
+            total += index.lookup(float(probe)).dht_lookups
         return {scheme: total / len(probes)}
 
     return sweep(

@@ -20,7 +20,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    count_query_time,
     scale_params,
     trial_rng,
 )
@@ -53,14 +52,13 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     )
     dht.reset_log()  # measure query traffic only
 
-    with count_query_time():
-        for probe in lookup_keys(params["n_lookups"], rng):
-            index.lookup(float(probe))
-        for query in span_ranges(params["n_ranges"], 0.05, rng):
-            index.range_query(query.lo, query.hi)
-        for _ in range(50):
-            index.min_query()
-            index.max_query()
+    for probe in lookup_keys(params["n_lookups"], rng):
+        index.lookup(float(probe))
+    for query in span_ranges(params["n_ranges"], 0.05, rng):
+        index.range_query(query.lo, query.hi)
+    for _ in range(50):
+        index.min_query()
+        index.max_query()
 
     peer_counts = list(dht.peer_accesses().values())
     # pad with silent peers so the Gini covers the whole overlay

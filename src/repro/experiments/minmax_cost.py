@@ -16,7 +16,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    count_query_time,
     scale_params,
     sweep,
 )
@@ -43,16 +42,14 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
         true_min, true_max = float(keys.min()), float(keys.max())
 
         lht = build_index("lht", LocalDHT(64, trial), config, keys)
-        with count_query_time():
-            mn = lht.min_query()
-            mx = lht.max_query()
+        mn = lht.min_query()
+        mx = lht.max_query()
         if mn.record.key != true_min or mx.record.key != true_max:
             raise ReproError("LHT min/max answer mismatch")
 
         pht = build_index("pht", LocalDHT(64, trial), config, keys)
-        with count_query_time():
-            pmn, pmn_cost = pht.min_query()
-            pmx, pmx_cost = pht.max_query()
+        pmn, pmn_cost = pht.min_query()
+        pmx, pmx_cost = pht.max_query()
         if pmn.key != true_min or pmx.key != true_max:
             raise ReproError("PHT min/max answer mismatch")
         return {

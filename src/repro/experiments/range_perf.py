@@ -31,7 +31,6 @@ from repro.experiments.common import (
     ExperimentResult,
     Series,
     build_index,
-    count_query_time,
     scale_params,
     sweep,
 )
@@ -106,11 +105,10 @@ def _curves(
         measured: dict[str, float] = {}
         for algo, runner in runners.items():
             bw = lat = 0.0
-            with count_query_time():
-                for query in queries:
-                    result = runner(query.lo, query.hi)
-                    bw += result.dht_lookups
-                    lat += result.parallel_steps
+            for query in queries:
+                result = runner(query.lo, query.hi)
+                bw += result.dht_lookups
+                lat += result.parallel_steps
             measured[f"bw:{algo}"] = bw / n_queries
             measured[f"lat:{algo}"] = lat / n_queries
         return measured

@@ -38,7 +38,6 @@ from repro.dht.replicated import ReplicatedDHT
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    count_build_time,
     probe_stored,
     scale_params,
     trial_rng,
@@ -95,8 +94,7 @@ def _run_cell(
     index = LHTIndex(dht, IndexConfig(theta_split=_THETA))
     keys = make_keys("uniform", params["size"], rng)
     build_before = dht.metrics.snapshot()
-    with count_build_time():
-        index.bulk_load((float(key) for key in keys), fast=True)
+    index.bulk_load((float(key) for key in keys), fast=True)
     puts_per_record = (
         dht.metrics.since(build_before).puts / len(keys)
     )

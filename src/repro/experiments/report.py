@@ -28,7 +28,6 @@ def load_result(path: Path) -> ExperimentResult:
     try:
         data = json.loads(path.read_text())
         data["series"] = [Series(**series) for series in data["series"]]
-        data.pop("timings", None)  # host-dependent; not part of a report
         return ExperimentResult(**data)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed result file {path}: {exc}") from exc

@@ -20,19 +20,13 @@ diameter (onehop flat at 1.0, koorde between onehop and chord).
 
 from __future__ import annotations
 
-from repro.core.config import IndexConfig
 from repro.dht import registry
 from repro.experiments.common import (
     ExperimentResult,
     Series,
-    build_index,
-    count_query_time,
-    hops_per_lookup,
+    phase_hops,
     scale_params,
-    trial_rng,
 )
-from repro.workloads.datasets import make_keys
-from repro.workloads.queries import lookup_keys, span_ranges
 
 __all__ = ["run"]
 
@@ -63,51 +57,17 @@ _PHASES = {
 }
 
 
-def _phase_hops(
-    substrate: str, n_peers: int, params: dict, seed: int, reference: dict
-) -> dict[str, float]:
-    """Hops per DHT-lookup of each phase on one overlay of ``n_peers``."""
-    # Identical workload across substrates (the invariance check
-    # depends on it): the stream name omits the substrate.
-    rng = trial_rng(seed, f"routing_diversity:{n_peers}", 0)
-    dht = registry.make(substrate, n_peers, seed)
-    keys = make_keys("uniform", params["size"], rng)
-    index = None
-
-    def build() -> None:
-        nonlocal index
-        index = build_index(
-            "lht", dht, IndexConfig(theta_split=_THETA, max_depth=20), keys
-        )
-
-    def lookup() -> None:
-        with count_query_time():
-            for probe in lookup_keys(params["n_lookups"], rng):
-                index.lookup(float(probe))
-
-    def range_() -> None:
-        with count_query_time():
-            for query in span_ranges(params["n_ranges"], params["span"], rng):
-                index.range_query(query.lo, query.hi)
-
-    return {
-        phase: hops_per_lookup(
-            substrate, dht, step, f"{phase} at N={n_peers}", reference
-        )
-        for phase, step in (("build", build), ("lookup", lookup), ("range", range_))
-    }
-
-
 def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
     """Routed hops per DHT-lookup, per phase, across every substrate."""
     params = scale_params(_SCALES, scale)
     xs = [float(n) for n in params["n_peers"]]
 
+    shared = {"scale": scale, "seed": seed, "theta_split": _THETA, **params}
     hop_series: dict[str, list[Series]] = {phase: [] for phase in _PHASES}
     reference_cost: dict = {}
     for substrate in registry.names():
         hops = [
-            _phase_hops(substrate, n_peers, params, seed, reference_cost)
+            phase_hops(substrate, n_peers, shared, seed, reference_cost)
             for n_peers in params["n_peers"]
         ]
         for phase in _PHASES:
@@ -115,7 +75,6 @@ def run(scale: str = "ci", seed: int = 0) -> list[ExperimentResult]:
                 Series(substrate, list(xs), [point[phase] for point in hops])
             )
 
-    shared = {"scale": scale, "seed": seed, "theta_split": _THETA, **params}
     notes = (
         "index-level DHT-lookup counts verified identical across all "
         f"{len(registry.names())} registered substrates in every phase; hop "

@@ -20,8 +20,8 @@ across ``N`` worker processes.  This is safe because every cell derives
 all of its randomness from ``(root seed, experiment name, trial)`` via
 ``repro.sim.rng.derive_seed`` — process placement cannot leak into any
 number — and the parent merges results in submission order, so the
-output is byte-identical to ``--jobs 1`` apart from the wall-clock
-``timings``/"finished in" annotations.
+output is byte-identical to ``--jobs 1``.  A result is a pure function
+of (experiment, scale, seed): nothing here reads a clock.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import sys
-import time
 from typing import Callable
 
 from repro.experiments import (
@@ -50,7 +49,6 @@ from repro.experiments import (
     replica_availability,
     routing_diversity,
 )
-from repro.experiments import common
 from repro.experiments.common import ExperimentResult
 from repro.errors import ConfigurationError
 
@@ -83,28 +81,15 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[str, int], list[ExperimentResult]]]]
 }
 
 
-def _run_cell(
-    cell: tuple[str, str, int]
-) -> tuple[str, list[ExperimentResult], float]:
+def _run_cell(cell: tuple[str, str, int]) -> tuple[str, list[ExperimentResult]]:
     """Run one experiment cell — the worker-process entry point.
 
     Each cell is hermetic: its randomness comes entirely from
     ``derive_seed(seed, "<experiment>:<trial>")`` inside the experiment
     module, so the same cell computes the same results in any process.
-    Wall-clock totals accumulated in :mod:`repro.experiments.common`
-    are stamped onto each result before it crosses back to the parent.
     """
     name, scale, seed = cell
-    _, runner = EXPERIMENTS[name]
-    common.reset_wall_clock()
-    started = time.perf_counter()
-    batch = runner(scale, seed)
-    elapsed = time.perf_counter() - started
-    wall = common.wall_clock_totals()
-    for result in batch:
-        result.timings.update(wall)
-        result.timings["wall_s"] = elapsed
-    return name, batch, elapsed
+    return name, EXPERIMENTS[name][1](scale, seed)
 
 
 def defined_scales(name: str) -> list[str]:
@@ -115,7 +100,6 @@ def defined_scales(name: str) -> list[str]:
 def _emit(
     name: str,
     batch: list[ExperimentResult],
-    elapsed: float,
     out: str | None,
     results: list[ExperimentResult],
 ) -> None:
@@ -129,11 +113,9 @@ def _emit(
             )
         results.append(result)
         print(result.to_table())
-        print()
         if out is not None:
-            path = result.save(out)
-            print(f"  saved: {path}")
-    print(f"  [{name} finished in {elapsed:.1f}s]\n", flush=True)
+            print(f"  saved: {result.save(out)}")
+        print(flush=True)
 
 
 def run_experiments(
@@ -147,10 +129,9 @@ def run_experiments(
 
     With ``jobs > 1`` the cells execute in a ``spawn`` process pool and
     the parent prints/saves them in submission order as each becomes
-    available, so stdout and the saved JSON match a serial run exactly
-    (modulo wall-clock timings).  Raises :class:`ConfigurationError`,
-    before any cell runs, for ``jobs < 1`` or a scale one of the
-    experiments does not define.
+    available, so stdout and the saved JSON match a serial run exactly.
+    Raises :class:`ConfigurationError`, before any cell runs, for
+    ``jobs < 1`` or a scale one of the experiments does not define.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1: {jobs}")
@@ -174,9 +155,9 @@ def run_experiments(
         return results
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=min(jobs, len(cells))) as pool:
-        for name, batch, elapsed in pool.imap(_run_cell, cells):
+        for name, batch in pool.imap(_run_cell, cells):
             announce(name)
-            _emit(name, batch, elapsed, out, results)
+            _emit(name, batch, out, results)
     return results
 
 

@@ -79,8 +79,8 @@ def tiny(monkeypatch):
 
 
 def result_digest(result) -> str:
-    """sha256 of a result's byte-comparable view."""
-    payload = json.dumps(result.canonical_json(), sort_keys=True)
+    """sha256 of a result's JSON."""
+    payload = json.dumps(result.to_json(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

@@ -6,7 +6,7 @@ not move: same DHT-lookup counts, same physical hop counts, same
 experiment output for every seed.  This suite pins that contract with
 golden files captured from the *pre-refactor* tree: for a pinned seed
 matrix (two experiment workloads × all six substrates × two seeds), the
-``ExperimentResult.canonical_json()`` of a fresh run must be
+``ExperimentResult.to_json()`` of a fresh run must be
 byte-identical to the checked-in goldens.
 
 Regenerate (only when a change is *meant* to alter counts)::
@@ -124,7 +124,7 @@ def _golden_path(name: str, seed: int) -> Path:
 
 
 def _canonical_bytes(result: ExperimentResult) -> str:
-    return json.dumps(result.canonical_json(), sort_keys=True, indent=2)
+    return json.dumps(result.to_json(), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -137,7 +137,7 @@ def test_canonical_json_matches_pre_refactor_golden(name: str, seed: int):
     )
     current = _canonical_bytes(_RUNNERS[name](seed))
     assert current == golden.read_text(), (
-        f"{name} seed={seed}: canonical_json drifted from the pinned "
+        f"{name} seed={seed}: result JSON drifted from the pinned "
         "pre-refactor golden (DHT-lookup or hop counts changed)"
     )
 

@@ -4,14 +4,12 @@ Every experiment cell derives its randomness from ``(root seed,
 experiment, trial)``, so process placement cannot change any number, and
 the parent merges results in submission order.  A ``--jobs 4`` run must
 therefore be byte-identical to ``--jobs 1`` — in both printed tables and
-result JSON — apart from the wall-clock annotations, which are
-explicitly host-dependent and stripped here.
+result JSON.  Results record no wall-clock, so nothing is filtered.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 
@@ -20,36 +18,19 @@ from repro.experiments.runner import run_experiments
 
 _NAMES = ["eq3", "minmax", "routing-diversity"]
 
-_WALL_LINE = re.compile(r"^  (wall: |\[[\w-]+ finished in )")
-
-
-def _normalized_stdout(capsys) -> str:
-    """Captured stdout minus the wall-clock/elapsed annotation lines."""
-    lines = capsys.readouterr().out.splitlines()
-    return "\n".join(line for line in lines if not _WALL_LINE.match(line))
-
 
 def test_parallel_run_is_byte_identical_to_serial(capsys):
     serial = run_experiments(_NAMES, scale="ci", seed=0, jobs=1)
-    serial_out = _normalized_stdout(capsys)
+    serial_out = capsys.readouterr().out
     parallel = run_experiments(_NAMES, scale="ci", seed=0, jobs=4)
-    parallel_out = _normalized_stdout(capsys)
+    parallel_out = capsys.readouterr().out
 
     assert parallel_out == serial_out
     assert len(parallel) == len(serial)
     for fast, slow in zip(parallel, serial):
-        assert json.dumps(fast.canonical_json(), sort_keys=True) == json.dumps(
-            slow.canonical_json(), sort_keys=True
+        assert json.dumps(fast.to_json(), sort_keys=True) == json.dumps(
+            slow.to_json(), sort_keys=True
         )
-
-
-def test_results_carry_wall_clock_timings():
-    (result,) = run_experiments(["eq3"], scale="ci", seed=0, jobs=1)
-    assert set(result.timings) >= {"build_s", "query_s", "wall_s"}
-    assert result.timings["wall_s"] >= 0.0
-    # timings are informational: canonical_json must not contain them
-    assert "timings" not in result.canonical_json()
-    assert "timings" in result.to_json()
 
 
 def test_jobs_must_be_positive():

@@ -51,7 +51,7 @@ _HOT_INSTANCES = {
     "BatchResult": lambda: BatchResult(
         responses=[], rounds=0, routed_ops=0, coalesced_saved=0
     ),
-    "PhaseResult": lambda: PhaseResult(name="build", seconds=0.0, counts={}),
+    "PhaseResult": lambda: PhaseResult(name="build", counts={}, hotspots=[]),
 }
 
 
