@@ -23,7 +23,7 @@ import numpy as np
 from repro import ChordDHT, IndexConfig, LHTIndex
 from repro.dht import ChurnConfig, ChurnDriver
 from repro.errors import ReproError
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 
 
 def availability(index: LHTIndex, keys: np.ndarray, sample: int = 300) -> float:
@@ -47,7 +47,6 @@ def run_phase(crash_fraction: float, label: str) -> None:
         index.insert(float(key))
 
     simulator = Simulator()
-    trace = TraceLog()
     driver = ChurnDriver(
         dht,
         simulator,
@@ -59,7 +58,6 @@ def run_phase(crash_fraction: float, label: str) -> None:
             stabilize_period=0.5,
             min_peers=16,
         ),
-        trace=trace,
     )
     print(f"--- {label} ---")
     print(f"{'sim time':>9} {'peers':>6} {'avail':>7} {'events':>22}")

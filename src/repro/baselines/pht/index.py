@@ -32,7 +32,13 @@ from repro.core.interval import Range
 from repro.core.keys import mu_path
 from repro.core.label import Label, ROOT
 from repro.core.range_query import compute_lca
-from repro.core.results import CostLedger, RangeQueryResult, SplitEvent
+from repro.core.results import (
+    CostLedger,
+    DeleteResult,
+    InsertResult,
+    RangeQueryResult,
+    SplitEvent,
+)
 from repro.dht.base import DHT
 from repro.errors import LookupError_
 
@@ -133,22 +139,22 @@ class PHTIndex:
     # Insertion and deletion
     # ------------------------------------------------------------------
 
-    def insert(self, key: float, value: Any = None) -> int:
-        """Insert one record; returns the DHT-lookups the operation used
-        (excluding maintenance, which is ledgered separately)."""
+    def insert(self, key: float, value: Any = None) -> InsertResult:
+        """Insert one record; its ``dht_lookups`` exclude maintenance,
+        which is ledgered separately."""
         result = self.lookup(key)
         if result.node is None:
             raise LookupError_(f"PHT lookup of {key} failed to converge")
         lookups = result.dht_lookups
         self.dht.put(str(result.node.label), result.node)  # record travels
         lookups += 1
-        self._place(result.node, Record(key, value))
-        return lookups
+        leaf, split = self._place(result.node, Record(key, value))
+        return InsertResult(leaf, lookups, split)
 
-    def delete(self, key: float) -> tuple[bool, int]:
+    def delete(self, key: float) -> DeleteResult:
         """Delete the record with exactly this key (no merge: the PHT
         papers do not specify one and the paper's workloads never
-        delete); returns (deleted, DHT-lookups)."""
+        delete)."""
         result = self.lookup(key)
         if result.node is None:
             raise LookupError_(f"PHT lookup of {key} failed to converge")
@@ -158,7 +164,7 @@ class PHTIndex:
         removed = result.node.remove(key)
         if removed is not None:
             self.dht.local_write(str(result.node.label), result.node)
-        return removed is not None, lookups
+        return DeleteResult(removed is not None, lookups)
 
     def bulk_load(
         self,
@@ -230,7 +236,9 @@ class PHTIndex:
     # Split (Ψ_PHT = θ·i + 4·j, paper Eq. 2)
     # ------------------------------------------------------------------
 
-    def _place(self, node: PHTNode, record: Record) -> SplitEvent | None:
+    def _place(
+        self, node: PHTNode, record: Record
+    ) -> tuple[Label, SplitEvent | None]:
         event = None
         target = node
         if node.is_full(self.config.theta_split) and (
@@ -241,7 +249,7 @@ class PHTIndex:
         target.add(record)
         # Persist the mutation at the holding peer (local disk write).
         self.dht.local_write(str(target.label), target)
-        return event
+        return target.label, event
 
     def _split(self, node: PHTNode) -> tuple[SplitEvent, PHTNode, PHTNode]:
         """Split a full leaf: both children move to other peers.

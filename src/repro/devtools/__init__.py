@@ -18,8 +18,8 @@ through ``python -m repro.devtools {lint,determinism,benchgate,loc}``:
   ``LHT_SANITIZE=1`` the runtime sanitizer
   (:class:`repro.core.stats.IndexSanitizer`) sweeps the paper's
   invariants after every mutation, and a violation fails the run.
-* :mod:`repro.devtools.benchgate` — the count and wall-clock benchmark
-  gate over the ``BENCH_*.json`` baselines; ``--hotspots`` profiles its
+* :mod:`repro.devtools.benchgate` — the count-based benchmark gate
+  over the ``BENCH_*.json`` baselines; ``--hotspots`` profiles its
   scale workload phase by phase.
 * :mod:`repro.devtools.loc` — the code-line size metric.
 

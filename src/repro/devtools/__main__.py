@@ -7,11 +7,14 @@ One subcommand per job:
 * ``determinism`` — the same-seed trace-diff harness; run it under
   ``LHT_SANITIZE=1`` to sweep the invariants after every mutation — a
   violation fails the run;
-* ``benchgate`` — the count/wall-clock benchmark regression gate, and
+* ``benchgate`` — the count-based benchmark regression gate, and
   ``benchgate --hotspots`` the per-phase profile of its scale workload;
 * ``loc [PATH ...]`` — code lines per top-level package (lines carrying
   a token, minus docstrings, comments and blanks): the size metric of
   ROADMAP's "net-negative ``src/``" goal.  Default path ``src/repro``.
+
+This is the only spelling: ``python -m repro.devtools.<job>`` exits 1
+and names it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         return _loc.main(rest)
     print(f"unknown subcommand: {command!r} (expected lint, determinism, "
-          f"benchgate, or loc)")
+          f"benchgate, or loc)", file=sys.stderr)
     return 2
 
 

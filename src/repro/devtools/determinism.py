@@ -2,8 +2,9 @@
 
 Every figure in EXPERIMENTS.md claims to be reproducible from a root
 seed.  This module turns that claim into a mechanical check: it runs a
-mixed insert/delete/lookup/range workload against a freshly built LHT
-index, records a canonical per-operation event trace (costs, record
+mixed insert/remove/lookup/range request trace
+(:func:`repro.workloads.trace.generate_trace`) against a freshly built
+LHT index, records a canonical per-operation event trace (costs, record
 counts, splits, merges, plus a final structural digest), repeats the run
 with the same seed, and reports the first divergence if the traces are
 not byte-identical.
@@ -26,7 +27,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
@@ -39,7 +40,7 @@ from repro.errors import (
     SanitizerError,
 )
 from repro.sim.rng import RngStreams, derive_seed
-from repro.workloads.trace import OpType, generate_trace
+from repro.workloads.trace import RequestKind, generate_trace
 
 __all__ = [
     "SUBSTRATES",
@@ -83,7 +84,7 @@ def run_workload(
     """Build an index, replay a generated workload, return its event trace.
 
     The trace is a list of canonical strings, one per operation, capturing
-    everything observable about the run: the operation, its subject key,
+    everything observable about the run: the request kind, its key,
     its DHT-lookup cost, the index's record/leaf counts afterwards, and
     any split or merge events.  A ``stack`` line then records the DHT
     stack's whole :class:`~repro.dht.metrics.MetricsSnapshot` (hops,
@@ -110,7 +111,7 @@ def run_workload(
     index = LHTIndex(dht, config)
 
     events: list[str] = []
-    for step, operation in enumerate(trace):
+    for step, request in enumerate(trace):
         # Faulty substrates (e.g. the resilient-local stack) may fail an
         # operation even after retries; the *failure itself* must replay
         # deterministically, so it becomes a trace event rather than an
@@ -118,23 +119,23 @@ def run_workload(
         # invariant is a defect, not an event: the sanitizer's error
         # propagates.
         try:
-            if operation.op is OpType.INSERT:
-                result = index.insert(operation.key)
+            if request.kind is RequestKind.INSERT:
+                result = index.insert(request.key, request.value)
                 cost = result.dht_lookups
                 detail = f" split={result.split.parent}" if result.split else ""
-            elif operation.op is OpType.DELETE:
-                dresult = index.delete(operation.key)
+            elif request.kind is RequestKind.REMOVE:
+                dresult = index.delete(request.key)
                 cost = dresult.dht_lookups
                 detail = f" deleted={dresult.deleted}"
                 if dresult.merges:
                     merged = ",".join(str(m.survivor) for m in dresult.merges)
                     detail += f" merged={merged}"
-            elif operation.op is OpType.LOOKUP:
-                record, cost = index.exact_match(operation.key)
+            elif request.kind is RequestKind.LOOKUP:
+                record, cost = index.exact_match(request.key)
                 detail = f" hit={record is not None}"
             else:
-                hi = operation.hi if operation.hi is not None else operation.key
-                rresult = index.range_query(operation.key, hi)
+                hi = cast(float, request.hi)  # a RANGE request carries one
+                rresult = index.range_query(request.key, hi)
                 cost = rresult.dht_lookups
                 detail = f" hi={hi!r} n={len(rresult.records)}"
         except SanitizerError:
@@ -143,7 +144,7 @@ def run_workload(
             cost = 0
             detail = f" error={type(exc).__name__}"
         events.append(
-            f"{step:05d} {operation.op.value} key={operation.key!r} "
+            f"{step:05d} {request.kind.value} key={request.key!r} "
             f"cost={cost} records={len(index)} "
             f"leaves={index.leaf_count}{detail}"
         )
@@ -277,3 +278,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(report.summary())
     return 0 if report.matched else 1
 
+
+if __name__ == "__main__":  # the job runs only through the package CLI
+    raise SystemExit("run this job as: python -m repro.devtools determinism")

@@ -1544,3 +1544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     print(f"ok: {program.n_files} file(s) clean ({wall_s:.2f}s)")
     return 0
+
+
+if __name__ == "__main__":  # the job runs only through the package CLI
+    raise SystemExit("run this job as: python -m repro.devtools lint")

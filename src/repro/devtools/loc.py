@@ -68,3 +68,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"  {sum(counts.values()):6d}  total")
     return 0
 
+
+if __name__ == "__main__":  # the job runs only through the package CLI
+    raise SystemExit("run this job as: python -m repro.devtools loc")

@@ -24,7 +24,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import (
     ConfigurationError,
     EmptyOverlayError,
@@ -132,9 +131,8 @@ class CANDHT(SubstrateBase):
         n_peers: int = 64,
         seed: int = 0,
         dims: int = 2,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         if dims < 1:
             raise ConfigurationError(f"dims must be >= 1: {dims}")
         self.dims = dims

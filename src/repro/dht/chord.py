@@ -31,7 +31,6 @@ from repro.dht.hashing import (
     successor_in,
 )
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, EmptyOverlayError, RoutingError
 
 __all__ = ["ChordDHT", "ChordNode"]
@@ -61,9 +60,6 @@ class ChordDHT(SubstrateBase):
         n_peers: Initial ring size (peer ids drawn uniformly at random).
         seed: RNG seed for peer ids and gateway selection.
         id_bits: Identifier width ``m`` (ring size ``2**m``).
-        successor_list_len: Length of each node's successor list (fault
-            tolerance under churn).
-        metrics: Optional shared recorder.
 
     The initial ring is built with exact pointers; subsequent joins and
     leaves go through the real protocol (route-to-successor, key transfer,
@@ -71,21 +67,20 @@ class ChordDHT(SubstrateBase):
     """
 
     MAX_ROUTE_HOPS = 256
+    #: Length of each node's successor list (fault tolerance under churn).
+    SUCCESSOR_LIST_LEN = 4
 
     def __init__(
         self,
         n_peers: int = 64,
         seed: int = 0,
         id_bits: int = 32,
-        successor_list_len: int = 4,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         if not 8 <= id_bits <= 160:
             raise ConfigurationError(f"id_bits must be in [8, 160]: {id_bits}")
         self.id_bits = id_bits
         self.space = 1 << id_bits
-        self.successor_list_len = successor_list_len
         self._nodes: dict[int, ChordNode] = {}
         for node_id in self._draw_ids(n_peers, id_bits):
             self._register(ChordNode(id=node_id))
@@ -112,7 +107,7 @@ class ChordDHT(SubstrateBase):
             node = self._nodes[node_id]
             node.successors = [
                 ordered[(idx + k + 1) % n]
-                for k in range(min(self.successor_list_len, n))
+                for k in range(min(self.SUCCESSOR_LIST_LEN, n))
             ]
             node.predecessor = ordered[(idx - 1) % n]
             node.fingers = [
@@ -191,7 +186,7 @@ class ChordDHT(SubstrateBase):
         succ_id, _ = self.find_successor(self._gateway(), node_id)
         succ = self._nodes[succ_id]
         node = ChordNode(id=node_id)
-        node.successors = ([succ_id] + succ.successors)[: self.successor_list_len]
+        node.successors = ([succ_id] + succ.successors)[: self.SUCCESSOR_LIST_LEN]
         node.fingers = [succ_id] * self.id_bits
         self._register(node)
 
@@ -211,7 +206,7 @@ class ChordDHT(SubstrateBase):
         if self._alive(node.predecessor):
             pred_node = self._nodes[node.predecessor]  # type: ignore[index]
             pred_node.successors = ([node_id] + pred_node.successors)[
-                : self.successor_list_len
+                : self.SUCCESSOR_LIST_LEN
             ]
         return node_id
 
@@ -236,7 +231,7 @@ class ChordDHT(SubstrateBase):
                 pred = self._nodes[node.predecessor]  # type: ignore[index]
                 pred.successors = [s for s in pred.successors if s != node_id]
                 pred.successors = ([succ_id] + pred.successors)[
-                    : self.successor_list_len
+                    : self.SUCCESSOR_LIST_LEN
                 ]
             if succ.predecessor == node_id:
                 succ.predecessor = node.predecessor
@@ -263,7 +258,7 @@ class ChordDHT(SubstrateBase):
             and in_open_interval(candidate, node_id, succ_id, self.space)  # type: ignore[arg-type]
         ):
             node.successors = ([candidate] + node.successors)[  # type: ignore[list-item]
-                : self.successor_list_len
+                : self.SUCCESSOR_LIST_LEN
             ]
             succ_id = candidate  # type: ignore[assignment]
             succ = self._nodes[succ_id]
@@ -276,7 +271,7 @@ class ChordDHT(SubstrateBase):
             succ.predecessor = node_id
         # refresh successor list from the (possibly new) successor
         node.successors = ([succ_id] + [s for s in succ.successors if s != node_id])[
-            : self.successor_list_len
+            : self.SUCCESSOR_LIST_LEN
         ]
 
     def fix_fingers(self, node_id: int, count: int = 1) -> None:

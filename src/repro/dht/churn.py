@@ -16,7 +16,6 @@ import numpy as np
 from repro.dht.chord import ChordDHT
 from repro.errors import ConfigurationError
 from repro.sim.events import Simulator
-from repro.sim.trace import TraceLog
 
 __all__ = ["ChurnConfig", "ChurnDriver"]
 
@@ -56,14 +55,12 @@ class ChurnDriver:
         simulator: Simulator,
         rng: np.random.Generator,
         config: ChurnConfig | None = None,
-        trace: TraceLog | None = None,
     ) -> None:
         self.dht = dht
         self.simulator = simulator
         self.rng = rng
         self.config = config or ChurnConfig()
-        # Explicit None check: an empty TraceLog is falsy (it has __len__).
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        #: Churn events so far, by kind.
         self.joins = 0
         self.leaves = 0
         self.crashes = 0
@@ -99,9 +96,8 @@ class ChurnDriver:
     # ------------------------------------------------------------------
 
     def _join(self, until: float) -> None:
-        node_id = self.dht.join()
+        self.dht.join()
         self.joins += 1
-        self.trace.record(self.simulator.now, "join", node=node_id)
         self._schedule_next_join(until)
 
     def _leave(self, until: float) -> None:
@@ -111,11 +107,9 @@ class ChurnDriver:
             if float(self.rng.random()) < self.config.crash_fraction:
                 self.dht.fail(victim)
                 self.crashes += 1
-                self.trace.record(self.simulator.now, "crash", node=victim)
             else:
                 self.dht.leave(victim, graceful=True)
                 self.leaves += 1
-                self.trace.record(self.simulator.now, "leave", node=victim)
         self._schedule_next_leave(until)
 
     def _stabilize_tick(self) -> None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.dht.hashing import hash_key
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, RoutingError
 
 __all__ = ["KademliaDHT", "KademliaNode"]
@@ -57,9 +56,8 @@ class KademliaDHT(SubstrateBase):
         id_bits: int = 32,
         k: int = 8,
         alpha: int = 3,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         if k < 1 or alpha < 1:
             raise ConfigurationError(f"k and alpha must be >= 1: k={k}, alpha={alpha}")
         self.id_bits = id_bits

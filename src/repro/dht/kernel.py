@@ -56,7 +56,6 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.dht.base import DHT, NO_REPLY
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, EmptyOverlayError, NoSuchPeerError
 
 __all__ = [
@@ -248,10 +247,8 @@ class SubstrateBase(DHT):
     #: ``O(digits · N)`` — more than the holder scan it would save.
     OWNER_FIRST_READS = True
 
-    def __init__(
-        self, n_peers: int, seed: int, metrics: MetricsRecorder | None = None
-    ) -> None:
-        super().__init__(metrics)
+    def __init__(self, n_peers: int, seed: int) -> None:
+        super().__init__()  # a fresh recorder; wrappers share it
         if n_peers < 1:
             raise ConfigurationError(f"n_peers must be >= 1: {n_peers}")
         self.peers = PeerStore()

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 from repro.dht.hashing import hash_key, in_half_open_interval, ring_distance
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, RoutingError
 
 __all__ = ["KoordeDHT", "KoordeNode"]
@@ -60,7 +59,6 @@ class KoordeDHT(SubstrateBase):
         degree: de Bruijn degree ``k`` (power of two >= 2); each node
             keeps Θ(k) expected de Bruijn pointers and routes
             in ``O(log_k n)`` digit injections.
-        metrics: Optional shared recorder.
     """
 
     MAX_ROUTE_HOPS = 4096
@@ -71,9 +69,8 @@ class KoordeDHT(SubstrateBase):
         seed: int = 0,
         id_bits: int = 32,
         degree: int = 16,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         b = degree.bit_length() - 1
         if degree < 2 or (1 << b) != degree:
             raise ConfigurationError(f"degree must be a power of two >= 2: {degree}")

@@ -18,7 +18,6 @@ import math
 
 from repro.dht.hashing import ID_SPACE, hash_key
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 
 __all__ = ["LocalDHT"]
 
@@ -29,16 +28,14 @@ class LocalDHT(SubstrateBase):
     Args:
         n_peers: Number of virtual peers on the ring.
         seed: Seed for drawing peer identifiers.
-        metrics: Optional shared recorder.
     """
 
     def __init__(
         self,
         n_peers: int = 64,
         seed: int = 0,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         ids: set[int] = set()
         while len(ids) < n_peers:
             # Compose a full 160-bit identifier from three 64-bit draws.

@@ -10,7 +10,7 @@ explicitly rather than assuming instant global knowledge:
 
 * a **joining** peer takes over its key range immediately (it is live
   and responsible from the moment it joins) but spends a *quarantine
-  window* of ``quarantine_rounds`` dissemination rounds outside other
+  window* of ``QUARANTINE_ROUNDS`` dissemination rounds outside other
   peers' tables — until the join event lands, lookups for its keys still
   contact the previous owner, which forwards them: one extra hop,
   D1HT's bounded-staleness guarantee;
@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.dht.hashing import hash_key, in_half_open_interval, successor_in
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
-from repro.errors import ConfigurationError, EmptyOverlayError, RoutingError
+from repro.errors import EmptyOverlayError, RoutingError
 
 __all__ = ["OneHopDHT", "OneHopNode"]
 
@@ -64,27 +63,21 @@ class OneHopDHT(SubstrateBase):
         n_peers: Initial overlay size (peer ids drawn uniformly at random).
         seed: RNG seed for peer ids and gateway selection.
         id_bits: Identifier width (ring size ``2**id_bits``).
-        quarantine_rounds: Dissemination rounds a join event waits before
-            the joiner becomes routable in other peers' tables.
-        metrics: Optional shared recorder.
     """
+
+    #: Dissemination rounds a join event waits before the joiner becomes
+    #: routable in other peers' tables.
+    QUARANTINE_ROUNDS = 2
 
     def __init__(
         self,
         n_peers: int = 64,
         seed: int = 0,
         id_bits: int = 32,
-        quarantine_rounds: int = 2,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
-        if quarantine_rounds < 1:
-            raise ConfigurationError(
-                f"quarantine_rounds must be >= 1: {quarantine_rounds}"
-            )
+        super().__init__(n_peers, seed)
         self.id_bits = id_bits
         self.space = 1 << id_bits
-        self.quarantine_rounds = quarantine_rounds
         self._nodes: dict[int, OneHopNode] = {}
         self._pending: list[_Event] = []
         ids = self._draw_ids(n_peers, id_bits)
@@ -150,7 +143,7 @@ class OneHopDHT(SubstrateBase):
                 hash_key(k, self.id_bits), pred_id, node_id, self.space
             ),
         )
-        self._pending.append(_Event("join", node_id, self.quarantine_rounds))
+        self._pending.append(_Event("join", node_id, self.QUARANTINE_ROUNDS))
         return node_id
 
     def leave(self, node_id: int, graceful: bool = True) -> None:

@@ -20,7 +20,6 @@ from typing import Iterable
 
 from repro.dht.hashing import hash_key
 from repro.dht.kernel import SubstrateBase
-from repro.dht.metrics import MetricsRecorder
 from repro.errors import ConfigurationError, RoutingError
 
 __all__ = ["PastryDHT", "PastryNode", "PrefixRoutedDHT"]
@@ -47,9 +46,8 @@ class PrefixRoutedDHT(SubstrateBase):
         seed: int,
         id_bits: int,
         b: int,
-        metrics: MetricsRecorder | None,
     ) -> None:
-        super().__init__(n_peers, seed, metrics)
+        super().__init__(n_peers, seed)
         if id_bits % b != 0:
             raise ConfigurationError(
                 f"id_bits ({id_bits}) must be a multiple of b ({b})"
@@ -77,6 +75,8 @@ class PastryDHT(PrefixRoutedDHT):
     """A simulated Pastry overlay implementing the generic DHT interface."""
 
     MAX_ROUTE_HOPS = 128
+    #: Leaf-set size: the numerically closest peers, half on each side.
+    LEAF_SET_SIZE = 8
 
     def __init__(
         self,
@@ -84,11 +84,8 @@ class PastryDHT(PrefixRoutedDHT):
         seed: int = 0,
         id_bits: int = 32,
         b: int = 4,
-        leaf_set_size: int = 8,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, id_bits, b, metrics)
-        self.leaf_set_size = leaf_set_size
+        super().__init__(n_peers, seed, id_bits, b)
         self._nodes: dict[int, PastryNode] = {}
         # set(): this overlay registers in a set's iteration order, which
         # pins its oracle-scan order (see SubstrateBase._draw_ids).
@@ -105,7 +102,7 @@ class PastryDHT(PrefixRoutedDHT):
         ordered = sorted(self._nodes)
         n = len(ordered)
         index_of = {nid: i for i, nid in enumerate(ordered)}
-        half = self.leaf_set_size // 2
+        half = self.LEAF_SET_SIZE // 2
         for node in self._nodes.values():
             i = index_of[node.id]
             node.leaf_set = sorted(

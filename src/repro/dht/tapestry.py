@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dht.hashing import hash_key
-from repro.dht.metrics import MetricsRecorder
 from repro.dht.pastry import PrefixRoutedDHT
 
 __all__ = ["TapestryDHT", "TapestryNode"]
@@ -52,9 +51,8 @@ class TapestryDHT(PrefixRoutedDHT):
         seed: int = 0,
         id_bits: int = 32,
         b: int = 4,
-        metrics: MetricsRecorder | None = None,
     ) -> None:
-        super().__init__(n_peers, seed, id_bits, b, metrics)
+        super().__init__(n_peers, seed, id_bits, b)
         self._nodes: dict[int, TapestryNode] = {}
         # set(): this overlay registers in a set's iteration order, which
         # pins its oracle-scan order (see SubstrateBase._draw_ids).

@@ -25,14 +25,14 @@ from repro.serve.engine import ServeEngine, ServeResult
 from repro.serve.frontend import AsyncFrontend, ThreadedFrontend
 from repro.serve.service import (
     BatchResult,
-    Request,
-    RequestKind,
     Response,
     ServeConfig,
     Status,
     execute_batch,
+    serial_answer,
 )
 from repro.serve.workload import Arrival, WorkloadConfig, generate_workload
+from repro.workloads.trace import Request, RequestKind
 
 __all__ = [
     "Arrival",
@@ -49,4 +49,5 @@ __all__ = [
     "WorkloadConfig",
     "execute_batch",
     "generate_workload",
+    "serial_answer",
 ]

@@ -49,25 +49,17 @@ class ServeResult:
             actually executed them — replaying the requests serially in
             this order must reproduce identical answers and index state
             (``tests/test_serve.py`` pins it).
-        batches: Batches executed.
-        rounds: Total parallel routed rounds across all batches.
-        routed_ops: Routed DHT operations charged while serving.
-        coalesced_saved: Routed gets avoided by cross-request dedup.
-        rejected: Arrivals refused by admission control.
         sim_seconds: Simulated time from first arrival to last
             completion.
-        percentiles: p50/p90/p99 of completed-request latencies.
+
+    Batches, rejections, coalesced gets and latency percentiles are
+    counted once, by the index's
+    :class:`~repro.dht.metrics.MetricsRecorder`.
     """
 
     responses: list[Response]
     executed_order: list[int] = field(default_factory=list)
-    batches: int = 0
-    rounds: int = 0
-    routed_ops: int = 0
-    coalesced_saved: int = 0
-    rejected: int = 0
     sim_seconds: float = 0.0
-    percentiles: dict[str, float] = field(default_factory=dict)
 
 
 class ServeEngine(Dispatcher):
@@ -117,15 +109,9 @@ class ServeEngine(Dispatcher):
                     responses[arrival.index] = Response(
                         Status.REJECTED, error=str(exc)
                     )
-                    result.rejected += 1
 
-            executed = self.execute(self.next_batch())
-            if executed is None:  # pragma: no cover - _resolve raised the bug
-                break
-            result.batches += 1
-            result.rounds += executed.rounds
-            result.routed_ops += executed.routed_ops
-            result.coalesced_saved += executed.coalesced_saved
+            if self.execute(self.next_batch()) is None:  # pragma: no cover
+                break  # _resolve raised the bug
 
         missing = [i for i, r in enumerate(responses) if r is None]
         if missing:  # defensive: every arrival must resolve exactly once
@@ -134,5 +120,4 @@ class ServeEngine(Dispatcher):
             )
         result.responses = [r for r in responses if r is not None]
         result.sim_seconds = self.clock.now - started
-        result.percentiles = self.index.dht.metrics.latency_percentiles()
         return result

@@ -1,4 +1,4 @@
-"""Request model, the coalescing batch executor, and the one dispatcher.
+"""Responses, the coalescing batch executor, and the one dispatcher.
 
 The serving layer turns :class:`~repro.core.index.LHTIndex` from a
 library driven by one synchronous client into a *service*: many client
@@ -6,9 +6,9 @@ sessions submit point lookups, inserts, removes, and range queries
 concurrently, and one execution core drives the index safely.  This
 module holds everything the three front-ends share:
 
-* :class:`Request` / :class:`Response` — the service's wire-shaped
-  request/reply pair (answers carry enough to compare byte-for-byte
-  against direct index calls);
+* :class:`Response` — the service's wire-shaped reply to a
+  :class:`~repro.workloads.trace.Request`, and :func:`serial_answer`,
+  a request's one serial meaning on the plain index API;
 * :class:`ServeConfig` — admission-control bounds (in-flight window +
   waiting queue) and the simulated-latency model;
 * :func:`execute_batch` — the heart of the layer: a maximal run of
@@ -33,8 +33,9 @@ outside ``[0, 1)``) — neither takes the dispatcher down.
 
 Mutations are never coalesced: a write acts as a barrier between read
 runs, so the service's execution order is a *serialization* — replaying
-the same requests serially in executed order reproduces the identical
-index state and answers (``tests/test_serve.py`` pins this).
+the same requests in executed order through :func:`serial_answer`
+reproduces the identical index state and answers
+(``tests/test_serve.py`` pins this).
 
 Deterministic-core rules apply (the ``serve`` package is hermetic by
 lint rule LHT001/LHT007): no wall clock, no global randomness — time is
@@ -46,33 +47,27 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, cast
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.index import LHTIndex
 from repro.core.results import LookupResult, MatchStatus
 from repro.errors import ConfigurationError, OverloadError, ReproError
 from repro.sim.clock import Clock
+from repro.workloads.trace import Request, RequestKind
+
+if TYPE_CHECKING:
+    from repro.baselines.pht import PHTIndex
 
 __all__ = [
     "BatchResult",
     "Dispatcher",
     "Pending",
-    "Request",
-    "RequestKind",
     "Response",
     "ServeConfig",
     "Status",
     "execute_batch",
+    "serial_answer",
 ]
-
-
-class RequestKind(enum.Enum):
-    """Operations the service accepts."""
-
-    LOOKUP = "lookup"
-    INSERT = "insert"
-    REMOVE = "remove"
-    RANGE = "range"
 
 
 class Status(enum.Enum):
@@ -83,41 +78,16 @@ class Status(enum.Enum):
     REJECTED = "rejected"  # admission control; nothing was routed
 
 
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One client request.
-
-    ``key`` is the point key (lookup/insert/remove) or the range lower
-    bound; ``hi`` is the range upper bound; ``value`` rides along with
-    inserts.
-    """
-
-    kind: RequestKind
-    key: float
-    value: Any = None
-    hi: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is RequestKind.RANGE and self.hi is None:
-            raise ConfigurationError("range request needs an upper bound")
-
-    @property
-    def is_read(self) -> bool:
-        """Whether the request never mutates the index (coalescable)."""
-        return self.kind is RequestKind.LOOKUP
-
-
 @dataclass(slots=True)
 class Response:
     """The service's answer to one request.
 
-    ``answer`` is comparable against the direct index call: the found
-    :class:`~repro.core.bucket.Record` (or ``None``) for lookups, the
-    ``deleted`` flag for removes, the inserted leaf's bits for inserts,
-    and the record tuple for ranges.  ``latency`` is simulated seconds
-    from arrival to completion; ``dht_lookups`` the routed operations
-    this request consumed (coalesced probes charge the whole batch, not
-    one request — see :class:`BatchResult`).
+    ``answer`` is what :func:`serial_answer` gives for the request on
+    the plain index API.  ``latency`` is simulated seconds from arrival
+    to completion; ``dht_lookups`` the routed operations this request
+    consumed (coalesced lookups share probes, so the routed total is
+    the index's :class:`~repro.dht.metrics.MetricsRecorder`'s count,
+    not the sum of these).
     """
 
     status: Status
@@ -169,14 +139,31 @@ class BatchResult:
             front-end stamps it, because queueing delay is its to know).
         rounds: Parallel routed rounds the batch took (its simulated
             service time is ``rounds * step_seconds``).
-        routed_ops: Routed DHT operations charged while executing.
-        coalesced_saved: Probe gets avoided by dedup across the batch.
+
+    Routed operations and coalesced gets are counted once, by the
+    index's :class:`~repro.dht.metrics.MetricsRecorder`.
     """
 
     responses: list[Response]
     rounds: int
-    routed_ops: int
-    coalesced_saved: int
+
+
+def serial_answer(index: LHTIndex | PHTIndex, request: Request) -> Any:
+    """The plain-API answer to ``request``: the one serial meaning of a
+    request, which serving it must reproduce.
+
+    The found :class:`~repro.core.bucket.Record` (or ``None``) for a
+    lookup, the inserted leaf's bits, the ``deleted`` flag for a remove,
+    and the record tuple for a range.  Typed errors propagate.
+    """
+    if request.kind is RequestKind.LOOKUP:
+        return index.exact_match(request.key)[0]
+    if request.kind is RequestKind.INSERT:
+        return index.insert(request.key, request.value).leaf.bits
+    if request.kind is RequestKind.REMOVE:
+        return index.delete(request.key).deleted
+    # Request.__post_init__ rejects a range without an upper bound.
+    return tuple(index.range_query(request.key, cast(float, request.hi)).records)
 
 
 def _failed(exc: ReproError) -> Response:
@@ -211,8 +198,6 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
     the replicas for the plans awaiting it alone, exactly as the
     direct path's read would be.
     """
-    dht = index.dht
-    before = dht.metrics.dht_lookups
     responses: list[Response | None] = [None] * len(requests)
     # (slot, plan, the name whose reply the plan awaits); a fresh plan
     # awaits "", whose "reply" of ``None`` primes it.
@@ -241,46 +226,27 @@ def _execute_reads(index: LHTIndex, requests: list[Request]) -> BatchResult:
         saved += len(wanted) - len(unique)
         replies = dict(zip(unique, index.reads.round(unique)))
 
-    dht.metrics.record_batch(saved)
+    index.dht.metrics.record_batch(saved)
     return BatchResult(
         responses=[r for r in responses if r is not None],
         rounds=max(rounds, 1),
-        routed_ops=dht.metrics.dht_lookups - before,
-        coalesced_saved=saved,
     )
 
 
 def _execute_write(index: LHTIndex, request: Request) -> BatchResult:
     """Execute one mutation (or range query) serially via the index."""
-    dht = index.dht
-    before = dht.metrics.dht_lookups
+    metrics = index.dht.metrics
+    before = metrics.dht_lookups
     try:
-        if request.kind is RequestKind.INSERT:
-            result = index.insert(request.key, request.value)
-            response = Response(Status.OK, answer=result.leaf.bits)
-        elif request.kind is RequestKind.REMOVE:
-            deleted = index.delete(request.key).deleted
-            response = Response(Status.OK, answer=deleted)
-        elif request.kind is RequestKind.RANGE:
-            # Request.__post_init__ rejects a range without an upper bound.
-            result = index.range_query(request.key, cast(float, request.hi))
-            response = Response(Status.OK, answer=tuple(result.records))
-        else:  # pragma: no cover - dispatch guarded by execute_batch
-            raise ConfigurationError(f"unexpected kind {request.kind}")
+        response = Response(Status.OK, answer=serial_answer(index, request))
     except ReproError as exc:
         response = _failed(exc)
-    spent = dht.metrics.dht_lookups - before
-    response.dht_lookups = spent
-    dht.metrics.record_batch(0)
+    response.dht_lookups = metrics.dht_lookups - before
+    metrics.record_batch(0)
     # A mutation's service time: its routed traffic is sequential from
     # the client's perspective (lookup probes then the put), so bill one
     # round per routed operation, floor one.
-    return BatchResult(
-        responses=[response],
-        rounds=max(spent, 1),
-        routed_ops=spent,
-        coalesced_saved=0,
-    )
+    return BatchResult(responses=[response], rounds=max(response.dht_lookups, 1))
 
 
 def execute_batch(index: LHTIndex, requests: list[Request]) -> BatchResult:

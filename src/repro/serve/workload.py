@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serve.service import Request, RequestKind
 from repro.sim.rng import derive_seed
 from repro.workloads.queries import zipf_rank_choice
+from repro.workloads.trace import Request, RequestKind
 
 __all__ = ["Arrival", "WorkloadConfig", "generate_workload"]
 

@@ -8,7 +8,6 @@ from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue, Simulator
 from repro.sim.network import LatencyModel
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Clock",
@@ -17,6 +16,4 @@ __all__ = [
     "Simulator",
     "LatencyModel",
     "RngStreams",
-    "TraceLog",
-    "TraceRecord",
 ]

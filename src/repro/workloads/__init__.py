@@ -1,4 +1,5 @@
-"""Workload generation: datasets and query streams (paper §9.1, §9.4)."""
+"""Workload generation: datasets, query streams (paper §9.1, §9.4) and
+operation traces."""
 
 from repro.workloads.datasets import (
     DATASETS,
@@ -14,13 +15,7 @@ from repro.workloads.queries import (
     random_ranges,
     span_ranges,
 )
-from repro.workloads.trace import (
-    Operation,
-    OpType,
-    WorkloadTrace,
-    generate_trace,
-    replay,
-)
+from repro.workloads.trace import Request, RequestKind, generate_trace
 
 __all__ = [
     "DATASETS",
@@ -33,9 +28,7 @@ __all__ = [
     "lookup_keys",
     "random_ranges",
     "span_ranges",
-    "Operation",
-    "OpType",
-    "WorkloadTrace",
+    "Request",
+    "RequestKind",
     "generate_trace",
-    "replay",
 ]

@@ -1,90 +1,85 @@
-"""Operation traces: generated mixed workloads and a replayer.
+"""The index's operation vocabulary and generated operation traces.
 
-The paper's motivation (§1) is that peer dynamism induces a continuous
-stream of record insertions and deletions.  A :class:`WorkloadTrace` is
-an explicit, replayable operation sequence — inserts, deletes, exact
-matches, range queries — that experiments and tests can run against any
-index implementing the common surface, with per-operation-type cost
-totals collected by :func:`replay`.
+The paper's index serves four client operations — exact match, insert,
+delete and range (§5–§6) — and its motivation (§1) is that peer
+dynamism induces a continuous stream of insertions and deletions.
+:class:`Request` / :class:`RequestKind` are the one description of such
+an operation: the serving layer accepts them
+(:func:`repro.serve.serial_answer` gives each its one serial meaning),
+and :func:`generate_trace` emits a replayable churn-flavoured sequence of
+them for E20 and the determinism harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator
+import enum
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.workloads.datasets import make_keys
 
-__all__ = ["OpType", "Operation", "WorkloadTrace", "generate_trace", "replay"]
+__all__ = ["Request", "RequestKind", "generate_trace"]
 
 
-class OpType(str, Enum):
-    """Kinds of trace operations."""
+class RequestKind(enum.Enum):
+    """The index's four client operations (§5–§6): the one operation
+    vocabulary of served requests and generated traces alike."""
 
-    INSERT = "insert"
-    DELETE = "delete"
     LOOKUP = "lookup"
+    INSERT = "insert"
+    REMOVE = "remove"
     RANGE = "range"
 
 
 @dataclass(frozen=True, slots=True)
-class Operation:
-    """One trace step.
+class Request:
+    """One client request.
 
-    ``key`` is the subject key for insert/delete/lookup; range queries
-    use ``key`` as the lower bound and ``hi`` as the upper bound.
+    ``key`` is the point key (lookup/insert/remove) or the range lower
+    bound; ``hi`` is the range upper bound; ``value`` rides along with
+    inserts.
     """
 
-    op: OpType
+    kind: RequestKind
     key: float
+    value: Any = None
     hi: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind is RequestKind.RANGE and self.hi is None:
+            raise ConfigurationError("range request needs an upper bound")
 
-@dataclass(slots=True)
-class WorkloadTrace:
-    """A replayable operation sequence."""
-
-    operations: list[Operation] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.operations)
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.operations)
-
-    def counts(self) -> dict[OpType, int]:
-        """Number of operations per type."""
-        out: dict[OpType, int] = {op: 0 for op in OpType}
-        for operation in self.operations:
-            out[operation.op] += 1
-        return out
+    @property
+    def is_read(self) -> bool:
+        """Whether the request never mutates the index (coalescable)."""
+        return self.kind is RequestKind.LOOKUP
 
 
 def generate_trace(
     n_ops: int,
     rng: np.random.Generator,
     distribution: str = "uniform",
-    mix: dict[OpType, float] | None = None,
+    mix: dict[RequestKind, float] | None = None,
     range_span: float = 0.05,
-) -> WorkloadTrace:
-    """Generate a mixed trace.
+) -> list[Request]:
+    """Generate a mixed request trace from ``rng``.
 
-    ``mix`` gives the probability of each operation type (defaults to a
-    churn-flavoured 45% insert / 25% delete / 20% lookup / 10% range).
-    Deletes and lookups target previously inserted keys where possible,
-    so the trace exercises real hits, not just misses.
+    ``mix`` gives the probability of each request kind (defaults to a
+    churn-flavoured 45% insert / 25% remove / 20% lookup / 10% range).
+    Removes and lookups target previously inserted keys where possible,
+    so the trace exercises real hits, not just misses; a remove drawn
+    while nothing is live becomes an insert.
     """
     if n_ops < 0:
         raise ConfigurationError(f"negative trace length: {n_ops}")
     mix = mix or {
-        OpType.INSERT: 0.45,
-        OpType.DELETE: 0.25,
-        OpType.LOOKUP: 0.20,
-        OpType.RANGE: 0.10,
+        RequestKind.INSERT: 0.45,
+        RequestKind.REMOVE: 0.25,
+        RequestKind.LOOKUP: 0.20,
+        RequestKind.RANGE: 0.10,
     }
     total = sum(mix.values())
     if total <= 0:
@@ -94,64 +89,23 @@ def generate_trace(
 
     fresh = iter(make_keys(distribution, n_ops, rng))
     live: list[float] = []
-    operations: list[Operation] = []
+    requests: list[Request] = []
     for _ in range(n_ops):
         kind = kinds[int(rng.choice(len(kinds), p=probabilities))]
-        if kind is OpType.INSERT or (kind is OpType.DELETE and not live):
+        if kind is RequestKind.INSERT or (kind is RequestKind.REMOVE and not live):
             key = float(next(fresh))
             live.append(key)
-            operations.append(Operation(OpType.INSERT, key))
-        elif kind is OpType.DELETE:
+            requests.append(Request(RequestKind.INSERT, key))
+        elif kind is RequestKind.REMOVE:
             idx = int(rng.integers(0, len(live)))
-            operations.append(Operation(OpType.DELETE, live.pop(idx)))
-        elif kind is OpType.LOOKUP:
+            requests.append(Request(RequestKind.REMOVE, live.pop(idx)))
+        elif kind is RequestKind.LOOKUP:
             if live and rng.random() < 0.8:
                 key = live[int(rng.integers(0, len(live)))]
             else:
                 key = float(rng.random())
-            operations.append(Operation(OpType.LOOKUP, key))
+            requests.append(Request(RequestKind.LOOKUP, key))
         else:
             lo = float(rng.random() * (1.0 - range_span))
-            operations.append(Operation(OpType.RANGE, lo, lo + range_span))
-    return WorkloadTrace(operations)
-
-
-def replay(index, trace: Iterable[Operation]) -> dict[str, float]:
-    """Run a trace against an LHT-like index; returns cost totals.
-
-    The index must expose ``insert``/``delete``/``exact_match``/
-    ``range_query`` (both :class:`~repro.core.index.LHTIndex` and the
-    harness-facing PHT adapter qualify).  Returns a dict with per-type
-    operation counts and DHT-lookup totals plus the maintenance ledger
-    deltas accumulated during the replay.
-    """
-    lookups: dict[str, float] = {op.value: 0.0 for op in OpType}
-    counts: dict[str, float] = {f"n_{op.value}": 0.0 for op in OpType}
-    maint_before = index.ledger.maintenance_lookups
-    moved_before = index.ledger.maintenance_records_moved
-    for operation in trace:
-        if operation.op is OpType.INSERT:
-            result = index.insert(operation.key)
-            cost = result if isinstance(result, int) else result.dht_lookups
-        elif operation.op is OpType.DELETE:
-            result = index.delete(operation.key)
-            cost = result[1] if isinstance(result, tuple) else result.dht_lookups
-        elif operation.op is OpType.LOOKUP:
-            _, cost = index.exact_match(operation.key)
-        else:
-            if operation.hi is None:
-                raise ConfigurationError(
-                    f"range operation at key {operation.key} has no upper "
-                    f"bound"
-                )
-            cost = index.range_query(operation.key, operation.hi).dht_lookups
-        lookups[operation.op.value] += cost
-        counts[f"n_{operation.op.value}"] += 1
-    return {
-        **lookups,
-        **counts,
-        "maintenance_lookups": index.ledger.maintenance_lookups - maint_before,
-        "maintenance_records_moved": (
-            index.ledger.maintenance_records_moved - moved_before
-        ),
-    }
+            requests.append(Request(RequestKind.RANGE, lo, hi=lo + range_span))
+    return requests

@@ -8,7 +8,7 @@ import pytest
 from repro.core import IndexConfig, IndexInspector, LHTIndex
 from repro.dht import ChordDHT, ChurnConfig, ChurnDriver
 from repro.errors import ConfigurationError
-from repro.sim import Simulator, TraceLog
+from repro.sim import Simulator
 
 
 def _run_churn(crash_fraction: float, seed: int = 0, duration: float = 30.0):
@@ -19,7 +19,6 @@ def _run_churn(crash_fraction: float, seed: int = 0, duration: float = 30.0):
     for key in keys:
         index.insert(key)
     sim = Simulator()
-    trace = TraceLog()
     driver = ChurnDriver(
         dht,
         sim,
@@ -30,11 +29,10 @@ def _run_churn(crash_fraction: float, seed: int = 0, duration: float = 30.0):
             crash_fraction=crash_fraction,
             min_peers=6,
         ),
-        trace=trace,
     )
     driver.start(until=duration)
     sim.run_until(duration)
-    return dht, index, keys, driver, trace
+    return dht, index, keys, driver
 
 
 class TestChurnConfig:
@@ -47,36 +45,31 @@ class TestChurnConfig:
 
 class TestGracefulChurn:
     def test_ring_survives(self):
-        dht, _, _, driver, _ = _run_churn(crash_fraction=0.0)
+        dht, _, _, driver = _run_churn(crash_fraction=0.0)
         assert driver.joins + driver.leaves > 0
         dht.check_ring()
 
     def test_all_data_survives_graceful_churn(self):
-        dht, index, keys, _, _ = _run_churn(crash_fraction=0.0)
+        dht, index, keys, _ = _run_churn(crash_fraction=0.0)
         IndexInspector(dht).verify()
         for key in keys[:100]:
             record, _ = index.exact_match(key)
             assert record is not None
 
     def test_queries_correct_after_churn(self):
-        _, index, keys, _, _ = _run_churn(crash_fraction=0.0, seed=3)
+        _, index, keys, _ = _run_churn(crash_fraction=0.0, seed=3)
         result = index.range_query(0.2, 0.5)
         assert result.keys == sorted(k for k in keys if 0.2 <= k < 0.5)
-
-    def test_trace_records_events(self):
-        _, _, _, driver, trace = _run_churn(crash_fraction=0.0, seed=4)
-        assert len(trace.by_category("join")) == driver.joins
-        assert len(trace.by_category("leave")) == driver.leaves
 
 
 class TestCrashChurn:
     def test_ring_recovers_from_crashes(self):
-        dht, _, _, driver, _ = _run_churn(crash_fraction=1.0, seed=5)
+        dht, _, _, driver = _run_churn(crash_fraction=1.0, seed=5)
         assert driver.crashes > 0
         dht.check_ring()
 
     def test_crashes_lose_at_most_their_buckets(self):
-        dht, index, keys, driver, _ = _run_churn(crash_fraction=1.0, seed=6)
+        dht, index, keys, driver = _run_churn(crash_fraction=1.0, seed=6)
         reachable = 0
         for key in keys:
             try:
@@ -91,5 +84,5 @@ class TestCrashChurn:
             assert reachable == len(keys)
 
     def test_min_peers_respected(self):
-        dht, _, _, _, _ = _run_churn(crash_fraction=1.0, seed=7)
+        dht, _, _, _ = _run_churn(crash_fraction=1.0, seed=7)
         assert dht.n_peers >= 6

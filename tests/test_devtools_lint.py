@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,9 +312,9 @@ class TestDriver:
         assert find_spec("repro.devtools.profile") is None
 
     def test_no_ci_step_or_doc_runs_a_job_module_directly(self):
-        """``python -m repro.devtools.<job>`` imports the job's module,
-        runs nothing and exits 0, so a CI step or recipe still spelled
-        that way would pass vacuously."""
+        """``python -m repro.devtools.<job>`` runs nothing, so a CI step
+        or recipe still spelled that way is a mistake (it now exits 1;
+        it used to exit 0 and pass vacuously)."""
         repo = REPO_SRC.parent
         roots = [".github/workflows", "README.md", "docs", "examples", ".claude/skills"]
         files = [
@@ -328,6 +331,26 @@ class TestDriver:
             for match in old_spelling.finditer(path.read_text(encoding="utf-8"))
         ]
         assert found == []
+
+    @pytest.mark.parametrize("job", ["lint", "determinism", "benchgate", "loc"])
+    def test_job_module_run_directly_fails_loudly(self, job):
+        """The old spelling ``python -m repro.devtools.<job>`` exits
+        non-zero and names the one that works, running nothing."""
+        env = {**os.environ, "PYTHONPATH": str(REPO_SRC)}
+        old = subprocess.run(
+            [sys.executable, "-m", f"repro.devtools.{job}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert old.returncode != 0
+        assert f"python -m repro.devtools {job}" in old.stderr
+        assert old.stdout == ""
+
+    def test_unknown_subcommand_goes_to_stderr(self, capsys):
+        from repro.devtools.__main__ import main as devtools_cli
+
+        assert devtools_cli(["nope"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown subcommand: 'nope'" in err
 
     def test_missing_path_is_an_error_not_a_green_gate(self, tmp_path, capsys):
         from repro.errors import ConfigurationError

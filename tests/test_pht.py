@@ -103,10 +103,8 @@ class TestLookup:
 
     def test_delete(self):
         index, _ = _build([0.3, 0.4])
-        deleted, _ = index.delete(0.3)
-        assert deleted
-        deleted, _ = index.delete(0.3)
-        assert not deleted
+        assert index.delete(0.3).deleted
+        assert not index.delete(0.3).deleted
         assert len(index) == 1
 
 

@@ -42,6 +42,7 @@ from repro.serve import (
     WorkloadConfig,
     execute_batch,
     generate_workload,
+    serial_answer,
 )
 
 SEED = 11
@@ -63,24 +64,6 @@ def make_workload(keys, n=200, rate=300.0, seed=SEED, **kwargs):
     return generate_workload(
         keys, WorkloadConfig(n_requests=n, rate=rate, **kwargs), seed=seed
     )
-
-
-def replay_direct(index: LHTIndex, requests):
-    """Serial ground truth: each request via the plain index API."""
-    answers = []
-    for request in requests:
-        if request.kind is RequestKind.LOOKUP:
-            record, _ = index.exact_match(request.key)
-            answers.append(record)
-        elif request.kind is RequestKind.INSERT:
-            answers.append(index.insert(request.key, request.value).leaf.bits)
-        elif request.kind is RequestKind.REMOVE:
-            answers.append(index.delete(request.key).deleted)
-        else:
-            answers.append(
-                tuple(index.range_query(request.key, request.hi).records)
-            )
-    return answers
 
 
 def index_fingerprint(index: LHTIndex):
@@ -106,7 +89,7 @@ class TestServeVsDirectEquivalence:
         executed = [workload[i] for i in result.executed_order]
         direct_index, _ = build_index()
         before = direct_index.dht.metrics.snapshot()
-        expected = replay_direct(direct_index, [a.request for a in executed])
+        expected = [serial_answer(direct_index, a.request) for a in executed]
         direct_spent = direct_index.dht.metrics.snapshot() - before
 
         for arrival, answer in zip(executed, expected):
@@ -119,9 +102,9 @@ class TestServeVsDirectEquivalence:
         )
         # Coalescing must only save routed gets, never spend more, and
         # the saving is exactly the batched dedup count.
-        served_gets = served_index.dht.metrics.snapshot().gets
-        assert served_gets <= direct_spent.gets
-        assert result.coalesced_saved == direct_spent.gets - served_gets
+        served = served_index.dht.metrics.snapshot()
+        assert served.gets <= direct_spent.gets
+        assert served.serve_coalesced_gets == direct_spent.gets - served.gets
 
     def test_coalescing_saves_at_concurrency_8(self):
         """At a full window of skewed concurrent lookups the dedup must
@@ -134,11 +117,10 @@ class TestServeVsDirectEquivalence:
             index, ServeConfig(max_in_flight=8, max_queue=64)
         ).run(workload)
         direct, _ = build_index()
-        replay_direct(
-            direct, [workload[i].request for i in result.executed_order]
-        )
+        for i in result.executed_order:
+            serial_answer(direct, workload[i].request)
         assert index.dht.metrics.gets < direct.dht.metrics.gets
-        assert result.coalesced_saved == (
+        assert index.dht.metrics.serve_coalesced_gets == (
             direct.dht.metrics.gets - index.dht.metrics.gets
         )
 
@@ -165,15 +147,15 @@ class TestAdmissionAndMetrics:
             index, ServeConfig(max_in_flight=4, max_queue=8)
         ).run(workload)
         metrics = index.dht.metrics
-        completed = len(result.responses) - result.rejected
+        statuses = [r.status for r in result.responses]
+        completed = len(statuses) - statuses.count(Status.REJECTED)
         assert metrics.serve_requests == completed
+        assert metrics.serve_rejections == statuses.count(Status.REJECTED)
         assert len(metrics.request_latencies) == completed
-        assert metrics.serve_batches == result.batches
-        assert metrics.serve_coalesced_gets == result.coalesced_saved
+        assert 1 <= metrics.serve_batches <= completed
         assert metrics.queue_depth_peak >= 1
         p = metrics.latency_percentiles()
         assert 0.0 < p["p50"] <= p["p90"] <= p["p99"]
-        assert result.percentiles == p
 
     def test_percentiles_empty_sample_is_zero(self):
         index, _ = build_index()
@@ -278,7 +260,7 @@ class TestAsyncFrontend:
         index, requests, responses, frontend = asyncio.run(drive())
         direct, _ = build_index()
         executed = [requests[i] for i in frontend.executed_order]
-        expected = replay_direct(direct, executed)
+        expected = [serial_answer(direct, r) for r in executed]
         by_index = dict(zip(frontend.executed_order, expected))
         for i, response in enumerate(responses):
             assert response.status is Status.OK

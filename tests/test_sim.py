@@ -12,7 +12,6 @@ from repro.sim import (
     LatencyModel,
     RngStreams,
     Simulator,
-    TraceLog,
 )
 
 
@@ -145,25 +144,3 @@ class TestRngStreams:
         c = RngStreams(7).stream("x").random(3)
         assert (a == b).all()
         assert not (a == c).all()
-
-
-class TestTraceLog:
-    def test_record_and_filter(self):
-        trace = TraceLog()
-        trace.record(1.0, "join", node=1)
-        trace.record(2.0, "leave", node=2)
-        trace.record(3.0, "join", node=3)
-        assert len(trace) == 3
-        joins = trace.by_category("join")
-        assert [r.details["node"] for r in joins] == [1, 3]
-
-    def test_disabled(self):
-        trace = TraceLog(enabled=False)
-        trace.record(1.0, "join")
-        assert len(trace) == 0
-
-    def test_clear(self):
-        trace = TraceLog()
-        trace.record(1.0, "x")
-        trace.clear()
-        assert len(trace) == 0

@@ -27,7 +27,8 @@ from repro.dht.koorde import KoordeNode
 from repro.dht.onehop import OneHopNode
 from repro.dht.pastry import PastryNode
 from repro.dht.tapestry import TapestryNode
-from repro.serve.service import BatchResult, Request, RequestKind, Response, Status
+from repro.serve.service import BatchResult, Response, Status
+from repro.workloads.trace import Request, RequestKind
 
 #: Every hot class, with a constructor call producing a live instance.
 _HOT_INSTANCES = {
@@ -48,9 +49,7 @@ _HOT_INSTANCES = {
     "LeafCache": lambda: LeafCache(capacity=4),
     "Request": lambda: Request(kind=RequestKind.LOOKUP, key=0.5),
     "Response": lambda: Response(status=Status.OK),
-    "BatchResult": lambda: BatchResult(
-        responses=[], rounds=0, routed_ops=0, coalesced_saved=0
-    ),
+    "BatchResult": lambda: BatchResult(responses=[], rounds=0),
     "PhaseResult": lambda: PhaseResult(name="build", counts={}, hotspots=[]),
 }
 

@@ -1,4 +1,5 @@
-"""Tests for workload traces, the replayer, and access logging."""
+"""Tests for generated request traces, their serial replay, and access
+logging."""
 
 from __future__ import annotations
 
@@ -7,15 +8,11 @@ import pytest
 
 from repro.baselines.pht import PHTIndex
 from repro.core import IndexConfig, IndexInspector, LHTIndex
+from repro.core.bucket import Record
 from repro.dht import AccessLoggingDHT, LocalDHT
 from repro.errors import ConfigurationError
-from repro.workloads import (
-    Operation,
-    OpType,
-    WorkloadTrace,
-    generate_trace,
-    replay,
-)
+from repro.serve import serial_answer
+from repro.workloads import Request, RequestKind, generate_trace
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -26,41 +23,40 @@ class TestTraceGeneration:
     def test_length_and_counts(self):
         trace = generate_trace(500, _rng())
         assert len(trace) == 500
-        counts = trace.counts()
-        assert sum(counts.values()) == 500
-        assert counts[OpType.INSERT] > counts[OpType.DELETE]
+        kinds = [request.kind for request in trace]
+        assert kinds.count(RequestKind.INSERT) > kinds.count(RequestKind.REMOVE)
 
     def test_deletes_target_live_keys(self):
         trace = generate_trace(400, _rng(1))
         live: set[float] = set()
-        for operation in trace:
-            if operation.op is OpType.INSERT:
-                live.add(operation.key)
-            elif operation.op is OpType.DELETE:
-                assert operation.key in live
-                live.discard(operation.key)
+        for request in trace:
+            if request.kind is RequestKind.INSERT:
+                live.add(request.key)
+            elif request.kind is RequestKind.REMOVE:
+                assert request.key in live
+                live.discard(request.key)
 
     def test_range_ops_have_bounds(self):
         trace = generate_trace(
-            300, _rng(2), mix={OpType.RANGE: 1.0}, range_span=0.1
+            300, _rng(2), mix={RequestKind.RANGE: 1.0}, range_span=0.1
         )
-        for operation in trace:
+        for request in trace:
             # with no live keys, forced inserts can appear; ranges must
             # carry a valid hi bound
-            if operation.op is OpType.RANGE:
-                assert operation.hi is not None
-                assert operation.hi - operation.key == pytest.approx(0.1)
+            if request.kind is RequestKind.RANGE:
+                assert request.hi is not None
+                assert request.hi - request.key == pytest.approx(0.1)
 
     def test_deterministic(self):
-        a = generate_trace(100, _rng(3)).operations
-        b = generate_trace(100, _rng(3)).operations
+        a = generate_trace(100, _rng(3))
+        b = generate_trace(100, _rng(3))
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             generate_trace(-1, _rng())
         with pytest.raises(ConfigurationError):
-            generate_trace(10, _rng(), mix={OpType.INSERT: 0.0})
+            generate_trace(10, _rng(), mix={RequestKind.INSERT: 0.0})
 
 
 class TestReplay:
@@ -71,35 +67,43 @@ class TestReplay:
             IndexConfig(theta_split=8, max_depth=24, merge_enabled=True),
         )
         pht = PHTIndex(LocalDHT(16, 0), IndexConfig(theta_split=8, max_depth=24))
-        lht_totals = replay(lht, trace)
-        pht_totals = replay(pht, trace)
+        for request in trace:
+            # both schemes give the same plain answer to every request
+            # but an insert's (their trees split differently)
+            lht_answer = serial_answer(lht, request)
+            pht_answer = serial_answer(pht, request)
+            if request.kind is not RequestKind.INSERT:
+                assert lht_answer == pht_answer
         # both indexes end with the same record count
         assert len(lht) == len(pht)
-        assert lht_totals["n_insert"] == pht_totals["n_insert"]
         # distributed state stays consistent after the mixed workload
         IndexInspector(lht.dht).verify()
         # the paper's maintenance advantage persists under deletion
-        if pht_totals["maintenance_lookups"]:
-            ratio = (
-                lht_totals["maintenance_lookups"]
-                / pht_totals["maintenance_lookups"]
-            )
+        if pht.ledger.maintenance_lookups:
+            ratio = lht.ledger.maintenance_lookups / pht.ledger.maintenance_lookups
             assert ratio < 0.5
 
-    def test_replay_totals_structure(self):
-        trace = WorkloadTrace(
-            [
-                Operation(OpType.INSERT, 0.5),
-                Operation(OpType.LOOKUP, 0.5),
-                Operation(OpType.RANGE, 0.2, 0.8),
-                Operation(OpType.DELETE, 0.5),
-            ]
-        )
+    def test_serial_answers_per_kind(self):
         index = LHTIndex(LocalDHT(8, 0), IndexConfig(theta_split=8))
-        totals = replay(index, trace)
-        assert totals["n_insert"] == 1
-        assert totals["n_delete"] == 1
-        assert totals["insert"] > 0 and totals["range"] > 0
+        answers = [
+            serial_answer(index, request)
+            for request in (
+                Request(RequestKind.INSERT, 0.5, value="v"),
+                Request(RequestKind.LOOKUP, 0.5),
+                Request(RequestKind.RANGE, 0.2, hi=0.8),
+                Request(RequestKind.REMOVE, 0.5),
+                Request(RequestKind.REMOVE, 0.5),
+                Request(RequestKind.LOOKUP, 0.5),
+            )
+        ]
+        assert answers == [
+            "0",  # the one leaf's bits: LHT's tree starts at #0
+            Record(0.5, "v"),
+            (Record(0.5, "v"),),
+            True,
+            False,
+            None,
+        ]
 
 
 class TestAccessLogging:
