@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.bucket import (
-    Record,
-    RecordStore,
-    record_columns,
-    records_from_columns,
-)
+from repro.core.bucket import Record, RecordStore
 from repro.core.label import Label
 
 __all__ = ["PHTNode"]
@@ -39,14 +34,11 @@ def _node_from_wire(
     prev_bits: str | None,
     next_bits: str | None,
 ) -> PHTNode:
-    """Decode :meth:`PHTNode.__reduce__`'s tuple via the constructors."""
-    return PHTNode(
-        Label(bits),
-        is_leaf,
-        records_from_columns(keys, values),
-        _label(prev_bits),
-        _label(next_bits),
-    )
+    """Decode :meth:`PHTNode.__reduce__`'s tuple: labels through their
+    constructor, the two columns adopted as a ``LeafBucket``'s are."""
+    node = PHTNode(Label(bits), is_leaf, None, _label(prev_bits), _label(next_bits))
+    node._adopt_columns(keys, values)
+    return node
 
 
 class PHTNode(RecordStore):
@@ -73,19 +65,19 @@ class PHTNode(RecordStore):
 
     def take_all(self) -> list[Record]:
         """Remove and return every record (used when a leaf splits)."""
-        records, self._records = self._records, []
-        return records
+        return self._take(slice(None))
 
     def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
         """``LeafBucket``'s columnar wire form plus leaf flag and link bits."""
         return _node_from_wire, (
             self.label.bits,
             self.is_leaf,
-            *record_columns(self._records),
+            self._keys,
+            self._value_column(),
             _bits(self.prev_label),
             _bits(self.next_label),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         kind = "leaf" if self.is_leaf else "internal"
-        return f"PHTNode({self.label}, {kind}, n={len(self._records)})"
+        return f"PHTNode({self.label}, {kind}, n={len(self)})"

@@ -18,25 +18,21 @@ from __future__ import annotations
 import bisect
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, TypeVar, cast
 
 from repro.core.interval import Range
 from repro.core.label import Label
 from repro.errors import KeyOutOfRangeError, WireFormatError
 
-__all__ = [
-    "Record",
-    "RecordStore",
-    "LeafBucket",
-    "record_columns",
-    "records_from_columns",
-]
+__all__ = ["Record", "RecordStore", "LeafBucket"]
 
-#: Sort/bisect key for record stores.  Ordering by the raw float key is
-#: identical to the dataclass ``order=True`` comparison (which compares
+#: Sort key for record lists (bulk loads).  Ordering by the raw float key
+#: is identical to the dataclass ``order=True`` comparison (which compares
 #: ``(key,)`` tuples) but skips the per-comparison tuple construction —
 #: the dominant cost of sorted bulk loads at 2^20 keys.
 RECORD_KEY = operator.attrgetter("key")
+
+_Row = TypeVar("_Row")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -55,29 +51,42 @@ class Record:
             raise KeyOutOfRangeError(f"record key {self.key} outside [0, 1)")
 
 
-def record_columns(records: list[Record]) -> tuple[list[float], list[Any]]:
-    """The wire's key column and value column for a record store."""
-    return [r.key for r in records], [r.value for r in records]
-
-
-def records_from_columns(keys: list[float], values: list[Any]) -> list[Record]:
-    """Records from the wire's key and value columns, each through
-    ``Record.__init__``; unequal columns are rejected, not truncated."""
-    if len(keys) != len(values):
-        raise WireFormatError(
-            f"{len(keys)} keys but {len(values)} values in a record store"
-        )
-    return list(map(Record, keys, values))
-
-
 def _bucket_from_wire(bits: str, keys: list[float], values: list[Any]) -> LeafBucket:
-    """Decode :meth:`LeafBucket.__reduce__`'s triple via the constructors."""
-    return LeafBucket(Label(bits), records_from_columns(keys, values))
+    """Decode :meth:`LeafBucket.__reduce__`'s triple: the label through
+    its constructor, the two columns adopted after one check."""
+    bucket = LeafBucket.__new__(LeafBucket)
+    bucket.label = Label(bits)
+    bucket._adopt_columns(keys, values)
+    return bucket
+
+
+def _by_key(keys: list[float], rows: list[_Row]) -> tuple[list[float], list[_Row]]:
+    """Both columns reordered by key, stably: equal keys keep their order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [keys[i] for i in order], [rows[i] for i in order]
 
 
 class RecordStore:
     """A tree-node label plus a record store sorted by key: what an LHT
     :class:`LeafBucket` and a PHT trie node both are.
+
+    The store is a sorted key column (``list[float]``, searched by plain
+    float bisection) next to exactly one of two row forms:
+
+    * its :class:`Record` list — the form of every store built in
+      process (bulk loads, splits, the bare substrates);
+    * the wire's value column — the form of a store fresh from
+      ``pickle.loads``, where building a ``Record`` per row would cost
+      more than the decode itself.
+
+    A read builds only the ``Record`` objects it returns (one for a
+    lookup, the run for a range), and an insert or delete edits the
+    columns in place, so a fetched bucket goes back on the wire as the
+    columns it arrived as.  Whole-store views (:attr:`records`,
+    iteration, hence merges and scans) build every ``Record`` once and
+    switch the store to the ``Record`` form.  In-process stores stay
+    ``Record`` lists because a range result is the stored records
+    themselves: slicing them is free, building them is not.
 
     ``label`` is a plain attribute — splits and merges relabel a bucket
     in place (Alg. 1).  Stores are mutable values: equal when their wire
@@ -85,24 +94,79 @@ class RecordStore:
     and (``__eq__`` without ``__hash__``) unhashable.
     """
 
-    __slots__ = ("label", "_records")
+    __slots__ = ("label", "_keys", "_records", "_values")
 
     def __init__(self, label: Label, records: list[Record] | None = None) -> None:
         self.label = label
-        self._records: list[Record] = (
-            sorted(records, key=RECORD_KEY) if records else []
-        )
+        rows = list(records) if records else []
+        keys = [record.key for record in rows]
+        ordered = sorted(keys)
+        if ordered != keys:
+            ordered, rows = _by_key(keys, rows)
+        self._keys: list[float] = ordered
+        self._records: list[Record] | None = rows
+        self._values: list[Any] | None = None
+
+    def _adopt_columns(self, keys: list[float], values: list[Any]) -> None:
+        """Take the wire's columns as the store, after one check.
+
+        Columns must be lists of equal length; every key must lie in
+        ``[0, 1)`` (NaN anywhere poisons the sum, and without NaN the
+        sorted extremes bound the rest); out-of-order columns are
+        stably re-sorted, as the ``Record`` constructor path did.
+        """
+        if type(keys) is not list or type(values) is not list:
+            raise WireFormatError(
+                f"record store columns must be lists, got "
+                f"{type(keys).__name__} and {type(values).__name__}"
+            )
+        if len(keys) != len(values):
+            raise WireFormatError(
+                f"{len(keys)} keys but {len(values)} values in a record store"
+            )
+        if keys:
+            ordered = sorted(keys)
+            total = sum(keys)
+            if total != total or not (0.0 <= ordered[0] and ordered[-1] < 1.0):
+                bad = next(k for k in keys if not 0.0 <= k < 1.0)
+                raise KeyOutOfRangeError(f"record key {bad} outside [0, 1)")
+            if ordered != keys:
+                keys, values = _by_key(keys, values)
+        self._keys, self._records, self._values = keys, None, values
+
+    def _record_at(self, index: int) -> Record:
+        """The record at one position; built on the spot in the wire form."""
+        records = self._records
+        if records is not None:
+            return records[index]
+        return Record(self._keys[index], cast("list[Any]", self._values)[index])
+
+    def _rows(self) -> list[Record]:
+        """The ``Record`` form, built once from the columns it replaces."""
+        records = self._records
+        if records is None:
+            values = cast("list[Any]", self._values)
+            records = self._records = list(map(Record, self._keys, values))
+            self._values = None
+        return records
+
+    def _value_column(self) -> list[Any]:
+        """The wire's value column: held as is, or read off the records."""
+        records = self._records
+        if records is None:
+            return cast("list[Any]", self._values)
+        return [record.value for record in records]
 
     @property
     def records(self) -> tuple[Record, ...]:
         """The records, sorted by key (read-only view)."""
-        return tuple(self._records)
+        return tuple(self._rows())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        return iter(self._rows())
 
     @property
     def slot_count(self) -> int:
@@ -112,14 +176,15 @@ class RecordStore:
         (§9.2): each newly produced bucket spends one record slot on its
         leaf label.
         """
-        return len(self._records) + 1
+        return len(self._keys) + 1
 
     def is_full(self, theta_split: int) -> bool:
         """Whether the store has no free slot under threshold ``θ_split``."""
         return self.slot_count >= theta_split
 
     def add(self, record: Record) -> None:
-        """Insert a record, keeping the store sorted by key.
+        """Insert a record, keeping the store sorted by key (after any
+        equal keys, as ``bisect.insort`` places it).
 
         The record's key must fall in the label's interval; the index layer
         guarantees this by construction, and violating it indicates a
@@ -130,38 +195,68 @@ class RecordStore:
                 f"key {record.key} outside {self.label} interval "
                 f"{self.label.interval}"
             )
-        bisect.insort(self._records, record, key=RECORD_KEY)
+        idx = bisect.bisect_right(self._keys, record.key)
+        self._keys.insert(idx, record.key)
+        records = self._records
+        if records is not None:
+            records.insert(idx, record)
+        else:
+            cast("list[Any]", self._values).insert(idx, record.value)
 
     def remove(self, key: float) -> Record | None:
         """Remove and return one record with the given key, or ``None``."""
-        idx = bisect.bisect_left(self._records, key, key=RECORD_KEY)
-        if idx < len(self._records) and self._records[idx].key == key:
-            return self._records.pop(idx)
-        return None
+        keys = self._keys
+        idx = bisect.bisect_left(keys, key)
+        if idx == len(keys) or keys[idx] != key:
+            return None
+        stored = keys.pop(idx)
+        records = self._records
+        if records is not None:
+            return records.pop(idx)
+        return Record(stored, cast("list[Any]", self._values).pop(idx))
 
     def find(self, key: float) -> Record | None:
         """Return one record with the given key, or ``None``."""
-        idx = bisect.bisect_left(self._records, key, key=RECORD_KEY)
-        if idx < len(self._records) and self._records[idx].key == key:
-            return self._records[idx]
+        keys = self._keys
+        idx = bisect.bisect_left(keys, key)
+        if idx < len(keys) and keys[idx] == key:
+            return self._record_at(idx)
         return None
 
     def _run(self, rng: Range) -> slice:
         """Where the records of the half-open query range sit.
 
         The store is sorted by key, so they are one contiguous run: two
-        bisections bound it without any per-record containment test.
-        Key-vs-endpoint comparisons are exact whatever the endpoint's
-        type, and C-level float comparisons for float endpoints.
+        bisections of the key column bound it without any per-record
+        containment test.  Key-vs-endpoint comparisons are exact whatever
+        the endpoint's type, and C-level float comparisons for float
+        endpoints.
         """
-        lo = bisect.bisect_left(self._records, rng.lo, key=RECORD_KEY)
-        return slice(
-            lo, bisect.bisect_left(self._records, rng.hi, lo=lo, key=RECORD_KEY)
-        )
+        keys = self._keys
+        lo = bisect.bisect_left(keys, rng.lo)
+        return slice(lo, bisect.bisect_left(keys, rng.hi, lo))
+
+    def _slice(self, run: slice) -> list[Record]:
+        """The records of one run, building only those in the wire form."""
+        records = self._records
+        if records is not None:
+            return records[run]
+        values = cast("list[Any]", self._values)
+        return list(map(Record, self._keys[run], values[run]))
+
+    def _take(self, run: slice) -> list[Record]:
+        """Remove and return the records of one run."""
+        taken = self._slice(run)
+        del self._keys[run]
+        if self._records is not None:
+            del self._records[run]
+        else:
+            del cast("list[Any]", self._values)[run]
+        return taken
 
     def records_in(self, rng: Range) -> list[Record]:
         """All records whose keys fall in the half-open query range."""
-        return self._records[self._run(rng)]
+        return self._slice(self._run(rng))
 
     def __eq__(self, other: object) -> bool:
         # Record.__eq__ ignores payloads, so compare the wire tuples.
@@ -189,18 +284,15 @@ class LeafBucket(RecordStore):
 
     def min_record(self) -> Record | None:
         """The record with the smallest key, or ``None`` if empty."""
-        return self._records[0] if self._records else None
+        return self._record_at(0) if self._keys else None
 
     def max_record(self) -> Record | None:
         """The record with the largest key, or ``None`` if empty."""
-        return self._records[-1] if self._records else None
+        return self._record_at(-1) if self._keys else None
 
     def take_records_in(self, rng: Range) -> list[Record]:
         """Remove and return all records in the range (used by splits)."""
-        run = self._run(rng)
-        taken = self._records[run]
-        del self._records[run]
-        return taken
+        return self._take(self._run(rng))
 
     def extend(self, records: list[Record]) -> None:
         """Bulk-add records already known to lie in the leaf's interval."""
@@ -211,7 +303,7 @@ class LeafBucket(RecordStore):
         """The wire form ``(label bits, keys, values)``: one str and two
         columns, so the C pickler never calls back into Python per record
         (docs/performance.md, "Wire format")."""
-        return _bucket_from_wire, (self.label.bits, *record_columns(self._records))
+        return _bucket_from_wire, (self.label.bits, self._keys, self._value_column())
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"LeafBucket({self.label}, n={len(self._records)})"
+        return f"LeafBucket({self.label}, n={len(self)})"

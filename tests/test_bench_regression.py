@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import benchgate
+from repro.dht.metrics import MetricsRecorder
+from repro.errors import ReproError
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -185,6 +187,21 @@ class TestCompareLogic:
 
 def _fake_lookup(value: float = 2.0) -> dict:
     return {"params": {"seed": 1}, "metrics": {"gets_per_probe": value}}
+
+
+class TestServeGateBalances:
+    def test_off_by_one_coalesced_count_fails_the_gate(self, monkeypatch):
+        """``measure_serve`` raises unless replayed gets − served gets
+        equals the dedup count the batches recorded, to the unit."""
+        record_batch = MetricsRecorder.record_batch
+        extra = iter([1])
+
+        def off_by_one(self, coalesced_gets):
+            record_batch(self, coalesced_gets + next(extra, 0))
+
+        monkeypatch.setattr(MetricsRecorder, "record_batch", off_by_one)
+        with pytest.raises(ReproError, match="do not balance"):
+            benchgate.measure_serve()
 
 
 class TestCliExitCodes:

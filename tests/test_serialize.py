@@ -2,8 +2,11 @@
 
 A ``LeafBucket`` (and a ``PHTNode``) crosses the DHT boundary as what
 ``__reduce__`` says: the label bits and the key and value columns.
-Decode goes back through the constructors, so a hand-made or corrupted
-payload is rejected with a typed error, never half-accepted.
+Decode rebuilds the label through its constructor and adopts the two
+columns after one check, so a hand-made or corrupted payload is
+rejected with a typed error, never half-accepted; and a decoded store,
+which keeps the columns instead of building ``Record`` objects, answers
+every query and mutation exactly as the store it was pickled from.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.pht.node import PHTNode
-from repro.core import Label, LeafBucket, Record
+from repro.core import Label, LeafBucket, Range, Record
 from repro.errors import KeyOutOfRangeError, LabelError, WireFormatError
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -129,6 +132,29 @@ class TestBucketRoundtrip:
         assert pickle.dumps(bucket) == pickle.dumps(bucket)
         assert pickle.dumps(pickle.loads(pickle.dumps(bucket))) == pickle.dumps(bucket)
 
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_nan_anywhere_in_the_key_column_is_rejected(self, at):
+        decode, _ = _wire(LeafBucket(Label("0")))
+        keys = [0.1, 0.2, 0.3, 0.4, 0.5]
+        keys[at] = float("nan")
+        with pytest.raises(KeyOutOfRangeError):
+            decode("0", keys, [None] * len(keys))
+        node_decode, _ = _wire(PHTNode(Label("0")))
+        with pytest.raises(KeyOutOfRangeError):
+            node_decode("0", True, keys, [None] * len(keys), None, None)
+
+    @pytest.mark.parametrize(
+        "keys, values",
+        [((0.1, 0.2), [1, 2]), ([0.1, 0.2], (1, 2)), ("ab", ["a", "b"]), (None, [])],
+    )
+    def test_non_list_columns_are_rejected(self, keys, values):
+        decode, _ = _wire(LeafBucket(Label("0")))
+        with pytest.raises(WireFormatError):
+            decode("0", keys, values)
+        node_decode, _ = _wire(PHTNode(Label("0")))
+        with pytest.raises(WireFormatError):
+            node_decode("0", True, keys, values, None, None)
+
     def test_records_resorted_on_load(self):
         decode, _ = _wire(LeafBucket(Label("0")))
         bucket = decode("0", [0.9, 0.1], ["late", "early"])
@@ -139,3 +165,83 @@ class TestBucketRoundtrip:
         label.interval  # populate the cache a pickled label must not carry
         assert label.__reduce__() == (Label, ("0110",))
         assert pickle.loads(pickle.dumps(label)) == label
+
+
+def _answer(result):
+    """A store's answer with payloads made visible (``Record.__eq__``
+    ignores them)."""
+    if isinstance(result, Record):
+        return (result.key, result.value)
+    if isinstance(result, list):
+        return [_answer(item) for item in result]
+    return result
+
+
+def _inside(label):
+    """``[0, 1)`` mapped onto the label's interval (exactly: its width
+    is a power of two), so generated keys and ranges land in the store."""
+    low = float(label.interval.low)
+    width = float(label.interval.high) - low
+    return lambda u: low + u * width
+
+
+spans = st.tuples(unit_floats, unit_floats).map(sorted)
+bucket_steps = st.one_of(
+    st.tuples(st.just("add"), unit_floats, payloads),
+    st.tuples(st.sampled_from(["remove", "find"]), unit_floats),
+    st.tuples(st.sampled_from(["records_in", "take_records_in"]), spans),
+    st.tuples(st.sampled_from(["min_record", "max_record"])),
+)
+node_steps = st.one_of(
+    st.tuples(st.just("add"), unit_floats, payloads),
+    st.tuples(st.sampled_from(["remove", "find"]), unit_floats),
+    st.tuples(st.just("records_in"), spans),
+    st.tuples(st.just("take_all")),
+)
+
+
+def _run_both(make, label, items, steps, data):
+    """Replay the steps on an eager store (``make(label, records)``) and
+    on its decoded copy, comparing answers and wire tuples after every
+    step; about half the finds and removes hit a stored key."""
+    at = _inside(label)
+    eager = make(label, [Record(at(k), v) for k, v in items])
+    decoded = pickle.loads(pickle.dumps(eager))
+    for name, *args in steps:
+        if name == "add":
+            key, value = args
+            args = [Record(at(key), value)]
+        elif name in ("remove", "find"):
+            if items and data.draw(st.booleans()):
+                args = [data.draw(st.sampled_from(items))[0]]
+            args = [at(args[0])]
+        elif args:
+            args = [Range(at(args[0][0]), at(args[0][1]))]
+        answers = [_answer(getattr(store, name)(*args)) for store in (eager, decoded)]
+        assert answers[0] == answers[1], name
+        assert _wire(eager)[1] == _wire(decoded)[1], name
+        assert len(eager) == len(decoded)
+    assert [(r.key, r.value) for r in decoded] == [(r.key, r.value) for r in eager]
+
+
+class TestDecodedStoreParity:
+    """A decoded store (key and value columns, no ``Record`` objects)
+    and the eager store it was pickled from answer the same sequence of
+    calls identically and stay equal on the wire after every step."""
+
+    @given(label_bits, items, st.lists(bucket_steps, max_size=25), st.data())
+    def test_leaf_bucket(self, bits, items, steps, data):
+        _run_both(LeafBucket, Label(bits), items, steps, data)
+
+    @given(
+        label_bits,
+        st.booleans(),
+        items,
+        st.lists(node_steps, max_size=25),
+        st.data(),
+    )
+    def test_pht_node(self, bits, is_leaf, items, steps, data):
+        def node(label, records):
+            return PHTNode(label, is_leaf, records, None, label)
+
+        _run_both(node, Label(bits), items, steps, data)

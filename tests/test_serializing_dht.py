@@ -108,6 +108,55 @@ class TestWireSize:
         assert dht.get("k") == second == _int_bucket(3)
 
 
+class TestNoRecordPerRow:
+    """A decoded bucket keeps the wire's key and value columns: a
+    converged lookup builds only the ``Record`` it returns, and an
+    in-bucket insert or delete only the one it stores or removes — not
+    one per row of every bucket it fetches."""
+
+    THETA = 64
+
+    @pytest.fixture
+    def index(self):
+        index, _ = _lht(theta=self.THETA)
+        index.bulk_load([(i * 0.618034) % 1.0 for i in range(400)])
+        return index
+
+    @pytest.fixture
+    def records_built(self, monkeypatch):
+        count = [0]
+        init = Record.__init__
+
+        def counting_init(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Record, "__init__", counting_init)
+        return count
+
+    def test_converged_exact_match(self, index, records_built):
+        for key, stored in ((0.618034, True), (0.0, True), (0.5, False), (0.9, False)):
+            before = records_built[0]
+            record, _ = index.exact_match(key)
+            assert (record is not None) == stored
+            assert records_built[0] - before <= 1
+
+    def test_in_bucket_insert_and_delete(self, index, records_built):
+        fresh = [
+            key
+            for key in np.linspace(0.001, 0.999, 40).tolist()
+            if not index.lookup(key).bucket.is_full(self.THETA)
+        ]
+        assert fresh
+        for key in fresh[:10]:
+            before = records_built[0]
+            assert index.insert(key).split is None
+            assert records_built[0] - before <= 1
+            before = records_built[0]
+            assert index.delete(key).deleted
+            assert records_built[0] - before <= 1
+
+
 class TestLHTOverByteStore:
     @given(st.lists(unit_floats, min_size=1, max_size=200))
     def test_inserts_and_queries(self, keys):
