@@ -165,9 +165,6 @@ class TestFaultyDHT:
         for key in keys:
             index.insert(key)
         flaky = FaultyDHT(inner, get_drop_rate=0.3, seed=3)
-        flaky_index = LHTIndex.__new__(LHTIndex)  # reuse stored state
-        flaky_index.dht = flaky
-        flaky_index.config = index.config
         converged = failed = 0
         from repro.core import lht_lookup
 
@@ -179,29 +176,3 @@ class TestFaultyDHT:
             else:
                 failed += 1
         assert converged > 0 and failed > 0  # both regimes exercised
-
-    def test_range_query_fails_loudly_not_wrongly(self):
-        """Under dropped gets a range query either raises or returns a
-        subset of the true answer — never invented records."""
-        inner = LocalDHT(16, 0)
-        index = LHTIndex(inner, IndexConfig(theta_split=4, max_depth=20))
-        keys = [float(k) for k in np.random.default_rng(5).random(400)]
-        for key in keys:
-            index.insert(key)
-        from repro.core.range_query import RangeQueryExecutor
-        from repro.core.interval import Range
-
-        flaky = FaultyDHT(inner, get_drop_rate=0.2, seed=6)
-        executor = RangeQueryExecutor(flaky, index.config)
-        truth = sorted(k for k in keys if 0.2 <= k < 0.6)
-        outcomes = {"ok": 0, "partial": 0, "raised": 0}
-        for _ in range(50):
-            try:
-                result = executor.run(Range(0.2, 0.6))
-            except ReproError:
-                outcomes["raised"] += 1
-                continue
-            got = result.keys
-            assert set(got) <= set(truth)
-            outcomes["ok" if got == truth else "partial"] += 1
-        assert outcomes["raised"] + outcomes["partial"] > 0
