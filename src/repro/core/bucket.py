@@ -150,6 +150,15 @@ class RecordStore:
             self._values = None
         return records
 
+    def record_keys(self) -> list[float]:
+        """The stored keys, in order: read off the records when the store
+        holds them (a record planted past the key column still shows),
+        off the key column otherwise — no ``Record`` is built."""
+        records = self._records
+        if records is None:
+            return self._keys
+        return [record.key for record in records]
+
     def _value_column(self) -> list[Any]:
         """The wire's value column: held as is, or read off the records."""
         records = self._records
@@ -289,6 +298,18 @@ class LeafBucket(RecordStore):
     def max_record(self) -> Record | None:
         """The record with the largest key, or ``None`` if empty."""
         return self._record_at(-1) if self._keys else None
+
+    def copy(self) -> LeafBucket:
+        """An equal bucket whose columns are its own: editing one leaves
+        the other as it was.  Records are frozen and payloads opaque, so
+        they are shared; the row form (records or wire columns) is kept."""
+        twin = LeafBucket.__new__(LeafBucket)
+        twin.label = self.label
+        twin._keys = self._keys.copy()
+        records, values = self._records, self._values
+        twin._records = None if records is None else records.copy()
+        twin._values = None if values is None else values.copy()
+        return twin
 
     def take_records_in(self, rng: Range) -> list[Record]:
         """Remove and return all records in the range (used by splits)."""

@@ -195,25 +195,42 @@ class LHTIndex:
 
     def insert(self, key: float, value: Any = None) -> InsertResult:
         """Insert a record: LHT-lookup of ``δ``, then a DHT-put towards
-        the bucket name ``κ`` (§5); at most one split per insertion."""
+        the bucket name ``κ`` (§5); at most one split per insertion.
+
+        Without a split that one put is the whole write: it carries the
+        bucket with the record in it.  The bucket is edited as a copy —
+        on a by-reference substrate the fetched bucket *is* the stored
+        one, and a put that fails must leave the index as it was.
+        """
         bucket, name, lookups = self._locate(key)
-        # The record travels to the bucket's peer: one routed DHT-put.
-        self.dht.put(str(name), bucket)
-        leaf, split = self._place(bucket, Record(key, value))
+        record = Record(key, value)
+        if self._splits(bucket):
+            # The record travels to the bucket's peer: one routed
+            # DHT-put; the split's own writes follow (Alg. 1).
+            self.dht.put(str(name), bucket)
+            leaf, split = self._place(bucket, record)
+        else:
+            updated = bucket.copy()
+            updated.add(record)
+            self.dht.put(str(name), updated)
+            leaf, split = updated.label, None
+            self._after_insert(None)
         return InsertResult(leaf=leaf, dht_lookups=lookups + 1, split=split)
 
     def delete(self, key: float) -> DeleteResult:
-        """Delete the record with exactly this key, if present."""
+        """Delete the record with exactly this key, if present: the
+        routed delete message carries the bucket without the record
+        (a copy, as in :meth:`insert`)."""
         bucket, name, lookups = self._locate(key)
-        self.dht.put(str(name), bucket)  # routed delete message
+        updated = bucket.copy()
+        removed = updated.remove(key)
+        self.dht.put(str(name), updated)
         lookups += 1
-        removed = bucket.remove(key)
         if removed is None:
             return DeleteResult(deleted=False, dht_lookups=lookups)
-        self.dht.local_write(str(name), bucket)
         merges: tuple[MergeEvent, ...] = ()
         if self.config.merge_enabled:
-            merges = tuple(self._maybe_merge(bucket))
+            merges = tuple(self._maybe_merge(updated))
         if self.sanitizer is not None:
             for merge in merges:
                 self.sanitizer.check_merge(merge)
@@ -333,9 +350,7 @@ class LHTIndex:
         disk (`local_write`, no overlay traffic).
         """
         event = None
-        if bucket.is_full(self.config.theta_split) and (
-            bucket.label.depth < self.config.max_depth
-        ):
+        if self._splits(bucket):
             event, remote_bucket = self._split(bucket)
             target = (
                 remote_bucket
@@ -351,11 +366,22 @@ class LHTIndex:
             target = bucket
             target.add(record)
             self.dht.local_write(str(naming(bucket.label)), bucket)
+        self._after_insert(event)
+        return target.label, event
+
+    def _splits(self, bucket: LeafBucket) -> bool:
+        """Whether a record arriving at ``bucket`` splits it: the bucket
+        is full and below the depth cap, where an over-full leaf stays."""
+        return bucket.is_full(self.config.theta_split) and (
+            bucket.label.depth < self.config.max_depth
+        )
+
+    def _after_insert(self, event: SplitEvent | None) -> None:
+        """The sanitizer's hooks after one placed record, if it is on."""
         if self.sanitizer is not None:
             if event is not None:
                 self.sanitizer.check_split(event)
             self.sanitizer.after_mutation("insert")
-        return target.label, event
 
     def _split(self, bucket: LeafBucket) -> tuple[SplitEvent, LeafBucket]:
         """Split a full leaf (Alg. 1) — pure state change.

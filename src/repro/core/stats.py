@@ -109,7 +109,7 @@ def check_structure(buckets: dict[Label, LeafBucket]) -> None:
                 f"Theorem 1 violated: bucket {label} stored under "
                 f"{storage}, expected f_n({label}) = {naming(label)}"
             )
-        keys = [record.key for record in bucket]
+        keys = bucket.record_keys()
         if keys and not (label.contains(min(keys)) and label.contains(max(keys))):
             raise SanitizerError(
                 f"record key outside leaf {label} interval {label.interval}: "
@@ -257,7 +257,9 @@ class IndexSanitizer:
 
         Buckets at the depth cap are exempt from the growth bound —
         splits are refused there, so they grow without limit by design.
-        A fresh child is measured against its parent's occupancy.
+        A fresh leaf is measured against its nearest ancestor that was a
+        leaf at the previous sweep (a bulk load may split a leaf more
+        than once), or against the capacity when none was.
         """
         config = self._config
         if label.depth > config.max_depth:
@@ -266,8 +268,14 @@ class IndexSanitizer:
             )
         if size <= config.record_capacity or label.depth == config.max_depth:
             return
-        previous = self._sizes.get(
-            label.bits, self._sizes.get(label.bits[:-1], config.record_capacity)
+        bits = label.bits
+        previous = next(
+            (
+                self._sizes[bits[:end]]
+                for end in range(len(bits), 0, -1)
+                if bits[:end] in self._sizes
+            ),
+            config.record_capacity,
         )
         allowance = max(1, self._arrivals)
         if size > max(previous, config.record_capacity) + allowance:

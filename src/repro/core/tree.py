@@ -21,7 +21,7 @@ from repro.core.config import IndexConfig
 from repro.core.keys import label_for_key
 from repro.core.label import Label, ROOT, VIRTUAL_ROOT
 from repro.core.naming import naming
-from repro.errors import DepthExceededError, ReproError
+from repro.errors import ReproError
 
 __all__ = ["ReferenceTree"]
 
@@ -107,7 +107,12 @@ class ReferenceTree:
     def insert(self, key: float) -> Label:
         """Insert a record key, splitting at most once; returns its leaf."""
         label = self.leaf_for(key)
-        if len(self._leaves[label]) + 1 >= self.config.theta_split:
+        # At the depth cap the split is skipped and the leaf grows past
+        # the threshold, as the index keeps an over-full leaf there.
+        if (
+            len(self._leaves[label]) + 1 >= self.config.theta_split
+            and label.depth < self.config.max_depth
+        ):
             label = self._split(label, key)
         self._leaves[label].append(key)
         return label
@@ -130,10 +135,6 @@ class ReferenceTree:
     def _split(self, label: Label, pending_key: float) -> Label:
         """Split a full leaf at its interval median; return the pending
         key's new leaf."""
-        if label.depth + 1 > self.config.max_depth:
-            raise DepthExceededError(
-                f"split of {label} would exceed max depth {self.config.max_depth}"
-            )
         keys = self._leaves.pop(label)
         mid = label.interval.midpoint
         left, right = label.left_child, label.right_child

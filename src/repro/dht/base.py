@@ -201,8 +201,9 @@ class DHT(abc.ABC):
         routing.
 
         This models Alg. 1's "write ``b`` back to the local disk": after
-        a split (or an in-bucket insert/delete) the peer already holds
-        the object and rewrites it locally — no overlay traffic, hence
+        a split or a merge (and, in the PHT baseline, an in-node
+        insert or delete) the peer already holds the object and
+        rewrites it locally — no overlay traffic, hence
         no DHT-lookup is charged.  Object-store backends are free to
         treat this as a no-op when values are shared by reference;
         byte-store backends (:class:`~repro.dht.serializing.SerializingDHT`)

@@ -37,6 +37,7 @@ from typing import Any, Iterable
 
 from repro.dht.base import DHT, NO_REPLY
 from repro.dht.kernel import DelegatingDHT, PlacementPolicy, stack_layers
+from repro.dht.serializing import serializing_layer
 from repro.errors import ConfigurationError
 
 __all__ = ["ReplicatedDHT", "replica_layer"]
@@ -90,6 +91,9 @@ class ReplicatedDHT(DelegatingDHT):
             *_, base = stack_layers(inner)
             policy.bind(base)
         self.policy = policy
+        #: The byte layer below, if any: a fan-out encodes its value
+        #: there once, and every holder stores that one payload.
+        self._wire = serializing_layer(inner)
 
     def _targets(self, key: str) -> list[int]:
         """Ordered replica holders for ``key`` (owner first, live)."""
@@ -102,10 +106,17 @@ class ReplicatedDHT(DelegatingDHT):
     # DHT interface
     # ------------------------------------------------------------------
 
+    def _fan_out(self, value: Any) -> Any:
+        """The value as every holder's write carries it: encoded once
+        when a byte layer sits below."""
+        return value if self._wire is None else self._wire.encoded(value)
+
     def put(self, key: str, value: Any) -> None:
-        self.inner.put(key, value)
         if self.n_replicas == 1:
+            self.inner.put(key, value)
             return
+        value = self._fan_out(value)
+        self.inner.put(key, value)
         for peer in self._targets(key)[1:]:
             self.inner.put_at(key, value, peer)
 
@@ -145,6 +156,7 @@ class ReplicatedDHT(DelegatingDHT):
             # Every holder — owner included — rewrites its own copy;
             # addressing them explicitly keeps replicas from shadowing
             # the owner in the kernel's holder scan.
+            value = self._fan_out(value)
             for peer in self._targets(key):
                 self.inner.local_write_at(key, value, peer)
 

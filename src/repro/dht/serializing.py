@@ -11,6 +11,11 @@ Running the full index test battery over ``SerializingDHT(LocalDHT())``
 is the proof that the LHT/PHT implementations persist every mutation
 through an explicit write — i.e. that they would work over a real
 byte-oriented DHT such as OpenDHT.
+
+A layer above that writes one value to several holders (the replica
+fan-out) encodes it once through :meth:`SerializingDHT.encoded` and
+hands each holder the same :class:`Encoded` payload, which this layer
+passes through as the bytes it stores.
 """
 
 from __future__ import annotations
@@ -19,9 +24,27 @@ import pickle
 from typing import Any
 
 from repro.dht.base import DHT
-from repro.dht.kernel import DelegatingDHT
+from repro.dht.kernel import DelegatingDHT, stack_layers
 
-__all__ = ["SerializingDHT"]
+__all__ = ["Encoded", "SerializingDHT", "serializing_layer"]
+
+
+def serializing_layer(dht: DHT) -> "SerializingDHT | None":
+    """The outermost byte layer of a wrapper stack, or ``None``."""
+    for layer in stack_layers(dht):
+        if isinstance(layer, SerializingDHT):
+            return layer
+    return None
+
+
+class Encoded:
+    """A value already encoded by a :class:`SerializingDHT`: that layer
+    stores ``payload`` as is instead of pickling the value again."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
 
 
 class SerializingDHT(DelegatingDHT):
@@ -29,10 +52,19 @@ class SerializingDHT(DelegatingDHT):
 
     def __init__(self, inner: DHT) -> None:
         super().__init__(inner)
+        #: Payload bytes handed to the substrate: one payload per write.
         self.bytes_written = 0
 
+    @staticmethod
+    def encoded(value: Any) -> Encoded:
+        """``value``'s payload, for a caller that writes it to several
+        holders: one encoding, passed through by every write here."""
+        if type(value) is Encoded:
+            return value
+        return Encoded(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
     def _encode(self, value: Any) -> bytes:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = self.encoded(value).payload
         self.bytes_written += len(payload)
         return payload
 

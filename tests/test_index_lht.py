@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from repro.core import (
     naming,
 )
 from repro.dht import LocalDHT
+from repro.dht.kernel import DelegatingDHT
 from repro.errors import LookupError_, SanitizerError
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -142,6 +145,56 @@ class TestDelete:
         moved = sum(e.records_moved for e in index.ledger.merges)
         assert moved >= 0
         assert all(e.dht_lookups == 2 for e in index.ledger.merges)
+
+
+class WriteSpy(DelegatingDHT):
+    """Counts the write calls that reach the substrate."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.calls: Counter[str] = Counter()
+
+    def put(self, key, value):
+        self.calls["put"] += 1
+        self.inner.put(key, value)
+
+    def local_write(self, key, value):
+        self.calls["local_write"] += 1
+        self.inner.local_write(key, value)
+
+
+class TestWriteCalls:
+    """An in-bucket insert or delete is one routed put carrying the new
+    bucket; only a split writes the stayer locally (Alg. 1)."""
+
+    @pytest.fixture
+    def spied(self):
+        spy = WriteSpy(LocalDHT(n_peers=16, seed=0))
+        index = LHTIndex(spy, IndexConfig(theta_split=4, merge_enabled=True))
+        for key in (0.1, 0.6):
+            index.insert(key)
+        spy.calls.clear()
+        return index, spy
+
+    def test_in_bucket_insert(self, spied):
+        index, spy = spied
+        assert index.insert(0.2).split is None
+        assert spy.calls == {"put": 1}
+        assert index.exact_match(0.2)[0] is not None
+
+    def test_delete(self, spied):
+        index, spy = spied
+        assert index.delete(0.1).deleted
+        assert spy.calls == {"put": 1}
+        assert index.exact_match(0.1)[0] is None
+
+    def test_split_insert(self, spied):
+        index, spy = spied
+        index.insert(0.2)
+        spy.calls.clear()
+        assert index.insert(0.3).split is not None
+        assert spy.calls == {"put": 2, "local_write": 1}
+        IndexInspector(spy).verify()
 
 
 class TestBulkLoad:

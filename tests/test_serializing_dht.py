@@ -10,6 +10,8 @@ would run over a real byte-oriented DHT.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,7 +27,9 @@ from repro.core import (
     Record,
     ReferenceTree,
 )
-from repro.dht import ChordDHT, LocalDHT, SerializingDHT
+from repro.dht import ChordDHT, LocalDHT, SerializingDHT, registry
+from repro.dht.kernel import stack_layers
+from repro.dht.serializing import serializing_layer
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
 
@@ -155,6 +159,44 @@ class TestNoRecordPerRow:
             before = records_built[0]
             assert index.delete(key).deleted
             assert records_built[0] - before <= 1
+
+
+class TestOneEncodePerWrite:
+    """A replica fan-out pickles its value once: every holder stores the
+    same payload, and ``bytes_written`` still counts one per holder."""
+
+    @pytest.fixture
+    def stack(self):
+        dht = registry.stack("replicated:3/serializing/local", 16, 0)
+        index = LHTIndex(dht, IndexConfig(theta_split=8))
+        for key in (0.1, 0.6):
+            index.insert(key)
+        return index, dht
+
+    @pytest.fixture
+    def dumps_calls(self, monkeypatch):
+        count = [0]
+        dumps = pickle.dumps
+
+        def counting_dumps(*args, **kwargs):
+            count[0] += 1
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        return count
+
+    def test_in_bucket_insert(self, stack, dumps_calls):
+        index, dht = stack
+        wire = serializing_layer(dht)
+        before = wire.bytes_written
+        assert index.insert(0.2).split is None
+        assert dumps_calls[0] == 1
+        *_, base = stack_layers(dht)
+        stored = [base.peers.store_of(peer)["#"] for peer in dht.replica_peers("#")]
+        assert len(stored) == 3 and isinstance(stored[0], bytes)
+        assert stored[0] == stored[1] == stored[2]
+        assert wire.bytes_written - before == 3 * len(stored[0])
+        assert 0.2 in index.range_query(0.0, 1.0).keys
 
 
 class TestLHTOverByteStore:

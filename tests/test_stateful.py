@@ -30,8 +30,9 @@ damages the tree (ROADMAP items 2 and 3).  They run in two pinned
 replays and in an exhaustive mode that fails the n-th routed write of
 each mutation kind; every case that breaks today is a strict xfail
 naming the exact error, so the fix that mends it must also drop the
-marker.  Two more pinned replays hold defects the search found: a
-sanitizer false positive and the reference tree's depth cap.
+marker.  Two more pinned replays hold defects the search once found,
+now mended: a sanitizer false positive and the reference tree's depth
+cap.
 ``docs/resilience.md`` says how to replay a failure.
 """
 
@@ -56,7 +57,7 @@ from repro.core.stats import check_structure, stored_buckets
 from repro.devtools.determinism import SUBSTRATES
 from repro.dht import FaultyDHT, registry
 from repro.dht.kernel import DelegatingDHT, stack_layers
-from repro.errors import DepthExceededError, DHTError, LookupError_, SanitizerError
+from repro.errors import DHTError, LookupError_, SanitizerError
 from repro.serve import Arrival, Request, RequestKind, ServeConfig, ServeEngine, Status
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
@@ -128,9 +129,7 @@ class IndexMachine(RuleBasedStateMachine):
     # Client rules
     # ------------------------------------------------------------------
 
-    # Lists hold distinct keys: 43 equal keys pass the depth cap, where
-    # the oracle cannot follow the index (test_oracle_depth_cap_replay).
-    @initialize(keys=st.lists(unit_floats, min_size=8, max_size=40, unique=True))
+    @initialize(keys=st.lists(unit_floats, min_size=8, max_size=40))
     def seed_data(self, keys: list[float]) -> None:
         for key in keys:
             self.insert(key)
@@ -163,9 +162,6 @@ class IndexMachine(RuleBasedStateMachine):
                     self.live.remove(target)
                     self.oracle.delete(target)
 
-    # Under LHT_SANITIZE the sanitizer rejects a legal fast bulk load
-    # (test_sanitized_bulk_load_replay), so the search leaves it to that pin.
-    @precondition(lambda self: self.index.sanitizer is None)
     @rule(keys=st.lists(unit_floats, max_size=8, unique=True))
     def bulk_load(self, keys: list[float]) -> None:
         if self._mutate(self.index.bulk_load, keys, True) is not None:
@@ -357,19 +353,17 @@ def test_crash_replay(monkeypatch):
     replay(IndexMachine("chord"), CRASH)
 
 
-@pytest.mark.xfail(strict=True, raises=SanitizerError)
 def test_sanitized_bulk_load_replay(monkeypatch):
     """A fast bulk load that splits a leaf twice: the sanitizer measures
-    the new grandchild against the leaf capacity instead of the old
-    leaf's occupancy, and rejects a state equal to incremental inserts."""
+    the new grandchild against the old leaf's occupancy, and accepts a
+    state equal to incremental inserts."""
     monkeypatch.setenv("LHT_SANITIZE", "1")
     replay(IndexMachine("local"), [("insert", 0.0)] * 4 + [("bulk_load", [0.0, 0.0])])
 
 
-@pytest.mark.xfail(strict=True, raises=DepthExceededError)
 def test_oracle_depth_cap_replay():
     """43 equal keys: the index keeps an over-full leaf at the depth cap,
-    while the reference tree refuses the split it would need."""
+    and so does the reference tree."""
     replay(IndexMachine("local"), [("insert", 0.0)] * 43)
 
 
@@ -411,27 +405,35 @@ MUTATIONS = {
 #: child's put, the absorbed sibling's remove, a later leaf's put.
 BROKEN = {("split", 2), ("merge", 2), ("bulk-load", 2)}
 
+#: Every cell on ``local``; the one-write mutations also on the deploy
+#: stack, whose byte layer and replica fan-out carry that one write.
+CELLS = [
+    ("local", kind, n) for kind, (*_, w) in MUTATIONS.items() for n in range(1, w + 2)
+]
+CELLS += [("deploy-local", kind, n) for kind in ("insert", "delete") for n in (1, 2)]
+
 
 @pytest.mark.parametrize(
-    "kind, n",
+    "arm, kind, n",
     [
         pytest.param(
+            arm,
             kind,
             n,
             marks=[pytest.mark.xfail(strict=True, raises=SanitizerError)]
             if (kind, n) in BROKEN
             else [],
+            id=f"{kind}-{n}" if arm == "local" else f"{kind}-{n}-{arm}",
         )
-        for kind, (*_, writes) in MUTATIONS.items()
-        for n in range(1, writes + 2)
+        for arm, kind, n in CELLS
     ],
 )
-def test_nth_routed_write_fails(kind, n):
+def test_nth_routed_write_fails(arm, kind, n):
     """Exhaustive mode: the n-th routed write of one mutation fails.  A
     typed failure must leave the index as it was; past the last write
     nothing fails and the mutation lands."""
     setup, (rule_name, *args), writes = MUTATIONS[kind]
-    machine = IndexMachine("local", wrap=NthWriteFails)
+    machine = IndexMachine(arm, wrap=NthWriteFails)
     for name, *setup_args in setup:
         getattr(machine, name)(*setup_args)
     machine.dht.countdown = n

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import IndexConfig, Label, ReferenceTree, ROOT
-from repro.errors import DepthExceededError
 
 unit_floats = st.floats(min_value=0.0, max_value=0.9999999, allow_nan=False)
 
@@ -77,10 +75,15 @@ class TestBasics:
         assert tree.merge_count > 0
 
     def test_depth_limit(self):
+        """At the depth cap the split is skipped: the leaf grows past the
+        threshold, as the index keeps an over-full leaf there."""
         tree = ReferenceTree(IndexConfig(theta_split=2, max_depth=3))
-        with pytest.raises(DepthExceededError):
-            for i in range(50):
-                tree.insert(1e-6 + i * 1e-9)
+        keys = [1e-6 + i * 1e-9 for i in range(50)]
+        for key in keys:
+            tree.insert(key)
+        assert tree.depth == 3
+        assert tree.keys_in_leaf(tree.leaf_for(keys[0])) == keys
+        tree.check_invariants()
 
     def test_keys_in_range(self):
         tree = ReferenceTree(IndexConfig(theta_split=4))
