@@ -22,7 +22,7 @@ from repro.core.naming import (
     rightmost_leaf_key,
 )
 from repro.core.range_query import RangeQueryExecutor, compute_lca
-from repro.core.scan import KnnResult, knn_query, scan_buckets, scan_records
+from repro.core.scan import scan_buckets, scan_records
 from repro.core.results import (
     CostLedger,
     DeleteResult,
@@ -67,8 +67,6 @@ __all__ = [
     "rightmost_leaf_key",
     "RangeQueryExecutor",
     "compute_lca",
-    "KnnResult",
-    "knn_query",
     "scan_buckets",
     "scan_records",
     "CostLedger",

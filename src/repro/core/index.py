@@ -53,7 +53,7 @@ from repro.core.results import (
     RangeQueryResult,
     SplitEvent,
 )
-from repro.core.scan import KnnResult, knn_query, scan_records
+from repro.core.scan import scan_records
 from repro.core.stats import IndexSanitizer, sanitizer_enabled, stored_buckets
 from repro.dht.base import DHT
 from repro.errors import DHTError, LookupError_
@@ -328,11 +328,6 @@ class LHTIndex:
         """Iterate every record in ascending key order (one DHT-lookup
         per leaf; see :mod:`repro.core.scan`)."""
         return scan_records(self.dht, self.config)
-
-    def knn_query(self, key: float, k: int) -> KnnResult:
-        """The ``k`` records with keys nearest to ``key``
-        (:func:`repro.core.scan.knn_query`)."""
-        return knn_query(self.dht, self.config, key, k)
 
     # ------------------------------------------------------------------
     # Maintenance: split (Alg. 1) and merge (its dual)

@@ -47,11 +47,13 @@ import numpy as np
 from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht import registry
-from repro.dht.faulty import FaultyDHT
 from repro.dht.local import LocalDHT
-from repro.dht.replicated import ReplicatedDHT
 from repro.errors import ReproError
-from repro.experiments.common import phase_hops, probe_stored, zipf_probe_cost
+from repro.experiments.common import (
+    availability_cell,
+    phase_hops,
+    zipf_probe_cost,
+)
 from repro.serve import (
     ServeConfig,
     ServeEngine,
@@ -385,16 +387,6 @@ _AVAIL_PARAMS = {
 }
 
 
-def _avail_faulty(seed: int, tag: str) -> FaultyDHT:
-    return FaultyDHT(
-        LocalDHT(
-            n_peers=_AVAIL_PARAMS["n_peers"],
-            seed=derive_seed(seed, "bench:avail:sub"),
-        ),
-        seed=derive_seed(seed, f"bench:avail:faults:{tag}"),
-    )
-
-
 def _drive_identity(dht, seed: int) -> tuple:
     """One seeded mixed op stream → (snapshot, stored keys)."""
     rng = np.random.default_rng(derive_seed(seed, "bench:avail:identity"))
@@ -413,13 +405,18 @@ def _drive_identity(dht, seed: int) -> tuple:
 def measure_avail(seed: int = 1) -> dict:
     """Availability vs replication factor, and the k=1 no-op proof.
 
+    Every stack is ``registry.stack`` at the root ``seed``, and every
+    availability cell is :func:`~repro.experiments.common.availability_cell`
+    (E26's one-attempt ``local`` plane at this workload's shape).
+
     Three hard invariants (raised as :class:`ReproError`, not banked):
 
     * **k=1 byte-identity** — the same seeded mixed workload driven
-      through ``FaultyDHT(LocalDHT)`` bare and through
-      ``ReplicatedDHT(..., n_replicas=1)`` must produce identical
-      metrics snapshots and identical stored state: single-replica
-      placement is a pass-through, so enabling the layer costs nothing.
+      through ``faulty:0.2/local``, through ``replicated:1/…`` over it
+      and through ``resilient:1/replicated:1/…`` over it must produce
+      identical metrics snapshots and identical stored state: one
+      replica and one attempt are pass-throughs, so enabling the layers
+      costs nothing.
     * **strict monotonicity** — availability at drop rate 0.3 must
       strictly increase k=1 → k=2 → k=3 (the E26 acceptance shape).
     * **failover liveness** — replicated probes (k>1) must record at
@@ -433,52 +430,41 @@ def measure_avail(seed: int = 1) -> dict:
     p = _AVAIL_PARAMS
 
     # --- invariant 1: the k=1 path is byte-identical to no layer ------
-    bare = _avail_faulty(seed, "identity")
-    bare.get_drop_rate = p["identity_drop_rate"]
-    wrapped_inner = _avail_faulty(seed, "identity")
-    wrapped_inner.get_drop_rate = p["identity_drop_rate"]
-    wrapped = ReplicatedDHT(wrapped_inner, n_replicas=1)
-    if _drive_identity(bare, seed) != _drive_identity(wrapped, seed):
-        raise ReproError(
-            "ReplicatedDHT(n_replicas=1) diverged from the bare stack: "
-            "the k=1 path must be a byte-identical pass-through"
-        )
+    faulty = f"faulty:{p['identity_drop_rate']}/local"
+    bare = _drive_identity(registry.stack(faulty, p["n_peers"], seed), seed)
+    for layers in ("replicated:1/", "resilient:1/replicated:1/"):
+        wrapped = registry.stack(layers + faulty, p["n_peers"], seed)
+        if _drive_identity(wrapped, seed) != bare:
+            raise ReproError(
+                f"{layers + faulty} diverged from {faulty}: one replica "
+                "and one attempt must be byte-identical pass-throughs"
+            )
 
     # --- availability × replication factor ----------------------------
+    config = IndexConfig(theta_split=p["theta_split"], max_depth=p["max_depth"])
+    keys = np.random.default_rng(derive_seed(seed, "bench:avail:keys")).random(
+        p["n_keys"]
+    )
+    sample = np.random.default_rng(
+        derive_seed(seed, "bench:avail:probes")
+    ).choice(keys, size=p["n_probes"], replace=False)
     metrics: dict[str, float] = {}
     info: dict[str, float] = {}
     availability: dict[int, float] = {}
     for k in p["ks"]:
-        faulty = _avail_faulty(seed, f"k{k}")
-        dht = ReplicatedDHT(faulty, n_replicas=k)
-        index = LHTIndex(
-            dht,
-            IndexConfig(
-                theta_split=p["theta_split"], max_depth=p["max_depth"]
-            ),
+        cell = availability_cell(
+            "local", k, 1, p["drop_rate"], p["n_peers"], seed, config,
+            keys, sample,
         )
-        rng = np.random.default_rng(derive_seed(seed, "bench:avail:keys"))
-        keys = [float(x) for x in rng.random(p["n_keys"])]
-        before = dht.metrics.snapshot()
-        index.bulk_load(keys, fast=True)
-        built = dht.metrics.since(before)
-        metrics[f"build_puts_per_key_k{k}"] = built.puts / p["n_keys"]
-
-        # Faults start after the build: every probed key is stored.
-        faulty.get_drop_rate = p["drop_rate"]
-        prng = np.random.default_rng(derive_seed(seed, "bench:avail:probes"))
-        sample = prng.choice(
-            np.asarray(keys), size=p["n_probes"], replace=False
-        )
-        hits, spent = probe_stored(index, sample)
-        availability[k] = hits / p["n_probes"]
-        metrics[f"unavailability_at_k{k}"] = 1.0 - availability[k]
-        info[f"availability_at_k{k}"] = availability[k]
+        availability[k] = cell.availability
+        metrics[f"build_puts_per_key_k{k}"] = cell.build.puts / p["n_keys"]
+        metrics[f"unavailability_at_k{k}"] = 1.0 - cell.availability
+        info[f"availability_at_k{k}"] = cell.availability
         info[f"replica_probe_gets_per_probe_k{k}"] = (
-            spent.replica_probe_gets / p["n_probes"]
+            cell.probes.replica_probe_gets / p["n_probes"]
         )
-        info[f"replica_failovers_k{k}"] = float(spent.replica_failovers)
-        if k > 1 and spent.replica_failovers == 0:
+        info[f"replica_failovers_k{k}"] = float(cell.probes.replica_failovers)
+        if k > 1 and cell.probes.replica_failovers == 0:
             raise ReproError(
                 f"k={k} under drop rate {p['drop_rate']} recorded no "
                 "replica failovers: the degraded-read path is dead"

@@ -17,8 +17,9 @@ token is a registry name; the five layers are
 
 * ``faulty[:p]`` — :class:`FaultyDHT` dropping a fraction ``p`` of gets
   (default 0), seeded ``derive_seed(seed, "faults")``;
-* ``resilient`` — :class:`ResilientDHT`, seeded
-  ``derive_seed(seed, "retries")``;
+* ``resilient[:attempts]`` — :class:`ResilientDHT` with
+  ``RetryPolicy(max_attempts=attempts)`` (default: the default
+  policy), seeded ``derive_seed(seed, "retries")``;
 * ``replicated[:k]`` — :class:`ReplicatedDHT` with ``k`` replicas
   (default 3);
 * ``serializing`` — :class:`SerializingDHT`;
@@ -55,6 +56,7 @@ from repro.dht.replicated import ReplicatedDHT
 from repro.dht.serializing import SerializingDHT
 from repro.dht.tapestry import TapestryDHT
 from repro.errors import ConfigurationError
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.wrapper import ResilientDHT
 from repro.sim.rng import derive_seed
 
@@ -141,8 +143,8 @@ def make(name: str, n_peers: int, seed: int) -> DHT:
 _LAYERS: dict[str, tuple[Callable[[str], Any] | None, Callable[..., DHT]]] = {
     "faulty": (float, lambda inner, seed, *p: FaultyDHT(
         inner, *p, seed=derive_seed(seed, "faults"))),
-    "resilient": (None, lambda inner, seed: ResilientDHT(
-        inner, seed=derive_seed(seed, "retries"))),
+    "resilient": (int, lambda inner, seed, *a: ResilientDHT(
+        inner, RetryPolicy(*a), seed=derive_seed(seed, "retries"))),
     "replicated": (int, lambda inner, seed, *k: ReplicatedDHT(inner, *k)),
     "serializing": (None, lambda inner, seed: SerializingDHT(inner)),
     "accesslog": (None, lambda inner, seed: AccessLoggingDHT(inner)),

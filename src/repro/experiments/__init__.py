@@ -31,7 +31,7 @@ E21        query hot spots        :mod:`repro.experiments.hotspots`
 E22, E22b  retry availability     :mod:`repro.experiments.availability`
 E23, E23b  leaf-cache skew sweep  :mod:`repro.experiments.cached_lookup`
 E25, b, c  substrate independence :mod:`repro.experiments.routing_diversity`
-E26-*, b   replica availability   :mod:`repro.experiments.replica_availability`
+E26-*, b   replica availability   :mod:`repro.experiments.availability`
 =========  =====================  ==========================================
 """
 

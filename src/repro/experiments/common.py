@@ -16,8 +16,9 @@ module keeps only its measurement.
   per-trial rows to :func:`summarize` directly.
 * Three measured cells are written here once and called by every
   experiment that reports them and by ``devtools.benchgate``:
-  :func:`probe_stored` (exact-match known-stored keys → PRESENT count
-  and metrics delta: E22, E26, ``BENCH_avail``), :func:`zipf_probe_cost`
+  :func:`availability_cell` (one lossy ``registry.stack`` probed on
+  known-stored keys through :func:`probe_stored` → PRESENT fraction
+  and metrics deltas: E22, E26, ``BENCH_avail``), :func:`zipf_probe_cost`
   (Zipf probes on stored keys → routed gets per probe, an absent answer
   is an error: E23, ``BENCH_lookup``) and :func:`phase_hops` (build,
   lookup and range routed hops per DHT-lookup on one substrate, each
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,6 +64,8 @@ __all__ = [
     "sweep",
     "summarize",
     "probe_stored",
+    "AvailabilityCell",
+    "availability_cell",
     "zipf_probe_cost",
     "hops_per_lookup",
     "phase_hops",
@@ -195,6 +198,36 @@ def probe_stored(
         if index.exact_match_checked(float(key)).status is MatchStatus.PRESENT:
             hits += 1
     return hits, index.dht.metrics.since(before)
+
+
+class AvailabilityCell(NamedTuple):
+    """One :func:`availability_cell`: PRESENT fraction, metrics spent."""
+
+    availability: float
+    build: MetricsSnapshot
+    probes: MetricsSnapshot
+
+
+def availability_cell(
+    substrate: str, k: int, attempts: int, drop_rate: float, n_peers: int,
+    seed: int, config: IndexConfig, keys: np.ndarray, sample: np.ndarray,
+) -> AvailabilityCell:
+    """Exact-match availability of stored keys on one lossy stack.
+
+    ``keys`` are fast-built into an LHT index over
+    ``resilient:attempts/replicated:k/faulty:drop_rate/substrate`` (one
+    root ``seed``), then ``sample`` — stored keys — is probed through
+    :func:`probe_stored`.  The faults are live from construction: the
+    fast build routes no get, and ``FaultyDHT`` draws only for an
+    operation whose rate is non-zero, so the build is fault-free.
+    """
+    spec = f"resilient:{attempts}/replicated:{k}/faulty:{drop_rate}/{substrate}"
+    index = LHTIndex(registry.stack(spec, n_peers, seed), config)
+    before = index.dht.metrics.snapshot()
+    index.bulk_load((float(key) for key in keys), fast=True)
+    build = index.dht.metrics.since(before)
+    hits, probes = probe_stored(index, sample)
+    return AvailabilityCell(hits / len(sample), build, probes)
 
 
 def zipf_probe_cost(

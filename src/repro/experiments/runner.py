@@ -46,7 +46,6 @@ from repro.experiments import (
     load_balance,
     minmax_cost,
     range_perf,
-    replica_availability,
     routing_diversity,
 )
 from repro.experiments.common import ExperimentResult
@@ -68,15 +67,14 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[str, int], list[ExperimentResult]]]]
     "latency": ("E19: simulated wall latency", latency_study.run),
     "workload": ("E20: maintenance under mixed workload", churn_workload.run),
     "hotspots": ("E21: query-traffic hot spots", hotspots.run),
-    "availability": ("E22: availability vs retry budget", availability.run),
+    "availability": (
+        "E22/E26: availability vs retry budget and replication factor",
+        availability.run,
+    ),
     "cached": ("E23: leaf-cache benefit vs workload skew", cached_lookup.run),
     "routing-diversity": (
         "E25: hops per DHT-lookup across all registered substrates",
         routing_diversity.run,
-    ),
-    "replica-availability": (
-        "E26: availability vs replication factor (placement layer)",
-        replica_availability.run,
     ),
 }
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import (
     ablation_lookup,
+    availability,
     churn_study,
     fig6_alpha,
     fig7_maintenance,
@@ -48,7 +49,13 @@ TINY_SCALES = {
     "latency": {"size": 1 << 8, "n_queries": 10, "n_peers": 64},
     "workload": {"n_ops": 300, "trials": 2},
     "hotspots": {"size": 1 << 8, "n_lookups": 30, "n_ranges": 10, "n_peers": 16},
-    "availability": {"n_peers": 8, "size": 1 << 7, "probes": 30},
+    "availability": {
+        "substrates": None,
+        "n_peers": 8,
+        "size": 1 << 6,
+        "probes": 20,
+        "drop_rates": [0.0, 0.3],
+    },
     "cached": {"n_peers": 8, "size": 1 << 9, "probes": 60, "small_capacity": 4},
     "routing-diversity": {
         "n_peers": [8, 16],
@@ -56,13 +63,6 @@ TINY_SCALES = {
         "n_lookups": 10,
         "n_ranges": 3,
         "span": 0.05,
-    },
-    "replica-availability": {
-        "substrates": None,
-        "n_peers": 8,
-        "size": 1 << 6,
-        "probes": 20,
-        "drop_rates": [0.0, 0.3],
     },
 }
 
@@ -201,6 +201,15 @@ class TestOthers(object):
         assert [r.experiment_id for r in results] == ["E25", "E25b", "E25c"]
         for result in results:
             assert [s.label for s in result.series] == substrate_names()
+
+    def test_availability_measures_the_shared_cell_once(self, tiny):
+        """E22's one-attempt curve and E26-local's one-replica curve are
+        one cell: one attempt and one replica add nothing."""
+        results = {r.experiment_id: r for r in availability.run(tiny, seed=0)}
+        retry = results["E22"].series_by_label("attempts=1")
+        replica = results["E26-local"].series_by_label("k=1")
+        assert (retry.x, retry.y) == (replica.x, replica.y)
+        assert retry.y[0] == 1.0 and retry.y[-1] < 1.0
 
     def test_churn(self, tiny):
         (result,) = churn_study.run(tiny, seed=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from repro.core.config import IndexConfig
 from repro.core.index import LHTIndex
 from repro.dht import registry
 from repro.dht.faulty import FaultyDHT
+from repro.dht.kernel import stack_layers
 from repro.dht.local import LocalDHT
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import runner
 from repro.experiments.common import (
     ExperimentResult,
     Series,
+    availability_cell,
     hops_per_lookup,
     probe_stored,
     scale_params,
@@ -163,7 +166,6 @@ class TestRunnerCLI:
             "availability",
             "cached",
             "routing-diversity",
-            "replica-availability",
         }
 
     def test_latency_experiment(self):
@@ -282,6 +284,33 @@ class TestSharedCells:
         assert hits == 0  # every reply dropped: UNREACHABLE, not PRESENT
         assert spent.gets > 0
 
+    def test_availability_cell_reads_present_over_the_sample(self):
+        keys = np.random.default_rng(0).random(200)
+        cell = partial(
+            availability_cell, "local", 2, 1, n_peers=8, seed=0,
+            config=IndexConfig(theta_split=16), keys=keys, sample=keys[:50],
+        )
+        clean, lost = cell(drop_rate=0.0), cell(drop_rate=1.0)
+        assert (clean.availability, lost.availability) == (1.0, 0.0)
+        assert clean.build == lost.build and clean.build.puts > 0
+        assert lost.probes.replica_probe_gets > 0
+
+    def test_a_fast_build_draws_nothing_from_live_faults(self):
+        """The cell's faults are live from construction: the fast bulk
+        load routes no get and ``FaultyDHT`` draws only for an operation
+        whose rate is non-zero, so the build is the fault-free one."""
+        lossy = registry.stack("resilient:3/replicated:3/faulty:0.5/local", 8, 0)
+        clean = registry.stack("resilient:3/replicated:3/local", 8, 0)
+        faulty = list(stack_layers(lossy))[2]
+        stream = faulty._rng.bit_generator.state
+        keys = np.random.default_rng(0).random(300)
+        for dht in (lossy, clean):
+            LHTIndex(dht, IndexConfig(theta_split=16)).bulk_load(keys, fast=True)
+        assert faulty._rng.bit_generator.state == stream
+        assert faulty.dropped_gets == 0
+        assert lossy.metrics.snapshot() == clean.metrics.snapshot()
+        assert sorted(lossy.keys()) == sorted(clean.keys())
+
     def test_zipf_probe_cost_is_gets_per_probe_of_the_drawn_stream(self):
         index = _three_key_index()
         gets, spent = zipf_probe_cost(
@@ -358,14 +387,14 @@ class TestRunnerRefusals:
 
     def test_scale_is_checked_for_every_name_before_any_runs(self, capsys):
         with pytest.raises(ConfigurationError, match="'eq3' defines no scale"):
-            runner.run_experiments(["replica-availability", "eq3"], scale="smoke")
+            runner.run_experiments(["availability", "eq3"], scale="smoke")
         assert capsys.readouterr().out == ""
 
     def test_list_shows_each_experiments_scales(self, capsys):
         assert runner.main(["--list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert any(
-            line.startswith("replica-availability")
+            line.startswith("availability")
             and line.endswith("[scales: smoke, ci, paper]")
             for line in lines
         )

@@ -133,10 +133,12 @@ class TestLostReplyNeverSteersARepair:
             index.max_query()
         assert index.min_query().record.key == 0.0
 
-    def test_knn_raises_instead_of_skipping_a_leaf(self):
+    def test_scan_raises_instead_of_skipping_a_leaf(self):
+        """'#00' lost: the scan's step right of #000 repairs to #000
+        itself, which does not abut it, so the scan refuses to go on."""
         index = self._index({"#00"})
-        with pytest.raises(LookupError_):
-            index.knn_query(0.75, 1)
+        with pytest.raises(LookupError_, match="neighboring #000"):
+            list(index.scan())
 
     def test_single_leaf_fallback_requires_the_root_leaf(self):
         """'#0' lost: the leaf under '#' is #000, not #0, so the tree is
@@ -148,4 +150,3 @@ class TestLostReplyNeverSteersARepair:
     def test_fault_free_answers_are_unchanged(self):
         index = self._index(set())
         assert index.max_query().record.key == 0.251953125
-        assert index.knn_query(0.75, 1).records[0].key == 0.251953125

@@ -200,11 +200,3 @@ def test_deploy_stack_answers_are_typed_and_true(
         pass
     else:
         assert scanned == sorted(oracle)
-    try:
-        nearest = index.knn_query(probe, 3)
-    except ReproError:
-        pass
-    else:
-        assert all(isinstance(r, Record) for r in nearest.records)
-        distances = sorted(abs(r.key - probe) for r in nearest.records)
-        assert distances == sorted(abs(key - probe) for key in oracle)[:3]

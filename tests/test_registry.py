@@ -36,7 +36,7 @@ from repro.dht import (
 )
 from repro.dht.kernel import SubstrateBase, stack_layers
 from repro.errors import ConfigurationError
-from repro.resilience import ResilientDHT
+from repro.resilience import ResilientDHT, RetryPolicy
 from repro.sim.rng import derive_seed
 
 import repro.dht
@@ -264,6 +264,13 @@ class TestStack:
         assert replicated.n_replicas == 2
         assert faulty.get_drop_rate == 0.25
 
+    def test_resilient_takes_an_attempt_budget(self):
+        """``resilient:a`` is ``RetryPolicy(max_attempts=a)``; a bare
+        ``resilient`` keeps the default policy."""
+        budgeted = registry.stack("resilient:3/local", 8, 0)
+        assert budgeted.policy == RetryPolicy(max_attempts=3)
+        assert registry.stack("resilient/local", 8, 0).policy == RetryPolicy()
+
     def test_seeds_derive_from_the_root(self):
         """The substrate takes the root seed, the fault layer
         ``derive_seed(seed, "faults")``, the retry layer ``"retries"``."""
@@ -280,7 +287,7 @@ class TestStack:
         "", "resilient", "napster", "cached/local", "local/local",
         "faulty:x/local", "faulty:/local", "faulty:1.5/local",
         "replicated:2.5/local", "replicated:0/local", "serializing:1/local",
-        "resilient:3/local",
+        "resilient:0/local", "resilient:x/local",
     ])
     def test_malformed_specs_are_configuration_errors(self, spec):
         with pytest.raises(ConfigurationError):

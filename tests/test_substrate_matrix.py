@@ -67,11 +67,8 @@ class TestMatrix:
         assert index.min_query().record.key == min(keys)
         assert index.max_query().record.key == max(keys)
 
-        # scan and kNN
+        # scan
         assert [r.key for r in index.scan()] == sorted(keys)
-        nearest = index.knn_query(0.5, 3)
-        expect_nn = sorted(keys, key=lambda k: (abs(k - 0.5), k))[:3]
-        assert [r.key for r in nearest.records] == expect_nn
 
         # deletion with merges
         for key in keys[:200]:
